@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .functions import (
     even_part,
     is_even,
     is_odd,
+    linear_combination,
     nonzero_characters,
     odd_part,
 )
@@ -82,7 +84,8 @@ def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> Verifi
             else:
                 exact = False
                 mag = abs(complex(defect))
-            if mag > worst:
+            # a NaN defect compares false both ways; the first one sticks
+            if not mag <= worst and worst == worst:
                 worst, worst_pair = mag, (x, y)
     return VerificationReport(
         max_residual=max(worst, 0.0),
@@ -174,8 +177,6 @@ def check_G_properties(
 
 def _div(a, b):
     if is_exact(a) and is_exact(b):
-        from fractions import Fraction
-
         if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
             return Fraction(a) / Fraction(b)
         out = a / b
@@ -261,8 +262,6 @@ def check_parity_lemma(
         return PropertyReport(False, "hypothesis fails: need two different non-zero chi")
     if values_equal(a1, 0, 1e-15) or values_equal(a2, 0, 1e-15):
         return PropertyReport(False, "hypothesis fails: a1, a2 must be non-zero")
-    from .functions import linear_combination
-
     f = linear_combination([(a1, chi1.fn), (a2, chi2.fn)])
     g = linear_combination([(b1, chi1.fn), (b2, chi2.fn)])
     if g.is_zero(tol):

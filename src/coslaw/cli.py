@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .families import (
     function_vanishing_on_products,
 )
 from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
-from .functions import enumerate_multiplicative, null_sets
+from .functions import ScalarFunction, enumerate_multiplicative, null_sets
 from .semigroups import (
     enumerate_involutive_automorphisms,
     product_set,
@@ -38,6 +37,7 @@ from .semigroups import (
 )
 from .serialize import (
     ParseError,
+    function_from_json,
     load_pair,
     load_semigroup,
     save_pair,
@@ -47,10 +47,6 @@ from .solver import SolverConfig, find_solutions
 
 
 class UsageError(ValueError):
-    pass
-
-
-class CheckFailure(ValueError):
     pass
 
 
@@ -92,22 +88,11 @@ def parse_complex(text: str, exact: bool = False):
     return z.real if z.imag == 0 else z
 
 
-@dataclass
-class Session:
-    """Named registry backing one CLI invocation; names are unique."""
-
-    fixture: Fixture | None = None
-    functions: dict = field(default_factory=dict)
-    outdir: Path = field(default_factory=lambda: Path(os.environ.get("COSLAW_OUTDIR", ".")))
-
-    def register(self, name: str, fn) -> None:
-        if name in self.functions:
-            raise UsageError(f"name {name!r} already registered in this session")
-        self.functions[name] = fn
-
-    def out(self, name: str) -> Path:
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        return self.outdir / name
+def _out_path(name: str) -> Path:
+    """`name` inside the artifact directory (COSLAW_OUTDIR, default: cwd)."""
+    outdir = Path(os.environ.get("COSLAW_OUTDIR", "."))
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir / name
 
 
 def _fixture(name: str, window=None) -> Fixture:
@@ -186,7 +171,7 @@ def _cmd_characters(args) -> int:
     else:
         for name in fx.characters:
             print(name)
-        if fx.name in ("real-line", "heisenberg"):
+        if fx.exp is not None:
             print("exp (parametrized: --lambda / --a --b)")
     return 0
 
@@ -208,8 +193,6 @@ def _default_free(fx: Fixture, family: int):
     s = fx.carrier
     if family == 1:
         if s.is_finite:
-            from .functions import ScalarFunction
-
             return ScalarFunction(s, values=[k + 1 for k in range(s.order)])
         table = {x: 1 for x in s.elements}
         return function_vanishing_on_products(s, table)
@@ -222,9 +205,7 @@ def _default_free(fx: Fixture, family: int):
 
 
 def _cmd_construct(args) -> int:
-    session = Session()
     fx = _fixture(args.fixture, window=args.window)
-    session.fixture = fx
     sigma = fx.sigma(args.sigma)
     alpha = parse_complex(args.alpha, exact=args.exact)
     q = parse_complex(args.q, exact=args.exact) if args.q else None
@@ -245,25 +226,15 @@ def _cmd_construct(args) -> int:
         if args.additive and additive is None:
             raise UsageError(f"fixture {fx.name} has no additive rule {args.additive!r}")
         rho = parse_complex(args.rho_const, exact=args.exact) if args.rho_const else None
-        h_json = None
-        if fx.name == "naturals-from-2" and args.additive == "five-adic":
-            z = complex(rho or 0)
-            h_json = {"rule": "h-piecewise", "c": [z.real, z.imag]}
-        h_spec = HSpec(additive=additive, rho=rho, spec=h_json)
+        encode = fx.h_specs.get(args.additive)
+        h_spec = HSpec(additive=additive, rho=rho, spec=encode(rho) if encode else None)
     free = None
     if family in (1, 2, 3):
         if args.free_file:
-            from .serialize import function_from_json
-
             with open(args.free_file, encoding="utf-8") as fh:
                 free = function_from_json(fx, json.load(fh))
         else:
             free = _default_free(fx, family)
-    for named in (chi, chi1, chi2):
-        if named is not None and named.name:
-            session.register(named.name, named)
-    if free is not None:
-        session.register("free", free)
     d = FamilyDescriptor(
         family=family, alpha=alpha, q=q, branch=args.branch,
         chi=chi, chi1=chi1, chi2=chi2, h_spec=h_spec,
@@ -274,7 +245,7 @@ def _cmd_construct(args) -> int:
     except (InvalidDescriptor, ConditionViolation) as e:
         print(f"construct failed: {e}", file=sys.stderr)
         return 1
-    out = session.out(args.out)
+    out = _out_path(args.out)
     save_pair(out, pair, fx.name, sigma.name, window=args.window)
     print(f"wrote {out}")
     return 0
@@ -298,7 +269,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    session = Session()
     fx = _fixture(args.fixture, window=args.window)
     if not fx.carrier.is_finite:
         raise UsageError("solve needs a finite fixture")
@@ -311,7 +281,7 @@ def _cmd_solve(args) -> int:
     if flagged:
         print(f"{flagged} flagged non-isolated (rank-deficient Jacobian)")
     if args.out:
-        out = session.out(args.out)
+        out = _out_path(args.out)
         out.write_text(sols.to_json_lines() + "\n", encoding="utf-8")
         print(f"wrote {out}")
     return 0
@@ -425,7 +395,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1
-    except (InvalidDescriptor, ConditionViolation, CheckFailure) as e:
+    except (InvalidDescriptor, ConditionViolation) as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
 

@@ -461,16 +461,6 @@ def simplify_scalar(v):
     return v
 
 
-def as_complex(v) -> complex:
-    return complex(v)
-
-
-def conj(v):
-    if isinstance(v, (int, float, Fraction)):
-        return v
-    return v.conjugate()
-
-
 def scalar_is_zero(v, tol: float = 0.0) -> bool:
     if isinstance(v, (Cyc, ExpPoly)):
         return v.is_zero()

@@ -36,6 +36,7 @@ from .functions import (
     MultiplicativeFunction,
     NullSets,
     ScalarFunction,
+    complex_pair,
     is_additive,
     is_even,
     linear_combination,
@@ -107,9 +108,9 @@ class FamilyDescriptor:
 
     def as_params(self) -> dict:
         """JSON-able parameter summary."""
-        out: dict = {"family_tag": self.family, "alpha": _pair(self.alpha)}
+        out: dict = {"family_tag": self.family, "alpha": complex_pair(self.alpha)}
         if self.q is not None:
-            out["q"] = _pair(self.q)
+            out["q"] = complex_pair(self.q)
         if self.family in (4, 5, 7):
             out["branch"] = self.branch
         for key in ("chi", "chi1", "chi2"):
@@ -117,11 +118,6 @@ class FamilyDescriptor:
             if c is not None:
                 out[key] = c.name or "anonymous"
         return out
-
-
-def _pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,7 @@ def function_vanishing_on_products(
         values = [support.get(x, 0) for x in s.elements]
         return ScalarFunction(s, values=values)
     table = dict(support)
-    spec = {"rule": "support", "points": [[x, _pair(v)] for x, v in table.items()]}
+    spec = {"rule": "support", "points": [[x, complex_pair(v)] for x, v in table.items()]}
     return ScalarFunction(s, rule=lambda x: table.get(x, 0), spec=spec)
 
 
@@ -202,18 +198,27 @@ def build_h(
     _check_condition_i(s, ns, chi, rho_fn, in_p, units, tol)
     _check_condition_ii(s, ns, h_rule, units, tol)
 
-    for x, y in pairs(s):
-        xy = s.compose(x, y)
-        lhs = h_rule(xy)
-        rhs = h_rule(x) * chi(y) + h_rule(y) * chi(x)
-        if not values_equal(lhs, rhs, tol):
-            raise ConditionViolation(
-                f"sine addition law fails at ({x}, {y}): {lhs!r} != {rhs!r}"
-            )
+    bad = _sine_law_failure(s, h_rule, chi, tol)
+    if bad is not None:
+        x, y, lhs, rhs = bad
+        raise ConditionViolation(
+            f"sine addition law fails at ({x}, {y}): {lhs!r} != {rhs!r}"
+        )
 
     if s.is_finite:
         return ScalarFunction(s, values=[h_rule(x) for x in elems])
     return ScalarFunction(s, rule=h_rule)
+
+
+def _sine_law_failure(s: Semigroup, h, chi, tol: float) -> tuple | None:
+    """First window pair (x, y), with both sides, where h(xy) = h(x)chi(y) +
+    h(y)chi(x) fails; None when the sine addition law holds on the window."""
+    for x, y in pairs(s):
+        lhs = h(s.compose(x, y))
+        rhs = h(x) * chi(y) + h(y) * chi(x)
+        if not values_equal(lhs, rhs, tol):
+            return x, y, lhs, rhs
+    return None
 
 
 def _membership(s: Semigroup, ns: NullSets, predicates) -> tuple[Callable, Callable]:
@@ -240,22 +245,22 @@ def _as_rho(rho) -> Callable:
 
 
 def _check_condition_i(s, ns, chi, rho_fn, in_p, units, tol):
-    in_window = set(s.elements)
+    window = s.window_set
     for p in ns.p_chi:
         rp = rho_fn(p)
         chi_u = {u: chi(u) for u in units}
         for u in units:
             up = s.compose(u, p)
-            if (s.is_finite or up in in_window) and in_p(up):
+            if up in window and in_p(up):
                 if not values_equal(rho_fn(up), rp * chi_u[u], tol):
                     raise ConditionViolation(f"condition (I) fails at up = {u}*{p}")
             pv = s.compose(p, u)
-            if (s.is_finite or pv in in_window) and in_p(pv):
+            if pv in window and in_p(pv):
                 if not values_equal(rho_fn(pv), rp * chi_u[u], tol):
                     raise ConditionViolation(f"condition (I) fails at pv = {p}*{u}")
         for u, v in itertools.product(units, repeat=2):
             upv = s.compose(s.compose(u, p), v)
-            if (s.is_finite or upv in in_window) and in_p(upv):
+            if upv in window and in_p(upv):
                 if not values_equal(rho_fn(upv), rp * chi_u[u] * chi_u[v], tol):
                     raise ConditionViolation(
                         f"condition (I) fails at upv = {u}*{p}*{v}"
@@ -395,7 +400,9 @@ def _family7(s, sigma, d, free, predicates, tol):
         h = d.h
         if not is_even(h, sigma, tol):
             raise InvalidDescriptor("family 7 requires a sigma-even h")
-        _check_sine_law(s, h, d.chi, tol)
+        bad = _sine_law_failure(s, h, d.chi, tol)
+        if bad is not None:
+            raise InvalidDescriptor(f"h fails the sine addition law at ({bad[0]}, {bad[1]})")
     else:
         spec = d.h_spec or HSpec()
         h = build_h(
@@ -411,13 +418,6 @@ def _family7(s, sigma, d, free, predicates, tol):
     f = chi.scale(d.alpha) + h
     g = chi + h.scale(d.branch)
     return g, f
-
-
-def _check_sine_law(s, h, chi, tol):
-    for x, y in pairs(s):
-        xy = s.compose(x, y)
-        if not values_equal(h(xy), h(x) * chi(y) + h(y) * chi(x), tol):
-            raise InvalidDescriptor(f"h fails the sine addition law at ({x}, {y})")
 
 
 def _family8(s, sigma, d, free, predicates, tol):

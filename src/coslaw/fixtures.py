@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import pi
 from typing import Callable
@@ -31,6 +32,7 @@ from .functions import (
     AdditiveFunction,
     MultiplicativeFunction,
     ScalarFunction,
+    complex_pair,
     enumerate_multiplicative,
 )
 from .semigroups import (
@@ -60,16 +62,22 @@ _SIGMA_ALIASES = {
 
 @dataclass(frozen=True)
 class NullPredicates:
-    """Exact membership rules for I_chi, I_chi^2, P_chi beyond the window."""
+    """Exact membership rules for I_chi and P_chi beyond the window."""
 
     in_i: Callable = field(compare=False)
-    in_i2: Callable = field(compare=False)
     in_p: Callable = field(compare=False)
 
 
 @dataclass(frozen=True)
 class Fixture:
-    """A named carrier with its involutive reflections and named functions."""
+    """A named carrier with its involutive reflections and named functions.
+
+    `rules` decodes the fixture's own named function rules from their JSON
+    specs (the generic rules live in `serialize`); `h_specs` maps an
+    additive rule name to the spec encoder of the family-7 h that
+    `build_h` makes from it with a constant rho; `exp` builds the
+    parametrized exponential characters.
+    """
 
     name: str
     carrier: Semigroup
@@ -77,6 +85,9 @@ class Fixture:
     characters: dict[str, MultiplicativeFunction] = field(default_factory=dict)
     null_predicates: dict[str, NullPredicates] = field(default_factory=dict)
     additive_rules: dict[str, AdditiveFunction] = field(default_factory=dict)
+    rules: dict[str, Callable[[dict], ScalarFunction]] = field(default_factory=dict)
+    h_specs: dict[str, Callable[[object], dict]] = field(default_factory=dict)
+    exp: Callable[..., MultiplicativeFunction] | None = None
 
     def sigma(self, name: str | None = None) -> InvolutiveAutomorphism:
         if name is None:
@@ -89,12 +100,9 @@ class Fixture:
     def character(self, name: str, **params) -> MultiplicativeFunction:
         if name in self.characters:
             return self.characters[name]
-        if name == "exp":
-            return _exp_character(self, **params)
+        if name == "exp" and self.exp is not None:
+            return self.exp(**params)
         raise KeyError(f"fixture {self.name} has no character named {name!r}")
-
-    def function_from_spec(self, spec) -> ScalarFunction:
-        return function_from_spec(self, spec)
 
 
 def _finite_fixture(name: str) -> Fixture:
@@ -124,6 +132,7 @@ def _real_line(points: int = 64) -> Fixture:
     )
     sig_neg = InvolutiveAutomorphism("neg", rule=lambda x: -x)
     sig_id = InvolutiveAutomorphism("id", rule=lambda x: x)
+    exp = partial(_real_line_exp, carrier)
     return Fixture(
         name="real-line",
         carrier=carrier,
@@ -133,7 +142,17 @@ def _real_line(points: int = 64) -> Fixture:
                 carrier, frozenset(grid), lambda x: x
             )
         },
+        rules={"exp": lambda spec: exp(lam=complex(*spec["lambda"])).fn},
+        exp=exp,
     )
+
+
+def _real_line_exp(carrier, lam) -> MultiplicativeFunction:
+    """x -> e^(i*lambda*x)."""
+    lam = complex(lam)
+    rule = lambda x: cmath.exp(1j * lam * x)  # noqa: E731
+    spec = {"rule": "exp", "lambda": complex_pair(lam)}
+    return MultiplicativeFunction(fn=ScalarFunction(carrier, rule=rule, spec=spec), name="exp")
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +185,7 @@ def _heisenberg(bound: int = 3) -> Fixture:
     )
     sig_flip = InvolutiveAutomorphism("flip", rule=lambda t: (-t[0], -t[1], t[2]))
     sig_id = InvolutiveAutomorphism("id", rule=lambda t: t)
+    exp = partial(_heisenberg_exp, carrier)
     return Fixture(
         name="heisenberg",
         carrier=carrier,
@@ -175,7 +195,27 @@ def _heisenberg(bound: int = 3) -> Fixture:
                 carrier, frozenset(window), lambda t: t[0] + t[1]
             )
         },
+        rules={"exp": lambda spec: _decode_heisenberg_exp(exp, spec)},
+        exp=exp,
     )
+
+
+def _heisenberg_exp(carrier, a, b) -> MultiplicativeFunction:
+    """X -> e^(a*x+b*y); exact Laurent monomials in e for integer a, b."""
+    if isinstance(a, int) and isinstance(b, int):
+        rule = lambda t: ExpPoly.exp(a * t[0] + b * t[1])  # noqa: E731
+    else:
+        a, b = complex(a), complex(b)
+        rule = lambda t: cmath.exp(a * t[0] + b * t[1])  # noqa: E731
+    spec = {"rule": "exp", "a": complex_pair(a), "b": complex_pair(b)}
+    return MultiplicativeFunction(fn=ScalarFunction(carrier, rule=rule, spec=spec), name="exp")
+
+
+def _decode_heisenberg_exp(exp, spec) -> ScalarFunction:
+    a, b = complex(*spec["a"]), complex(*spec["b"])
+    if a.imag == 0 and b.imag == 0 and a.real.is_integer() and b.real.is_integer():
+        a, b = int(a.real), int(b.real)
+    return exp(a=a, b=b).fn
 
 
 # ---------------------------------------------------------------------------
@@ -209,54 +249,45 @@ def _naturals(upper: int = 65) -> Fixture:
         name="one",
     )
     odds = frozenset(x for x in window if x % 2)
+    preds = NullPredicates(in_i=lambda x: x % 2 == 0, in_p=lambda x: x % 4 == 2)
     return Fixture(
         name="naturals-from-2",
         carrier=carrier,
         sigmas=(sig_id,),
         characters={"parity": parity, "one": one},
-        null_predicates={
-            "parity": NullPredicates(
-                in_i=lambda x: x % 2 == 0,
-                in_i2=lambda x: x % 4 == 0,
-                in_p=lambda x: x % 4 == 2,
-            )
-        },
+        null_predicates={"parity": preds},
         additive_rules={
             "five-adic": AdditiveFunction(carrier, odds, _five_adic)
         },
+        rules={
+            "parity": lambda spec: parity.fn,
+            "one": lambda spec: one.fn,
+            "five-adic": lambda spec: ScalarFunction(carrier, rule=_five_adic, spec=spec),
+            "h-piecewise": lambda spec: _h_piecewise(carrier, preds, spec),
+        },
+        h_specs={"five-adic": _h_piecewise_spec},
     )
 
 
-# ---------------------------------------------------------------------------
-# exponential characters on the two group fixtures
-# ---------------------------------------------------------------------------
+def _h_piecewise_spec(rho) -> dict:
+    """Spec of build_h(parity, five-adic, constant rho)."""
+    return {"rule": "h-piecewise", "c": complex_pair(rho or 0)}
 
 
-def _exp_character(fx: Fixture, **params) -> MultiplicativeFunction:
-    if fx.name == "real-line":
-        lam = complex(params["lam"])
-        rule = lambda x: cmath.exp(1j * lam * x)  # noqa: E731
-        spec = {"rule": "exp", "lambda": [lam.real, lam.imag]}
-        return MultiplicativeFunction(
-            fn=ScalarFunction(fx.carrier, rule=rule, spec=spec), name="exp"
-        )
-    if fx.name == "heisenberg":
-        a, b = params["a"], params["b"]
-        if isinstance(a, int) and isinstance(b, int):
-            rule = lambda t: ExpPoly.exp(a * t[0] + b * t[1])  # noqa: E731
-            spec = {"rule": "exp", "a": [float(a), 0.0], "b": [float(b), 0.0]}
-        else:
-            a, b = complex(a), complex(b)
-            rule = lambda t: cmath.exp(a * t[0] + b * t[1])  # noqa: E731
-            spec = {"rule": "exp", "a": [a.real, a.imag], "b": [b.real, b.imag]}
-        return MultiplicativeFunction(
-            fn=ScalarFunction(fx.carrier, rule=rule, spec=spec), name="exp"
-        )
-    raise KeyError(f"fixture {fx.name} has no exponential character family")
+def _h_piecewise(carrier, preds: NullPredicates, spec: dict) -> ScalarFunction:
+    """The five-adic valuation off I_chi, c on P_chi and 0 between."""
+    c = complex(*spec["c"])
+
+    def h(x):
+        if not preds.in_i(x):
+            return _five_adic(x)
+        return c if preds.in_p(x) else 0
+
+    return ScalarFunction(carrier, rule=h, spec=spec)
 
 
 # ---------------------------------------------------------------------------
-# registry and function deserialization
+# registry
 # ---------------------------------------------------------------------------
 
 
@@ -272,51 +303,3 @@ def get_fixture(name: str, window: int | None = None) -> Fixture:
     if name == "naturals-from-2":
         return _naturals(window or 65)
     raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
-
-
-def function_from_spec(fx: Fixture, spec) -> ScalarFunction:
-    """Rebuild a function from its serialized form (dense values or rule tree)."""
-    if isinstance(spec, list):
-        return ScalarFunction(fx.carrier, values=[complex(re, im) for re, im in spec])
-    rule = spec["rule"]
-    if rule == "const":
-        re, im = spec["value"]
-        c = complex(re, im)
-        return ScalarFunction(fx.carrier, rule=lambda x: c, spec=spec)
-    if rule == "combo":
-        out = None
-        for term in spec["terms"]:
-            coef = complex(*term["coef"])
-            part = function_from_spec(fx, term["fn"]).scale(coef)
-            out = part if out is None else out + part
-        out.spec = spec
-        return out
-    if rule == "star":
-        from .functions import star
-
-        inner = function_from_spec(fx, spec["fn"])
-        return star(inner, fx.sigma(spec["sigma"]))
-    if rule == "exp":
-        if fx.name == "real-line":
-            return _exp_character(fx, lam=complex(*spec["lambda"])).fn
-        a, b = complex(*spec["a"]), complex(*spec["b"])
-        if a.imag == 0 and b.imag == 0 and a.real.is_integer() and b.real.is_integer():
-            return _exp_character(fx, a=int(a.real), b=int(b.real)).fn
-        return _exp_character(fx, a=a, b=b).fn
-    if rule == "parity":
-        return fx.characters["parity"].fn
-    if rule == "one":
-        return fx.characters["one"].fn
-    if rule == "five-adic":
-        return ScalarFunction(fx.carrier, rule=_five_adic, spec=spec)
-    if rule == "h-piecewise":
-        c = complex(*spec["c"])
-        preds = fx.null_predicates["parity"]
-
-        def h(x):
-            if not preds.in_i(x):
-                return _five_adic(x)
-            return c if preds.in_p(x) else 0
-
-        return ScalarFunction(fx.carrier, rule=h, spec=spec)
-    raise ValueError(f"unknown function rule {rule!r}")

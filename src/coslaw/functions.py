@@ -79,11 +79,6 @@ class ScalarFunction:
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(values_equal(v, 0, tol) for v in self.window_values())
 
-    def map_values(self, f: Callable, spec=None) -> "ScalarFunction":
-        if self.values is not None:
-            return ScalarFunction(self.carrier, values=[f(v) for v in self.values])
-        return ScalarFunction(self.carrier, rule=lambda x: f(self(x)), spec=spec)
-
     # -- pointwise algebra (carriers must match) -----------------------
 
     def _assert_same(self, other: "ScalarFunction"):
@@ -149,15 +144,8 @@ class ScalarFunction:
         return f"ScalarFunction(rule, spec={self.spec!r})"
 
 
-def constant_function(carrier: Semigroup, c) -> ScalarFunction:
-    if carrier.is_finite:
-        return ScalarFunction(carrier, values=[c] * carrier.order)
-    return ScalarFunction(
-        carrier, rule=lambda x: c, spec={"rule": "const", "value": _c2pair(c)}
-    )
-
-
-def _c2pair(c) -> list[float]:
+def complex_pair(c) -> list[float]:
+    """[re, im] floats: the wire form of scalars inside rule specs."""
     z = complex(c)
     return [z.real, z.imag]
 
@@ -167,7 +155,7 @@ def _combo_spec(parts) -> dict | None:
     for coef, fn in parts:
         if fn.spec is None:
             return None
-        terms.append({"coef": _c2pair(coef), "fn": fn.spec})
+        terms.append({"coef": complex_pair(coef), "fn": fn.spec})
     return {"rule": "combo", "terms": terms}
 
 
@@ -457,11 +445,9 @@ def null_sets(
     elems = list(s.elements)
     if all(values_equal(ev(x), 0, tol) for x in elems):
         raise ValueError("null sets require a non-zero multiplicative function")
-    in_window = set(elems)
+    window = s.window_set
     i_chi = {x for x in elems if values_equal(ev(x), 0, tol)}
-    i_sq = {s.compose(a, b) for a in i_chi for b in i_chi}
-    if not s.is_finite:
-        i_sq &= in_window
+    i_sq = {s.compose(a, b) for a in i_chi for b in i_chi} & window
     diff = i_chi - i_sq
     units = [u for u in elems if u not in i_chi]
     p_chi = set()
@@ -470,14 +456,14 @@ def null_sets(
         for u in units:
             up, pu = s.compose(u, p), s.compose(p, u)
             for prod in (up, pu):
-                if (s.is_finite or prod in in_window) and prod not in diff:
+                if prod in window and prod not in diff:
                     ok = False
                     break
             if not ok:
                 break
             for v in units:
                 upv = s.compose(up, v)
-                if (s.is_finite or upv in in_window) and upv not in diff:
+                if upv in window and upv not in diff:
                     ok = False
                     break
             if not ok:
@@ -515,21 +501,19 @@ def check_pchi_lemma(
     """Verifies (a) u not in I_chi, p in P_chi => up, pu in P_chi and
     (b) sigma(P_chi) = P_(chi o sigma), window-bounded on procedural carriers."""
     ns = null_sets(s, sigma, chi, tol)
-    in_window = set(s.elements)
+    window = s.window_set
     units = [u for u in s.elements if u not in ns.i_chi]
     bad = []
     checked = 0
     for u in units:
         for p in ns.p_chi:
             for prod in (s.compose(u, p), s.compose(p, u)):
-                if s.is_finite or prod in in_window:
+                if prod in window:
                     checked += 1
                     if prod not in ns.p_chi:
                         bad.append((u, p, prod))
     ns_star = null_sets(s, sigma, chi.star(sigma) if isinstance(chi, MultiplicativeFunction) else star(chi, sigma), tol)
-    image = {sigma(p) for p in ns.p_chi}
-    if not s.is_finite:
-        image &= in_window
+    image = {sigma(p) for p in ns.p_chi} & window
     agrees = image == set(ns_star.p_chi)
     return PchiReport(
         counterexamples=bad,

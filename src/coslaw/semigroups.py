@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .exactnum import values_equal
@@ -42,6 +43,11 @@ class FiniteSemigroup:
     def elements(self) -> tuple[int, ...]:
         return tuple(range(self.order))
 
+    @cached_property
+    def window_set(self) -> frozenset:
+        """The whole carrier: on a finite carrier every product is in the window."""
+        return frozenset(range(self.order))
+
     is_finite = True
 
     def compose(self, x: int, y: int) -> int:
@@ -67,6 +73,11 @@ class ProceduralSemigroup:
     @property
     def elements(self) -> tuple:
         return self.window
+
+    @cached_property
+    def window_set(self) -> frozenset:
+        """Window membership for the window-closed quantifiers."""
+        return frozenset(self.window)
 
     is_finite = False
 
@@ -100,12 +111,6 @@ class InvolutiveAutomorphism:
     def __call__(self, x):
         return self.perm[x] if self.perm is not None else self.rule(x)
 
-    @property
-    def is_identity(self) -> bool:
-        if self.perm is not None:
-            return all(p == i for i, p in enumerate(self.perm))
-        return self.name == "id"
-
 
 def identity_automorphism(s: Semigroup) -> InvolutiveAutomorphism:
     if s.is_finite:
@@ -116,11 +121,6 @@ def identity_automorphism(s: Semigroup) -> InvolutiveAutomorphism:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def compose(s: Semigroup, x, y):
-    """Product xy per the Cayley table or composition rule."""
-    return s.compose(x, y)
 
 
 def pairs(s: Semigroup) -> Iterator[tuple]:
@@ -188,12 +188,9 @@ def validate_automorphism(s: Semigroup, sigma: InvolutiveAutomorphism) -> list[t
 
 
 def product_set(s: Semigroup, t: Iterable) -> frozenset:
-    """T^2 = {xy | x, y in T}, window-intersected on procedural carriers."""
+    """T^2 = {xy | x, y in T}, intersected with the window."""
     t = frozenset(t)
-    out = {s.compose(x, y) for x in t for y in t}
-    if not s.is_finite:
-        out &= set(s.elements)
-    return frozenset(out)
+    return s.window_set.intersection(s.compose(x, y) for x in t for y in t)
 
 
 def enumerate_involutive_automorphisms(

@@ -6,9 +6,35 @@ Semigroup text format (UTF-8, ``#`` starts a comment):
     <n rows of n space-separated element indices>
     sigma p0 p1 ... p(n-1)        # optional involutive automorphism
 
-Scalar values serialize as [re, im]; exact rationals are written as
-fraction strings ("3/4") so that exact values survive a round trip, while
-float values stay plain numbers.
+Scalars.  A scalar is written as ``[re, im]``.  `scalar_to_json` writes
+exact rationals as fraction strings (``["3/4", "0"]``) so they survive a
+round trip, and every other value as two floats.  Scalars inside rule
+specs are always two floats (`complex_pair`), so they never decode as
+exact values.
+
+Functions.  A function on a finite fixture is a dense list with one
+scalar per element.  A function on a rule-defined fixture is a rule
+spec, a JSON object whose ``"rule"`` names how to rebuild it.  The
+generic rules work on every fixture and nest to any depth:
+
+    const    {"value": z}                         the constant z
+    combo    {"terms": [{"coef": z, "fn": spec}, ...]}   sum of coef * fn
+    star     {"sigma": name, "fn": spec}          fn o sigma
+    support  {"points": [[x, z], ...]}            z at each listed x, 0 elsewhere
+                                                  (an element x that is a
+                                                  tuple is written as a list)
+
+The named rules belong to one fixture each and are decoded by that
+fixture's rule table (`Fixture.rules`):
+
+    real-line        exp          {"lambda": z}          x -> e^(i*lambda*x)
+    heisenberg       exp          {"a": z, "b": z}       X -> e^(a*x+b*y)
+    naturals-from-2  parity, one  {}                     the named characters
+                     five-adic    {}                     the 5-adic valuation
+                     h-piecewise  {"c": z}               family-7 h with rho = c
+
+Because rule specs carry floats, a procedural pair reloads in float mode
+even when it was built from exact inputs.
 """
 
 from __future__ import annotations
@@ -17,9 +43,9 @@ import json
 from fractions import Fraction
 
 from .exactnum import Cyc, is_exact
-from .families import SolutionPair
+from .families import SolutionPair, function_vanishing_on_products
 from .fixtures import Fixture, get_fixture
-from .functions import ScalarFunction
+from .functions import ScalarFunction, complex_pair, linear_combination, star
 from .semigroups import (
     FiniteSemigroup,
     InvolutiveAutomorphism,
@@ -126,8 +152,7 @@ def scalar_to_json(v):
             parts = None  # no finite rational-complex form (e.g. ExpPoly)
         if parts is not None:
             return [str(parts[0]), str(parts[1])]
-    z = complex(v)
-    return [z.real, z.imag]
+    return complex_pair(v)
 
 
 def scalar_from_json(pair):
@@ -151,16 +176,29 @@ def function_to_json(f: ScalarFunction):
 
 
 def function_from_json(fx: Fixture, data) -> ScalarFunction:
+    """Rebuild a function from a dense list or a rule spec (module docstring)."""
     if isinstance(data, list):
         if fx.carrier.is_finite:
             return ScalarFunction(fx.carrier, values=[scalar_from_json(p) for p in data])
         raise ParseError("dense values are only valid for finite fixtures")
-    if isinstance(data, dict) and data.get("rule") == "support":
+    rule = data.get("rule") if isinstance(data, dict) else None
+    if rule == "const":
+        c = complex(*data["value"])
+        return ScalarFunction(fx.carrier, rule=lambda x: c, spec=data)
+    if rule == "combo":
+        out = linear_combination(
+            [(complex(*t["coef"]), function_from_json(fx, t["fn"])) for t in data["terms"]]
+        )
+        out.spec = data
+        return out
+    if rule == "star":
+        return star(function_from_json(fx, data["fn"]), fx.sigma(data["sigma"]))
+    if rule == "support":
         table = {_element_from_json(x): scalar_from_json(v) for x, v in data["points"]}
-        from .families import function_vanishing_on_products
-
         return function_vanishing_on_products(fx.carrier, table)
-    return fx.function_from_spec(data)
+    if rule not in fx.rules:
+        raise ParseError(f"unknown function rule {rule!r} for fixture {fx.name}")
+    return fx.rules[rule](data)
 
 
 def _element_from_json(x):

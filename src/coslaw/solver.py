@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import classify, residual
 from .families import FamilyDescriptor, InvalidDescriptor, construct, function_vanishing_on_products
-from .functions import ScalarFunction, even_characters, nonzero_characters
+from .functions import ScalarFunction, complex_pair, even_characters, nonzero_characters
 from .semigroups import FiniteSemigroup, InvolutiveAutomorphism, product_set
 
 RANK_TOL = 1e-6
@@ -62,9 +62,6 @@ class SolvedEntry:
             alpha=alpha,
         )
 
-    def vector(self) -> np.ndarray:
-        return np.array(self.g_values + self.f_values)
-
 
 @dataclass(frozen=True)
 class SolutionSet:
@@ -81,8 +78,8 @@ class SolutionSet:
             lines.append(
                 json.dumps(
                     {
-                        "g": [[v.real, v.imag] for v in e.g_values],
-                        "f": [[v.real, v.imag] for v in e.f_values],
+                        "g": [complex_pair(v) for v in e.g_values],
+                        "f": [complex_pair(v) for v in e.f_values],
                         "residual": e.residual,
                         "rank_deficient": e.rank_deficient,
                     }

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,18 @@ def test_residual_detects_non_solution():
     rep = residual(s, fx.sigma(), 0, g, f)
     assert rep.max_residual > 0.1
     assert rep.worst_pair is not None
+
+
+@pytest.mark.parametrize("g_values", [(float("nan"), float("nan")), (1.0, float("nan"))])
+def test_residual_nan_defect_fails(g_values):
+    fx = get_fixture("c2")
+    s = fx.carrier
+    g = ScalarFunction(s, values=list(g_values))
+    f = ScalarFunction(s, values=[0.0, 0.0])
+    rep = residual(s, fx.sigma(), 0, g, f)
+    assert not math.isfinite(rep.max_residual)
+    assert rep.worst_pair in set(itertools.product(s.elements, repeat=2))
+    assert not rep.ok()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Command-line interface: flows, exit codes, literal parsing."""
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from coslaw.cli import main, parse_complex, UsageError
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_parse_complex_forms():
@@ -172,3 +176,66 @@ def test_invalid_descriptor_is_check_failure(capsys):
         "--alpha", "2",
     ])
     assert rc == 1  # chi = chi* under sigma = id
+
+
+@pytest.mark.parametrize("family, fixture, window", [
+    ("1", "real-line", "16"),
+    ("1", "heisenberg", "1"),
+    ("1", "naturals-from-2", "20"),
+    ("2", "naturals-from-2", "20"),
+    ("3", "naturals-from-2", "20"),
+])
+def test_construct_verify_free_function_families(tmp_path, capsys, family, fixture, window):
+    # g = alpha*f and f = -g wrap the free function's support spec in a combo
+    out = tmp_path / "pair.json"
+    alpha = "1" if family == "1" else "0"
+    rc = main([
+        "construct", "--family", family, "--fixture", fixture, "--alpha", alpha,
+        "--window", window, "--out", str(out),
+    ])
+    assert rc == 0
+    assert main(["verify", "--pair", str(out)]) == 0
+
+
+GOLDEN_PAIRS = {
+    "c3-family8-exact": ["--family", "8", "--fixture", "c3", "--sigma", "inv", "--chi", "chi2",
+                         "--alpha", "3/5", "--exact"],
+    "heisenberg-family8": ["--family", "8", "--fixture", "heisenberg", "--window", "2",
+                           "--a", "1", "--b", "2", "--alpha", "3"],
+    "naturals-family7": ["--family", "7", "--fixture", "naturals-from-2", "--chi", "parity",
+                         "--additive", "five-adic", "--rho-const", "5/2", "--alpha", "1/2",
+                         "--exact"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PAIRS))
+def test_construct_writes_golden_bytes(tmp_path, capsys, name):
+    """Pair files are byte-identical to the recorded wire format."""
+    out = tmp_path / f"{name}.json"
+    assert main(["construct", *GOLDEN_PAIRS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
+    assert main(["verify", "--pair", str(out)]) == 0
+
+
+def test_duplicate_characters_fail_the_family_check(capsys):
+    rc = main([
+        "construct", "--family", "6", "--fixture", "c2", "--alpha", "2",
+        "--chi1", "chi1", "--chi2", "chi1",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("construct failed:")
+    assert "two different multiplicative functions" in err
+
+
+def test_verify_nan_pair_is_check_failure(tmp_path, capsys):
+    pair = {
+        "fixture": "c2", "sigma": "id", "alpha": [0.0, 0.0],
+        "g": [[float("nan"), 0.0], [float("nan"), 0.0]], "f": [[0.0, 0.0], [0.0, 0.0]],
+    }
+    path = tmp_path / "nan_pair.json"
+    path.write_text(json.dumps(pair))
+    assert main(["verify", "--pair", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out.strip())
+    assert math.isnan(report["max_residual"])
+    assert len(report["worst_pair"]) == 2

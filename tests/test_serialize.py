@@ -6,11 +6,18 @@ from fractions import Fraction
 import pytest
 
 from coslaw.exactnum import Cyc
-from coslaw.families import FamilyDescriptor, construct
+from coslaw.families import (
+    FamilyDescriptor,
+    HSpec,
+    SolutionPair,
+    construct,
+    function_vanishing_on_products,
+)
 from coslaw.fixtures import get_fixture
-from coslaw.functions import ScalarFunction
+from coslaw.functions import ScalarFunction, linear_combination, star
 from coslaw.serialize import (
     ParseError,
+    function_from_json,
     load_pair,
     load_semigroup,
     pair_from_json,
@@ -129,3 +136,47 @@ def test_naturals_h_pair_round_trip(tmp_path):
     fx2, sig2, pair2 = load_pair(path)
     assert pair2.g.max_diff(pair.g) < 1e-12
     assert pair2.f.max_diff(pair.f) < 1e-12
+
+
+NESTED_WINDOWS = {"real-line": 12, "heisenberg": 1, "naturals-from-2": 30}
+
+
+def _nested_pair(name):
+    """g, f wrapping every rule the fixture can decode in combo/star specs."""
+    fx = get_fixture(name, window=NESTED_WINDOWS[name])
+    s, sigma = fx.carrier, fx.sigmas[0]
+    const = ScalarFunction(s, rule=lambda x: 1.5j, spec={"rule": "const", "value": [0.0, 1.5]})
+    support = function_vanishing_on_products(s, {x: 0.25 + k for k, x in enumerate(s.elements[:3])})
+    if name == "real-line":
+        named = [fx.character("exp", lam=0.5 - 1j).fn]
+    elif name == "heisenberg":
+        named = [fx.character("exp", a=1, b=-2).fn, fx.character("exp", a=0.5, b=1j).fn]
+    else:
+        f7 = construct(s, sigma, FamilyDescriptor(
+            7, F(1, 2), chi=fx.characters["parity"],
+            h_spec=HSpec(additive=fx.additive_rules["five-adic"], rho=F(3, 2),
+                         spec=fx.h_specs["five-adic"](F(3, 2))),
+        ), predicates=fx.null_predicates["parity"]).f
+        five_adic = fx.rules["five-adic"]({"rule": "five-adic"})
+        named = [fx.characters["parity"].fn, fx.characters["one"].fn, five_adic, f7]
+    inner = linear_combination([(2, star(support, sigma)), (-1j, const)])
+    g = linear_combination([(0.5, star(inner, sigma))] + [(k + 1, fn) for k, fn in enumerate(named)])
+    f = -star(linear_combination([(1, g), (3, support)]), sigma)
+    return fx, SolutionPair(g=g, f=f, alpha=0.5)
+
+
+@pytest.mark.parametrize("name", sorted(NESTED_WINDOWS))
+def test_nested_rule_specs_round_trip(name):
+    fx, pair = _nested_pair(name)
+    window = NESTED_WINDOWS[name]
+    text = json.dumps(pair_to_json(pair, name, fx.sigmas[0].name, window=window))
+    _, _, pair2 = pair_from_json(json.loads(text))
+    assert json.dumps(pair_to_json(pair2, name, fx.sigmas[0].name, window=window)) == text
+    for x in fx.carrier.elements:
+        assert abs(complex(pair2.g(x)) - complex(pair.g(x))) < 1e-12
+        assert abs(complex(pair2.f(x)) - complex(pair.f(x))) < 1e-12
+
+
+def test_unknown_rule_is_parse_error():
+    with pytest.raises(ParseError, match="unknown function rule 'parity'"):
+        function_from_json(get_fixture("real-line"), {"rule": "parity"})
