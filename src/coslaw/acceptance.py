@@ -441,16 +441,18 @@ def _criterion_6():
 # ---------------------------------------------------------------------------
 
 
+A7_CONFIG = SolverConfig(seed=42, restarts=2000)
+A7_ALPHAS = (0, 0.5, 1, 2, 1j)
+
+
 def _criterion_7():
-    cfg = SolverConfig(seed=42, restarts=2000)
-    alphas = (0, 0.5, 1, 2, 1j)
     total = 0
     runs = 0
     for name in FINITE_FIXTURES:
         fx = get_fixture(name)
         for sigma in fx.sigmas:
-            for alpha in alphas:
-                rep: CompletenessReport = completeness_check(fx.carrier, sigma, alpha, cfg)
+            for alpha in A7_ALPHAS:
+                rep: CompletenessReport = completeness_check(fx.carrier, sigma, alpha, A7_CONFIG)
                 runs += 1
                 total += rep.total
                 if not rep.ok:

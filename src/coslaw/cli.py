@@ -84,7 +84,10 @@ def parse_complex(text: str, exact: bool = False):
         if im_f == 0:
             return int(re_f) if re_f.denominator == 1 else re_f
         return Cyc.rational(re_f, im_f)
-    z = complex(float(re_f), float(im_f))
+    try:
+        z = complex(float(re_f), float(im_f))
+    except OverflowError:
+        raise UsageError(f"complex literal {text!r} is out of range") from None
     return z.real if z.imag == 0 else z
 
 
@@ -98,6 +101,13 @@ def _out_path(name: str) -> Path:
 def _fixture(name: str, window=None) -> Fixture:
     try:
         return get_fixture(name, window=window)
+    except (KeyError, ValueError) as e:
+        raise UsageError(str(e)) from None
+
+
+def _sigma(fx: Fixture, name: str | None):
+    try:
+        return fx.sigma(name)
     except KeyError as e:
         raise UsageError(str(e)) from None
 
@@ -179,7 +189,7 @@ def _cmd_characters(args) -> int:
 def _cmd_nullsets(args) -> int:
     fx = _fixture(args.fixture, window=args.window)
     chi = _resolve_character(fx, args)
-    sigma = fx.sigma(args.sigma)
+    sigma = _sigma(fx, args.sigma)
     ns = null_sets(fx.carrier, sigma, chi)
     fmt = lambda xs: "{" + ", ".join(map(str, sorted(xs))) + "}"  # noqa: E731
     print(f"I_chi   = {fmt(ns.i_chi)}")
@@ -206,7 +216,7 @@ def _default_free(fx: Fixture, family: int):
 
 def _cmd_construct(args) -> int:
     fx = _fixture(args.fixture, window=args.window)
-    sigma = fx.sigma(args.sigma)
+    sigma = _sigma(fx, args.sigma)
     alpha = parse_complex(args.alpha, exact=args.exact)
     q = parse_complex(args.q, exact=args.exact) if args.q else None
     family = args.family
@@ -272,9 +282,12 @@ def _cmd_solve(args) -> int:
     fx = _fixture(args.fixture, window=args.window)
     if not fx.carrier.is_finite:
         raise UsageError("solve needs a finite fixture")
-    sigma = fx.sigma(args.sigma)
+    sigma = _sigma(fx, args.sigma)
     alpha = parse_complex(args.alpha)
-    cfg = SolverConfig(restarts=args.restarts, seed=args.seed)
+    try:
+        cfg = SolverConfig(restarts=args.restarts, seed=args.seed)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     sols = find_solutions(fx.carrier, sigma, alpha, cfg)
     print(f"{len(sols)} solutions (alpha = {args.alpha}, sigma = {sigma.name})")
     flagged = sum(1 for e in sols.entries if e.rank_deficient)

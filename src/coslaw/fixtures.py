@@ -291,15 +291,25 @@ def _h_piecewise(carrier, preds: NullPredicates, spec: dict) -> ScalarFunction:
 # ---------------------------------------------------------------------------
 
 
+# procedural fixture -> (builder, default window, smallest window that
+# still gives a non-empty, well-defined sample)
+_PROCEDURAL = {
+    "real-line": (_real_line, 64, 2),
+    "heisenberg": (_heisenberg, 3, 1),
+    "naturals-from-2": (_naturals, 65, 2),
+}
+
+
 def get_fixture(name: str, window: int | None = None) -> Fixture:
     """Resolve a fixture name; `window` is points (real-line), coordinate
-    bound (heisenberg) or upper end (naturals-from-2)."""
-    if name in FINITE_TABLES:
+    bound (heisenberg) or upper end (naturals-from-2), and is ignored by the
+    finite fixtures.  A window below the fixture's minimum (1 on finite
+    ones) raises ValueError."""
+    if name not in FINITE_TABLES and name not in _PROCEDURAL:
+        raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+    build, default, least = _PROCEDURAL.get(name, (None, None, 1))
+    if window is not None and window < least:
+        raise ValueError(f"{name} window must be at least {least}, got {window}")
+    if build is None:
         return _finite_fixture(name)
-    if name == "real-line":
-        return _real_line(window or 64)
-    if name == "heisenberg":
-        return _heisenberg(window or 3)
-    if name == "naturals-from-2":
-        return _naturals(window or 65)
-    raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+    return build(default if window is None else window)

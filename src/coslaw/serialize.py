@@ -229,8 +229,11 @@ def pair_to_json(
 
 def pair_from_json(data: dict):
     """-> (fixture, sigma, SolutionPair)."""
-    fx = get_fixture(data["fixture"], window=data.get("window"))
-    sigma = fx.sigma(data["sigma"])
+    try:
+        fx = get_fixture(data["fixture"], window=data.get("window"))
+        sigma = fx.sigma(data["sigma"])
+    except (KeyError, ValueError) as e:
+        raise ParseError(f"pair file: {e}") from None
     alpha = scalar_from_json(data["alpha"])
     g = function_from_json(fx, data["g"])
     f = function_from_json(fx, data["f"])

@@ -8,10 +8,19 @@ starts seeded by every family construction available on the carrier; the
 least-squares Newton direction on the complexified system coincides with
 the one on the realified system because no conjugates appear.
 
+Each Gauss-Newton iteration backtracks along the step: the rows whose
+residual norm has not yet dropped are halved again (up to 40 times) and
+only those pending rows are re-evaluated; a row with no improving step
+leaves the active set.
+
 Solutions lying on positive-dimensional components (families 1-3 and the
 q-parametrized curves) are returned through whichever converged
 representatives survive deduplication, flagged rank-deficient via the
-Jacobian's smallest singular value.
+Jacobian's smallest singular value.  Deduplication is greedy in lexsort
+order (Re x0 first): the first row within `dedup_radius` (max-norm of the
+complex difference) represents the others.  Only kept rows whose Re x0 lies
+within the radius of the current row are compared, since |z| >= |Re z|
+rules out the rest.
 """
 
 from __future__ import annotations
@@ -164,22 +173,23 @@ def _gauss_newton(system: _System, starts: np.ndarray, cfg: SolverConfig) -> np.
                 [np.linalg.lstsq(J[i], -Ei[i], rcond=None)[0] for i in range(len(idx))]
             )
         old_ss = (np.abs(Ei) ** 2).sum(axis=1)
-        t = np.ones(len(idx))
-        improved = np.zeros(len(idx), dtype=bool)
-        best = vals[idx].copy()
+        # halve the step of the rows that have not improved yet; an improved
+        # row is written back at once and is not evaluated again
+        base = vals[idx]
+        pending = np.arange(len(idx))
+        t = 1.0
         for _halve in range(40):
-            cand = vals[idx] + t[:, None] * step
+            cand = base[pending] + t * step[pending]
             new_ss = (np.abs(system.res(cand)) ** 2).sum(axis=1)
-            better = ~improved & (new_ss < old_ss)
-            best[better] = cand[better]
-            improved |= better
-            if improved.all():
+            better = new_ss < old_ss[pending]
+            vals[idx[pending[better]]] = cand[better]
+            pending = pending[~better]
+            if not len(pending):
                 break
-            t = np.where(improved, t, t / 2)
-        vals[idx] = best
+            t /= 2
         # no improving step exists: either at a solution (kept by the final
         # residual filter) or at a local minimum of the norm (discarded there)
-        active[idx[~improved]] = False
+        active[idx[pending]] = False
     final = np.abs(system.res(vals)).max(axis=1)
     return vals[final <= cfg.newton_tol]
 
@@ -304,19 +314,32 @@ def find_solutions(
 
 
 def _dedup(sols: np.ndarray, radius: float) -> np.ndarray:
+    """Greedy deduplication in lexsort order (Re x0 is the primary key).
+
+    A row is kept unless some already-kept row lies within `radius` of it
+    in the max-norm of the complex difference.  Since |z| >= |Re z|, a kept
+    row whose Re x0 trails the current row's by `radius` or more can match
+    neither it nor any later row, so the scan starts past such rows.
+    """
     if len(sols) == 0:
         return sols
     keys = []
     for col in range(sols.shape[1] - 1, -1, -1):
         keys.append(sols[:, col].imag)
         keys.append(sols[:, col].real)
-    order = np.lexsort(keys)
-    sols = sols[order]
-    kept: list[np.ndarray] = []
-    for row in sols:
-        if all(np.abs(row - k).max() >= radius for k in kept):
-            kept.append(row)
-    return np.array(kept)
+    sols = sols[np.lexsort(keys)]
+    re0 = sols[:, 0].real.tolist()
+    kept = np.empty_like(sols)
+    kept_re0: list[float] = []
+    lo = 0
+    for i, row in enumerate(sols):
+        m = len(kept_re0)
+        while lo < m and re0[i] - kept_re0[lo] >= radius:
+            lo += 1
+        if (np.abs(row - kept[lo:m]).max(axis=1) >= radius).all():
+            kept[m] = row
+            kept_re0.append(re0[i])
+    return kept[: len(kept_re0)]
 
 
 @dataclass(frozen=True)

@@ -239,3 +239,51 @@ def test_verify_nan_pair_is_check_failure(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out.strip())
     assert math.isnan(report["max_residual"])
     assert len(report["worst_pair"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--alpha", "0.5", "--restarts", "0"], "restarts must be positive"),
+        (["--alpha", "0.5", "--sigma", "bogus"], "no sigma named 'bogus'"),
+        (["--alpha", "1e400"], "out of range"),
+    ],
+)
+def test_solve_edge_inputs_are_usage_errors(capsys, argv, message):
+    assert main(["solve", "c2", *argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("usage error:") and message in err
+
+
+def test_overflowing_literal_is_usage_error():
+    with pytest.raises(UsageError, match="out of range"):
+        parse_complex("1e400")
+    with pytest.raises(UsageError, match="out of range"):
+        parse_complex("1-1e400i")
+
+
+@pytest.mark.parametrize(
+    "fixture, window", [("real-line", 0), ("real-line", 1), ("c2", 0), ("naturals-from-2", -3)]
+)
+def test_window_below_minimum_is_usage_error(capsys, fixture, window):
+    assert main(["validate", fixture, "--window", str(window)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "window must be at least" in err
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        {"fixture": "real-line", "sigma": "neg", "window": 0},
+        {"fixture": "c2", "sigma": "bogus"},
+        {"fixture": "bogus", "sigma": "id"},
+    ],
+)
+def test_pair_file_bad_fixture_header_is_parse_error(tmp_path, capsys, header):
+    pair = {**header, "alpha": 0, "g": 0, "f": 0}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    assert main(["verify", "--pair", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("parse error:")

@@ -31,6 +31,23 @@ def test_compose_naturals_fixture():
     assert nat.carrier.compose(2, 3) == 6
 
 
+@pytest.mark.parametrize(
+    "name, least", [("real-line", 2), ("heisenberg", 1), ("naturals-from-2", 2), ("c2", 1)]
+)
+def test_fixture_window_below_minimum_is_rejected(name, least):
+    # 0 is a window size, not "use the default"
+    for window in (0, least - 1):
+        with pytest.raises(ValueError, match="window must be at least"):
+            get_fixture(name, window=window)
+    assert get_fixture(name, window=least).carrier.elements
+
+
+def test_fixture_window_default_and_smallest():
+    assert len(get_fixture("real-line").carrier.elements) == 64
+    assert len(get_fixture("heisenberg", window=1).carrier.elements) == 27
+    assert tuple(get_fixture("naturals-from-2", window=2).carrier.elements) == (2,)
+
+
 def test_compose_error_reporting():
     with pytest.raises(IndexError):
         BOOL_MULT.compose(0, 5)

@@ -1,15 +1,21 @@
 """Numerical solution enumeration: soundness, determinism, recall."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from coslaw import solver
+from coslaw.acceptance import A7_ALPHAS, A7_CONFIG, FINITE_FIXTURES
 from coslaw.analysis import classify, residual
 from coslaw.families import FamilyDescriptor, construct
 from coslaw.fixtures import get_fixture
 from coslaw.semigroups import FiniteSemigroup, identity_automorphism
-from coslaw.solver import SolverConfig, completeness_check, find_solutions
+from coslaw.solver import SolverConfig, _dedup, completeness_check, find_solutions
 
 FAST = SolverConfig(restarts=200, seed=42)
+DATA = Path(__file__).parent / "data"
 
 
 def _vec(entry):
@@ -157,3 +163,154 @@ def test_procedural_carrier_rejected():
     rl = get_fixture("real-line")
     with pytest.raises(TypeError):
         find_solutions(rl.carrier, rl.sigma("neg"), 0, FAST)
+
+
+# ---------------------------------------------------------------------------
+# dedup: the windowed scan against the plain greedy rule
+# ---------------------------------------------------------------------------
+
+
+def _dedup_oracle(sols, radius):
+    """Greedy O(k^2) reference: in lexsort order, keep a row unless some kept
+    row is within `radius` of it (max-norm of the complex difference)."""
+    if len(sols) == 0:
+        return sols
+    keys = []
+    for col in range(sols.shape[1] - 1, -1, -1):
+        keys.append(sols[:, col].imag)
+        keys.append(sols[:, col].real)
+    sols = sols[np.lexsort(keys)]
+    kept = []
+    for row in sols:
+        if all(np.abs(row - k).max() >= radius for k in kept):
+            kept.append(row)
+    return np.array(kept)
+
+
+def _assert_dedup_matches(rows, radius):
+    got, want = _dedup(rows, radius), _dedup_oracle(rows, radius)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    return got
+
+
+def test_dedup_matches_oracle_on_solver_rows(monkeypatch):
+    # c2/id at alpha 1/2 keeps ~2000 points on positive-dimensional components
+    seen = []
+    real = solver._dedup
+    monkeypatch.setattr(solver, "_dedup", lambda rows, r: seen.append(rows) or real(rows, r))
+    fx = get_fixture("c2")
+    find_solutions(fx.carrier, fx.sigma("id"), 0.5, SolverConfig(restarts=2000, seed=42))
+    (rows,) = seen
+    assert len(rows) > 2000
+    kept = _assert_dedup_matches(rows, 1e-6)
+    assert len(kept) > 1000
+
+
+def test_dedup_empty_and_single_row():
+    r = 1e-6
+    empty = np.empty((0, 4), dtype=complex)
+    assert _dedup(empty, r).shape == (0, 4)
+    _assert_dedup_matches(empty, r)
+    one = np.array([[1 + 2j, 0, -3j, 0.5]])
+    assert np.array_equal(_assert_dedup_matches(one, r), one)
+
+
+def test_dedup_exact_duplicates():
+    rng = np.random.default_rng(0)
+    base = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    rows = np.vstack([base, base, base[::-1]])
+    assert len(_assert_dedup_matches(rows, 1e-6)) == 5
+
+
+@pytest.mark.parametrize("col", [0, 1, 3])
+def test_dedup_boundary_distances(col):
+    r = 1e-6
+    a = np.zeros((1, 4), dtype=complex)
+    at_radius, inside = a.copy(), a.copy()
+    at_radius[0, col] = r
+    inside[0, col] = r * (1 - 1e-9)
+    assert len(_assert_dedup_matches(np.vstack([a, at_radius]), r)) == 2
+    assert len(_assert_dedup_matches(np.vstack([a, inside]), r)) == 1
+    # the same along the imaginary axis, where the Re x0 window does not help
+    at_radius_im, inside_im = a.copy(), a.copy()
+    at_radius_im[0, col] = 1j * r
+    inside_im[0, col] = 1j * r * (1 - 1e-9)
+    assert len(_assert_dedup_matches(np.vstack([a, at_radius_im]), r)) == 2
+    assert len(_assert_dedup_matches(np.vstack([a, inside_im]), r)) == 1
+
+
+def test_dedup_rows_sharing_re_x0():
+    rng = np.random.default_rng(1)
+    r = 1e-6
+    rows = (rng.integers(0, 3, size=(400, 4)) + 1j * rng.integers(0, 3, size=(400, 4))) * 0.6 * r
+    rows[:, 0] = 0.25 + rows[:, 0].imag * 1j
+    _assert_dedup_matches(rows, r)
+
+
+@pytest.mark.parametrize("base", [0.0, 0.75, 2.5, 0.3, -1.3, 1e3])
+def test_dedup_re_x0_one_radius_apart(base):
+    # the float difference of Re x0 values one radius apart lands on either
+    # side of the radius (it is below it for 0.3, -1.3 and 1e3)
+    r = 1e-6
+    rows = np.zeros((2, 4), dtype=complex)
+    rows[:, 0] = [base, base - r]
+    expected = 1 if base - (base - r) < r else 2
+    assert len(_assert_dedup_matches(rows, r)) == expected
+
+
+@pytest.mark.parametrize("base", [0.0, 0.75, -1.3, 1e3])
+def test_dedup_re_x0_half_radius_chain(base):
+    # Re x0 in steps of half a radius, other coordinates colliding on purpose,
+    # so the window edge falls on kept rows
+    rng = np.random.default_rng(2)
+    r = 1e-6
+    re0 = np.repeat(base + 0.5 * r * np.arange(60), 4)
+    rows = (rng.integers(0, 2, size=(240, 4)) * 0.7 * r).astype(complex)
+    rows[:, 0] = re0 + 1j * rng.integers(0, 2, size=240) * 0.4 * r
+    _assert_dedup_matches(rows, r)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dedup_random_clusters(seed):
+    rng = np.random.default_rng(seed)
+    r = 1e-6
+    centers = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
+    rows = centers[rng.integers(0, 20, size=300)]
+    rows = rows + (rng.normal(size=rows.shape) + 1j * rng.normal(size=rows.shape)) * r
+    _assert_dedup_matches(rows, r)
+
+
+# ---------------------------------------------------------------------------
+# A7 grid: the solver's answers are pinned
+# ---------------------------------------------------------------------------
+
+
+def test_a7_grid_matches_recorded_answers(monkeypatch):
+    """Totals, family tags, rank-deficient and unclassified counts of every
+    A7 completeness run, as recorded in tests/data/a7-grid.json."""
+    golden = {
+        (run["fixture"], run["sigma"], complex(*run["alpha"])): run
+        for run in json.loads((DATA / "a7-grid.json").read_text())
+    }
+    found = []
+    real = solver.find_solutions
+    monkeypatch.setattr(solver, "find_solutions", lambda *a: found.append(real(*a)) or found[-1])
+    seen = set()
+    for name in FINITE_FIXTURES:
+        fx = get_fixture(name)
+        for sigma in fx.sigmas:
+            for alpha in A7_ALPHAS:
+                rep = completeness_check(fx.carrier, sigma, alpha, A7_CONFIG)
+                sols = found.pop()
+                key = (name, sigma.name, complex(alpha))
+                got = {
+                    "total": rep.total,
+                    "tags": sorted(([t, c] for t, c in rep.tags.items()), key=lambda tc: str(tc[0])),
+                    "rank_deficient": sum(e.rank_deficient for e in sols.entries),
+                    "unclassified": len(rep.unclassified),
+                }
+                want = {k: golden[key][k] for k in got}
+                assert got == want, key
+                seen.add(key)
+    assert seen == set(golden)
