@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import is_exact, scalar_is_zero, values_equal
+from .exactnum import VERIFY_TOL, is_exact, scalar_is_zero, values_equal
 from .families import (
     ConditionViolation,
     FamilyDescriptor,
@@ -40,7 +40,6 @@ from .functions import (
 )
 from .semigroups import InvolutiveAutomorphism, Semigroup, pairs, triple_sample
 
-VERIFY_TOL = 1e-9
 MATCH_TOL = 1e-7  # looser than the verifier to absorb linear-solve conditioning
 
 
@@ -140,15 +139,9 @@ def check_G_properties(
         if not values_equal(a, b, tol):
             cx["symmetry"].append((x, y))
     elems = triple_sample(s)
-    triple_products = set() if s.is_finite else []
-    for x, y in itertools.product(elems, repeat=2):
-        xy = s.compose(x, y)
-        for z in elems:
-            t = s.compose(xy, z)
-            if s.is_finite:
-                triple_products.add(t)
-            else:
-                triple_products.append(t)
+    # each product once, in first-seen order
+    products = dict.fromkeys(s.compose(y, z) for y, z in itertools.product(elems, repeat=2))
+    triple_products = dict.fromkeys(s.compose(yz, x) for yz in products for x in elems)
     for t in triple_products:
         if not values_equal(G(t), G(sigma(t)), tol):
             cx["sigma_on_triples"].append(t)
@@ -156,8 +149,6 @@ def check_G_properties(
                 break
     ge, go = even_part(g, sigma), odd_part(g, sigma)
     fe, fo = even_part(f, sigma), odd_part(f, sigma)
-    products = {s.compose(y, z) for y, z in itertools.product(elems, repeat=2)} \
-        if s.is_finite else [s.compose(y, z) for y, z in itertools.product(elems, repeat=2)]
     for x in elems:
         gex, gox, fex, fox = ge(x), go(x), fe(x), fo(x)
         for w in products:
@@ -252,33 +243,31 @@ def check_parity_lemma(
     b1,
     b2,
     sigma: InvolutiveAutomorphism,
-    tol: float = VERIFY_TOL,
 ) -> PropertyReport:
     """Parity constraints on f = a1 chi1 + a2 chi2, g = b1 chi1 + b2 chi2:
     even f with odd g forces a1 = a2, b1 + b2 = 0; the mirrored case forces
     a1 + a2 = 0, b1 = b2."""
-    carrier = chi1.fn.carrier
-    if chi1.same_as(chi2, tol) or chi1.is_zero or chi2.is_zero:
+    if chi1.same_as(chi2) or chi1.is_zero or chi2.is_zero:
         return PropertyReport(False, "hypothesis fails: need two different non-zero chi")
     if values_equal(a1, 0, 1e-15) or values_equal(a2, 0, 1e-15):
         return PropertyReport(False, "hypothesis fails: a1, a2 must be non-zero")
     f = linear_combination([(a1, chi1.fn), (a2, chi2.fn)])
     g = linear_combination([(b1, chi1.fn), (b2, chi2.fn)])
-    if g.is_zero(tol):
+    if g.is_zero(VERIFY_TOL):
         return PropertyReport(False, "hypothesis fails: g = 0")
-    f_even, f_odd = is_even(f, sigma, tol), is_odd(f, sigma, tol)
-    g_even, g_odd = is_even(g, sigma, tol), is_odd(g, sigma, tol)
+    f_even, f_odd = is_even(f, sigma), is_odd(f, sigma)
+    g_even, g_odd = is_even(g, sigma), is_odd(g, sigma)
     cx: dict = {}
     if f_even and g_odd:
-        if not values_equal(a1, a2, tol):
+        if not values_equal(a1, a2, VERIFY_TOL):
             cx["a1=a2"] = [(a1, a2)]
-        if not values_equal(b1 + b2, 0, tol):
+        if not values_equal(b1 + b2, 0, VERIFY_TOL):
             cx["b1+b2=0"] = [(b1, b2)]
         return PropertyReport(True, "case (1): f even, g odd", cx)
     if f_odd and g_even:
-        if not values_equal(a1 + a2, 0, tol):
+        if not values_equal(a1 + a2, 0, VERIFY_TOL):
             cx["a1+a2=0"] = [(a1, a2)]
-        if not values_equal(b1, b2, tol):
+        if not values_equal(b1, b2, VERIFY_TOL):
             cx["b1=b2"] = [(b1, b2)]
         return PropertyReport(True, "case (2): f odd, g even", cx)
     return PropertyReport(False, "hypothesis fails: parity pattern not matched")
@@ -318,8 +307,6 @@ def classify(
     alpha,
     g: ScalarFunction,
     f: ScalarFunction,
-    tol_match: float = MATCH_TOL,
-    tol_res: float = VERIFY_TOL,
 ) -> ClassificationResult:
     """Recover a family descriptor reproducing a verified solution pair.
 
@@ -329,10 +316,10 @@ def classify(
     if not s.is_finite:
         raise TypeError("classification enumerates characters; needs a finite carrier")
     rep = residual(s, sigma, alpha, g, f)
-    if not rep.ok(tol_res):
-        raise NotASolution(f"residual {rep.max_residual:.3e} exceeds {tol_res}")
+    if not rep.ok():
+        raise NotASolution(f"residual {rep.max_residual:.3e} exceeds {VERIFY_TOL}")
 
-    ctx = _ClassifyCtx(s, sigma, alpha, g, f, tol_match, rep.max_residual)
+    ctx = _ClassifyCtx(s, sigma, alpha, g, f, rep.max_residual)
     for tag in CLASSIFY_ORDER:
         hit = _FAMILY_TESTS[tag](ctx)
         if hit is not None:
@@ -347,7 +334,6 @@ class _ClassifyCtx:
     alpha: object
     g: ScalarFunction
     f: ScalarFunction
-    tol: float
     max_residual: float
 
     def __post_init__(self):
@@ -360,18 +346,18 @@ class _ClassifyCtx:
         except (InvalidDescriptor, ConditionViolation):
             return None
         m = max(pair.g.max_diff(self.g), pair.f.max_diff(self.f))
-        if m <= self.tol:
+        if m <= MATCH_TOL:
             return ClassificationResult(d.family, pair.provenance, m, self.max_residual)
         return None
 
     def near(self, a, b) -> bool:
-        return abs(complex(a) - complex(b)) <= self.tol
+        return abs(complex(a) - complex(b)) <= MATCH_TOL
 
 
 def _test_family1(ctx) -> ClassificationResult | None:
     if not (ctx.near(ctx.alpha, 1) or ctx.near(ctx.alpha, -1)):
         return None
-    if ctx.f.is_zero(ctx.tol):
+    if ctx.f.is_zero(MATCH_TOL):
         return None
     return ctx.attempt(FamilyDescriptor(1, ctx.alpha), free=ctx.f)
 
@@ -416,11 +402,11 @@ def _test_family8(ctx) -> ClassificationResult | None:
     return None
 
 
-def _solve_2x2(chi1, chi2, target, elems, tol):
+def _solve_2x2(chi1, chi2, target, elems):
     """Coefficients (a1, a2) with a1*chi1 + a2*chi2 = target on two pivots."""
     for x1, x2 in itertools.combinations(elems, 2):
         det = chi1(x1) * chi2(x2) - chi1(x2) * chi2(x1)
-        if values_equal(det, 0, tol):
+        if values_equal(det, 0, MATCH_TOL):
             continue
         a1 = _div(target(x1) * chi2(x2) - target(x2) * chi2(x1), det)
         a2 = _div(chi1(x1) * target(x2) - chi1(x2) * target(x1), det)
@@ -431,7 +417,7 @@ def _solve_2x2(chi1, chi2, target, elems, tol):
 def _test_family5(ctx) -> ClassificationResult | None:
     elems = list(ctx.s.elements)
     for chi1, chi2 in itertools.combinations(ctx.even, 2):
-        sol = _solve_2x2(chi1.fn, chi2.fn, ctx.f, elems, ctx.tol)
+        sol = _solve_2x2(chi1.fn, chi2.fn, ctx.f, elems)
         if sol is None:
             continue
         a1, a2 = sol
@@ -450,7 +436,7 @@ def _test_family5(ctx) -> ClassificationResult | None:
 def _test_family7(ctx) -> ClassificationResult | None:
     for chi in ctx.even:
         h = ctx.f - chi.fn.scale(ctx.alpha)
-        if h.is_zero(ctx.tol):
+        if h.is_zero(MATCH_TOL):
             continue
         for branch in (1, -1):
             hit = ctx.attempt(

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analysis import NotASolution, classify, residual
-from .exactnum import Cyc
+from .exactnum import VERIFY_TOL, Cyc
 from .families import (
     ConditionViolation,
     FamilyDescriptor,
@@ -102,14 +102,14 @@ def _fixture(name: str, window=None) -> Fixture:
     try:
         return get_fixture(name, window=window)
     except (KeyError, ValueError) as e:
-        raise UsageError(str(e)) from None
+        raise UsageError(e.args[0]) from None
 
 
 def _sigma(fx: Fixture, name: str | None):
     try:
         return fx.sigma(name)
     except KeyError as e:
-        raise UsageError(str(e)) from None
+        raise UsageError(e.args[0]) from None
 
 
 def _resolve_character(fx: Fixture, args):
@@ -117,7 +117,7 @@ def _resolve_character(fx: Fixture, args):
         try:
             return fx.character(args.chi)
         except KeyError as e:
-            raise UsageError(str(e)) from None
+            raise UsageError(e.args[0]) from None
     if fx.name == "real-line":
         lam = parse_complex(args.lam or "1")
         return fx.character("exp", lam=lam)
@@ -190,7 +190,10 @@ def _cmd_nullsets(args) -> int:
     fx = _fixture(args.fixture, window=args.window)
     chi = _resolve_character(fx, args)
     sigma = _sigma(fx, args.sigma)
-    ns = null_sets(fx.carrier, sigma, chi)
+    try:
+        ns = null_sets(fx.carrier, sigma, chi)
+    except ValueError as e:  # the zero character has no null sets
+        raise UsageError(f"{chi.name}: {e}") from None
     fmt = lambda xs: "{" + ", ".join(map(str, sorted(xs))) + "}"  # noqa: E731
     print(f"I_chi   = {fmt(ns.i_chi)}")
     print(f"I_chi^2 = {fmt(ns.i_chi_sq)}")
@@ -230,13 +233,13 @@ def _cmd_construct(args) -> int:
         try:
             chi1, chi2 = fx.character(args.chi1), fx.character(args.chi2)
         except KeyError as e:
-            raise UsageError(str(e)) from None
+            raise UsageError(e.args[0]) from None
     if family == 7:
         additive = fx.additive_rules.get(args.additive) if args.additive else None
         if args.additive and additive is None:
             raise UsageError(f"fixture {fx.name} has no additive rule {args.additive!r}")
         rho = parse_complex(args.rho_const, exact=args.exact) if args.rho_const else None
-        encode = fx.h_specs.get(args.additive)
+        encode = fx.h_specs.get((chi.name, args.additive))
         h_spec = HSpec(additive=additive, rho=rho, spec=encode(rho) if encode else None)
     free = None
     if family in (1, 2, 3):
@@ -334,30 +337,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, window=False, exact=False, **kw):
+        """A subcommand; `window` and `exact` give it the flags it reads."""
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--window", type=int, default=None, help="fixture window size")
-        sp.add_argument("--exact", action="store_true", help="rational-pair arithmetic")
+        if window:
+            sp.add_argument("--window", type=int, default=None, help="fixture window size")
+        if exact:
+            sp.add_argument("--exact", action="store_true", help="rational-pair arithmetic")
         return sp
 
-    sp = add("validate", _cmd_validate, help="validate a semigroup file or fixture")
+    sp = add("validate", _cmd_validate, window=True, help="validate a semigroup file or fixture")
     sp.add_argument("target", help="path to a semigroup file, or a fixture name")
 
-    sp = add("automorphisms", _cmd_automorphisms, help="list involutive automorphisms")
+    sp = add("automorphisms", _cmd_automorphisms, window=True,
+             help="list involutive automorphisms")
     sp.add_argument("fixture", choices=FIXTURE_NAMES)
 
-    sp = add("characters", _cmd_characters, help="list multiplicative functions")
+    sp = add("characters", _cmd_characters, window=True, help="list multiplicative functions")
     sp.add_argument("fixture", choices=FIXTURE_NAMES)
 
-    sp = add("nullsets", _cmd_nullsets, help="print I_chi, I_chi^2, P_chi")
+    sp = add("nullsets", _cmd_nullsets, window=True, help="print I_chi, I_chi^2, P_chi")
     sp.add_argument("fixture", choices=FIXTURE_NAMES)
     sp.add_argument("--chi", default=None, help="character name (finite / naturals)")
     sp.add_argument("--sigma", default=None)
     sp.add_argument("--lambda", dest="lam", default=None, help="real-line exp parameter")
     sp.add_argument("--a", default=None), sp.add_argument("--b", default=None)
 
-    sp = add("construct", _cmd_construct, help="build a family solution pair")
+    sp = add("construct", _cmd_construct, window=True, exact=True,
+             help="build a family solution pair")
     sp.add_argument("--family", type=int, required=True, choices=range(1, 9))
     sp.add_argument("--fixture", required=True, choices=FIXTURE_NAMES)
     sp.add_argument("--sigma", default=None)
@@ -373,12 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--free-file", default=None, help="JSON function for families 1-3")
     sp.add_argument("--out", default="pair.json")
 
-    sp = add("verify", _cmd_verify, help="verify a pair file against the equation")
+    sp = add("verify", _cmd_verify, exact=True, help="verify a pair file against the equation")
     sp.add_argument("--pair", required=True)
     sp.add_argument("--alpha", default=None)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=VERIFY_TOL)
 
-    sp = add("solve", _cmd_solve, help="find all solutions numerically")
+    sp = add("solve", _cmd_solve, window=True, help="find all solutions numerically")
     sp.add_argument("fixture", choices=FIXTURE_NAMES)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--sigma", default=None)
@@ -386,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=int, default=2000)
     sp.add_argument("--out", default=None)
 
-    sp = add("classify", _cmd_classify, help="classify a solution pair")
+    sp = add("classify", _cmd_classify, exact=True, help="classify a solution pair")
     sp.add_argument("--pair", required=True)
     sp.add_argument("--alpha", default=None)
 

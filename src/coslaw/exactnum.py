@@ -461,12 +461,15 @@ def simplify_scalar(v):
     return v
 
 
-def scalar_is_zero(v, tol: float = 0.0) -> bool:
+def scalar_is_zero(v) -> bool:
     if isinstance(v, (Cyc, ExpPoly)):
         return v.is_zero()
-    if isinstance(v, (int, Fraction)):
-        return v == 0
-    return abs(v) <= tol
+    return v == 0
+
+
+# the one tolerance for "the equation holds" and its derived identities on
+# float values; exact values compare exactly
+VERIFY_TOL = 1e-9
 
 
 def values_equal(a, b, tol: float = 0.0) -> bool:

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
-from .exactnum import exact_sqrt, is_exact, simplify_scalar, values_equal
+from .exactnum import VERIFY_TOL, exact_sqrt, is_exact, simplify_scalar, values_equal
 from .functions import (
     AdditiveFunction,
     MultiplicativeFunction,
@@ -43,8 +43,6 @@ from .functions import (
     null_sets,
 )
 from .semigroups import InvolutiveAutomorphism, Semigroup, pairs
-
-DEFAULT_TOL = 1e-9
 
 
 class InvalidDescriptor(ValueError):
@@ -155,7 +153,6 @@ def build_h(
     additive: AdditiveFunction | None = None,
     rho=None,
     predicates=None,
-    tol: float = DEFAULT_TOL,
 ) -> ScalarFunction:
     """Assemble h = chi*A on S \\ I_chi, 0 on I_chi \\ P_chi, rho on P_chi.
 
@@ -170,7 +167,7 @@ def build_h(
     window of a procedural carrier (fixtures ship them where the null sets
     are non-trivial).
     """
-    ns = null_sets(s, sigma, chi, tol)
+    ns = null_sets(s, sigma, chi)
     in_i, in_p = _membership(s, ns, predicates)
     rho_fn = _as_rho(rho)
 
@@ -186,19 +183,19 @@ def build_h(
     units = [u for u in elems if u not in ns.i_chi]
 
     if additive is not None:
-        if not is_additive(s, units, additive, tol):
+        if not is_additive(s, units, additive):
             raise ConditionViolation("additive part fails A(xy) = A(x) + A(y)")
         for u in units:
-            if not values_equal(additive(sigma(u)), additive(u), tol):
+            if not values_equal(additive(sigma(u)), additive(u), VERIFY_TOL):
                 raise ConditionViolation(f"additive part is not sigma-symmetric at {u}")
     for p in ns.p_chi:
-        if not values_equal(rho_fn(sigma(p)), rho_fn(p), tol):
+        if not values_equal(rho_fn(sigma(p)), rho_fn(p), VERIFY_TOL):
             raise ConditionViolation(f"rho is not sigma-symmetric at {p}")
 
-    _check_condition_i(s, ns, chi, rho_fn, in_p, units, tol)
-    _check_condition_ii(s, ns, h_rule, units, tol)
+    _check_condition_i(s, ns, chi, rho_fn, in_p, units)
+    _check_condition_ii(s, ns, h_rule, units)
 
-    bad = _sine_law_failure(s, h_rule, chi, tol)
+    bad = _sine_law_failure(s, h_rule, chi)
     if bad is not None:
         x, y, lhs, rhs = bad
         raise ConditionViolation(
@@ -210,13 +207,13 @@ def build_h(
     return ScalarFunction(s, rule=h_rule)
 
 
-def _sine_law_failure(s: Semigroup, h, chi, tol: float) -> tuple | None:
+def _sine_law_failure(s: Semigroup, h, chi) -> tuple | None:
     """First window pair (x, y), with both sides, where h(xy) = h(x)chi(y) +
     h(y)chi(x) fails; None when the sine addition law holds on the window."""
     for x, y in pairs(s):
         lhs = h(s.compose(x, y))
         rhs = h(x) * chi(y) + h(y) * chi(x)
-        if not values_equal(lhs, rhs, tol):
+        if not values_equal(lhs, rhs, VERIFY_TOL):
             return x, y, lhs, rhs
     return None
 
@@ -244,7 +241,7 @@ def _as_rho(rho) -> Callable:
     return lambda x: rho  # constant
 
 
-def _check_condition_i(s, ns, chi, rho_fn, in_p, units, tol):
+def _check_condition_i(s, ns, chi, rho_fn, in_p, units):
     window = s.window_set
     for p in ns.p_chi:
         rp = rho_fn(p)
@@ -252,26 +249,26 @@ def _check_condition_i(s, ns, chi, rho_fn, in_p, units, tol):
         for u in units:
             up = s.compose(u, p)
             if up in window and in_p(up):
-                if not values_equal(rho_fn(up), rp * chi_u[u], tol):
+                if not values_equal(rho_fn(up), rp * chi_u[u], VERIFY_TOL):
                     raise ConditionViolation(f"condition (I) fails at up = {u}*{p}")
             pv = s.compose(p, u)
             if pv in window and in_p(pv):
-                if not values_equal(rho_fn(pv), rp * chi_u[u], tol):
+                if not values_equal(rho_fn(pv), rp * chi_u[u], VERIFY_TOL):
                     raise ConditionViolation(f"condition (I) fails at pv = {p}*{u}")
         for u, v in itertools.product(units, repeat=2):
             upv = s.compose(s.compose(u, p), v)
             if upv in window and in_p(upv):
-                if not values_equal(rho_fn(upv), rp * chi_u[u] * chi_u[v], tol):
+                if not values_equal(rho_fn(upv), rp * chi_u[u] * chi_u[v], VERIFY_TOL):
                     raise ConditionViolation(
                         f"condition (I) fails at upv = {u}*{p}*{v}"
                     )
 
 
-def _check_condition_ii(s, ns, h_rule, units, tol):
+def _check_condition_ii(s, ns, h_rule, units):
     for x in ns.i_chi - ns.p_chi:
         for y in units:
             for prod in (s.compose(x, y), s.compose(y, x)):
-                if not values_equal(h_rule(prod), 0, tol):
+                if not values_equal(h_rule(prod), 0, VERIFY_TOL):
                     raise ConditionViolation(
                         f"condition (II) fails: h({x}*{y} side) != 0"
                     )
@@ -288,7 +285,6 @@ def construct(
     d: FamilyDescriptor,
     free_f: ScalarFunction | None = None,
     predicates=None,
-    tol: float = DEFAULT_TOL,
 ) -> SolutionPair:
     """Build the (g, f) pair a descriptor denotes, validating its invariants."""
     if d.family not in range(1, 9):
@@ -299,22 +295,15 @@ def construct(
             f"family {d.family} is fully determined; free functions belong to 1-3"
         )
     builder = _BUILDERS[d.family]
-    g, f = builder(s, sigma, d, free, predicates, tol)
-    prov = d if d.free is not None or free is None else _with_free(d, free)
+    g, f = builder(s, sigma, d, free, predicates)
+    prov = d if d.free is not None or free is None else replace(d, free=free)
     return SolutionPair(g=g, f=f, alpha=d.alpha, provenance=prov)
 
 
-def _with_free(d: FamilyDescriptor, free: ScalarFunction) -> FamilyDescriptor:
-    return FamilyDescriptor(
-        family=d.family, alpha=d.alpha, q=d.q, branch=d.branch, chi=d.chi,
-        chi1=d.chi1, chi2=d.chi2, h=d.h, h_spec=d.h_spec, free=free,
-    )
-
-
-def _require_nonzero_fn(fn: ScalarFunction | None, what: str, tol: float) -> ScalarFunction:
+def _require_nonzero_fn(fn: ScalarFunction | None, what: str) -> ScalarFunction:
     if fn is None:
         raise InvalidDescriptor(f"{what} requires a free function argument")
-    if fn.is_zero(tol):
+    if fn.is_zero(VERIFY_TOL):
         raise InvalidDescriptor(f"{what} must be non-zero")
     return fn
 
@@ -326,39 +315,39 @@ def _require_even(chi: MultiplicativeFunction, sigma, what: str):
         raise InvalidDescriptor(f"{what} requires a sigma-even multiplicative function")
 
 
-def _check_vanishing_on_products(s: Semigroup, g: ScalarFunction, tol: float):
+def _check_vanishing_on_products(s: Semigroup, g: ScalarFunction):
     # test on every pairwise product, including products outside the window
     for x, y in pairs(s):
-        if not values_equal(g(s.compose(x, y)), 0, tol):
+        if not values_equal(g(s.compose(x, y)), 0, VERIFY_TOL):
             raise InvalidDescriptor(
                 f"function does not vanish on S^2 (violated at {x}*{y})"
             )
 
 
-def _family1(s, sigma, d, free, predicates, tol):
+def _family1(s, sigma, d, free, predicates):
     if not (_eq(d.alpha, 1) or _eq(d.alpha, -1)):
         raise InvalidDescriptor("family 1 requires alpha = +-1")
-    f = _require_nonzero_fn(free, "family 1", tol)
+    f = _require_nonzero_fn(free, "family 1")
     return f.scale(d.alpha), f
 
 
-def _family2(s, sigma, d, free, predicates, tol):
+def _family2(s, sigma, d, free, predicates):
     if _eq(d.alpha, 1):
         raise InvalidDescriptor("family 2 requires alpha != 1")
-    g = _require_nonzero_fn(free, "family 2", tol)
-    _check_vanishing_on_products(s, g, tol)
+    g = _require_nonzero_fn(free, "family 2")
+    _check_vanishing_on_products(s, g)
     return g, g
 
 
-def _family3(s, sigma, d, free, predicates, tol):
+def _family3(s, sigma, d, free, predicates):
     if _eq(d.alpha, -1):
         raise InvalidDescriptor("family 3 requires alpha != -1")
-    g = _require_nonzero_fn(free, "family 3", tol)
-    _check_vanishing_on_products(s, g, tol)
+    g = _require_nonzero_fn(free, "family 3")
+    _check_vanishing_on_products(s, g)
     return g, -g
 
 
-def _family4(s, sigma, d, free, predicates, tol):
+def _family4(s, sigma, d, free, predicates):
     _require_even(d.chi, sigma, "family 4")
     if d.q is None:
         raise InvalidDescriptor("family 4 requires the constant q")
@@ -369,7 +358,7 @@ def _family4(s, sigma, d, free, predicates, tol):
     return g, f
 
 
-def _family5(s, sigma, d, free, predicates, tol):
+def _family5(s, sigma, d, free, predicates):
     _require_even(d.chi1, sigma, "family 5")
     _require_even(d.chi2, sigma, "family 5")
     if d.chi1.same_as(d.chi2):
@@ -384,7 +373,7 @@ def _family5(s, sigma, d, free, predicates, tol):
     return g, f
 
 
-def _family6(s, sigma, d, free, predicates, tol):
+def _family6(s, sigma, d, free, predicates):
     if _eq(d.alpha, 0):
         raise InvalidDescriptor("family 6 requires alpha != 0")
     _require_even(d.chi1, sigma, "family 6")
@@ -394,22 +383,18 @@ def _family6(s, sigma, d, free, predicates, tol):
     return d.chi2.fn, d.chi1.fn.scale(d.alpha)
 
 
-def _family7(s, sigma, d, free, predicates, tol):
+def _family7(s, sigma, d, free, predicates):
     _require_even(d.chi, sigma, "family 7")
     if d.h is not None:
         h = d.h
-        if not is_even(h, sigma, tol):
+        if not is_even(h, sigma):
             raise InvalidDescriptor("family 7 requires a sigma-even h")
-        bad = _sine_law_failure(s, h, d.chi, tol)
+        bad = _sine_law_failure(s, h, d.chi)
         if bad is not None:
             raise InvalidDescriptor(f"h fails the sine addition law at ({bad[0]}, {bad[1]})")
     else:
         spec = d.h_spec or HSpec()
-        h = build_h(
-            s, sigma, d.chi,
-            additive=spec.additive, rho=spec.rho,
-            predicates=predicates, tol=tol,
-        )
+        h = build_h(s, sigma, d.chi, additive=spec.additive, rho=spec.rho, predicates=predicates)
         if spec.spec is not None:
             h.spec = spec.spec
         elif spec.additive is None and spec.rho is None:
@@ -420,7 +405,7 @@ def _family7(s, sigma, d, free, predicates, tol):
     return g, f
 
 
-def _family8(s, sigma, d, free, predicates, tol):
+def _family8(s, sigma, d, free, predicates):
     if _eq(d.alpha, 1) or _eq(d.alpha, -1):
         raise InvalidDescriptor("family 8 requires alpha != +-1")
     if d.chi is None or d.chi.is_zero:

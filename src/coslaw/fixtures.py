@@ -73,10 +73,10 @@ class Fixture:
     """A named carrier with its involutive reflections and named functions.
 
     `rules` decodes the fixture's own named function rules from their JSON
-    specs (the generic rules live in `serialize`); `h_specs` maps an
-    additive rule name to the spec encoder of the family-7 h that
-    `build_h` makes from it with a constant rho; `exp` builds the
-    parametrized exponential characters.
+    specs (the generic rules live in `serialize`); `h_specs` maps a
+    (character, additive rule) name pair to the spec encoder of the
+    family-7 h that `build_h` makes from them with a constant rho; `exp`
+    builds the parametrized exponential characters.
     """
 
     name: str
@@ -86,7 +86,7 @@ class Fixture:
     null_predicates: dict[str, NullPredicates] = field(default_factory=dict)
     additive_rules: dict[str, AdditiveFunction] = field(default_factory=dict)
     rules: dict[str, Callable[[dict], ScalarFunction]] = field(default_factory=dict)
-    h_specs: dict[str, Callable[[object], dict]] = field(default_factory=dict)
+    h_specs: dict[tuple[str, str], Callable[[object], dict]] = field(default_factory=dict)
     exp: Callable[..., MultiplicativeFunction] | None = None
 
     def sigma(self, name: str | None = None) -> InvolutiveAutomorphism:
@@ -265,7 +265,11 @@ def _naturals(upper: int = 65) -> Fixture:
             "five-adic": lambda spec: ScalarFunction(carrier, rule=_five_adic, spec=spec),
             "h-piecewise": lambda spec: _h_piecewise(carrier, preds, spec),
         },
-        h_specs={"five-adic": _h_piecewise_spec},
+        # with chi = one, I_chi is empty and h is the five-adic valuation itself
+        h_specs={
+            ("parity", "five-adic"): _h_piecewise_spec,
+            ("one", "five-adic"): lambda rho: {"rule": "five-adic"},
+        },
     )
 
 

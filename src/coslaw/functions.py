@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .exactnum import Cyc, values_equal
+from .exactnum import VERIFY_TOL, Cyc, values_equal
 from .semigroups import (
     FiniteSemigroup,
     InvolutiveAutomorphism,
@@ -32,7 +32,6 @@ from .semigroups import (
 )
 
 CHARACTER_ORDER_BOUND = 6
-DEFAULT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +131,7 @@ class ScalarFunction:
             abs(complex(self(x)) - complex(other(x))) for x in self.carrier.elements
         )
 
-    def equal_to(self, other: "ScalarFunction", tol: float = DEFAULT_TOL) -> bool:
+    def equal_to(self, other: "ScalarFunction", tol: float = VERIFY_TOL) -> bool:
         self._assert_same(other)
         return all(
             values_equal(self(x), other(x), tol) for x in self.carrier.elements
@@ -193,12 +192,12 @@ def odd_part(f: ScalarFunction, sigma: InvolutiveAutomorphism) -> ScalarFunction
     return linear_combination([(Fraction(1, 2), f), (Fraction(-1, 2), star(f, sigma))])
 
 
-def is_even(f: ScalarFunction, sigma: InvolutiveAutomorphism, tol: float = DEFAULT_TOL) -> bool:
-    return all(values_equal(f(x), f(sigma(x)), tol) for x in f.carrier.elements)
+def is_even(f: ScalarFunction, sigma: InvolutiveAutomorphism) -> bool:
+    return all(values_equal(f(x), f(sigma(x)), VERIFY_TOL) for x in f.carrier.elements)
 
 
-def is_odd(f: ScalarFunction, sigma: InvolutiveAutomorphism, tol: float = DEFAULT_TOL) -> bool:
-    return all(values_equal(f(x), -f(sigma(x)), tol) for x in f.carrier.elements)
+def is_odd(f: ScalarFunction, sigma: InvolutiveAutomorphism) -> bool:
+    return all(values_equal(f(x), -f(sigma(x)), VERIFY_TOL) for x in f.carrier.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +224,7 @@ class MultiplicativeFunction:
     def is_zero(self) -> bool:
         if self.phases is not None:
             return all(p is None for p in self.phases)
-        return self.fn.is_zero(tol=DEFAULT_TOL)
+        return self.fn.is_zero(VERIFY_TOL)
 
     def star(self, sigma: InvolutiveAutomorphism) -> "MultiplicativeFunction":
         phases = None
@@ -237,19 +236,16 @@ class MultiplicativeFunction:
             name=self.name + "*" if self.name else "",
         )
 
-    def is_even(self, sigma: InvolutiveAutomorphism, tol: float = DEFAULT_TOL) -> bool:
-        other = self.star(sigma)
+    def is_even(self, sigma: InvolutiveAutomorphism) -> bool:
+        return self.same_as(self.star(sigma))
+
+    def same_as(self, other: "MultiplicativeFunction") -> bool:
         if self.phases is not None and other.phases is not None:
             return self.phases == other.phases
-        return self.fn.equal_to(other.fn, tol)
-
-    def same_as(self, other: "MultiplicativeFunction", tol: float = DEFAULT_TOL) -> bool:
-        if self.phases is not None and other.phases is not None:
-            return self.phases == other.phases
-        return self.fn.equal_to(other.fn, tol)
+        return self.fn.equal_to(other.fn)
 
 
-def is_multiplicative(s: Semigroup, f, tol: float = DEFAULT_TOL) -> bool:
+def is_multiplicative(s: Semigroup, f, tol: float = VERIFY_TOL) -> bool:
     """chi(xy) = chi(x)chi(y) on all window pairs (exact for exact values)."""
     ev = f.fn if isinstance(f, MultiplicativeFunction) else f
     return all(
@@ -257,7 +253,7 @@ def is_multiplicative(s: Semigroup, f, tol: float = DEFAULT_TOL) -> bool:
     )
 
 
-def is_additive(s: Semigroup, subset, f, tol: float = DEFAULT_TOL) -> bool:
+def is_additive(s: Semigroup, subset, f, tol: float = VERIFY_TOL) -> bool:
     """A(xy) = A(x) + A(y) for sub-carrier pairs.
 
     For dense finite functions the product must stay inside the subset to
@@ -293,9 +289,7 @@ def _phase_mul(a: Fraction | None, b: Fraction | None) -> Fraction | None:
 
 
 @lru_cache(maxsize=None)
-def enumerate_multiplicative(
-    s: FiniteSemigroup, max_order: int = CHARACTER_ORDER_BOUND
-) -> tuple[MultiplicativeFunction, ...]:
+def enumerate_multiplicative(s: FiniteSemigroup) -> tuple[MultiplicativeFunction, ...]:
     """All multiplicative functions S -> C, canonically ordered.
 
     A non-zero value at x generates a finite subsemigroup of C\\{0}, hence is
@@ -303,8 +297,8 @@ def enumerate_multiplicative(
     ranges over {0} plus those roots and filters by the defining identity,
     checked exactly in phase arithmetic.
     """
-    if s.order > max_order:
-        raise ValueError(f"order {s.order} exceeds enumeration bound {max_order}")
+    if s.order > CHARACTER_ORDER_BOUND:
+        raise ValueError(f"order {s.order} exceeds enumeration bound {CHARACTER_ORDER_BOUND}")
     n = s.order
     candidates: list[list[Fraction | None]] = []
     for x in range(n):
@@ -411,9 +405,6 @@ class AdditiveFunction:
     def __call__(self, x):
         return self.fn(x)
 
-    def validate(self, tol: float = DEFAULT_TOL) -> bool:
-        return is_additive(self.carrier, self.subset, self.fn, tol)
-
 
 # ---------------------------------------------------------------------------
 # null sets
@@ -430,12 +421,7 @@ class NullSets:
     certified: str  # "exact" | "window"
 
 
-def null_sets(
-    s: Semigroup,
-    sigma: InvolutiveAutomorphism,
-    chi,
-    tol: float = DEFAULT_TOL,
-) -> NullSets:
+def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
     """Null-set triple for a non-zero multiplicative function.
 
     Window semantics on procedural carriers: quantified products that leave
@@ -443,10 +429,10 @@ def null_sets(
     """
     ev = chi.fn if isinstance(chi, MultiplicativeFunction) else chi
     elems = list(s.elements)
-    if all(values_equal(ev(x), 0, tol) for x in elems):
+    if all(values_equal(ev(x), 0, VERIFY_TOL) for x in elems):
         raise ValueError("null sets require a non-zero multiplicative function")
     window = s.window_set
-    i_chi = {x for x in elems if values_equal(ev(x), 0, tol)}
+    i_chi = {x for x in elems if values_equal(ev(x), 0, VERIFY_TOL)}
     i_sq = {s.compose(a, b) for a in i_chi for b in i_chi} & window
     diff = i_chi - i_sq
     units = [u for u in elems if u not in i_chi]
@@ -496,11 +482,10 @@ def check_pchi_lemma(
     s: Semigroup,
     sigma: InvolutiveAutomorphism,
     chi: MultiplicativeFunction,
-    tol: float = DEFAULT_TOL,
 ) -> PchiReport:
     """Verifies (a) u not in I_chi, p in P_chi => up, pu in P_chi and
     (b) sigma(P_chi) = P_(chi o sigma), window-bounded on procedural carriers."""
-    ns = null_sets(s, sigma, chi, tol)
+    ns = null_sets(s, sigma, chi)
     window = s.window_set
     units = [u for u in s.elements if u not in ns.i_chi]
     bad = []
@@ -512,7 +497,7 @@ def check_pchi_lemma(
                     checked += 1
                     if prod not in ns.p_chi:
                         bad.append((u, p, prod))
-    ns_star = null_sets(s, sigma, chi.star(sigma) if isinstance(chi, MultiplicativeFunction) else star(chi, sigma), tol)
+    ns_star = null_sets(s, sigma, chi.star(sigma) if isinstance(chi, MultiplicativeFunction) else star(chi, sigma))
     image = {sigma(p) for p in ns.p_chi} & window
     agrees = image == set(ns_star.p_chi)
     return PchiReport(

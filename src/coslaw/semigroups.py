@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
-from .exactnum import values_equal
+from .exactnum import VERIFY_TOL, values_equal
 
 AUTOMORPHISM_ORDER_BOUND = 8
 TRIPLE_SAMPLE_CAP = 64  # triple-quantified checks subsample large windows
@@ -127,12 +127,12 @@ def pairs(s: Semigroup) -> Iterator[tuple]:
     return itertools.product(s.elements, repeat=2)
 
 
-def triple_sample(s: Semigroup, cap: int = TRIPLE_SAMPLE_CAP) -> tuple:
+def triple_sample(s: Semigroup) -> tuple:
     """Deterministic element subsample for triple-quantified window checks."""
     elems = s.elements
-    if len(elems) <= cap:
+    if len(elems) <= TRIPLE_SAMPLE_CAP:
         return tuple(elems)
-    step = -(-len(elems) // cap)
+    step = -(-len(elems) // TRIPLE_SAMPLE_CAP)
     return tuple(elems[::step])
 
 
@@ -193,9 +193,7 @@ def product_set(s: Semigroup, t: Iterable) -> frozenset:
     return s.window_set.intersection(s.compose(x, y) for x in t for y in t)
 
 
-def enumerate_involutive_automorphisms(
-    s: FiniteSemigroup, max_order: int = AUTOMORPHISM_ORDER_BOUND
-) -> list[InvolutiveAutomorphism]:
+def enumerate_involutive_automorphisms(s: FiniteSemigroup) -> list[InvolutiveAutomorphism]:
     """All involutive automorphisms, brute force over permutations.
 
     Canonically ordered (lexicographic by permutation); the identity is
@@ -203,8 +201,8 @@ def enumerate_involutive_automorphisms(
     """
     if not s.is_finite:
         raise TypeError("enumeration requires a finite carrier")
-    if s.order > max_order:
-        raise ValueError(f"order {s.order} exceeds enumeration bound {max_order}")
+    if s.order > AUTOMORPHISM_ORDER_BOUND:
+        raise ValueError(f"order {s.order} exceeds enumeration bound {AUTOMORPHISM_ORDER_BOUND}")
     n = s.order
     found = []
     for perm in itertools.permutations(range(n)):
@@ -225,21 +223,21 @@ def _perm_name(perm: tuple[int, ...]) -> str:
     return "perm:" + ",".join(map(str, perm))
 
 
-def is_central(s: Semigroup, f, tol: float = 1e-9) -> bool:
+def is_central(s: Semigroup, f) -> bool:
     """f(xy) = f(yx) for all window pairs."""
     return all(
-        values_equal(f(s.compose(x, y)), f(s.compose(y, x)), tol) for x, y in pairs(s)
+        values_equal(f(s.compose(x, y)), f(s.compose(y, x)), VERIFY_TOL) for x, y in pairs(s)
     )
 
 
-def is_abelian_fn(s: Semigroup, f, tol: float = 1e-9) -> bool:
+def is_abelian_fn(s: Semigroup, f) -> bool:
     """Central and f(xyz) = f(xzy) for all (sampled) window triples."""
-    if not is_central(s, f, tol):
+    if not is_central(s, f):
         return False
     elems = triple_sample(s)
     for x, y, z in itertools.product(elems, repeat=3):
         a = s.compose(s.compose(x, y), z)
         b = s.compose(s.compose(x, z), y)
-        if not values_equal(f(a), f(b), tol):
+        if not values_equal(f(a), f(b), VERIFY_TOL):
             return False
     return True

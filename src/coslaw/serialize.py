@@ -228,15 +228,18 @@ def pair_to_json(
 
 
 def pair_from_json(data: dict):
-    """-> (fixture, sigma, SolutionPair)."""
+    """-> (fixture, sigma, SolutionPair); malformed data raises ParseError."""
     try:
+        missing = [k for k in ("fixture", "sigma", "alpha", "g", "f") if k not in data]
+        if missing:
+            raise ParseError(f"missing {', '.join(missing)}")
         fx = get_fixture(data["fixture"], window=data.get("window"))
         sigma = fx.sigma(data["sigma"])
-    except (KeyError, ValueError) as e:
-        raise ParseError(f"pair file: {e}") from None
-    alpha = scalar_from_json(data["alpha"])
-    g = function_from_json(fx, data["g"])
-    f = function_from_json(fx, data["f"])
+        alpha = scalar_from_json(data["alpha"])
+        g = function_from_json(fx, data["g"])
+        f = function_from_json(fx, data["f"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"pair file: {e.args[0] if e.args else e}") from None
     return fx, sigma, SolutionPair(g=g, f=f, alpha=alpha)
 
 
@@ -247,5 +250,9 @@ def save_pair(path, pair: SolutionPair, fixture_name: str, sigma_name: str, wind
 
 
 def load_pair(path):
-    with open(path, encoding="utf-8") as fh:
-        return pair_from_json(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as e:  # unreadable file, or not JSON
+        raise ParseError(f"pair file {path}: {e}") from None
+    return pair_from_json(data)

@@ -32,7 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import classify, residual
-from .families import FamilyDescriptor, InvalidDescriptor, construct, function_vanishing_on_products
+from .families import (
+    FamilyDescriptor,
+    InvalidDescriptor,
+    SolutionPair,
+    construct,
+    function_vanishing_on_products,
+)
 from .functions import ScalarFunction, complex_pair, even_characters, nonzero_characters
 from .semigroups import FiniteSemigroup, InvolutiveAutomorphism, product_set
 
@@ -63,8 +69,6 @@ class SolvedEntry:
     rank_deficient: bool
 
     def as_pair(self, s: FiniteSemigroup, alpha):
-        from .families import SolutionPair
-
         return SolutionPair(
             g=ScalarFunction(s, values=list(self.g_values)),
             f=ScalarFunction(s, values=list(self.f_values)),
@@ -251,8 +255,8 @@ def _family_seeds(
     return seeds
 
 
-def _disk(rng: np.random.Generator, size: int, radius: float = START_RADIUS) -> np.ndarray:
-    r = radius * np.sqrt(rng.random(size))
+def _disk(rng: np.random.Generator, size) -> np.ndarray:
+    r = START_RADIUS * np.sqrt(rng.random(size))
     theta = 2 * np.pi * rng.random(size)
     return r * np.exp(1j * theta)
 

@@ -117,6 +117,17 @@ def test_g_properties_sigma_id_trivial():
     assert rep.ok and not rep.counterexamples["sigma_on_triples"]
 
 
+@pytest.mark.parametrize("name, window, params, alpha", [
+    ("real-line", None, {"lam": 1}, 2),
+    ("heisenberg", 1, {"a": 1, "b": 2}, 3),
+])
+def test_g_properties_on_procedural_family8(name, window, params, alpha):
+    fx = get_fixture(name, window=window)
+    s, sig = fx.carrier, fx.sigmas[0]
+    pair = construct(s, sig, FamilyDescriptor(8, alpha, chi=fx.character("exp", **params)))
+    assert check_G_properties(s, sig, alpha, pair.g, pair.f).ok
+
+
 def test_g_properties_flags_non_solution():
     fx = get_fixture("c2")
     s = fx.carrier

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from coslaw.cli import main, parse_complex, UsageError
+from coslaw.fixtures import FIXTURE_NAMES
 
 DATA = Path(__file__).parent / "data"
 
@@ -205,6 +206,9 @@ GOLDEN_PAIRS = {
     "naturals-family7": ["--family", "7", "--fixture", "naturals-from-2", "--chi", "parity",
                          "--additive", "five-adic", "--rho-const", "5/2", "--alpha", "1/2",
                          "--exact"],
+    # I_chi is empty for chi = one, so h is the five-adic rule itself
+    "naturals-one-family7": ["--family", "7", "--fixture", "naturals-from-2", "--chi", "one",
+                             "--additive", "five-adic"],
 }
 
 
@@ -287,3 +291,56 @@ def test_pair_file_bad_fixture_header_is_parse_error(tmp_path, capsys, header):
     path.write_text(json.dumps(pair))
     assert main(["verify", "--pair", str(path)]) == 1
     assert capsys.readouterr().err.startswith("parse error:")
+
+
+_C2_PAIR = {
+    "fixture": "c2", "sigma": "id", "alpha": [0.0, 0.0],
+    "g": [[1.0, 0.0], [1.0, 0.0]], "f": [[0.0, 0.0], [0.0, 0.0]],
+}
+BAD_PAIR_TEXT = {
+    "missing-file": None,
+    "truncated-json": json.dumps(_C2_PAIR)[:40],
+    "short-vector": json.dumps({**_C2_PAIR, "g": [[1.0, 0.0]]}),
+    "nan-literal": json.dumps({**_C2_PAIR, "g": [["nan", "0"], [1.0, 0.0]]}),
+}
+
+
+@pytest.mark.parametrize("case, command", [
+    *((case, command) for case in BAD_PAIR_TEXT for command in ("verify", "classify")),
+    ("zero-character", "nullsets"),
+])
+def test_edge_inputs_give_one_line_without_traceback(tmp_path, capsys, case, command):
+    if command == "nullsets":
+        argv, code, prefix = ["nullsets", "c3", "--chi", "chi0"], 2, "usage error:"
+    else:
+        path = tmp_path / "pair.json"
+        if BAD_PAIR_TEXT[case] is not None:
+            path.write_text(BAD_PAIR_TEXT[case])
+        argv, code, prefix = [command, "--pair", str(path)], 1, "parse error:"
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "c2", "--alpha", "0.5", "--sigma", "bogus"], "fixture c2 has no sigma named 'bogus'"),
+    (["validate", "bogus"], f"unknown fixture 'bogus'; available: {', '.join(FIXTURE_NAMES)}"),
+    (["nullsets", "c3", "--chi", "bogus"], "fixture c3 has no character named 'bogus'"),
+    (["construct", "--family", "6", "--fixture", "c2", "--chi1", "bogus", "--chi2", "chi1"],
+     "fixture c2 has no character named 'bogus'"),
+], ids=["sigma", "fixture", "chi", "chi1"])
+def test_usage_error_message_is_unquoted(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "c2", "--alpha", "1", "--exact"],
+    ["suite", "--window", "3"],
+    ["verify", "--pair", "p.json", "--window", "3"],
+    ["classify", "--pair", "p.json", "--window", "3"],
+    ["characters", "c2", "--exact"],
+], ids=["solve-exact", "suite-window", "verify-window", "classify-window", "characters-exact"])
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -155,7 +155,7 @@ def _nested_pair(name):
         f7 = construct(s, sigma, FamilyDescriptor(
             7, F(1, 2), chi=fx.characters["parity"],
             h_spec=HSpec(additive=fx.additive_rules["five-adic"], rho=F(3, 2),
-                         spec=fx.h_specs["five-adic"](F(3, 2))),
+                         spec=fx.h_specs["parity", "five-adic"](F(3, 2))),
         ), predicates=fx.null_predicates["parity"]).f
         five_adic = fx.rules["five-adic"]({"rule": "five-adic"})
         named = [fx.characters["parity"].fn, fx.characters["one"].fn, five_adic, f7]
