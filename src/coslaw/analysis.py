@@ -64,19 +64,27 @@ class VerificationReport:
 
 
 def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> VerificationReport:
-    """Worst defect of the equation over all (window) pairs."""
-    elems = list(s.elements)
+    """Worst defect of the equation over all (window) pairs.
+
+    The window elements and their sigma-images pass the carrier's domain
+    test once per scan; each pair then takes the bare product.  The term
+    alpha*f(x sigma(y)) comes from `f.scale(alpha)`, whose memo computes
+    alpha * f(p) once per distinct product p (same operands, same order).
+    """
+    elems = s.checked(s.elements)
     gv = {x: g(x) for x in elems}
     fv = {x: f(x) for x in elems}
-    sig = [sigma(y) for y in elems]
+    sig = s.checked(sigma(y) for y in elems)
+    af = f.scale(alpha)
+    product = s.product
     worst, worst_pair = -1.0, None
     count = 0
     exact = True
     for x in elems:
         gx, fx = gv[x], fv[x]
         for j, y in enumerate(elems):
-            xsy = s.compose(x, sig[j])
-            defect = g(xsy) - gx * gv[y] + fx * fv[y] - alpha * f(xsy)
+            xsy = product(x, sig[j])
+            defect = g(xsy) - gx * gv[y] + fx * fv[y] - af(xsy)
             count += 1
             if is_exact(defect):
                 mag = 0.0 if scalar_is_zero(defect) else abs(defect)

@@ -37,7 +37,7 @@ from .semigroups import (
 )
 from .serialize import (
     ParseError,
-    function_from_json,
+    load_function,
     load_pair,
     load_semigroup,
     save_pair,
@@ -80,14 +80,14 @@ def parse_complex(text: str, exact: bool = False):
         re_f, im_f = Fraction(re_txt), Fraction(im_txt)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"malformed complex literal {text!r}") from None
+    try:  # exact values too: specs and residuals convert them to floats
+        z = complex(float(re_f), float(im_f))
+    except OverflowError:
+        raise UsageError(f"complex literal {text!r} is out of range") from None
     if exact:
         if im_f == 0:
             return int(re_f) if re_f.denominator == 1 else re_f
         return Cyc.rational(re_f, im_f)
-    try:
-        z = complex(float(re_f), float(im_f))
-    except OverflowError:
-        raise UsageError(f"complex literal {text!r} is out of range") from None
     return z.real if z.imag == 0 else z
 
 
@@ -244,8 +244,7 @@ def _cmd_construct(args) -> int:
     free = None
     if family in (1, 2, 3):
         if args.free_file:
-            with open(args.free_file, encoding="utf-8") as fh:
-                free = function_from_json(fx, json.load(fh))
+            free = load_function(fx, args.free_file)
         else:
             free = _default_free(fx, family)
     d = FamilyDescriptor(
@@ -259,7 +258,11 @@ def _cmd_construct(args) -> int:
         print(f"construct failed: {e}", file=sys.stderr)
         return 1
     out = _out_path(args.out)
-    save_pair(out, pair, fx.name, sigma.name, window=args.window)
+    try:
+        save_pair(out, pair, fx.name, sigma.name, window=args.window)
+    except ValueError as e:  # a rule-defined function with no spec to write
+        print(f"construct failed: cannot write the pair: {e}", file=sys.stderr)
+        return 1
     print(f"wrote {out}")
     return 0
 
@@ -418,6 +421,9 @@ def main(argv=None) -> int:
         return 1
     except (InvalidDescriptor, ConditionViolation) as e:
         print(f"check failed: {e}", file=sys.stderr)
+        return 1
+    except OverflowError as e:  # a value beyond float range, such as e^1000
+        print(f"arithmetic error: {e}", file=sys.stderr)
         return 1
 
 

@@ -384,14 +384,18 @@ class ExpPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        o = ExpPoly._coerce(other)
-        if o is None:
+        if not isinstance(other, ExpPoly):
+            if isinstance(other, (int, Fraction)):
+                # the terms ExpPoly.const(other) * self gives, without building it
+                out = ExpPoly.__new__(ExpPoly)
+                out.terms = {k: c * other for k, c in self.terms.items()} if other else {}
+                return out
             if isinstance(other, (float, complex)):
                 return complex(self) * other
             return NotImplemented
         t: dict[int, Rat] = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in o.terms.items():
+            for k2, c2 in other.terms.items():
                 k = k1 + k2
                 v = t.get(k, 0) + c1 * c2
                 if v:
@@ -447,7 +451,8 @@ class ExpPoly:
 # generic scalar helpers (duck-typed over complex | Cyc | ExpPoly | rationals)
 # ---------------------------------------------------------------------------
 
-EXACT_TYPES = (int, Fraction, Cyc, ExpPoly)
+# Fraction last: isinstance against it goes through the slower ABC check
+EXACT_TYPES = (ExpPoly, Cyc, int, Fraction)
 
 
 def is_exact(v) -> bool:

@@ -25,7 +25,6 @@ Constructed pairs have residual exactly zero when all inputs are exact.
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
@@ -42,7 +41,7 @@ from .functions import (
     linear_combination,
     null_sets,
 )
-from .semigroups import InvolutiveAutomorphism, Semigroup, pairs
+from .semigroups import InvolutiveAutomorphism, Semigroup
 
 
 class InvalidDescriptor(ValueError):
@@ -210,11 +209,14 @@ def build_h(
 def _sine_law_failure(s: Semigroup, h, chi) -> tuple | None:
     """First window pair (x, y), with both sides, where h(xy) = h(x)chi(y) +
     h(y)chi(x) fails; None when the sine addition law holds on the window."""
-    for x, y in pairs(s):
-        lhs = h(s.compose(x, y))
-        rhs = h(x) * chi(y) + h(y) * chi(x)
-        if not values_equal(lhs, rhs, VERIFY_TOL):
-            return x, y, lhs, rhs
+    elems = s.checked(s.elements)
+    product = s.product
+    for x in elems:
+        for y in elems:
+            lhs = h(product(x, y))
+            rhs = h(x) * chi(y) + h(y) * chi(x)
+            if not values_equal(lhs, rhs, VERIFY_TOL):
+                return x, y, lhs, rhs
     return None
 
 
@@ -243,25 +245,31 @@ def _as_rho(rho) -> Callable:
 
 def _check_condition_i(s, ns, chi, rho_fn, in_p, units):
     window = s.window_set
-    for p in ns.p_chi:
+    product = s.product
+    units = s.checked(units)
+    chi_u = {u: chi(u) for u in units}
+    for p in s.checked(ns.p_chi):
         rp = rho_fn(p)
-        chi_u = {u: chi(u) for u in units}
+        ups = []
         for u in units:
-            up = s.compose(u, p)
+            up = product(u, p)
+            ups.append(up)
             if up in window and in_p(up):
                 if not values_equal(rho_fn(up), rp * chi_u[u], VERIFY_TOL):
                     raise ConditionViolation(f"condition (I) fails at up = {u}*{p}")
-            pv = s.compose(p, u)
+            pv = product(p, u)
             if pv in window and in_p(pv):
                 if not values_equal(rho_fn(pv), rp * chi_u[u], VERIFY_TOL):
                     raise ConditionViolation(f"condition (I) fails at pv = {p}*{u}")
-        for u, v in itertools.product(units, repeat=2):
-            upv = s.compose(s.compose(u, p), v)
-            if upv in window and in_p(upv):
-                if not values_equal(rho_fn(upv), rp * chi_u[u] * chi_u[v], VERIFY_TOL):
-                    raise ConditionViolation(
-                        f"condition (I) fails at upv = {u}*{p}*{v}"
-                    )
+        # each u*p once, as the left factor for every v
+        for u, up in zip(units, s.checked(ups)):
+            for v in units:
+                upv = product(up, v)
+                if upv in window and in_p(upv):
+                    if not values_equal(rho_fn(upv), rp * chi_u[u] * chi_u[v], VERIFY_TOL):
+                        raise ConditionViolation(
+                            f"condition (I) fails at upv = {u}*{p}*{v}"
+                        )
 
 
 def _check_condition_ii(s, ns, h_rule, units):
@@ -317,11 +325,14 @@ def _require_even(chi: MultiplicativeFunction, sigma, what: str):
 
 def _check_vanishing_on_products(s: Semigroup, g: ScalarFunction):
     # test on every pairwise product, including products outside the window
-    for x, y in pairs(s):
-        if not values_equal(g(s.compose(x, y)), 0, VERIFY_TOL):
-            raise InvalidDescriptor(
-                f"function does not vanish on S^2 (violated at {x}*{y})"
-            )
+    elems = s.checked(s.elements)
+    product = s.product
+    for x in elems:
+        for y in elems:
+            if not values_equal(g(product(x, y)), 0, VERIFY_TOL):
+                raise InvalidDescriptor(
+                    f"function does not vanish on S^2 (violated at {x}*{y})"
+                )
 
 
 def _family1(s, sigma, d, free, predicates):

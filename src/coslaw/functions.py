@@ -154,7 +154,10 @@ def _combo_spec(parts) -> dict | None:
     for coef, fn in parts:
         if fn.spec is None:
             return None
-        terms.append({"coef": complex_pair(coef), "fn": fn.spec})
+        try:
+            terms.append({"coef": complex_pair(coef), "fn": fn.spec})
+        except OverflowError:  # an exact coefficient beyond float range
+            return None
     return {"rule": "combo", "terms": terms}
 
 
@@ -428,27 +431,29 @@ def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
     the window are skipped, so membership is certified on the window only.
     """
     ev = chi.fn if isinstance(chi, MultiplicativeFunction) else chi
-    elems = list(s.elements)
+    elems = s.checked(s.elements)
     if all(values_equal(ev(x), 0, VERIFY_TOL) for x in elems):
         raise ValueError("null sets require a non-zero multiplicative function")
     window = s.window_set
+    product = s.product
     i_chi = {x for x in elems if values_equal(ev(x), 0, VERIFY_TOL)}
-    i_sq = {s.compose(a, b) for a in i_chi for b in i_chi} & window
+    i_sq = {product(a, b) for a in i_chi for b in i_chi} & window
     diff = i_chi - i_sq
     units = [u for u in elems if u not in i_chi]
     p_chi = set()
     for p in diff:
         ok = True
         for u in units:
-            up, pu = s.compose(u, p), s.compose(p, u)
+            up, pu = product(u, p), product(p, u)
             for prod in (up, pu):
                 if prod in window and prod not in diff:
                     ok = False
                     break
             if not ok:
                 break
+            s.checked((up,))  # up is a left factor for every v
             for v in units:
-                upv = s.compose(up, v)
+                upv = product(up, v)
                 if upv in window and upv not in diff:
                     ok = False
                     break

@@ -5,6 +5,15 @@ cosmetic.  Rule-defined ("procedural") carriers model infinite structures
 through a finite sample window: axioms and universally quantified
 properties are checked on window elements, while composition and function
 evaluation stay total so products may leave the window.
+
+The domain test (an index in range, or the carrier's ``contains_rule``)
+lives in ``checked``, which raises ``IndexError`` or ``ValueError`` for
+the first element outside the carrier.  ``product`` is the bare product
+(a Cayley lookup or ``compose_rule``) and tests nothing.  ``compose(x, y)``
+is ``checked`` on both arguments followed by ``product``.  Window scans
+call ``checked`` once on each list of arguments they multiply and
+``product`` per pair, so each element is tested once per scan rather than
+once per product.
 """
 
 from __future__ import annotations
@@ -50,11 +59,21 @@ class FiniteSemigroup:
 
     is_finite = True
 
-    def compose(self, x: int, y: int) -> int:
+    def checked(self, xs) -> tuple:
+        """`xs` as a tuple; IndexError if an element is not an index in range."""
+        xs = tuple(xs)
         n = self.order
-        if not (0 <= x < n and 0 <= y < n):
-            raise IndexError(f"element index out of range: {(x, y)}")
+        for x in xs:
+            if not 0 <= x < n:
+                raise IndexError(f"element index out of range: {x!r}")
+        return xs
+
+    def product(self, x: int, y: int) -> int:
+        """xy by table lookup, without the domain test."""
         return self.cayley[x][y]
+
+    def compose(self, x: int, y: int) -> int:
+        return self.product(*self.checked((x, y)))
 
     def label(self, x) -> str:
         return self.labels[x] if self.labels else str(x)
@@ -81,10 +100,22 @@ class ProceduralSemigroup:
 
     is_finite = False
 
+    def checked(self, xs) -> tuple:
+        """`xs` as a tuple; ValueError if an element fails `contains_rule`."""
+        xs = tuple(xs)
+        contains = self.contains_rule
+        for x in xs:
+            if not contains(x):
+                raise ValueError(f"element outside domain of {self.name}: {x!r}")
+        return xs
+
+    @property
+    def product(self) -> Callable:
+        """xy by `compose_rule`, without the domain test: the rule itself."""
+        return self.compose_rule
+
     def compose(self, x, y):
-        if not (self.contains_rule(x) and self.contains_rule(y)):
-            raise ValueError(f"element outside domain of {self.name}: {(x, y)}")
-        return self.compose_rule(x, y)
+        return self.product(*self.checked((x, y)))
 
     def same_element(self, x, y) -> bool:
         return self.eq_rule(x, y) if self.eq_rule else x == y

@@ -61,6 +61,15 @@ class ParseError(ValueError):
         super().__init__(prefix + message)
 
 
+# what malformed JSON content raises while it is decoded: ZeroDivisionError
+# for a "1/0" fraction string, OverflowError for an integer beyond float range
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
+
+
+def _reason(e: Exception) -> str:
+    return e.args[0] if e.args else repr(e)
+
+
 # ---------------------------------------------------------------------------
 # semigroup files
 # ---------------------------------------------------------------------------
@@ -238,21 +247,36 @@ def pair_from_json(data: dict):
         alpha = scalar_from_json(data["alpha"])
         g = function_from_json(fx, data["g"])
         f = function_from_json(fx, data["f"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"pair file: {e.args[0] if e.args else e}") from None
+    except _DECODE_ERRORS as e:
+        raise ParseError(f"pair file: {_reason(e)}") from None
     return fx, sigma, SolutionPair(g=g, f=f, alpha=alpha)
 
 
 def save_pair(path, pair: SolutionPair, fixture_name: str, sigma_name: str, window=None):
+    """Write the pair as JSON; a function without a spec raises ValueError
+    before the file is opened, so no partial file is left behind."""
+    data = pair_to_json(pair, fixture_name, sigma_name, window)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pair_to_json(pair, fixture_name, sigma_name, window), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 
 def load_pair(path):
+    return pair_from_json(_read_json(path, "pair file"))
+
+
+def load_function(fx: Fixture, path) -> ScalarFunction:
+    """A function file (dense list or rule spec) on fixture `fx`."""
+    data = _read_json(path, "function file")
+    try:
+        return function_from_json(fx, data)
+    except _DECODE_ERRORS as e:
+        raise ParseError(f"function file {path}: {_reason(e)}") from None
+
+
+def _read_json(path, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError) as e:  # unreadable file, or not JSON
-        raise ParseError(f"pair file {path}: {e}") from None
-    return pair_from_json(data)
+        raise ParseError(f"{what} {path}: {e}") from None

@@ -2,8 +2,10 @@
 
 import cmath
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +20,11 @@ from coslaw.analysis import (
 )
 from coslaw.families import FamilyDescriptor, construct, function_vanishing_on_products
 from coslaw.fixtures import get_fixture
-from coslaw.functions import ScalarFunction
+from coslaw.functions import ScalarFunction, null_sets
+from coslaw.semigroups import FiniteSemigroup, InvolutiveAutomorphism, ProceduralSemigroup
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +95,105 @@ def test_residual_nan_defect_fails(g_values):
     assert not math.isfinite(rep.max_residual)
     assert rep.worst_pair in set(itertools.product(s.elements, repeat=2))
     assert not rep.ok()
+
+
+# Residual cases whose full reports are pinned in tests/data/residual-reports.json.
+# Each builder returns the arguments of `residual`.
+
+
+def _heisenberg_family8(perturb: bool):
+    h = get_fixture("heisenberg", window=2)
+    flip = h.sigma("flip")
+    pair = construct(h.carrier, flip, FamilyDescriptor(8, 3, chi=h.character("exp", a=1, b=-2)))
+    f = pair.f
+    if perturb:  # an exact bump at one point makes it a non-solution
+        f = f + function_vanishing_on_products(h.carrier, {(1, 0, -1): F(1, 3)})
+    return h.carrier, flip, 3, pair.g, f
+
+
+def _real_line_family8():
+    rl = get_fixture("real-line", window=16)
+    neg = rl.sigma("neg")
+    d = FamilyDescriptor(8, 2 + 0.5j, chi=rl.character("exp", lam=1.25))
+    pair = construct(rl.carrier, neg, d)
+    return rl.carrier, neg, d.alpha, pair.g, pair.f
+
+
+def _c3_float_family8():
+    c3 = get_fixture("c3")
+    inv = c3.sigma("inv")
+    d = FamilyDescriptor(8, 0.3 + 0.7j, chi=c3.characters["chi2"])
+    pair = construct(c3.carrier, inv, d)
+    return c3.carrier, inv, d.alpha, pair.g, pair.f
+
+
+def _c3_nan():
+    c3 = get_fixture("c3")
+    g = ScalarFunction(c3.carrier, values=[1.0, float("nan"), 0.5])
+    f = ScalarFunction(c3.carrier, values=[0.25, 0.5, 0.75])
+    return c3.carrier, c3.sigma("inv"), 1.5, g, f
+
+
+RESIDUAL_CASES = {
+    "heisenberg-family8-exact": lambda: _heisenberg_family8(False),
+    "heisenberg-family8-perturbed": lambda: _heisenberg_family8(True),
+    "real-line-family8-float": _real_line_family8,
+    "c3-family8-float": _c3_float_family8,
+    "c3-nan": _c3_nan,
+}
+
+
+def residual_record(rep) -> dict:
+    """A report as JSON, bit for bit: the float as hex, the pair as repr."""
+    return {
+        "max_residual": float.hex(rep.max_residual),
+        "worst_pair": repr(rep.worst_pair),
+        "pair_count": rep.pair_count,
+        "mode": rep.mode,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+def test_residual_report_matches_recorded(case):
+    recorded = json.loads((DATA / "residual-reports.json").read_text())[case]
+    assert residual_record(residual(*RESIDUAL_CASES[case]())) == recorded
+
+
+def test_residual_takes_an_exact_alpha_beyond_float_range():
+    # alpha*f comes from f.scale(alpha), whose spec cannot hold 10**400 as a float
+    h = get_fixture("heisenberg", window=1)
+    z = ScalarFunction(h.carrier, rule=lambda t: 0, spec={"rule": "const", "value": [0.0, 0.0]})
+    rep = residual(h.carrier, h.sigma("flip"), 10**400, z, z)
+    assert (rep.max_residual, rep.mode) == (0.0, "exact")
+
+
+def _naturals_like(window):
+    return ProceduralSemigroup(
+        name="naturals", window=window, compose_rule=lambda x, y: x * y,
+        contains_rule=lambda x: isinstance(x, int) and x >= 2,
+    )
+
+
+def test_residual_domain_error_when_sigma_leaves_the_carrier():
+    s = _naturals_like(tuple(range(2, 9)))
+    down = InvolutiveAutomorphism("down", rule=lambda x: x - 1)  # maps 2 to 1
+    one = ScalarFunction(s, rule=lambda x: 1)
+    with pytest.raises(ValueError, match="domain"):
+        residual(s, down, 0, one, one)
+    c2 = FiniteSemigroup(cayley=((0, 1), (1, 0)))
+    bad = InvolutiveAutomorphism("bad", perm=(0, 5))
+    z = ScalarFunction(c2, values=[0, 0])
+    with pytest.raises(IndexError):
+        residual(c2, bad, 0, z, z)
+
+
+def test_null_sets_domain_error_on_an_element_outside_the_carrier():
+    # null_sets reads no sigma; the bad element is in the window itself
+    s = _naturals_like(tuple(range(1, 13)))
+    parity = ScalarFunction(s, rule=lambda x: x % 2)
+    ident = InvolutiveAutomorphism("id", rule=lambda x: x)
+    with pytest.raises(ValueError, match="domain"):
+        null_sets(s, ident, parity)
 
 
 # ---------------------------------------------------------------------------

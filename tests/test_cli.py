@@ -1,13 +1,15 @@
 """Command-line interface: flows, exit codes, literal parsing."""
 
+import cmath
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coslaw.cli import main, parse_complex, UsageError
-from coslaw.fixtures import FIXTURE_NAMES
+from coslaw.fixtures import FIXTURE_NAMES, get_fixture
 
 DATA = Path(__file__).parent / "data"
 
@@ -344,3 +346,164 @@ def test_usage_error_message_is_unquoted(capsys, argv, message):
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing", "truncated", "short-vector", "bad-fraction", "unknown-rule"])
+def test_free_file_errors_are_parse_errors(tmp_path, capsys, case):
+    path = tmp_path / "free.json"
+    fixture = "c2"
+    if case == "truncated":
+        path.write_text("[[1, 0],")
+    elif case == "short-vector":
+        path.write_text("[[1, 0]]")
+    elif case == "bad-fraction":
+        path.write_text('[["1/0", "0"], [1, 0]]')
+    elif case == "unknown-rule":
+        path.write_text('{"rule": "bogus"}')
+        fixture = "real-line"
+    out = tmp_path / "pair.json"
+    argv = ["construct", "--family", "1", "--fixture", fixture, "--alpha", "1",
+            "--free-file", str(path), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: function file") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--fixture", "real-line", "--sigma", "id", "--lambda", "1", "--additive", "linear",
+     "--window", "8"],
+    ["--fixture", "heisenberg", "--sigma", "id", "--additive", "coords", "--window", "1"],
+], ids=["real-line", "heisenberg"])
+def test_construct_without_a_serializable_h_fails_before_writing(tmp_path, capsys, argv):
+    out = tmp_path / "pair.json"
+    assert main(["construct", "--family", "7", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("construct failed:") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input ends in exit 0, 1 or 2 and one line, never a traceback
+# ---------------------------------------------------------------------------
+
+_LITERALS = st.one_of(
+    st.text(max_size=12),
+    st.from_regex(
+        r"[+-]?\d{0,3}(\.\d{0,3})?([eE][+-]?\d{1,3})?(/\d{1,2})?([+-]\d{0,3}(\.\d)?(/\d)?)?i?",
+        fullmatch=True,
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_LITERALS, st.booleans())
+def test_parse_complex_fuzz(text, exact):
+    try:
+        v = parse_complex(text, exact=exact)
+    except UsageError:
+        return
+    assert cmath.isfinite(complex(v))  # whatever parses is a finite number
+
+
+# rule specs hold float pairs; dense values may also be fraction strings
+_FLOAT_SCALARS = st.one_of(
+    st.lists(st.sampled_from([0.0, 0.5, -1.0, 2.0, 1e300, -1000.0, 1000.0, math.nan, math.inf]),
+             min_size=2, max_size=2),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=2, max_size=2),
+)
+_GOOD_SCALARS = st.one_of(
+    _FLOAT_SCALARS,
+    st.lists(st.sampled_from(["1/2", "-3", "0", "2/3"]), min_size=2, max_size=2),
+)
+_BAD_SCALARS = st.one_of(
+    st.lists(st.sampled_from(["1/0", "nan", "x", 10**400]), min_size=2, max_size=2),
+    st.sampled_from([[1.0], 1, "x", None, [1, 2, 3], {}]),
+)
+
+
+def _functions(fixture: str, sigmas: list, scalars):
+    """Function specs for `fixture`: dense lists on finite carriers, and rule
+    specs, nested through combo and star, on rule-defined ones."""
+    if fixture == "real-line":
+        named = st.builds(lambda v: {"rule": "exp", "lambda": v}, scalars)
+        points = st.sampled_from([0.0, -math.pi])
+    elif fixture == "heisenberg":
+        named = st.builds(lambda a, b: {"rule": "exp", "a": a, "b": b}, scalars, scalars)
+        points = st.lists(st.integers(-1, 1), min_size=3, max_size=3)
+    elif fixture == "naturals-from-2":
+        named = st.one_of(
+            st.sampled_from([{"rule": r} for r in ("parity", "one", "five-adic")]),
+            st.builds(lambda v: {"rule": "h-piecewise", "c": v}, scalars),
+        )
+        points = st.integers(2, 6)
+    else:
+        order = get_fixture(fixture).carrier.order
+        named = points = None
+    if named is None:
+        leaf = st.lists(scalars, min_size=order, max_size=order)
+    else:
+        const = st.builds(lambda v: {"rule": "const", "value": v}, scalars)
+        support = st.builds(lambda v: {"rule": "support", "points": v},
+                            st.lists(st.tuples(points, scalars).map(list), max_size=3))
+        leaf = st.one_of(const, support, named, named)  # named rules drawn twice as often
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.builds(lambda ts: {"rule": "combo", "terms": ts},
+                      st.lists(st.builds(lambda c, f: {"coef": c, "fn": f}, scalars, inner),
+                               min_size=1, max_size=2)),
+            st.builds(lambda s, f: {"rule": "star", "sigma": s, "fn": f},
+                      st.sampled_from(sigmas), inner),
+        ),
+        max_leaves=3,
+    )
+
+
+@st.composite
+def _pair_files(draw):
+    """Mostly well-formed pair files, so that most reach the residual scan and
+    the classifier; one in four is corrupted in one place."""
+    fixture = draw(st.sampled_from(FIXTURE_NAMES))
+    sigmas = [s.name for s in get_fixture(fixture).sigmas]
+    finite = get_fixture(fixture).carrier.is_finite
+    functions = _functions(fixture, sigmas, _GOOD_SCALARS if finite else _FLOAT_SCALARS)
+    pair = {
+        "fixture": fixture,
+        "sigma": draw(st.sampled_from(sigmas)),
+        "alpha": draw(_GOOD_SCALARS),
+        "g": draw(functions),
+        "f": draw(functions),
+    }
+    # small windows keep each scan short (the default heisenberg window is 117,649 pairs)
+    if fixture == "heisenberg":
+        pair["window"] = draw(st.sampled_from([1, 2]))
+    if draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from(["fixture", "sigma", "alpha", "g", "f", "window"]))
+        junk = {
+            "fixture": st.sampled_from(["bogus", 3, None]),
+            "sigma": st.sampled_from(["bogus", 3, None]),
+            "alpha": _BAD_SCALARS,
+            "g": st.one_of(_functions(fixture, [*sigmas, "bogus"], _BAD_SCALARS),
+                           st.sampled_from([None, 3, "f", {}, {"rule": "bogus"},
+                                            {"rule": "combo", "terms": []}, [[1.0, 0.0]]])),
+            "window": st.sampled_from([-1, 0, 1, 2.5, "2", None]),
+        }
+        junk["f"] = junk["g"]
+        if draw(st.booleans()):
+            pair.pop(key, None)
+        else:
+            pair[key] = draw(junk[key])
+    return pair
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(_pair_files(), st.sampled_from(["verify", "classify"]))
+def test_pair_file_fuzz_keeps_the_exit_contract(tmp_path, capsys, pair, command):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    rc = main([command, "--pair", str(path)])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err and len(err.strip().splitlines()) <= 1

@@ -100,6 +100,25 @@ def test_exppoly_ring():
     assert abs(float(e3) - cmath.exp(3).real) < 1e-9
 
 
+_rationals = st.one_of(
+    st.integers(-40, 40), st.fractions(max_denominator=12), st.sampled_from([0, F(0)])
+)
+
+
+@given(st.dictionaries(st.integers(-5, 5), _rationals, max_size=4).map(ExpPoly), _rationals)
+def test_exppoly_scalar_multiply_matches_const_product(p, c):
+    # multiplying by an int or Fraction must give what ExpPoly.const(c) * p gives:
+    # the same keys in the same order, coefficients of the same value and type
+    want = list((ExpPoly.const(c) * p).terms.items())
+    for got in (p * c, c * p):
+        assert isinstance(got, ExpPoly)
+        assert [(k, v, type(v)) for k, v in got.terms.items()] == [
+            (k, v, type(v)) for k, v in want
+        ]
+    if c == 0:
+        assert (p * c).is_zero()
+
+
 def test_values_equal_exact_vs_float():
     assert values_equal(F(1, 2) + F(1, 2), 1)
     assert values_equal(0.1 + 0.2, 0.3, 1e-12)

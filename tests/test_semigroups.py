@@ -56,6 +56,18 @@ def test_compose_error_reporting():
         nat.carrier.compose(1, 3)  # 1 is outside N \ {1}
 
 
+def test_checked_tests_each_element_and_product_tests_none():
+    nat = get_fixture("naturals-from-2", window=20).carrier
+    assert nat.checked(iter([2, 3])) == (2, 3)
+    with pytest.raises(ValueError, match="domain"):
+        nat.checked((2, 1))
+    assert nat.product(1, 3) == 3  # the bare rule: no domain test
+    assert BOOL_MULT.checked(range(2)) == (0, 1)
+    with pytest.raises(IndexError):
+        BOOL_MULT.checked([0, 5])
+    for x, y in itertools.product(range(2), repeat=2):
+        assert BOOL_MULT.product(x, y) == BOOL_MULT.compose(x, y)
+
 def test_compose_heisenberg_matches_matrix_oracle():
     # oracle: multiply the 3x3 upper unitriangular integer matrices directly
     def mat(t):
