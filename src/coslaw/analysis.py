@@ -20,7 +20,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import VERIFY_TOL, is_exact, scalar_is_zero, values_equal
+from .exactnum import (
+    LAURENT_TYPES,
+    VERIFY_TOL,
+    is_exact,
+    pack_scan,
+    scalar_is_zero,
+    values_equal,
+)
 from .families import (
     ConditionViolation,
     FamilyDescriptor,
@@ -70,6 +77,16 @@ def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> Verifi
     test once per scan; each pair then takes the bare product.  The term
     alpha*f(x sigma(y)) comes from `f.scale(alpha)`, whose memo computes
     alpha * f(p) once per distinct product p (same operands, same order).
+
+    When alpha and every window value of g and f are ints, Fractions or
+    `ExpPoly`s, the scan first runs a packed zero test
+    (`_packed_defects_vanish`): each value becomes one Python int
+    (`exactnum.pack_scan`) and each pair's defect is one big-int
+    expression.  If every packed defect is 0 the report is the one the
+    exact scan below would give.  Otherwise (a non-zero defect, or a value
+    that does not pack: float, complex, `Cyc`) the exact scan below runs
+    from the start, so `max_residual`, `worst_pair` and the NaN rule are
+    the same bit for bit.
     """
     elems = s.checked(s.elements)
     gv = {x: g(x) for x in elems}
@@ -77,6 +94,14 @@ def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> Verifi
     sig = s.checked(sigma(y) for y in elems)
     af = f.scale(alpha)
     product = s.product
+    if _packed_defects_vanish(elems, sig, product, alpha, gv, fv, g, af):
+        n = len(elems)
+        return VerificationReport(
+            max_residual=0.0,
+            worst_pair=(elems[0], elems[0]) if n else None,
+            pair_count=n * n,
+            mode="exact",
+        )
     worst, worst_pair = -1.0, None
     count = 0
     exact = True
@@ -100,6 +125,45 @@ def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> Verifi
         pair_count=count,
         mode="exact" if exact else "float",
     )
+
+
+def _packed_defects_vanish(elems, sig, product, alpha, gv, fv, g, af) -> bool:
+    """True when every window defect of `residual` is exactly zero by the
+    packed-integer test; False when one is not, or the values do not pack.
+
+    Alpha and the window values are type-checked before any product is
+    evaluated.  The distinct products are collected in first-seen pair
+    order, with g(p) and then alpha*f(p) evaluated on first sight, as the
+    exact scan would evaluate them; the pairs are then streamed again
+    rather than stored.
+    """
+    if not isinstance(alpha, LAURENT_TYPES):
+        return False
+    window = [gv[x] for x in elems] + [fv[x] for x in elems]
+    if not all(isinstance(v, LAURENT_TYPES) for v in window):
+        return False
+    lin = {}  # each distinct product once; later its packed g(p) - alpha*f(p)
+    linear = []
+    for x in elems:
+        for sy in sig:
+            p = product(x, sy)
+            if p not in lin:
+                lin[p] = None
+                linear.append(g(p))
+                linear.append(af(p))
+    packed = pack_scan(window, linear)
+    if packed is None:
+        return False
+    pw, pl = packed
+    for p in lin:
+        lin[p] = next(pl) - next(pl)
+    n = len(elems)
+    pg, pf = pw[:n], pw[n:]
+    for x, gx, fx in zip(elems, pg, pf):
+        for sy, gy, fy in zip(sig, pg, pf):
+            if lin[product(x, sy)] != gx * gy - fx * fy:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

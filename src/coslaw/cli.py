@@ -53,6 +53,29 @@ class UsageError(ValueError):
 _NUM = re.compile(r"[+-]?(?:\d+/\d+|\d*\.\d+|\d+\.?|\.\d+)(?:[eE][+-]?\d+)?$")
 
 
+_DECIMAL_EXP = re.compile(r"[+-]?(\d*)\.?(\d*)[eE]([+-]?\d+)$")
+
+
+def _beyond_float_range(txt: str) -> bool:
+    """True when the decimal literal `txt` is at least 1e309 in magnitude.
+
+    Read from its digits and exponent alone: `Fraction` would first build
+    10**exponent, which takes seconds to minutes for exponents in the millions.
+    """
+    m = _DECIMAL_EXP.match(txt)
+    if m is None:
+        return False
+    whole, frac, exp = m.groups()
+    digits = (whole + frac).lstrip("0")
+    try:  # an exponent too long for int() stays malformed, as Fraction finds it
+        exp10 = int(exp)
+    except ValueError:
+        return False
+    # the literal is int(whole + frac) * 10**(exp - len(frac)); its leading
+    # digit sits at 10**(len(digits) - 1 + exp - len(frac))
+    return bool(digits) and len(digits) - 1 + exp10 - len(frac) >= 309
+
+
 def parse_complex(text: str, exact: bool = False):
     """a | bi | a+bi | a-bi with decimal (or fractional) reals."""
     t = text.strip().replace(" ", "")
@@ -76,6 +99,8 @@ def parse_complex(text: str, exact: bool = False):
         re_txt, im_txt = t, "0"
     if not (_NUM.match(re_txt) and _NUM.match(im_txt)):
         raise UsageError(f"malformed complex literal {text!r}")
+    if _beyond_float_range(re_txt) or _beyond_float_range(im_txt):
+        raise UsageError(f"complex literal {text!r} is out of range")
     try:
         re_f, im_f = Fraction(re_txt), Fraction(im_txt)
     except (ValueError, ZeroDivisionError):
@@ -113,7 +138,8 @@ def _sigma(fx: Fixture, name: str | None):
 
 
 def _resolve_character(fx: Fixture, args):
-    if args.chi:
+    # the parametrized `exp` takes --lambda / --a --b, not a bare name
+    if args.chi and not (args.chi == "exp" and fx.exp is not None):
         try:
             return fx.character(args.chi)
         except KeyError as e:

@@ -15,6 +15,13 @@ Two exact number types supplement Python's float ``complex``:
 
 Everything degrades gracefully: mixing an exact value with a float
 ``complex`` produces a float ``complex``.
+
+``pack_scan`` is the fast path of exact residual scans: it maps every
+int, Fraction and ExpPoly value of one scan to a single Python int
+(Kronecker substitution: scale by the common denominator, shift to
+non-negative exponents, evaluate at B = 2**bits).  B is the least power of
+two above a bound on every coefficient of a scaled defect, so a defect is
+zero exactly when its packed int is.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Iterator, Union
 
 Rat = Union[int, Fraction]
 
@@ -475,6 +482,79 @@ def scalar_is_zero(v) -> bool:
 # the one tolerance for "the equation holds" and its derived identities on
 # float values; exact values compare exactly
 VERIFY_TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Kronecker packing: a residual scan's Laurent values as single ints
+# ---------------------------------------------------------------------------
+
+# the values `pack_scan` takes: Laurent polynomials in e, constants included
+LAURENT_TYPES = (ExpPoly, int, Fraction)
+
+# packing is dense in the exponent (e**(10**6) would be a megabit-wide int);
+# a scan whose packed defects would be wider than this is not packed
+_PACK_MAX_BITS = 1 << 14
+
+
+def pack_scan(window, linear) -> "tuple[list[int], Iterator[int]] | None":
+    """The values of one residual scan, each packed into one Python int.
+
+    The scan tests defects  l1 - l2 - a*b + c*d  with a, b, c, d from
+    `window` and l1, l2 from `linear`.  Each value is a Laurent polynomial
+    v = sum c_k e**k with rational c_k (an int or Fraction is one of degree
+    0).  With D the lcm of all denominators, s the shift that makes every
+    exponent non-negative and B = 2**bits, a window value packs to
+    D * B**s * v(B) and a linear value to D**2 * B**(2s) * v(B).  Evaluation
+    at B is a ring homomorphism, so a defect packs to D**2 * B**(2s) times
+    its value at B: an integer polynomial in B whose coefficients are at most
+
+        C = 2 * (max |D*a|_1 ** 2 + max |D**2 * l|_1)
+
+    in magnitude (|.|_1 is the sum of the absolute coefficients).  B is the
+    least power of two above C, and then the packed defect is 0 exactly when
+    the Laurent defect is: a non-zero digit d_t at B**t outweighs all the
+    lower ones, whose sum is at most (B - 1) * (1 + B + ... + B**(t-1)),
+    which is B**t - 1.  (B > 2C would make the digits recoverable too; the
+    zero test needs only B > C.)
+
+    Returns the packed window values as a list and the packed linear values
+    as an iterator, both in input order (a caller can fold the linear ones
+    as they come, without holding them all), or None when a value is not
+    in LAURENT_TYPES or a packed defect would be wider than _PACK_MAX_BITS.
+    """
+    terms = []
+    for v in (*window, *linear):
+        if isinstance(v, ExpPoly):
+            terms.append(v.terms)
+        elif isinstance(v, (int, Fraction)):
+            terms.append({0: v} if v else {})
+        else:
+            return None
+    s = max(0, -min((k for t in terms for k in t), default=0))
+    hi = max(0, max((k for t in terms for k in t), default=0))
+    d = math.lcm(*(c.denominator for t in terms for c in t.values()))
+    nw = len(window)
+    # window values: D*c at exponent k+s; linear values: D**2*c at exponent k+2s
+    window_side = (d, s, range(nw))
+    linear_side = (d * d, 2 * s, range(nw, len(terms)))
+
+    def norm(m, _, idx):
+        return max(
+            (sum(abs(c.numerator) * (m // c.denominator) for c in terms[i].values()) for i in idx),
+            default=0,
+        )
+
+    def packed(m, shift, idx):
+        for i in idx:
+            yield sum(
+                c.numerator * (m // c.denominator) << bits * (k + shift)
+                for k, c in terms[i].items()
+            )
+
+    bits = (2 * (norm(*window_side) ** 2 + norm(*linear_side))).bit_length()
+    if bits * (2 * (hi + s) + 1) > _PACK_MAX_BITS:
+        return None
+    return list(packed(*window_side)), packed(*linear_side)
 
 
 def values_equal(a, b, tol: float = 0.0) -> bool:

@@ -192,9 +192,12 @@ def build_h(
             raise ConditionViolation(f"rho is not sigma-symmetric at {p}")
 
     _check_condition_i(s, ns, chi, rho_fn, in_p, units)
-    _check_condition_ii(s, ns, h_rule, units)
+    # memoised, as the checks below and the procedural result evaluate it
+    # at the same points again
+    h = ScalarFunction(s, rule=h_rule)
+    _check_condition_ii(s, ns, h, units)
 
-    bad = _sine_law_failure(s, h_rule, chi)
+    bad = _sine_law_failure(s, h, chi)
     if bad is not None:
         x, y, lhs, rhs = bad
         raise ConditionViolation(
@@ -202,8 +205,8 @@ def build_h(
         )
 
     if s.is_finite:
-        return ScalarFunction(s, values=[h_rule(x) for x in elems])
-    return ScalarFunction(s, rule=h_rule)
+        return ScalarFunction(s, values=[h(x) for x in elems])
+    return h
 
 
 def _sine_law_failure(s: Semigroup, h, chi) -> tuple | None:
@@ -272,11 +275,11 @@ def _check_condition_i(s, ns, chi, rho_fn, in_p, units):
                         )
 
 
-def _check_condition_ii(s, ns, h_rule, units):
+def _check_condition_ii(s, ns, h, units):
     for x in ns.i_chi - ns.p_chi:
         for y in units:
             for prod in (s.compose(x, y), s.compose(y, x)):
-                if not values_equal(h_rule(prod), 0, VERIFY_TOL):
+                if not values_equal(h(prod), 0, VERIFY_TOL):
                     raise ConditionViolation(
                         f"condition (II) fails: h({x}*{y} side) != 0"
                     )

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from coslaw import analysis
 from coslaw.analysis import (
     NotASolution,
+    VerificationReport,
     check_G_properties,
     check_dependence_lemma,
     check_parity_lemma,
@@ -18,6 +20,7 @@ from coslaw.analysis import (
     classify,
     residual,
 )
+from coslaw.exactnum import ExpPoly
 from coslaw.families import FamilyDescriptor, construct, function_vanishing_on_products
 from coslaw.fixtures import get_fixture
 from coslaw.functions import ScalarFunction, null_sets
@@ -165,6 +168,61 @@ def test_residual_takes_an_exact_alpha_beyond_float_range():
     z = ScalarFunction(h.carrier, rule=lambda t: 0, spec={"rule": "const", "value": [0.0, 0.0]})
     rep = residual(h.carrier, h.sigma("flip"), 10**400, z, z)
     assert (rep.max_residual, rep.mode) == (0.0, "exact")
+
+
+def _exp_pair_on_sums(window, bump=None):
+    """g = 2*e**x, f = e**x/2 on (N, +) with sigma = id and alpha = -7/2:
+    2 = 2**2 - (1/2)**2 + alpha/2, so the pair solves the equation.  At 0
+    the values are the int 2 and the Fraction 1/2; elsewhere `ExpPoly`s.
+    `bump` adds 1/3 to f at that window point."""
+    s = ProceduralSemigroup(
+        name="sums", window=window, compose_rule=lambda x, y: x + y,
+        contains_rule=lambda x: isinstance(x, int) and x >= 0,
+    )
+
+    def g_rule(x):
+        return 2 if x == 0 else ExpPoly({x: 2})
+
+    def f_rule(x):
+        v = F(1, 2) if x == 0 else ExpPoly({x: F(1, 2)})
+        return v + F(1, 3) if x == bump else v
+
+    sid = InvolutiveAutomorphism("id", rule=lambda x: x)
+    return s, sid, F(-7, 2), ScalarFunction(s, rule=g_rule), ScalarFunction(s, rule=f_rule)
+
+
+def test_residual_of_a_scan_mixing_int_fraction_and_exppoly_values():
+    s, sid, alpha, g, f = _exp_pair_on_sums((0, 1, 2, 3))
+    assert residual(s, sid, alpha, g, f) == VerificationReport(0.0, (0, 0), 16, "exact")
+    # a bump at 2 breaks every pair that touches it; the worst defect, first
+    # in pair order, is the one the oracle finds
+    s, sid, alpha, g, f = _exp_pair_on_sums((0, 1, 2, 3), bump=2)
+    defects = {
+        (x, y): g(x + y) - g(x) * g(y) + f(x) * f(y) - alpha * f(x + y)
+        for x in s.elements for y in s.elements
+    }
+    worst = max(abs(d) for d in defects.values())
+    first = next(p for p, d in defects.items() if abs(d) == worst)
+    assert worst > 0
+    assert residual(s, sid, alpha, g, f) == VerificationReport(worst, first, 16, "exact")
+
+
+def test_residual_of_an_empty_window_is_an_exact_zero():
+    s, sid, alpha, g, f = _exp_pair_on_sums(())
+    assert residual(s, sid, alpha, g, f) == VerificationReport(0.0, None, 0, "exact")
+
+
+def test_residual_does_not_pack_float_values(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("float values were packed")
+
+    monkeypatch.setattr(analysis, "pack_scan", refuse)
+    rep = residual(*_c3_float_family8())
+    assert rep.mode == "float" and rep.ok()
+    # an exact alpha with float window values bails out before any product
+    c3 = get_fixture("c3")
+    g = ScalarFunction(c3.carrier, values=[1.0, 1.0, 1.0])
+    assert residual(c3.carrier, c3.sigma("inv"), F(1, 2), g, g.scale(0)).mode == "float"
 
 
 def _naturals_like(window):

@@ -3,6 +3,8 @@
 import cmath
 import json
 import math
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,7 +36,8 @@ def test_parse_complex_exact():
 
 
 def test_parse_complex_rejects_garbage():
-    for bad in ("", "2+", "ii", "1+2j", "abc"):
+    # the last one: an exponent longer than int() parses is malformed
+    for bad in ("", "2+", "ii", "1+2j", "abc", "1e" + "9" * 5000):
         with pytest.raises(UsageError):
             parse_complex(bad)
 
@@ -267,6 +270,50 @@ def test_overflowing_literal_is_usage_error():
         parse_complex("1e400")
     with pytest.raises(UsageError, match="out of range"):
         parse_complex("1-1e400i")
+
+
+@pytest.mark.parametrize("literal, real", [
+    ("1e308", 10**308),
+    ("1.5e308", 15 * 10**307),
+    ("0.001e311", 10**308),
+    ("1e-400", Fraction(1, 10**400)),
+    ("1e309", None),
+    ("1.8e308", None),
+])
+def test_literals_at_the_float_range_edge(literal, real):
+    if real is None:
+        for exact in (False, True):
+            with pytest.raises(UsageError, match="out of range"):
+                parse_complex(literal, exact=exact)
+        return
+    assert parse_complex(literal) == float(real)
+    assert parse_complex(literal, exact=True) == real
+
+
+def test_huge_exponent_is_rejected_before_it_is_expanded(capsys):
+    start = time.perf_counter()
+    assert main(["solve", "c2", "--alpha", "1e100000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == "usage error: complex literal '1e100000000' is out of range\n"
+
+
+def test_chi_exp_takes_the_exp_parameters(tmp_path, capsys, monkeypatch):
+    # `--chi exp` names the parametrized character: it reads --a/--b (and
+    # --lambda) with their defaults, as leaving --chi out does
+    monkeypatch.setenv("COSLAW_OUTDIR", str(tmp_path))
+    argv = ["construct", "--family", "8", "--fixture", "heisenberg", "--sigma", "flip",
+            "--alpha", "3"]
+    assert main([*argv, "--chi", "exp", "--out", "x.json"]) == 0
+    assert main([*argv, "--out", "default.json"]) == 0
+    assert (tmp_path / "x.json").read_bytes() == (tmp_path / "default.json").read_bytes()
+    capsys.readouterr()
+    # exp(x) on the real line is not sigma-even: a check failure, not a traceback
+    assert main(["construct", "--family", "4", "--fixture", "real-line", "--chi", "exp",
+                 "--alpha", "1", "--q", "0", "--out", "y.json"]) == 1
+    assert capsys.readouterr().err == (
+        "construct failed: family 4 requires a sigma-even multiplicative function\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,14 @@ import cmath
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coslaw.exactnum import (
     Cyc,
     ExpPoly,
     cyclotomic_poly,
     exact_sqrt,
+    pack_scan,
     values_equal,
 )
 
@@ -123,3 +124,72 @@ def test_values_equal_exact_vs_float():
     assert values_equal(F(1, 2) + F(1, 2), 1)
     assert values_equal(0.1 + 0.2, 0.3, 1e-12)
     assert not values_equal(F(1, 3), F(1, 4))
+
+
+# ---------------------------------------------------------------------------
+# Kronecker packing of a residual scan
+# ---------------------------------------------------------------------------
+
+
+def packed_defect(l1, l2, a, b, c, d, extra_window=(), extra_linear=()):
+    """l1 - l2 - a*b + c*d evaluated on the packed ints of one scan."""
+    pw, pl = pack_scan([a, b, c, d, *extra_window], [l1, l2, *extra_linear])
+    return next(pl) - next(pl) - pw[0] * pw[1] + pw[2] * pw[3]
+
+
+_coefficients = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=60),
+).filter(bool)
+_laurent = st.one_of(
+    st.dictionaries(st.integers(-6, 6), _coefficients, max_size=4).map(ExpPoly),
+    _coefficients,
+    st.sampled_from([0, F(0), ExpPoly()]),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.lists(_laurent, min_size=5, max_size=5),
+    st.lists(_laurent, max_size=3),
+    st.lists(_laurent, max_size=3),
+    st.integers(-6, 6),
+    _coefficients,
+)
+def test_packed_defect_is_zero_exactly_when_the_laurent_defect_is(vals, xw, xl, k, bump):
+    a, b, c, d, q = vals
+    # l1 - q - a*b + c*d == 0 by construction ...
+    l1 = a * b - c * d + q
+    assert packed_defect(l1, q, a, b, c, d, xw, xl) == 0
+    # ... and one coefficient bumped makes it non-zero
+    assert packed_defect(l1 + ExpPoly({k: bump}), q, a, b, c, d, xw, xl) != 0
+    assert packed_defect(l1, q + ExpPoly({k: bump}), a, b, c, d, xw, xl) != 0
+
+
+def test_packed_defect_does_not_carry_into_the_next_digit():
+    # the defect 1024 - e would vanish at B = 1024; this scan's bound is
+    # 2 * (0**2 + |l2|_1) = 1026, so B = 2048 and the defect packs to 1024 - 2048
+    l1, l2 = 512, ExpPoly({0: -512, 1: 1})
+    assert l1 - l2 == ExpPoly({0: 1024, 1: -1})
+    assert packed_defect(l1, l2, 0, 0, 0, 0) == 1024 - 2048
+
+
+def test_pack_scan_mixes_rational_and_laurent_values():
+    half = F(1, 2)
+    pw, pl = pack_scan([3, half, ExpPoly({-1: half, 2: 1})], [F(1, 4), ExpPoly.exp(-2)])
+    pl = list(pl)
+    # D = 4 and s = 2: window values are 4 * B**2 * v(B), linear ones
+    # 16 * B**4 * v(B); bound = 2 * (12**2 + 16) = 320, so B = 2**9
+    B = 512
+    assert pw == [12 * B**2, 2 * B**2, 2 * B + 4 * B**4]
+    assert pl == [4 * B**4, 16 * B**2]
+
+
+def test_pack_scan_of_an_empty_scan_and_of_values_it_cannot_pack():
+    pw, pl = pack_scan([], [])
+    assert pw == [] and list(pl) == []
+    for bad in (0.5, 1j, Cyc.rational(1, 1), float("nan")):
+        assert pack_scan([1, bad], [0]) is None
+        assert pack_scan([1], [bad]) is None
+    # too wide to pack densely: e**(10**6)
+    assert pack_scan([ExpPoly.exp(10**6)], [0]) is None
