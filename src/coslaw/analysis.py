@@ -45,7 +45,7 @@ from .functions import (
     nonzero_characters,
     odd_part,
 )
-from .semigroups import InvolutiveAutomorphism, Semigroup, pairs, triple_sample
+from .semigroups import InvolutiveAutomorphism, Semigroup, pair_products, triple_sample
 
 MATCH_TOL = 1e-7  # looser than the verifier to absorb linear-solve conditioning
 
@@ -205,15 +205,13 @@ def check_G_properties(
         return PropertyReport(False, f"not a solution: residual {rep.max_residual:.3e}")
     G = g - f.scale(alpha)
     cx: dict = {"symmetry": [], "sigma_on_triples": [], "parity_L1": [], "parity_L2": []}
-    for x, y in pairs(s):
-        a = G(s.compose(x, sigma(y)))
-        b = G(s.compose(y, sigma(x)))
-        if not values_equal(a, b, tol):
+    for x, y, xsy in pair_products(s, s.elements, sigma=sigma):
+        if not values_equal(G(xsy), G(s.product(y, sigma(x))), tol):
             cx["symmetry"].append((x, y))
     elems = triple_sample(s)
     # each product once, in first-seen order
-    products = dict.fromkeys(s.compose(y, z) for y, z in itertools.product(elems, repeat=2))
-    triple_products = dict.fromkeys(s.compose(yz, x) for yz in products for x in elems)
+    products = dict.fromkeys(yz for _, _, yz in pair_products(s, elems))
+    triple_products = dict.fromkeys(yzx for _, _, yzx in pair_products(s, products, elems))
     for t in triple_products:
         if not values_equal(G(t), G(sigma(t)), tol):
             cx["sigma_on_triples"].append(t)
@@ -294,11 +292,11 @@ def check_dependence_lemma(
         return PropertyReport(False, "hypothesis fails: beta = 0")
     if g.is_zero(tol):
         return PropertyReport(False, "hypothesis fails: g = 0")
-    for x, y in pairs(s):
-        if not values_equal(g(s.compose(x, y)), 0, tol):
+    for x, y, xy in pair_products(s, s.elements):
+        if not values_equal(g(xy), 0, tol):
             return PropertyReport(False, f"hypothesis fails: g({x}*{y}) != 0")
-    for x, y in pairs(s):
-        lhs = f(s.compose(x, sigma(y)))
+    for x, y, xsy in pair_products(s, s.elements, sigma=sigma):
+        lhs = f(xsy)
         rhs = beta * f(x) * f(y) - beta * g(x) * g(y)
         if not values_equal(lhs, rhs, tol):
             return PropertyReport(False, f"hypothesis fails: equation broken at ({x},{y})")

@@ -41,7 +41,7 @@ from .functions import (
     linear_combination,
     null_sets,
 )
-from .semigroups import InvolutiveAutomorphism, Semigroup
+from .semigroups import InvolutiveAutomorphism, Semigroup, pair_products
 
 
 class InvalidDescriptor(ValueError):
@@ -212,14 +212,11 @@ def build_h(
 def _sine_law_failure(s: Semigroup, h, chi) -> tuple | None:
     """First window pair (x, y), with both sides, where h(xy) = h(x)chi(y) +
     h(y)chi(x) fails; None when the sine addition law holds on the window."""
-    elems = s.checked(s.elements)
-    product = s.product
-    for x in elems:
-        for y in elems:
-            lhs = h(product(x, y))
-            rhs = h(x) * chi(y) + h(y) * chi(x)
-            if not values_equal(lhs, rhs, VERIFY_TOL):
-                return x, y, lhs, rhs
+    for x, y, xy in pair_products(s, s.elements):
+        lhs = h(xy)
+        rhs = h(x) * chi(y) + h(y) * chi(x)
+        if not values_equal(lhs, rhs, VERIFY_TOL):
+            return x, y, lhs, rhs
     return None
 
 
@@ -276,13 +273,10 @@ def _check_condition_i(s, ns, chi, rho_fn, in_p, units):
 
 
 def _check_condition_ii(s, ns, h, units):
-    for x in ns.i_chi - ns.p_chi:
-        for y in units:
-            for prod in (s.compose(x, y), s.compose(y, x)):
-                if not values_equal(h(prod), 0, VERIFY_TOL):
-                    raise ConditionViolation(
-                        f"condition (II) fails: h({x}*{y} side) != 0"
-                    )
+    for x, y, xy in pair_products(s, ns.i_chi - ns.p_chi, units):
+        for prod in (xy, s.product(y, x)):
+            if not values_equal(h(prod), 0, VERIFY_TOL):
+                raise ConditionViolation(f"condition (II) fails: h({x}*{y} side) != 0")
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +322,9 @@ def _require_even(chi: MultiplicativeFunction, sigma, what: str):
 
 def _check_vanishing_on_products(s: Semigroup, g: ScalarFunction):
     # test on every pairwise product, including products outside the window
-    elems = s.checked(s.elements)
-    product = s.product
-    for x in elems:
-        for y in elems:
-            if not values_equal(g(product(x, y)), 0, VERIFY_TOL):
-                raise InvalidDescriptor(
-                    f"function does not vanish on S^2 (violated at {x}*{y})"
-                )
+    for x, y, xy in pair_products(s, s.elements):
+        if not values_equal(g(xy), 0, VERIFY_TOL):
+            raise InvalidDescriptor(f"function does not vanish on S^2 (violated at {x}*{y})")
 
 
 def _family1(s, sigma, d, free, predicates):

@@ -28,7 +28,7 @@ from .semigroups import (
     FiniteSemigroup,
     InvolutiveAutomorphism,
     Semigroup,
-    pairs,
+    pair_products,
 )
 
 CHARACTER_ORDER_BOUND = 6
@@ -252,7 +252,7 @@ def is_multiplicative(s: Semigroup, f, tol: float = VERIFY_TOL) -> bool:
     """chi(xy) = chi(x)chi(y) on all window pairs (exact for exact values)."""
     ev = f.fn if isinstance(f, MultiplicativeFunction) else f
     return all(
-        values_equal(ev(s.compose(x, y)), ev(x) * ev(y), tol) for x, y in pairs(s)
+        values_equal(ev(xy), ev(x) * ev(y), tol) for x, y, xy in pair_products(s, s.elements)
     )
 
 
@@ -265,8 +265,7 @@ def is_additive(s: Semigroup, subset, f, tol: float = VERIFY_TOL) -> bool:
     subset = frozenset(subset)
     ev = f if callable(f) else (lambda x: f[x])
     dense = isinstance(f, ScalarFunction) and f.values is not None
-    for x, y in itertools.product(subset & set(s.elements), repeat=2):
-        xy = s.compose(x, y)
+    for x, y, xy in pair_products(s, subset & set(s.elements)):
         if dense and xy not in subset:
             continue
         if not values_equal(ev(xy), ev(x) + ev(y), tol):
@@ -276,11 +275,12 @@ def is_additive(s: Semigroup, subset, f, tol: float = VERIFY_TOL) -> bool:
 
 def element_period(s: FiniteSemigroup, x: int) -> int:
     """Period p of the cyclic subsemigroup generated by x (x^(i+p) = x^i)."""
+    (x,) = s.checked((x,))
     seen: dict[int, int] = {}
     cur, step = x, 1
     while cur not in seen:
         seen[cur] = step
-        cur = s.compose(cur, x)
+        cur = s.product(cur, x)
         step += 1
     return step - seen[cur]
 
@@ -353,8 +353,7 @@ def additive_basis(s: FiniteSemigroup, subset=None) -> list[dict]:
     subset = frozenset(s.elements if subset is None else subset)
     index = {x: i for i, x in enumerate(sorted(subset))}
     rows: list[list[Fraction]] = []
-    for x, y in itertools.product(sorted(subset), repeat=2):
-        xy = s.compose(x, y)
+    for x, y, xy in pair_products(s, sorted(subset)):
         if xy not in subset:
             continue
         row = [Fraction(0)] * len(index)
@@ -495,13 +494,12 @@ def check_pchi_lemma(
     units = [u for u in s.elements if u not in ns.i_chi]
     bad = []
     checked = 0
-    for u in units:
-        for p in ns.p_chi:
-            for prod in (s.compose(u, p), s.compose(p, u)):
-                if prod in window:
-                    checked += 1
-                    if prod not in ns.p_chi:
-                        bad.append((u, p, prod))
+    for u, p, up in pair_products(s, units, ns.p_chi):
+        for prod in (up, s.product(p, u)):
+            if prod in window:
+                checked += 1
+                if prod not in ns.p_chi:
+                    bad.append((u, p, prod))
     ns_star = null_sets(s, sigma, chi.star(sigma) if isinstance(chi, MultiplicativeFunction) else star(chi, sigma))
     image = {sigma(p) for p in ns.p_chi} & window
     agrees = image == set(ns_star.p_chi)

@@ -9,11 +9,12 @@ evaluation stay total so products may leave the window.
 The domain test (an index in range, or the carrier's ``contains_rule``)
 lives in ``checked``, which raises ``IndexError`` or ``ValueError`` for
 the first element outside the carrier.  ``product`` is the bare product
-(a Cayley lookup or ``compose_rule``) and tests nothing.  ``compose(x, y)``
-is ``checked`` on both arguments followed by ``product``.  Window scans
-call ``checked`` once on each list of arguments they multiply and
-``product`` per pair, so each element is tested once per scan rather than
-once per product.
+(a Cayley lookup or ``compose_rule``) and tests nothing.  Pair scans go
+through ``pair_products``, which checks each list of factors once, so an
+element is tested once per scan rather than once per product; only
+``residual``'s packed kernel and the three-factor null-set loops pair
+``checked`` with ``product`` themselves.  ``compose`` is the single-product
+convenience: ``checked`` on both arguments, then ``product``.
 """
 
 from __future__ import annotations
@@ -154,8 +155,22 @@ def identity_automorphism(s: Semigroup) -> InvolutiveAutomorphism:
 # ---------------------------------------------------------------------------
 
 
-def pairs(s: Semigroup) -> Iterator[tuple]:
-    return itertools.product(s.elements, repeat=2)
+def pair_products(s: Semigroup, xs, ys=None, sigma=None) -> Iterator[tuple]:
+    """(x, y, x*sigma(y)) for x in `xs` (outer) and y in `ys` (inner).
+
+    `checked` runs once on `xs` and once on the sigma-images of `ys` (on
+    `ys` itself when `sigma` is omitted), before the first pair; each pair
+    then takes the bare `product`.  With `ys` and `sigma` both omitted,
+    `xs` serves as both lists and is checked once.  Factors that passed
+    the check may be multiplied again with `s.product`, e.g. y*x by a
+    caller that needs both orders.
+    """
+    xs = s.checked(xs)
+    ys = xs if ys is None else tuple(ys)
+    right = ys if sigma is None else map(sigma, ys)
+    right = right if right is xs else s.checked(right)
+    product = s.product
+    return ((x, y, product(x, r)) for x in xs for y, r in zip(ys, right))
 
 
 def triple_sample(s: Semigroup) -> tuple:
@@ -196,8 +211,11 @@ def validate(s: Semigroup) -> list[tuple]:
             s.compose(x, y)
         except Exception:
             report.append(("closure", x, y))
+    prods = {(x, y): xy for x, y, xy in pair_products(s, elems)}
+    # pz for each distinct pairwise product p; x*p multiplies checked factors
+    right = {(p, z): pz for p, z, pz in pair_products(s, dict.fromkeys(prods.values()), elems)}
     for x, y, z in itertools.product(elems, repeat=3):
-        if not s.same_element(s.compose(s.compose(x, y), z), s.compose(x, s.compose(y, z))):
+        if not s.same_element(right[prods[x, y], z], s.product(x, prods[y, z])):
             report.append(("associativity", x, y, z))
     return report
 
@@ -212,16 +230,17 @@ def validate_automorphism(s: Semigroup, sigma: InvolutiveAutomorphism) -> list[t
     for x in s.elements:
         if not _same(s, sigma(sigma(x)), x):
             report.append(("involution", x))
-    for x, y in pairs(s):
-        if not _same(s, sigma(s.compose(x, y)), s.compose(sigma(x), sigma(y))):
+    elems = s.elements
+    images = pair_products(s, [sigma(x) for x in elems], elems, sigma)
+    for (x, y, xy), (_, _, sxsy) in zip(pair_products(s, elems), images):
+        if not _same(s, sigma(xy), sxsy):
             report.append(("automorphism", x, y))
     return report
 
 
 def product_set(s: Semigroup, t: Iterable) -> frozenset:
     """T^2 = {xy | x, y in T}, intersected with the window."""
-    t = frozenset(t)
-    return s.window_set.intersection(s.compose(x, y) for x in t for y in t)
+    return s.window_set.intersection(xy for _, _, xy in pair_products(s, frozenset(t)))
 
 
 def enumerate_involutive_automorphisms(s: FiniteSemigroup) -> list[InvolutiveAutomorphism]:
@@ -257,7 +276,8 @@ def _perm_name(perm: tuple[int, ...]) -> str:
 def is_central(s: Semigroup, f) -> bool:
     """f(xy) = f(yx) for all window pairs."""
     return all(
-        values_equal(f(s.compose(x, y)), f(s.compose(y, x)), VERIFY_TOL) for x, y in pairs(s)
+        values_equal(f(xy), f(s.product(y, x)), VERIFY_TOL)
+        for x, y, xy in pair_products(s, s.elements)
     )
 
 
@@ -266,9 +286,10 @@ def is_abelian_fn(s: Semigroup, f) -> bool:
     if not is_central(s, f):
         return False
     elems = triple_sample(s)
-    for x, y, z in itertools.product(elems, repeat=3):
-        a = s.compose(s.compose(x, y), z)
-        b = s.compose(s.compose(x, z), y)
-        if not values_equal(f(a), f(b), VERIFY_TOL):
-            return False
-    return True
+    prods = {(x, y): xy for x, y, xy in pair_products(s, elems)}
+    # f(pz) for each distinct pairwise product p and each z
+    fv = {(p, z): f(pz) for p, z, pz in pair_products(s, dict.fromkeys(prods.values()), elems)}
+    return all(
+        values_equal(fv[prods[x, y], z], fv[prods[x, z], y], VERIFY_TOL)
+        for x, y, z in itertools.product(elems, repeat=3)
+    )

@@ -82,39 +82,43 @@ def load_semigroup(path) -> tuple[FiniteSemigroup, InvolutiveAutomorphism | None
     order: int | None = None
     sigma_perm: tuple[int, ...] | None = None
     sigma_line = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if parts[0] == "order":
-                if order is not None:
-                    raise ParseError("duplicate order line", lineno)
-                try:
-                    order = int(parts[1])
-                except (IndexError, ValueError):
-                    raise ParseError("order must be 'order n'", lineno) from None
-                if order <= 0:
-                    raise ParseError("order must be positive", lineno)
-            elif parts[0] == "sigma":
-                try:
-                    sigma_perm = tuple(int(p) for p in parts[1:])
-                except ValueError:
-                    raise ParseError("sigma entries must be integers", lineno) from None
-                sigma_line = lineno
-            else:
-                if order is None:
-                    raise ParseError("expected 'order n' before table rows", lineno)
-                try:
-                    row = tuple(int(p) for p in parts)
-                except ValueError:
-                    raise ParseError("table entries must be integers", lineno) from None
-                if len(row) != order:
-                    raise ParseError(f"expected {order} entries, got {len(row)}", lineno)
-                if any(not 0 <= v < order for v in row):
-                    raise ParseError("table entry out of range", lineno)
-                rows.append(row)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as e:  # unreadable file, or not UTF-8
+        raise ParseError(f"semigroup file {path}: {e}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        parts = text.split()
+        if parts[0] == "order":
+            if order is not None:
+                raise ParseError("duplicate order line", lineno)
+            try:
+                order = int(parts[1])
+            except (IndexError, ValueError):
+                raise ParseError("order must be 'order n'", lineno) from None
+            if order <= 0:
+                raise ParseError("order must be positive", lineno)
+        elif parts[0] == "sigma":
+            try:
+                sigma_perm = tuple(int(p) for p in parts[1:])
+            except ValueError:
+                raise ParseError("sigma entries must be integers", lineno) from None
+            sigma_line = lineno
+        else:
+            if order is None:
+                raise ParseError("expected 'order n' before table rows", lineno)
+            try:
+                row = tuple(int(p) for p in parts)
+            except ValueError:
+                raise ParseError("table entries must be integers", lineno) from None
+            if len(row) != order:
+                raise ParseError(f"expected {order} entries, got {len(row)}", lineno)
+            if any(not 0 <= v < order for v in row):
+                raise ParseError("table entry out of range", lineno)
+            rows.append(row)
     if order is None:
         raise ParseError("missing 'order n' line")
     if len(rows) != order:

@@ -100,6 +100,25 @@ def test_validate_fixture_and_file(tmp_path, capsys):
     assert "associativity" in err
 
 
+@pytest.mark.parametrize("case", ["directory", "not-utf8"])
+def test_validate_unreadable_file_is_invalid(tmp_path, capsys, case):
+    target = tmp_path
+    if case == "not-utf8":
+        target = tmp_path / "table.sg"
+        target.write_bytes(b"order 1\n0\n# caf\xe9\n")
+    assert main(["validate", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid: semigroup file {target}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_validate_name_too_long_for_a_path_is_usage_error(capsys):
+    assert main(["validate", "a" * 300]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unknown fixture 'aaa")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_unknown_fixture_is_usage_error(capsys):
     assert main(["validate", "no-such-fixture"]) == 2
 
@@ -296,6 +315,21 @@ def test_huge_exponent_is_rejected_before_it_is_expanded(capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err == "usage error: complex literal '1e100000000' is out of range\n"
+
+
+@pytest.mark.parametrize("literal, exact, value", [
+    ("0e100000000", False, 0.0),
+    ("0e100000000", True, 0),
+    ("-0.00e-100000000", True, 0),
+    ("1e-100000000", False, 0.0),
+    ("-1e-100000000", False, -0.0),
+])
+def test_zero_and_underflowing_literals_are_read_without_the_power(literal, exact, value):
+    start = time.perf_counter()
+    v = parse_complex(literal, exact=exact)
+    assert time.perf_counter() - start < 1.0
+    assert type(v) is type(value) and v == value
+    assert math.copysign(1, v) == math.copysign(1, value)
 
 
 def test_chi_exp_takes_the_exp_parameters(tmp_path, capsys, monkeypatch):
@@ -551,6 +585,62 @@ def test_pair_file_fuzz_keeps_the_exit_contract(tmp_path, capsys, pair, command)
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(pair))
     rc = main([command, "--pair", str(path)])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err and len(err.strip().splitlines()) <= 1
+
+
+_FINITE = [name for name in FIXTURE_NAMES if get_fixture(name).carrier.is_finite]
+_TOKENS = ["x", "-1", "4", "99", "1.5", "order", "sigma", "#", "1_0", "\u0663", "9" * 5000, ""]
+
+
+@st.composite
+def _semigroup_files(draw):
+    """Semigroup files of order <= 4: a built-in table (with one of its
+    sigmas, or none) or a random one; one in four is corrupted in one place."""
+    if draw(st.booleans()):
+        fx = get_fixture(draw(st.sampled_from(_FINITE)))
+        table = [list(row) for row in fx.carrier.cayley]
+        perm = draw(st.sampled_from([None, *(s.perm for s in fx.sigmas)]))
+    else:
+        n = draw(st.integers(1, 4))
+        table = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+        perm = draw(st.none() | st.permutations(range(n)))
+    lines = [f"order {len(table)}", *(" ".join(map(str, row)) for row in table)]
+    if perm is not None:
+        lines.append("sigma " + " ".join(map(str, perm)))
+    data = ("\n".join(lines) + "\n").encode()
+    if draw(st.integers(0, 3)) > 0:
+        return data
+    k = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["token", "drop", "repeat", "junk-line", "bytes", "truncate"]))
+    if how == "token":
+        words = lines[k].split()
+        words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(_TOKENS))
+        lines[k] = " ".join(words)
+    elif how == "drop":
+        del lines[k]
+    elif how == "repeat":
+        lines.insert(k, lines[k])
+    elif how == "junk-line":
+        lines.insert(k, draw(st.text(max_size=8)))
+    data = ("\n".join(lines) + "\n").encode()
+    cut = draw(st.integers(0, len(data)))
+    if how == "bytes":
+        data = data[:cut] + draw(st.binary(min_size=1, max_size=3)) + data[cut:]
+    elif how == "truncate":
+        data = data[:cut]
+    return data
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_semigroup_files())
+def test_semigroup_file_fuzz_keeps_the_exit_contract(tmp_path, capsys, data):
+    path = tmp_path / "table.sg"
+    path.write_bytes(data)
+    rc = main(["validate", str(path)])
     err = capsys.readouterr().err
     assert rc in (0, 1, 2)
     assert "Traceback" not in err and len(err.strip().splitlines()) <= 1

@@ -1,6 +1,7 @@
 """Family constructors: closed forms, invariants, and descriptor validation."""
 
 import cmath
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from coslaw.families import (
 )
 from coslaw.fixtures import get_fixture
 from coslaw.functions import ScalarFunction, is_even, star
-from coslaw.semigroups import pairs
 
 F = Fraction
 
@@ -194,7 +194,7 @@ def test_build_h_naturals_piecewise():
     assert h(4) == 0 and h(8) == 0  # 4N
     assert h(6) == c and h(58) == c  # 2N \ 4N
     chi = nat.characters["parity"]
-    for x, y in pairs(s):
+    for x, y in itertools.product(s.elements, repeat=2):
         xy = s.compose(x, y)
         assert h(xy) == h(x) * chi(y) + h(y) * chi(x)
 

@@ -1,18 +1,30 @@
 """Carriers: validation, product sets, automorphism enumeration, centrality."""
 
 import itertools
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from coslaw.analysis import check_dependence_lemma, check_G_properties
 from coslaw.fixtures import get_fixture
-from coslaw.functions import ScalarFunction
+from coslaw.functions import (
+    MultiplicativeFunction,
+    ScalarFunction,
+    check_pchi_lemma,
+    is_additive,
+    is_multiplicative,
+    null_sets,
+)
 from coslaw.semigroups import (
     FiniteSemigroup,
+    InvolutiveAutomorphism,
+    ProceduralSemigroup,
     enumerate_involutive_automorphisms,
     is_abelian_fn,
     is_central,
+    pair_products,
     product_set,
     validate,
     validate_automorphism,
@@ -200,3 +212,119 @@ def test_family8_values_abelian_on_c3():
     pair = construct(s, sig, FamilyDescriptor(8, 2, chi=fx.characters["chi2"]))
     assert is_abelian_fn(s, pair.g) and is_abelian_fn(s, pair.f)
     assert is_central(s, pair.g) and is_central(s, pair.f)
+
+
+# ---------------------------------------------------------------------------
+# pair scans: each factor list passes the domain test once per scan
+# ---------------------------------------------------------------------------
+
+
+def _counting_naturals(rule, low=2, n=30):
+    """The naturals from 2 under `rule`, windowed to low..low+n-1; `calls`
+    records every domain test."""
+    calls = []
+
+    def contains(x):
+        calls.append(x)
+        return isinstance(x, int) and x >= 2
+
+    window = tuple(range(low, low + n))
+    s = ProceduralSemigroup("naturals", window, compose_rule=rule, contains_rule=contains)
+    return s, calls
+
+
+def _fn(s, rule):
+    return ScalarFunction(s, rule=rule)
+
+
+def _is_prime(x):
+    return x >= 2 and all(x % d for d in range(2, x))
+
+
+ID = InvolutiveAutomorphism("id", rule=lambda x: x)
+DOWN = InvolutiveAutomorphism("down", rule=lambda x: x - 1)  # maps 2 out of the carrier
+
+# scan -> (product rule, run(s, sigma) -> verdict); every verdict is True on a
+# window of the carrier, so each scan runs to its end
+SCANS = {
+    "is_central": (max, lambda s, sig: is_central(s, _fn(s, lambda x: x))),
+    "is_abelian_fn": (max, lambda s, sig: is_abelian_fn(s, _fn(s, lambda x: x))),
+    "is_multiplicative": (
+        operator.mul, lambda s, sig: is_multiplicative(s, _fn(s, lambda x: x % 2))),
+    "is_additive": (max, lambda s, sig: is_additive(s, s.elements, _fn(s, lambda x: 0))),
+    "product_set": (operator.mul, lambda s, sig: product_set(s, s.elements)
+                    == {x for x in s.elements if not _is_prime(x)}),
+    "validate_automorphism": (operator.mul, lambda s, sig: validate_automorphism(s, sig) == []),
+    "check_pchi_lemma": (operator.mul, lambda s, sig: check_pchi_lemma(
+        s, sig, MultiplicativeFunction(_fn(s, lambda x: x % 2))).ok),
+    # g vanishes on S^2 (no product is prime) and f = g solves the equation
+    "check_dependence_lemma": (operator.mul, lambda s, sig: check_dependence_lemma(
+        s, sig, 1, _fn(s, _is_prime), _fn(s, _is_prime)).ok),
+    "check_G_properties": (max, lambda s, sig: check_G_properties(
+        s, sig, 0, _fn(s, lambda x: 1), _fn(s, lambda x: 0)).ok),
+}
+
+
+@pytest.mark.parametrize("scan", SCANS)
+def test_scans_test_each_element_once_per_scan(scan):
+    rule, run = SCANS[scan]
+    s, calls = _counting_naturals(rule)
+    if scan == "check_pchi_lemma":
+        # its two null_sets calls test each u*p once in their three-factor loops
+        null_sets(s, ID, MultiplicativeFunction(_fn(s, lambda x: x % 2)))
+        own = -2 * len(calls)
+        calls.clear()
+    else:
+        own = 0
+    assert run(s, ID)
+    n = len(s.elements)
+    # a few passes over the window (under max, every product of window
+    # elements is one of them); testing each product's factors is >= 2 n^2
+    assert own + len(calls) <= 8 * n
+
+
+@pytest.mark.parametrize("scan", SCANS)
+def test_scans_reject_a_window_element_outside_the_carrier(scan):
+    rule, run = SCANS[scan]
+    s, _ = _counting_naturals(rule, low=1)
+    with pytest.raises(ValueError, match="domain"):
+        run(s, ID)
+
+
+@pytest.mark.parametrize("scan", ["validate_automorphism", "check_dependence_lemma",
+                                  "check_G_properties"])
+def test_scans_reject_a_sigma_image_outside_the_carrier(scan):
+    rule, run = SCANS[scan]
+    s, _ = _counting_naturals(rule)
+    with pytest.raises(ValueError, match="domain"):
+        run(s, DOWN)
+
+
+def test_scans_on_a_finite_carrier_raise_index_error():
+    null2 = FiniteSemigroup(cayley=((0, 0), (0, 0)))
+    bad = InvolutiveAutomorphism("bad", perm=(0, 5))
+    g = ScalarFunction(null2, values=[0, 1])  # vanishes on S^2 = {0}
+    z = ScalarFunction(null2, values=[0, 0])
+    with pytest.raises(IndexError):
+        product_set(null2, [0, 5])
+    with pytest.raises(IndexError):
+        validate_automorphism(null2, bad)
+    with pytest.raises(IndexError):
+        check_dependence_lemma(null2, bad, 1, g, g)
+    with pytest.raises(IndexError):
+        check_G_properties(null2, bad, 0, z, z)
+
+
+def test_pair_products_order_and_factor_lists():
+    s, calls = _counting_naturals(operator.mul, n=3)  # window 2, 3, 4
+    double = InvolutiveAutomorphism("double", rule=lambda x: 2 * x)
+    assert list(pair_products(s, (2, 3))) == [(2, 2, 4), (2, 3, 6), (3, 2, 6), (3, 3, 9)]
+    assert calls == [2, 3]  # one list, checked once
+    calls.clear()
+    assert list(pair_products(s, (2, 3), (4,), double)) == [(2, 4, 16), (3, 4, 24)]
+    assert calls == [2, 3, 8]  # the xs, then the sigma-images of the ys
+    calls.clear()
+    assert list(pair_products(s, (2,), sigma=double)) == [(2, 2, 8)]
+    assert calls == [2, 4]
+    with pytest.raises(ValueError, match="domain"):
+        pair_products(s, (2,), (1,))  # checked before the first pair is asked for
