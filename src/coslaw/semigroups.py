@@ -12,9 +12,11 @@ the first element outside the carrier.  ``product`` is the bare product
 (a Cayley lookup or ``compose_rule``) and tests nothing.  Pair scans go
 through ``pair_products``, which checks each list of factors once, so an
 element is tested once per scan rather than once per product; only
-``residual``'s packed kernel and the three-factor null-set loops pair
-``checked`` with ``product`` themselves.  ``compose`` is the single-product
-convenience: ``checked`` on both arguments, then ``product``.
+``residual``'s packed kernel and the three-factor loops (the null sets, and
+the triple scans of ``validate`` and ``is_abelian_fn``, which hold one left
+factor's products at a time) pair ``checked`` with ``product`` themselves.
+``compose`` is the single-product convenience: ``checked`` on both
+arguments, then ``product``.
 """
 
 from __future__ import annotations
@@ -211,13 +213,26 @@ def validate(s: Semigroup) -> list[tuple]:
             s.compose(x, y)
         except Exception:
             report.append(("closure", x, y))
-    prods = {(x, y): xy for x, y, xy in pair_products(s, elems)}
-    # pz for each distinct pairwise product p; x*p multiplies checked factors
-    right = {(p, z): pz for p, z, pz in pair_products(s, dict.fromkeys(prods.values()), elems)}
-    for x, y, z in itertools.product(elems, repeat=3):
-        if not s.same_element(right[prods[x, y], z], s.product(x, prods[y, z])):
-            report.append(("associativity", x, y, z))
+    prods = _checked_products(s, elems)
+    product = s.product
+    for x in elems:
+        # (xy)z for the distinct products xy of this x only: memory holds one
+        # left factor's rows, not one entry per (distinct product, z)
+        xy = [prods[x, y] for y in elems]
+        row = {p: [product(p, z) for z in elems] for p in dict.fromkeys(xy)}
+        for y, p in zip(elems, xy):
+            for z, pz in zip(elems, row[p]):
+                if not s.same_element(pz, product(x, prods[y, z])):
+                    report.append(("associativity", x, y, z))
     return report
+
+
+def _checked_products(s: Semigroup, elems: tuple) -> dict:
+    """{(x, y): xy} over `elems`, with every distinct product `checked`, so
+    the triple scans may multiply a product again with the bare `product`."""
+    prods = {(x, y): xy for x, y, xy in pair_products(s, elems)}
+    s.checked(dict.fromkeys(prods.values()))
+    return prods
 
 
 def _same(s: Semigroup, a, b) -> bool:
@@ -286,10 +301,13 @@ def is_abelian_fn(s: Semigroup, f) -> bool:
     if not is_central(s, f):
         return False
     elems = triple_sample(s)
-    prods = {(x, y): xy for x, y, xy in pair_products(s, elems)}
-    # f(pz) for each distinct pairwise product p and each z
-    fv = {(p, z): f(pz) for p, z, pz in pair_products(s, dict.fromkeys(prods.values()), elems)}
-    return all(
-        values_equal(fv[prods[x, y], z], fv[prods[x, z], y], VERIFY_TOL)
-        for x, y, z in itertools.product(elems, repeat=3)
-    )
+    prods = _checked_products(s, elems)
+    product = s.product
+    idx = range(len(elems))
+    for x in elems:
+        # f(xyz) for the distinct products xy of this x only, as in `validate`
+        xy = [prods[x, y] for y in elems]
+        row = {p: [f(product(p, z)) for z in elems] for p in dict.fromkeys(xy)}
+        if not all(values_equal(row[xy[i]][j], row[xy[j]][i], VERIFY_TOL) for i in idx for j in idx):
+            return False
+    return True

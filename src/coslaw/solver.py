@@ -8,10 +8,28 @@ starts seeded by every family construction available on the carrier; the
 least-squares Newton direction on the complexified system coincides with
 the one on the realified system because no conjugates appear.
 
-Each Gauss-Newton iteration backtracks along the step: the rows whose
-residual norm has not yet dropped are halved again (up to 40 times) and
-only those pending rows are re-evaluated; a row with no improving step
-leaves the active set.
+The Jacobian is scattered into a zeroed array at index positions fixed
+when the system is built, in the order of the dense formula, so its values
+equal the formula's (only the sign of some zero cells differs, and the
+normal equations' ridge turns -0.0 into +0.0).
+
+Each Gauss-Newton iteration backtracks along the step, t = 1, 1/2, ...,
+2^-39: every active row tries t = 1, and the rows whose residual norm has
+not dropped yet try the next halvings in stacked chunks (`HALVING_CHUNKS`),
+one residual call per chunk.  A chunk is cut short where it would stack
+more than n candidates per active row, so its residual block is no larger
+than half the Jacobian.  A row takes its first improving t; a row with no
+improving t leaves the active set.
+
+The rows returned are bit for bit those of trying one t per call (the
+reference in the solver tests), by one rule.  numpy sums |E|^2 of a
+one-row residual block pairwise, but of a multi-row block (column-major)
+in sequence, so the last bit of a row's norm, and with it the row's
+verdict, depends on whether the row is evaluated alone.  Trying one t per
+call evaluates the last pending row alone; so a chunk's verdicts count
+only up to the halving that leaves one row pending, and that row goes on
+one t at a time.  Without the rule the rows returned for c3/inv at
+alpha = i differ at seeds 3 and 5.
 
 Solutions lying on positive-dimensional components (families 1-3 and the
 q-parametrized curves) are returned through whichever converged
@@ -44,6 +62,10 @@ from .semigroups import FiniteSemigroup, InvolutiveAutomorphism, product_set
 
 RANK_TOL = 1e-6
 START_RADIUS = 3.0
+# the line search tries t = 1, 1/2, ..., 2^-39; while two or more rows are
+# pending, one res call covers the rest of the current chunk of these
+HALVING_CHUNKS = (1, 1, 2, 4, 8, 24)
+CHUNK_ENDS = tuple(itertools.accumulate(HALVING_CHUNKS))
 
 
 @dataclass(frozen=True)
@@ -116,9 +138,11 @@ class _System:
             P.append(s.cayley[x][sigma(y)])
             X.append(x)
             Y.append(y)
-        eye = np.eye(n)
         self.P, self.X, self.Y = np.array(P), np.array(X), np.array(Y)
-        self.EP, self.EX, self.EY = eye[self.P], eye[self.X], eye[self.Y]
+        # flat positions of the d/dg(P), d/dg(X) and d/dg(Y) cells of each
+        # equation in an (n^2 * 2n) Jacobian row; the d/df cells sit n further on
+        row = 2 * n * np.arange(n * n)
+        self.at_P, self.at_X, self.at_Y = row + self.P, row + self.X, row + self.Y
 
     def res(self, vals: np.ndarray) -> np.ndarray:
         """(m, n^2) defects for a batch of value rows (g | f)."""
@@ -135,17 +159,17 @@ class _System:
         """(m, n^2, 2n) holomorphic Jacobian."""
         n = self.n
         G, F = vals[:, :n], vals[:, n:]
-        dG = (
-            self.EP[None, :, :]
-            - self.EX[None, :, :] * G[:, self.Y][:, :, None]
-            - self.EY[None, :, :] * G[:, self.X][:, :, None]
-        )
-        dF = (
-            self.EX[None, :, :] * F[:, self.Y][:, :, None]
-            + self.EY[None, :, :] * F[:, self.X][:, :, None]
-            - self.alpha * self.EP[None, :, :]
-        )
-        return np.concatenate([dG, dF], axis=2)
+        J = np.zeros((len(vals), 2 * n**3), dtype=complex)
+        # the terms go in in the order of the dense formula
+        # e_P - g(y) e_x - g(x) e_y | f(y) e_x + f(x) e_y - alpha e_P, so a cell
+        # hit twice (x = y, or x sigma(y) equal to x or y) adds them in that order
+        J[:, self.at_P] += 1
+        J[:, self.at_X] -= G[:, self.Y]
+        J[:, self.at_Y] -= G[:, self.X]
+        J[:, self.at_X + n] += F[:, self.Y]
+        J[:, self.at_Y + n] += F[:, self.X]
+        J[:, self.at_P + n] -= self.alpha
+        return J.reshape(len(vals), n * n, 2 * n)
 
 
 def _gauss_newton(system: _System, starts: np.ndarray, cfg: SolverConfig) -> np.ndarray:
@@ -158,18 +182,19 @@ def _gauss_newton(system: _System, starts: np.ndarray, cfg: SolverConfig) -> np.
     pull such points onto it.
     """
     vals = starts.astype(complex)
-    m = vals.shape[0]
+    m, w = vals.shape
     active = np.ones(m, dtype=bool)
+    ridge = 1e-14 * np.eye(w)
     for _ in range(cfg.newton_max_iters):
         if not active.any():
             break
         idx = np.where(active)[0]
-        Ei = system.res(vals[idx])
-        J = system.jac(vals[idx])
+        base = vals[idx]
+        Ei = system.res(base)
+        J = system.jac(base)
         JH = J.conj().transpose(0, 2, 1)
         A = JH @ J
         b = -(JH @ Ei[:, :, None])[:, :, 0]
-        ridge = 1e-14 * np.eye(A.shape[1])
         try:
             step = np.linalg.solve(A + ridge, b[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -177,20 +202,32 @@ def _gauss_newton(system: _System, starts: np.ndarray, cfg: SolverConfig) -> np.
                 [np.linalg.lstsq(J[i], -Ei[i], rcond=None)[0] for i in range(len(idx))]
             )
         old_ss = (np.abs(Ei) ** 2).sum(axis=1)
-        # halve the step of the rows that have not improved yet; an improved
-        # row is written back at once and is not evaluated again
-        base = vals[idx]
+        # the rows that have not improved yet try the next chunk of step
+        # lengths t = 2^-k in one res call; a row takes its first improving t
         pending = np.arange(len(idx))
-        t = 1.0
-        for _halve in range(40):
-            cand = base[pending] + t * step[pending]
-            new_ss = (np.abs(system.res(cand)) ** 2).sum(axis=1)
-            better = new_ss < old_ss[pending]
-            vals[idx[pending[better]]] = cand[better]
-            pending = pending[~better]
-            if not len(pending):
-                break
-            t /= 2
+        k = 0
+        while len(pending) and k < CHUNK_ENDS[-1]:
+            h = 1
+            if len(pending) > 1:
+                # at most n candidates per active row: a stacked residual block
+                # is no larger than half the Jacobian built above
+                end = next(e for e in CHUNK_ENDS if e > k)
+                h = min(end - k, system.n * len(idx) // len(pending))
+            t = np.ldexp(1.0, -np.arange(k, k + h))
+            cand = base[pending] + t[:, None, None] * step[pending]
+            new_ss = (np.abs(system.res(cand.reshape(-1, w))) ** 2).sum(axis=1)
+            better = new_ss.reshape(h, -1) < old_ss[pending]
+            first = np.where(better.any(axis=0), better.argmax(axis=0), h)
+            # a verdict counts only while two or more rows are pending (see the
+            # module docstring): the chunk ends at the first halving that
+            # leaves at most one row, and a lone row goes on one t at a time
+            left = (first >= np.arange(1, h + 1)[:, None]).sum(axis=1)
+            stop = int(np.argmax(left <= 1)) + 1 if left[-1] <= 1 else h
+            won = first < stop
+            rows = np.flatnonzero(won)
+            vals[idx[pending[rows]]] = cand[first[rows], rows]
+            pending = pending[~won]
+            k += stop
         # no improving step exists: either at a solution (kept by the final
         # residual filter) or at a local minimum of the norm (discarded there)
         active[idx[pending]] = False

@@ -282,6 +282,117 @@ def test_dedup_random_clusters(seed):
 
 
 # ---------------------------------------------------------------------------
+# Gauss-Newton: the scatter Jacobian and the chunked line search against the
+# dense formula and the one-t-at-a-time line search
+# ---------------------------------------------------------------------------
+
+
+def _dense_jac(system, vals):
+    """The Jacobian as three dense products against identity rows."""
+    n = system.n
+    eye = np.eye(n)
+    EP, EX, EY = eye[system.P], eye[system.X], eye[system.Y]
+    G, F = vals[:, :n], vals[:, n:]
+    dG = (
+        EP[None, :, :]
+        - EX[None, :, :] * G[:, system.Y][:, :, None]
+        - EY[None, :, :] * G[:, system.X][:, :, None]
+    )
+    dF = (
+        EX[None, :, :] * F[:, system.Y][:, :, None]
+        + EY[None, :, :] * F[:, system.X][:, :, None]
+        - system.alpha * EP[None, :, :]
+    )
+    return np.concatenate([dG, dF], axis=2)
+
+
+def _gauss_newton_oracle(system, starts, cfg):
+    """Damped Gauss-Newton with one res call per halving of the pending rows."""
+    vals = starts.astype(complex)
+    m = vals.shape[0]
+    active = np.ones(m, dtype=bool)
+    for _ in range(cfg.newton_max_iters):
+        if not active.any():
+            break
+        idx = np.where(active)[0]
+        Ei = system.res(vals[idx])
+        J = _dense_jac(system, vals[idx])
+        JH = J.conj().transpose(0, 2, 1)
+        A = JH @ J
+        b = -(JH @ Ei[:, :, None])[:, :, 0]
+        ridge = 1e-14 * np.eye(A.shape[1])
+        try:
+            step = np.linalg.solve(A + ridge, b[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            step = np.stack(
+                [np.linalg.lstsq(J[i], -Ei[i], rcond=None)[0] for i in range(len(idx))]
+            )
+        old_ss = (np.abs(Ei) ** 2).sum(axis=1)
+        base = vals[idx]
+        pending = np.arange(len(idx))
+        t = 1.0
+        for _halve in range(40):
+            cand = base[pending] + t * step[pending]
+            new_ss = (np.abs(system.res(cand)) ** 2).sum(axis=1)
+            better = new_ss < old_ss[pending]
+            vals[idx[pending[better]]] = cand[better]
+            pending = pending[~better]
+            if not len(pending):
+                break
+            t /= 2
+        active[idx[pending]] = False
+    final = np.abs(system.res(vals)).max(axis=1)
+    return vals[final <= cfg.newton_tol]
+
+
+@pytest.mark.parametrize(
+    "name, sigma, alpha, seed",
+    [
+        # a row pending alone at some halving: its verdict comes from a one-row
+        # residual sum, which numpy adds in another order than a batch's
+        ("c3", "inv", 1j, 3),
+        ("c3", "inv", 1j, 5),
+        ("null3", "swap", 1j, 0),
+        ("leftzero2", "swap", 1j, 0),
+    ],
+)
+def test_gauss_newton_matches_oracle_bitwise(monkeypatch, name, sigma, alpha, seed):
+    calls = []
+    real = solver._gauss_newton
+    monkeypatch.setattr(
+        solver, "_gauss_newton", lambda *a: calls.append((a, real(*a))) or calls[-1][1]
+    )
+    fx = get_fixture(name)
+    find_solutions(fx.carrier, fx.sigma(sigma), alpha, SolverConfig(seed=seed))
+    ((args, got),) = calls
+    want = _gauss_newton_oracle(*args)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _signed_zero_rows(rng, m, n):
+    rows = rng.normal(size=(m, 2 * n)) + 1j * rng.normal(size=(m, 2 * n))
+    re, im = rows.real.copy(), rows.imag.copy()
+    for part in (re, im):
+        part[rng.random(part.shape) < 0.25] = 0.0
+        part[rng.random(part.shape) < 0.25] = -0.0
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_scatter_jacobian_equals_dense_formula(name):
+    rng = np.random.default_rng(7)
+    fx = get_fixture(name)
+    for sigma in fx.sigmas:
+        for alpha in A7_ALPHAS:
+            system = solver._System(fx.carrier, sigma, complex(alpha))
+            rows = _signed_zero_rows(rng, 64, system.n)
+            rows[0] = 0.0
+            assert np.array_equal(system.jac(rows), _dense_jac(system, rows))
+            assert system.jac(rows[:1]).shape == (1, system.n**2, 2 * system.n)
+
+
+# ---------------------------------------------------------------------------
 # A7 grid: the solver's answers are pinned
 # ---------------------------------------------------------------------------
 
