@@ -7,9 +7,9 @@
 satisfies (with G = g - alpha*f): G(x sigma(y)) = G(y sigma(x)),
 G = G o sigma on products of three, and the parity cross-identities
 g_e(x) g_o(yz) = f_e(x) f_o(yz) and g_e(yz) g_o(x) = f_e(yz) f_o(x).
-`classify` maps a verified solution back to a family descriptor by the
-fixed decision order 1, 2, 3, 4, 6, 8, 5, 7 and reconstructs the pair from
-the recovered parameters.
+`classify` maps a verified solution back to a family descriptor: it
+reconstructs the pair from each candidate of `_candidates`, the one place
+that holds the decision order, until one matches.
 """
 
 from __future__ import annotations
@@ -240,9 +240,10 @@ def _div(a, b):
     if is_exact(a) and is_exact(b):
         if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
             return Fraction(a) / Fraction(b)
-        out = a / b
-        if out is not NotImplemented:
-            return out
+        try:
+            return a / b
+        except TypeError:
+            pass  # mixed exact types (ExpPoly and Cyc) divide as complex
     return complex(a) / complex(b)
 
 
@@ -368,9 +369,6 @@ class ClassificationResult:
         }
 
 
-CLASSIFY_ORDER = (1, 2, 3, 4, 6, 8, 5, 7)
-
-
 def classify(
     s: Semigroup,
     sigma: InvolutiveAutomorphism,
@@ -380,8 +378,9 @@ def classify(
 ) -> ClassificationResult:
     """Recover a family descriptor reproducing a verified solution pair.
 
-    Overlapping families are resolved by the fixed order 1, 2, 3, 4, 6, 8,
-    5, 7, which makes the result a deterministic function of the input.
+    Each candidate of `_candidates`, in its order, is constructed and
+    compared with (g, f); the first within MATCH_TOL wins, which makes the
+    result a deterministic function of the input.
     """
     if not s.is_finite:
         raise TypeError("classification enumerates characters; needs a finite carrier")
@@ -389,87 +388,56 @@ def classify(
     if not rep.ok():
         raise NotASolution(f"residual {rep.max_residual:.3e} exceeds {VERIFY_TOL}")
 
-    ctx = _ClassifyCtx(s, sigma, alpha, g, f, rep.max_residual)
-    for tag in CLASSIFY_ORDER:
-        hit = _FAMILY_TESTS[tag](ctx)
-        if hit is not None:
-            return hit
+    for d, free in _candidates(s, sigma, alpha, g, f):
+        try:
+            pair = construct(s, sigma, d, free_f=free)
+        except (InvalidDescriptor, ConditionViolation):
+            continue
+        m = max(pair.g.max_diff(g), pair.f.max_diff(f))
+        if m <= MATCH_TOL:
+            return ClassificationResult(d.family, pair.provenance, m, rep.max_residual)
     return ClassificationResult("unclassified", None, float("inf"), rep.max_residual)
 
 
-@dataclass
-class _ClassifyCtx:
-    s: Semigroup
-    sigma: InvolutiveAutomorphism
-    alpha: object
-    g: ScalarFunction
-    f: ScalarFunction
-    max_residual: float
-
-    def __post_init__(self):
-        self.even = even_characters(self.s, self.sigma)
-        self.nonzero = nonzero_characters(self.s)
-
-    def attempt(self, d: FamilyDescriptor, free=None) -> ClassificationResult | None:
-        try:
-            pair = construct(self.s, self.sigma, d, free_f=free)
-        except (InvalidDescriptor, ConditionViolation):
-            return None
-        m = max(pair.g.max_diff(self.g), pair.f.max_diff(self.f))
-        if m <= MATCH_TOL:
-            return ClassificationResult(d.family, pair.provenance, m, self.max_residual)
-        return None
-
-    def near(self, a, b) -> bool:
-        return abs(complex(a) - complex(b)) <= MATCH_TOL
+def _near(a, b) -> bool:
+    return abs(complex(a) - complex(b)) <= MATCH_TOL
 
 
-def _test_family1(ctx) -> ClassificationResult | None:
-    if not (ctx.near(ctx.alpha, 1) or ctx.near(ctx.alpha, -1)):
-        return None
-    if ctx.f.is_zero(MATCH_TOL):
-        return None
-    return ctx.attempt(FamilyDescriptor(1, ctx.alpha), free=ctx.f)
-
-
-def _test_family2(ctx) -> ClassificationResult | None:
-    return ctx.attempt(FamilyDescriptor(2, ctx.alpha), free=ctx.g)
-
-
-def _test_family3(ctx) -> ClassificationResult | None:
-    return ctx.attempt(FamilyDescriptor(3, ctx.alpha), free=ctx.g)
-
-
-def _test_family4(ctx) -> ClassificationResult | None:
-    # no dependence gate: reconstruction matching is the arbiter, and the
-    # relative SVD test misjudges solutions with tiny norms
-    for chi in ctx.even:
-        x0 = next(x for x in ctx.s.elements if not values_equal(chi(x), 0))
-        c = _div(ctx.f(x0), chi(x0))
-        q = 2 * c - ctx.alpha
+def _candidates(s, sigma, alpha, g, f):
+    """(descriptor, free function) pairs in the decision order 1, 2, 3, 4,
+    6, 8, 5, 7, which resolves overlapping families.  A family's parameters
+    are computed only when the stream reaches it."""
+    even = even_characters(s, sigma)
+    nonzero = nonzero_characters(s)
+    if (_near(alpha, 1) or _near(alpha, -1)) and not f.is_zero(MATCH_TOL):
+        yield FamilyDescriptor(1, alpha), f
+    yield FamilyDescriptor(2, alpha), g
+    yield FamilyDescriptor(3, alpha), g
+    # family 4 has no dependence gate: reconstruction matching is the
+    # arbiter, and the relative SVD test misjudges solutions with tiny norms
+    for chi in even:
+        # even characters are non-zero, so this `next` always finds an x0
+        x0 = next(x for x in s.elements if not values_equal(chi(x), 0))
+        q = 2 * _div(f(x0), chi(x0)) - alpha
         for branch in (1, -1):
-            hit = ctx.attempt(FamilyDescriptor(4, ctx.alpha, q=q, branch=branch, chi=chi))
-            if hit:
-                return hit
-    return None
-
-
-def _test_family6(ctx) -> ClassificationResult | None:
-    for chi1, chi2 in itertools.permutations(ctx.even, 2):
-        hit = ctx.attempt(FamilyDescriptor(6, ctx.alpha, chi1=chi1, chi2=chi2))
-        if hit:
-            return hit
-    return None
-
-
-def _test_family8(ctx) -> ClassificationResult | None:
-    for chi in ctx.nonzero:
-        if chi.same_as(chi.star(ctx.sigma)):
+            yield FamilyDescriptor(4, alpha, q=q, branch=branch, chi=chi), None
+    for chi1, chi2 in itertools.permutations(even, 2):
+        yield FamilyDescriptor(6, alpha, chi1=chi1, chi2=chi2), None
+    for chi in nonzero:
+        if not chi.same_as(chi.star(sigma)):
+            yield FamilyDescriptor(8, alpha, chi=chi), None
+    for chi1, chi2 in itertools.combinations(even, 2):
+        sol = _solve_2x2(chi1.fn, chi2.fn, f, s.elements)
+        if sol is None or not _near(sol[0] + sol[1], alpha):
             continue
-        hit = ctx.attempt(FamilyDescriptor(8, ctx.alpha, chi=chi))
-        if hit:
-            return hit
-    return None
+        q = sol[0] - sol[1]
+        for branch in (1, -1):
+            yield FamilyDescriptor(5, alpha, q=q, branch=branch, chi1=chi1, chi2=chi2), None
+    for chi in even:
+        h = f - chi.fn.scale(alpha)
+        if not h.is_zero(MATCH_TOL):
+            for branch in (1, -1):
+                yield FamilyDescriptor(7, alpha, branch=branch, chi=chi, h=h), None
 
 
 def _solve_2x2(chi1, chi2, target, elems):
@@ -482,42 +450,3 @@ def _solve_2x2(chi1, chi2, target, elems):
         a2 = _div(chi1(x1) * target(x2) - chi1(x2) * target(x1), det)
         return a1, a2
     return None
-
-
-def _test_family5(ctx) -> ClassificationResult | None:
-    elems = list(ctx.s.elements)
-    for chi1, chi2 in itertools.combinations(ctx.even, 2):
-        sol = _solve_2x2(chi1.fn, chi2.fn, ctx.f, elems)
-        if sol is None:
-            continue
-        a1, a2 = sol
-        if not ctx.near(a1 + a2, ctx.alpha):
-            continue
-        q = a1 - a2
-        for branch in (1, -1):
-            hit = ctx.attempt(
-                FamilyDescriptor(5, ctx.alpha, q=q, branch=branch, chi1=chi1, chi2=chi2)
-            )
-            if hit:
-                return hit
-    return None
-
-
-def _test_family7(ctx) -> ClassificationResult | None:
-    for chi in ctx.even:
-        h = ctx.f - chi.fn.scale(ctx.alpha)
-        if h.is_zero(MATCH_TOL):
-            continue
-        for branch in (1, -1):
-            hit = ctx.attempt(
-                FamilyDescriptor(7, ctx.alpha, branch=branch, chi=chi, h=h)
-            )
-            if hit:
-                return hit
-    return None
-
-
-_FAMILY_TESTS = {
-    1: _test_family1, 2: _test_family2, 3: _test_family3, 4: _test_family4,
-    5: _test_family5, 6: _test_family6, 7: _test_family7, 8: _test_family8,
-}

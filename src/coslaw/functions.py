@@ -29,6 +29,7 @@ from .semigroups import (
     InvolutiveAutomorphism,
     Semigroup,
     pair_products,
+    product_set,
 )
 
 CHARACTER_ORDER_BOUND = 6
@@ -436,7 +437,7 @@ def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
     window = s.window_set
     product = s.product
     i_chi = {x for x in elems if values_equal(ev(x), 0, VERIFY_TOL)}
-    i_sq = {product(a, b) for a in i_chi for b in i_chi} & window
+    i_sq = product_set(s, i_chi)
     diff = i_chi - i_sq
     units = [u for u in elems if u not in i_chi]
     p_chi = set()
@@ -462,7 +463,7 @@ def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
             p_chi.add(p)
     return NullSets(
         i_chi=frozenset(i_chi),
-        i_chi_sq=frozenset(i_sq),
+        i_chi_sq=i_sq,
         p_chi=frozenset(p_chi),
         certified="exact" if s.is_finite else "window",
     )

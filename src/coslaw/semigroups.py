@@ -1,10 +1,10 @@
 """Semigroup carriers: finite Cayley tables and rule-defined structures.
 
-Finite carriers use element indices 0..order-1; display labels are
-cosmetic.  Rule-defined ("procedural") carriers model infinite structures
-through a finite sample window: axioms and universally quantified
-properties are checked on window elements, while composition and function
-evaluation stay total so products may leave the window.
+Finite carriers use element indices 0..order-1.  Rule-defined
+("procedural") carriers model infinite structures through a finite sample
+window: axioms and universally quantified properties are checked on window
+elements, while composition and function evaluation stay total so products
+may leave the window.
 
 The domain test (an index in range, or the carrier's ``contains_rule``)
 lives in ``checked``, which raises ``IndexError`` or ``ValueError`` for
@@ -37,15 +37,12 @@ class FiniteSemigroup:
     """Order-n carrier with an n x n Cayley table (entry [x][y] = index of xy)."""
 
     cayley: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         n = len(self.cayley)
         object.__setattr__(self, "cayley", tuple(tuple(row) for row in self.cayley))
         if any(len(row) != n for row in self.cayley):
             raise ValueError("Cayley table must be square")
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("need one label per element")
 
     @property
     def order(self) -> int:
@@ -77,9 +74,6 @@ class FiniteSemigroup:
 
     def compose(self, x: int, y: int) -> int:
         return self.product(*self.checked((x, y)))
-
-    def label(self, x) -> str:
-        return self.labels[x] if self.labels else str(x)
 
 
 @dataclass(frozen=True)
@@ -122,9 +116,6 @@ class ProceduralSemigroup:
 
     def same_element(self, x, y) -> bool:
         return self.eq_rule(x, y) if self.eq_rule else x == y
-
-    def label(self, x) -> str:
-        return str(x)
 
 
 Semigroup = FiniteSemigroup | ProceduralSemigroup

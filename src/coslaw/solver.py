@@ -35,7 +35,7 @@ Solutions lying on positive-dimensional components (families 1-3 and the
 q-parametrized curves) are returned through whichever converged
 representatives survive deduplication, flagged rank-deficient via the
 Jacobian's smallest singular value.  Deduplication is greedy in lexsort
-order (Re x0 first): the first row within `dedup_radius` (max-norm of the
+order (Re x0 first): the first row within `DEDUP_RADIUS` (max-norm of the
 complex difference) represents the others.  Only kept rows whose Re x0 lies
 within the radius of the current row are compared, since |z| >= |Re z|
 rules out the rest.
@@ -62,6 +62,10 @@ from .semigroups import FiniteSemigroup, InvolutiveAutomorphism, product_set
 
 RANK_TOL = 1e-6
 START_RADIUS = 3.0
+SOLVER_ORDER_BOUND = 4
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITERS = 100
+DEDUP_RADIUS = 1e-6
 # the line search tries t = 1, 1/2, ..., 2^-39; while two or more rows are
 # pending, one res call covers the rest of the current chunk of these
 HALVING_CHUNKS = (1, 1, 2, 4, 8, 24)
@@ -70,17 +74,12 @@ CHUNK_ENDS = tuple(itertools.accumulate(HALVING_CHUNKS))
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_order: int = 4
     restarts: int = 2000
-    newton_tol: float = 1e-12
-    newton_max_iters: int = 100
-    dedup_radius: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_order", "restarts", "newton_tol", "newton_max_iters", "dedup_radius"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"SolverConfig.{name} must be positive")
+        if self.restarts <= 0:
+            raise ValueError("SolverConfig.restarts must be positive")
 
 
 @dataclass(frozen=True)
@@ -172,20 +171,20 @@ class _System:
         return J.reshape(len(vals), n * n, 2 * n)
 
 
-def _gauss_newton(system: _System, starts: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Value rows whose final max-norm residual is <= newton_tol.
+def _gauss_newton(system: _System, starts: np.ndarray) -> np.ndarray:
+    """Value rows whose final max-norm residual is <= NEWTON_TOL.
 
     Rows keep polishing past the tolerance until damping can no longer
     reduce the residual norm: near quadratic tangencies (e.g. around the
-    zero solution) a residual of newton_tol still allows a distance of
-    sqrt(newton_tol) from the solution variety, and the extra iterations
+    zero solution) a residual of NEWTON_TOL still allows a distance of
+    sqrt(NEWTON_TOL) from the solution variety, and the extra iterations
     pull such points onto it.
     """
     vals = starts.astype(complex)
     m, w = vals.shape
     active = np.ones(m, dtype=bool)
     ridge = 1e-14 * np.eye(w)
-    for _ in range(cfg.newton_max_iters):
+    for _ in range(NEWTON_MAX_ITERS):
         if not active.any():
             break
         idx = np.where(active)[0]
@@ -232,7 +231,7 @@ def _gauss_newton(system: _System, starts: np.ndarray, cfg: SolverConfig) -> np.
         # residual filter) or at a local minimum of the norm (discarded there)
         active[idx[pending]] = False
     final = np.abs(system.res(vals)).max(axis=1)
-    return vals[final <= cfg.newton_tol]
+    return vals[final <= NEWTON_TOL]
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +318,8 @@ def find_solutions(
     cfg = cfg or SolverConfig()
     if not s.is_finite:
         raise TypeError("the solver needs a finite carrier")
-    if s.order > cfg.max_order:
-        raise ValueError(f"order {s.order} exceeds SolverConfig.max_order {cfg.max_order}")
+    if s.order > SOLVER_ORDER_BOUND:
+        raise ValueError(f"order {s.order} exceeds the solver's order bound {SOLVER_ORDER_BOUND}")
     alpha_c = complex(alpha)
     n = s.order
     rng = np.random.default_rng(cfg.seed)
@@ -328,8 +327,8 @@ def find_solutions(
     randoms = _disk(rng, (cfg.restarts, 2 * n))
     starts = np.vstack([np.array(seeds), randoms])
     system = _System(s, sigma, alpha_c)
-    sols = _gauss_newton(system, starts, cfg)
-    kept = _dedup(sols, cfg.dedup_radius)
+    sols = _gauss_newton(system, starts)
+    kept = _dedup(sols, DEDUP_RADIUS)
     entries = []
     for row in kept:
         g_values = tuple(row[:n])
@@ -337,7 +336,7 @@ def find_solutions(
         gfn = ScalarFunction(s, values=list(g_values))
         ffn = ScalarFunction(s, values=list(f_values))
         rep = residual(s, sigma, alpha_c, gfn, ffn)
-        if rep.max_residual > cfg.newton_tol:
+        if rep.max_residual > NEWTON_TOL:
             continue  # independent re-verification failed
         J = system.jac(row[None, :])[0]
         sv = np.linalg.svd(J, compute_uv=False)

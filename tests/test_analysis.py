@@ -20,8 +20,13 @@ from coslaw.analysis import (
     classify,
     residual,
 )
-from coslaw.exactnum import ExpPoly
-from coslaw.families import FamilyDescriptor, construct, function_vanishing_on_products
+from coslaw.exactnum import Cyc, ExpPoly
+from coslaw.families import (
+    FamilyDescriptor,
+    InvalidDescriptor,
+    construct,
+    function_vanishing_on_products,
+)
 from coslaw.fixtures import get_fixture
 from coslaw.functions import ScalarFunction, null_sets
 from coslaw.semigroups import FiniteSemigroup, InvolutiveAutomorphism, ProceduralSemigroup
@@ -337,6 +342,16 @@ def test_zero_f_dependent():
     assert dep and wit == (1, 0)
 
 
+def test_dependence_mixed_exact_types_divide_as_complex():
+    # ExpPoly / Cyc has no exact quotient, so the pivot ratio is complex
+    assert analysis._div(ExpPoly.exp(1), Cyc.rational(1, 1)) == pytest.approx(math.e / (1 + 1j))
+    h = get_fixture("heisenberg", window=1)
+    f = h.character("exp", a=1, b=2).fn
+    g = ScalarFunction(h.carrier, rule=lambda t: Cyc.rational(1, 1))
+    assert check_linear_dependence(f, g) == (False, None)
+    assert check_linear_dependence(g, f) == (False, None)
+
+
 # ---------------------------------------------------------------------------
 # dependence-lemma harness
 # ---------------------------------------------------------------------------
@@ -534,3 +549,51 @@ def test_classify_exact_mode_round_trip():
     assert res.family_tag == 5 and res.match_residual == 0.0
     rebuilt = construct(s, sig, res.descriptor)
     assert rebuilt.g.equal_to(pair.g, tol=0) and rebuilt.f.equal_to(pair.f, tol=0)
+
+
+def test_classify_attempts_follow_the_decision_order(monkeypatch):
+    """Every candidate `classify` constructs, in order: a stub `construct`
+    that rejects everything logs the whole stream; the real one logs the
+    prefix up to the hit."""
+    order = (1, 2, 3, 4, 6, 8, 5, 7)
+    c3, c2 = get_fixture("c3"), get_fixture("c2")
+    cases = (
+        (c3, "inv", F(1, 2), FamilyDescriptor(8, F(1, 2), chi=c3.characters["chi3"])),
+        (c2, "id", 1, FamilyDescriptor(6, 1, chi1=c2.characters["chi1"], chi2=c2.characters["chi2"])),
+    )
+    real = analysis.construct
+    seen = set()
+    for fx, sigma, alpha, d in cases:
+        s, sig = fx.carrier, fx.sigma(sigma)
+        pair = real(s, sig, d)
+        want = classify(s, sig, alpha, pair.g, pair.f)
+        logs, results = {}, {}
+        for reject in (False, True):
+            log = logs[reject] = []
+
+            def logged(s, sigma, d, free_f=None, log=log, reject=reject):
+                log.append((d.family, free_f))
+                if reject:
+                    raise InvalidDescriptor("rejected by the test")
+                return real(s, sigma, d, free_f=free_f)
+
+            monkeypatch.setattr(analysis, "construct", logged)
+            results[reject] = classify(s, sig, alpha, pair.g, pair.f)
+            monkeypatch.setattr(analysis, "construct", real)
+        assert results[False].as_json() == want.as_json()
+        assert results[True].family_tag == "unclassified"
+        full = logs[True]
+        ranks = [order.index(family) for family, _ in full]
+        assert ranks == sorted(ranks)
+        assert full[-1][0] == 7  # the stream reaches family 7
+        assert logs[False] == full[: len(logs[False])]
+        assert logs[False][-1][0] == want.family_tag
+        for family, free in full:
+            if family in (2, 3):
+                assert free is pair.g
+            elif family == 1:
+                assert free is pair.f
+            else:
+                assert free is None
+        seen.update(family for family, _ in full)
+    assert seen == set(order)
