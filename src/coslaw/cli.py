@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .analysis import NotASolution, classify, residual
-from .exactnum import VERIFY_TOL, Cyc
+from .exactnum import VERIFY_TOL, Cyc, read_fraction
 from .families import (
     ConditionViolation,
     FamilyDescriptor,
@@ -54,43 +52,6 @@ class UsageError(ValueError):
 _NUM = re.compile(r"[+-]?(?:\d+/\d+|\d*\.\d+|\d+\.?|\.\d+)(?:[eE][+-]?\d+)?$")
 
 
-_DECIMAL_EXP = re.compile(r"[+-]?(\d*)\.?(\d*)[eE]([+-]?\d+)$")
-
-
-def _leading_power(txt: str) -> float | None:
-    """The power of ten of the leading digit of the decimal literal `txt`
-    (-inf when every digit is 0), or None when `txt` has no exponent.
-
-    Read from its digits and exponent alone: `Fraction` would first build
-    10**exponent, which takes seconds to minutes for exponents in the millions.
-    """
-    m = _DECIMAL_EXP.match(txt)
-    if m is None:
-        return None
-    whole, frac, exp = m.groups()
-    digits = (whole + frac).lstrip("0")
-    try:  # an exponent too long for int() stays malformed, as Fraction finds it
-        exp10 = int(exp)
-    except ValueError:
-        return None
-    if not digits:
-        return -math.inf
-    # the literal is int(whole + frac) * 10**(exp - len(frac))
-    return len(digits) - 1 + exp10 - len(frac)
-
-
-def _fraction(txt: str, lead: float | None, exact: bool):
-    """Fraction(txt), or the value without it where `Fraction` would build
-    10**k for nothing: 0 for a zero literal, and outside exact mode a
-    signed float zero for a literal below 1e-325 (half the least subnormal
-    float is 2.47e-324, so float() rounds it to zero)."""
-    if lead == -math.inf:
-        return Fraction(0)
-    if not exact and lead is not None and lead < -325:
-        return -0.0 if txt.startswith("-") else 0.0
-    return Fraction(txt)
-
-
 def parse_complex(text: str, exact: bool = False):
     """a | bi | a+bi | a-bi with decimal (or fractional) reals."""
     t = text.strip().replace(" ", "")
@@ -114,17 +75,13 @@ def parse_complex(text: str, exact: bool = False):
         re_txt, im_txt = t, "0"
     if not (_NUM.match(re_txt) and _NUM.match(im_txt)):
         raise UsageError(f"malformed complex literal {text!r}")
-    re_lead, im_lead = _leading_power(re_txt), _leading_power(im_txt)
-    if any(lead is not None and lead >= 309 for lead in (re_lead, im_lead)):
-        raise UsageError(f"complex literal {text!r} is out of range")
-    try:
-        re_f, im_f = _fraction(re_txt, re_lead, exact), _fraction(im_txt, im_lead, exact)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"malformed complex literal {text!r}") from None
     try:  # exact values too: specs and residuals convert them to floats
+        re_f, im_f = read_fraction(re_txt, exact), read_fraction(im_txt, exact)
         z = complex(float(re_f), float(im_f))
     except OverflowError:
         raise UsageError(f"complex literal {text!r} is out of range") from None
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"malformed complex literal {text!r}") from None
     if exact:
         if im_f == 0:
             return int(re_f) if re_f.denominator == 1 else re_f

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Union
@@ -477,6 +478,40 @@ def scalar_is_zero(v) -> bool:
     if isinstance(v, (Cyc, ExpPoly)):
         return v.is_zero()
     return v == 0
+
+
+_DECIMAL_EXP = re.compile(r"[+-]?(\d*)\.?(\d*)[eE]([+-]?\d+)$")
+
+
+def read_fraction(txt: str, exact: bool = True):
+    """Fraction(txt) for a decimal or fraction literal, read from its digits
+    and exponent first where `Fraction` would build 10**k for nothing (that
+    takes minutes for k in the hundreds of millions).
+
+    OverflowError for a magnitude of 1e309 or more, beyond float range; 0
+    for a zero literal; outside `exact`, a signed float zero below 1e-325
+    (half the least subnormal float is 2.47e-324, so float() rounds it to
+    zero).  Under `exact` a non-zero literal that small needs its 10**k.
+    """
+    # the spellings Fraction also takes: outer whitespace, digit underscores
+    m = _DECIMAL_EXP.match(txt.strip().replace("_", ""))
+    if m is None:
+        return Fraction(txt)
+    whole, frac, exp = m.groups()
+    try:  # an exponent too long for int() stays malformed, as Fraction finds it
+        exp10 = int(exp)
+    except ValueError:
+        return Fraction(txt)
+    digits = (whole + frac).lstrip("0")
+    if not digits:
+        return Fraction(0)
+    # the literal is int(whole + frac) * 10**(exp - len(frac))
+    lead = len(digits) - 1 + exp10 - len(frac)
+    if lead >= 309:
+        raise OverflowError(f"literal {txt!r} is out of range")
+    if not exact and lead < -325:
+        return -0.0 if txt.strip().startswith("-") else 0.0
+    return Fraction(txt)
 
 
 # the one tolerance for "the equation holds" and its derived identities on

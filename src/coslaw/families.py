@@ -41,7 +41,7 @@ from .functions import (
     linear_combination,
     null_sets,
 )
-from .semigroups import InvolutiveAutomorphism, Semigroup, pair_products
+from .semigroups import InvolutiveAutomorphism, Semigroup, left_rows, pair_products
 
 
 class InvalidDescriptor(ValueError):
@@ -246,14 +246,12 @@ def _as_rho(rho) -> Callable:
 def _check_condition_i(s, ns, chi, rho_fn, in_p, units):
     window = s.window_set
     product = s.product
-    units = s.checked(units)
+    p_chi = tuple(ns.p_chi)
+    rho = {p: rho_fn(p) for p in p_chi}
     chi_u = {u: chi(u) for u in units}
-    for p in s.checked(ns.p_chi):
-        rp = rho_fn(p)
-        ups = []
-        for u in units:
-            up = product(u, p)
-            ups.append(up)
+    for u, ups, rows in left_rows(s, units, p_chi):
+        for p, up in zip(p_chi, ups):
+            rp = rho[p]
             if up in window and in_p(up):
                 if not values_equal(rho_fn(up), rp * chi_u[u], VERIFY_TOL):
                     raise ConditionViolation(f"condition (I) fails at up = {u}*{p}")
@@ -261,15 +259,13 @@ def _check_condition_i(s, ns, chi, rho_fn, in_p, units):
             if pv in window and in_p(pv):
                 if not values_equal(rho_fn(pv), rp * chi_u[u], VERIFY_TOL):
                     raise ConditionViolation(f"condition (I) fails at pv = {p}*{u}")
-        # each u*p once, as the left factor for every v
-        for u, up in zip(units, s.checked(ups)):
-            for v in units:
-                upv = product(up, v)
+            row = rows[up]
+            if window.isdisjoint(row):  # most rows: nothing to test
+                continue
+            for v, upv in zip(units, row):
                 if upv in window and in_p(upv):
                     if not values_equal(rho_fn(upv), rp * chi_u[u] * chi_u[v], VERIFY_TOL):
-                        raise ConditionViolation(
-                            f"condition (I) fails at upv = {u}*{p}*{v}"
-                        )
+                        raise ConditionViolation(f"condition (I) fails at upv = {u}*{p}*{v}")
 
 
 def _check_condition_ii(s, ns, h, units):

@@ -12,7 +12,11 @@ A (A(xy) = A(x)+A(y)) on a sub-carrier, and the null-set triple
 
 On finite carriers everything is exact.  On rule-defined carriers the
 quantifiers are window-closed: products that leave the sample window are
-skipped, and reports are flagged "window" rather than "exact".
+skipped, and reports are flagged "window" rather than "exact".  The
+window test is the caller's, a set operation against ``window_set``; the
+products come from the scan helpers of ``semigroups``: ``pair_products``
+for I_chi^2, and ``left_rows`` for the translates up, pu and upv of
+P_chi, one unit u at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .semigroups import (
     FiniteSemigroup,
     InvolutiveAutomorphism,
     Semigroup,
+    element_period,
+    left_rows,
     pair_products,
     product_set,
 )
@@ -274,18 +280,6 @@ def is_additive(s: Semigroup, subset, f, tol: float = VERIFY_TOL) -> bool:
     return True
 
 
-def element_period(s: FiniteSemigroup, x: int) -> int:
-    """Period p of the cyclic subsemigroup generated by x (x^(i+p) = x^i)."""
-    (x,) = s.checked((x,))
-    seen: dict[int, int] = {}
-    cur, step = x, 1
-    while cur not in seen:
-        seen[cur] = step
-        cur = s.product(cur, x)
-        step += 1
-    return step - seen[cur]
-
-
 def _phase_mul(a: Fraction | None, b: Fraction | None) -> Fraction | None:
     if a is None or b is None:
         return None
@@ -434,33 +428,21 @@ def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
     elems = s.checked(s.elements)
     if all(values_equal(ev(x), 0, VERIFY_TOL) for x in elems):
         raise ValueError("null sets require a non-zero multiplicative function")
-    window = s.window_set
-    product = s.product
     i_chi = {x for x in elems if values_equal(ev(x), 0, VERIFY_TOL)}
     i_sq = product_set(s, i_chi)
     diff = i_chi - i_sq
+    candidates = tuple(diff)
     units = [u for u in elems if u not in i_chi]
-    p_chi = set()
-    for p in diff:
-        ok = True
-        for u in units:
-            up, pu = product(u, p), product(p, u)
-            for prod in (up, pu):
-                if prod in window and prod not in diff:
-                    ok = False
-                    break
-            if not ok:
-                break
-            s.checked((up,))  # up is a left factor for every v
-            for v in units:
-                upv = product(up, v)
-                if upv in window and upv not in diff:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            p_chi.add(p)
+    # p stays while none of up, pu and upv lands in the window outside diff
+    outside = s.window_set - diff
+    product = s.product
+    p_chi = set(diff)
+    for u, ups, rows in left_rows(s, units, candidates):
+        closed = {up: outside.isdisjoint(row) for up, row in rows.items()}
+        p_chi.difference_update(
+            p for p, up in zip(candidates, ups)
+            if up in outside or product(p, u) in outside or not closed[up]
+        )
     return NullSets(
         i_chi=frozenset(i_chi),
         i_chi_sq=i_sq,

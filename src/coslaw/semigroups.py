@@ -9,14 +9,16 @@ may leave the window.
 The domain test (an index in range, or the carrier's ``contains_rule``)
 lives in ``checked``, which raises ``IndexError`` or ``ValueError`` for
 the first element outside the carrier.  ``product`` is the bare product
-(a Cayley lookup or ``compose_rule``) and tests nothing.  Pair scans go
-through ``pair_products``, which checks each list of factors once, so an
-element is tested once per scan rather than once per product; only
-``residual``'s packed kernel and the three-factor loops (the null sets, and
-the triple scans of ``validate`` and ``is_abelian_fn``, which hold one left
-factor's products at a time) pair ``checked`` with ``product`` themselves.
-``compose`` is the single-product convenience: ``checked`` on both
-arguments, then ``product``.
+(a Cayley lookup or ``compose_rule``) and tests nothing.  Window scans go
+through two helpers that check each list of factors once, so an element
+is tested once per scan rather than once per product: ``pair_products``
+for the pairs x*y, and ``left_rows`` for the three-factor scans (the null
+set P_chi, condition (I), and the triple scans of ``validate`` and
+``is_abelian_fn``), which also checks each distinct product x*y once before
+it becomes a left factor.  Outside this module only ``residual``'s packed
+kernel pairs ``checked`` with ``product`` itself.  ``compose`` is the
+single-product convenience: ``checked`` on both arguments, then
+``product``.
 """
 
 from __future__ import annotations
@@ -166,6 +168,29 @@ def pair_products(s: Semigroup, xs, ys=None, sigma=None) -> Iterator[tuple]:
     return ((x, y, product(x, r)) for x in xs for y, r in zip(ys, right))
 
 
+def left_rows(s: Semigroup, xs, ys=None, zs=None) -> Iterator[tuple]:
+    """(x, [x*y for y in ys], {p: [p*z for z in zs]}) for x in `xs`, p
+    running over the distinct products x*y.
+
+    `checked` runs once on each factor list before the first x (`ys` and
+    `zs` default to `xs`, which is then checked once), and once on each
+    distinct product x*y over the whole scan, before it is a left factor.
+    One x's rows are built when it is reached, so a caller holds one left
+    factor's rows at a time.  Factors and products that passed the check
+    may be multiplied again with `s.product`.
+    """
+    xs = s.checked(xs)
+    ys = xs if ys is None else s.checked(ys)
+    zs = xs if zs is None else s.checked(zs)
+    product = s.product
+    seen: set = set()
+    for x in xs:
+        xys = list(map(product, itertools.repeat(x), ys))
+        distinct = dict.fromkeys(xys)
+        seen.update(s.checked(p for p in distinct if p not in seen))
+        yield x, xys, {p: list(map(product, itertools.repeat(p), zs)) for p in distinct}
+
+
 def triple_sample(s: Semigroup) -> tuple:
     """Deterministic element subsample for triple-quantified window checks."""
     elems = s.elements
@@ -178,9 +203,10 @@ def triple_sample(s: Semigroup) -> tuple:
 def validate(s: Semigroup) -> list[tuple]:
     """Closure/associativity violations on all checked triples; empty iff valid.
 
-    Violations are data, not errors: ("closure", x, y) entries flag table
-    values outside the carrier, ("associativity", x, y, z) entries name a
-    triple with (xy)z != x(yz).
+    Violations are data, not errors: ("closure", x, y) entries flag products
+    outside the carrier (table values, or window products that fail the
+    domain test), ("associativity", x, y, z) entries name a triple with
+    (xy)z != x(yz).  Any closure entry ends the check before associativity.
     """
     report: list[tuple] = []
     if s.is_finite:
@@ -198,32 +224,23 @@ def validate(s: Semigroup) -> list[tuple]:
             if s.cayley[s.cayley[x][y]][z] != s.cayley[x][s.cayley[y][z]]:
                 report.append(("associativity", x, y, z))
         return report
-    elems = triple_sample(s)
     for x, y in itertools.product(s.elements, repeat=2):
         try:
-            s.compose(x, y)
+            s.checked((s.compose(x, y),))
         except Exception:
             report.append(("closure", x, y))
-    prods = _checked_products(s, elems)
+    if report:
+        return report
+    elems = triple_sample(s)
+    # every product of window elements passed the closure scan
+    yz = {(y, z): p for y, z, p in pair_products(s, elems)}
     product = s.product
-    for x in elems:
-        # (xy)z for the distinct products xy of this x only: memory holds one
-        # left factor's rows, not one entry per (distinct product, z)
-        xy = [prods[x, y] for y in elems]
-        row = {p: [product(p, z) for z in elems] for p in dict.fromkeys(xy)}
-        for y, p in zip(elems, xy):
-            for z, pz in zip(elems, row[p]):
-                if not s.same_element(pz, product(x, prods[y, z])):
+    for x, xys, rows in left_rows(s, elems):
+        for y, p in zip(elems, xys):
+            for z, pz in zip(elems, rows[p]):
+                if not s.same_element(pz, product(x, yz[y, z])):
                     report.append(("associativity", x, y, z))
     return report
-
-
-def _checked_products(s: Semigroup, elems: tuple) -> dict:
-    """{(x, y): xy} over `elems`, with every distinct product `checked`, so
-    the triple scans may multiply a product again with the bare `product`."""
-    prods = {(x, y): xy for x, y, xy in pair_products(s, elems)}
-    s.checked(dict.fromkeys(prods.values()))
-    return prods
 
 
 def _same(s: Semigroup, a, b) -> bool:
@@ -273,6 +290,18 @@ def enumerate_involutive_automorphisms(s: FiniteSemigroup) -> list[InvolutiveAut
     return found
 
 
+def element_period(s: FiniteSemigroup, x: int) -> int:
+    """Period p of the cyclic subsemigroup generated by x (x^(i+p) = x^i)."""
+    (x,) = s.checked((x,))
+    seen: dict[int, int] = {}
+    cur, step = x, 1
+    while cur not in seen:
+        seen[cur] = step
+        cur = s.product(cur, x)
+        step += 1
+    return step - seen[cur]
+
+
 def _perm_name(perm: tuple[int, ...]) -> str:
     if all(p == i for i, p in enumerate(perm)):
         return "id"
@@ -292,13 +321,9 @@ def is_abelian_fn(s: Semigroup, f) -> bool:
     if not is_central(s, f):
         return False
     elems = triple_sample(s)
-    prods = _checked_products(s, elems)
-    product = s.product
     idx = range(len(elems))
-    for x in elems:
-        # f(xyz) for the distinct products xy of this x only, as in `validate`
-        xy = [prods[x, y] for y in elems]
-        row = {p: [f(product(p, z)) for z in elems] for p in dict.fromkeys(xy)}
-        if not all(values_equal(row[xy[i]][j], row[xy[j]][i], VERIFY_TOL) for i in idx for j in idx):
+    for _, xys, rows in left_rows(s, elems):
+        fxyz = {p: [f(q) for q in row] for p, row in rows.items()}
+        if not all(values_equal(fxyz[xys[i]][j], fxyz[xys[j]][i], VERIFY_TOL) for i in idx for j in idx):
             return False
     return True

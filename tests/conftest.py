@@ -1,5 +1,6 @@
 import pytest
 
+from coslaw import acceptance, solver
 from coslaw.fixtures import get_fixture
 from coslaw.semigroups import FiniteSemigroup, identity_automorphism
 
@@ -25,3 +26,33 @@ def any_fixture(request):
 def one_element():
     s = FiniteSemigroup(cayley=((0,),))
     return s, identity_automorphism(s)
+
+
+@pytest.fixture(scope="session")
+def a7_run():
+    """Criterion A7 run once for the session, through `Criterion.run`, so its
+    budget still times the real computation.
+
+    -> (CriterionResult, {(fixture, sigma, complex(alpha)): (CompletenessReport,
+    SolutionSet)}) with one entry per completeness run it made.
+    """
+    names = {get_fixture(n).carrier: n for n in acceptance.FINITE_FIXTURES}
+    runs = {}
+    found = []
+    real_check, real_find = acceptance.completeness_check, solver.find_solutions
+
+    def find_solutions(*args):
+        found.append(real_find(*args))
+        return found[-1]
+
+    def completeness_check(s, sigma, alpha, cfg):
+        rep = real_check(s, sigma, alpha, cfg)
+        runs[names[s], sigma.name, complex(alpha)] = rep, found.pop()
+        return rep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "find_solutions", find_solutions)
+        mp.setattr(acceptance, "completeness_check", completeness_check)
+        criterion = next(c for c in acceptance.CRITERIA if c.cid == "A7")
+        result = criterion.run()
+    return result, runs

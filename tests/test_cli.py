@@ -317,6 +317,25 @@ def test_huge_exponent_is_rejected_before_it_is_expanded(capsys):
     assert err == "usage error: complex literal '1e100000000' is out of range\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "classify"])
+@pytest.mark.parametrize("where", ["alpha", "g"])
+def test_pair_file_huge_exponent_is_a_parse_error_at_once(tmp_path, capsys, command, where):
+    pair = {"fixture": "c2", "sigma": "id", "alpha": ["0", "0"],
+            "g": [["1", "0"], ["1", "0"]], "f": [["0", "0"], ["0", "0"]]}
+    if where == "alpha":
+        pair["alpha"] = ["1e100000000", "0"]
+    else:
+        pair["g"][1] = ["0", "-1e100000000"]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    start = time.perf_counter()
+    assert main([command, "--pair", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "out of range" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("literal, exact, value", [
     ("0e100000000", False, 0.0),
     ("0e100000000", True, 0),

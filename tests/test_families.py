@@ -18,7 +18,7 @@ from coslaw.families import (
     function_vanishing_on_products,
     sqrt_branch,
 )
-from coslaw.fixtures import get_fixture
+from coslaw.fixtures import NullPredicates, get_fixture
 from coslaw.functions import ScalarFunction, is_even, star
 
 F = Fraction
@@ -241,6 +241,31 @@ def test_build_h_rejects_asymmetric_rho():
             additive=nat.additive_rules["five-adic"],
             rho=lambda x: x,
             predicates=nat.null_predicates["parity"],
+        )
+
+
+def _even(x):
+    return isinstance(x, int) and x % 2 == 0
+
+
+def test_build_h_rejects_condition_i():
+    # rho(x) = x is sigma-symmetric (sigma = id) but rho(3*2) = 6 != rho(2)chi(3) = 2
+    nat = get_fixture("naturals-from-2", window=50)
+    with pytest.raises(ConditionViolation, match=r"^condition \(I\) fails"):
+        build_h(
+            nat.carrier, nat.sigma(), nat.characters["parity"],
+            rho=lambda x: x, predicates=nat.null_predicates["parity"],
+        )
+
+
+def test_build_h_rejects_condition_ii():
+    # with P_chi declared as all of 2N, h = rho = 3 on every even product,
+    # so h(xu) != 0 for x in the window's I_chi - P_chi = 4N and u odd
+    nat = get_fixture("naturals-from-2", window=50)
+    with pytest.raises(ConditionViolation, match=r"^condition \(II\) fails"):
+        build_h(
+            nat.carrier, nat.sigma(), nat.characters["parity"],
+            rho=3, predicates=NullPredicates(in_i=_even, in_p=_even),
         )
 
 

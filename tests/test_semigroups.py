@@ -117,6 +117,16 @@ def test_validate_closure_violation():
     assert ("closure", 0, 1) in validate(bad)
 
 
+def test_validate_reports_rule_products_outside_the_domain():
+    sub = ProceduralSemigroup(
+        "sub", tuple(range(2, 8)), compose_rule=lambda x, y: x - y,
+        contains_rule=lambda x: isinstance(x, int) and x >= 2,
+    )
+    report = validate(sub)
+    # x - y >= 2 only when y <= x - 2; any closure entry ends the check
+    assert report == [("closure", x, y) for x in sub.window for y in sub.window if x - y < 2]
+
+
 def test_product_set_naturals_is_composites():
     nat = get_fixture("naturals-from-2", window=50)
     s2 = product_set(nat.carrier, nat.carrier.elements)

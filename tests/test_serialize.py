@@ -1,11 +1,12 @@
 """File formats: semigroup tables, pair JSON, round trips."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from coslaw.exactnum import Cyc
+from coslaw.exactnum import Cyc, read_fraction
 from coslaw.families import (
     FamilyDescriptor,
     HSpec,
@@ -180,3 +181,17 @@ def test_nested_rule_specs_round_trip(name):
 def test_unknown_rule_is_parse_error():
     with pytest.raises(ParseError, match="unknown function rule 'parity'"):
         function_from_json(get_fixture("real-line"), {"rule": "parity"})
+
+
+def test_read_fraction_reads_the_spellings_fraction_reads():
+    assert read_fraction(" 3/4 ") == Fraction(3, 4)
+    assert read_fraction("1_0e-1") == 1
+    assert read_fraction("-0e1_000_000_000") == 0
+
+
+@pytest.mark.parametrize("huge", ["1e309", "-1e309", " 1e1_000_000_000 ", "0.01e100000000"])
+def test_read_fraction_rejects_huge_literals_without_the_power(huge):
+    start = time.perf_counter()
+    with pytest.raises(OverflowError, match="out of range"):
+        read_fraction(huge)
+    assert time.perf_counter() - start < 1.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coslaw import solver
-from coslaw.acceptance import A7_ALPHAS, A7_CONFIG, FINITE_FIXTURES
+from coslaw.acceptance import A7_ALPHAS, FINITE_FIXTURES
 from coslaw.analysis import classify, residual
 from coslaw.families import FamilyDescriptor, construct
 from coslaw.fixtures import get_fixture
@@ -403,24 +403,21 @@ def test_scatter_jacobian_equals_dense_formula(name):
 # ---------------------------------------------------------------------------
 
 
-def test_a7_grid_matches_recorded_answers(monkeypatch):
+def test_a7_grid_matches_recorded_answers(a7_run):
     """Totals, family tags, rank-deficient and unclassified counts of every
     A7 completeness run, as recorded in tests/data/a7-grid.json."""
     golden = {
         (run["fixture"], run["sigma"], complex(*run["alpha"])): run
         for run in json.loads((DATA / "a7-grid.json").read_text())
     }
-    found = []
-    real = solver.find_solutions
-    monkeypatch.setattr(solver, "find_solutions", lambda *a: found.append(real(*a)) or found[-1])
+    _, runs = a7_run
     seen = set()
     for name in FINITE_FIXTURES:
         fx = get_fixture(name)
         for sigma in fx.sigmas:
             for alpha in A7_ALPHAS:
-                rep = completeness_check(fx.carrier, sigma, alpha, A7_CONFIG)
-                sols = found.pop()
                 key = (name, sigma.name, complex(alpha))
+                rep, sols = runs[key]
                 got = {
                     "total": rep.total,
                     "tags": sorted(([t, c] for t, c in rep.tags.items()), key=lambda tc: str(tc[0])),
