@@ -480,7 +480,13 @@ def scalar_is_zero(v) -> bool:
     return v == 0
 
 
-_DECIMAL_EXP = re.compile(r"[+-]?(\d*)\.?(\d*)[eE]([+-]?\d+)$")
+# a decimal literal with an exponent, in the spellings `Fraction` takes:
+# outer whitespace, a digit before or after the point, underscores only
+# between digits
+_DIGITS = r"\d+(?:_\d+)*"
+_DECIMAL_EXP = re.compile(
+    rf"\s*([+-]?)(?=\.?\d)((?:{_DIGITS})?)(?:\.((?:{_DIGITS})?))?[eE]([+-]?{_DIGITS})\s*\Z"
+)
 
 
 def read_fraction(txt: str, exact: bool = True):
@@ -492,12 +498,12 @@ def read_fraction(txt: str, exact: bool = True):
     for a zero literal; outside `exact`, a signed float zero below 1e-325
     (half the least subnormal float is 2.47e-324, so float() rounds it to
     zero).  Under `exact` a non-zero literal that small needs its 10**k.
+    Text `Fraction` rejects raises its ValueError.
     """
-    # the spellings Fraction also takes: outer whitespace, digit underscores
-    m = _DECIMAL_EXP.match(txt.strip().replace("_", ""))
+    m = _DECIMAL_EXP.match(txt)
     if m is None:
         return Fraction(txt)
-    whole, frac, exp = m.groups()
+    sign, whole, frac, exp = (g.replace("_", "") for g in m.groups(""))
     try:  # an exponent too long for int() stays malformed, as Fraction finds it
         exp10 = int(exp)
     except ValueError:
@@ -510,7 +516,7 @@ def read_fraction(txt: str, exact: bool = True):
     if lead >= 309:
         raise OverflowError(f"literal {txt!r} is out of range")
     if not exact and lead < -325:
-        return -0.0 if txt.strip().startswith("-") else 0.0
+        return -0.0 if sign == "-" else 0.0
     return Fraction(txt)
 
 

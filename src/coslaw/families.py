@@ -249,23 +249,32 @@ def _check_condition_i(s, ns, chi, rho_fn, in_p, units):
     p_chi = tuple(ns.p_chi)
     rho = {p: rho_fn(p) for p in p_chi}
     chi_u = {u: chi(u) for u in units}
-    for u, ups, rows in left_rows(s, units, p_chi):
-        for p, up in zip(p_chi, ups):
+    # the scan meets u outer; the witness raised is the first in p-major
+    # order (up and pv for every u, then upv), whatever order the scan meets
+    # the violations in
+    fails = []  # (p index, 0 for up/pv or 1 for upv, u index, v index, witness)
+    stop = len(p_chi)  # p past the least failing one cannot hold that witness
+    for i, (u, ups, rows) in enumerate(left_rows(s, units, p_chi)):
+        cu = chi_u[u]
+        for k, p, up in zip(range(stop), p_chi, ups):
             rp = rho[p]
-            if up in window and in_p(up):
-                if not values_equal(rho_fn(up), rp * chi_u[u], VERIFY_TOL):
-                    raise ConditionViolation(f"condition (I) fails at up = {u}*{p}")
+            if up in window and in_p(up) and not values_equal(rho_fn(up), rp * cu, VERIFY_TOL):
+                fails.append((k, 0, i, 0, f"up = {u}*{p}"))
             pv = product(p, u)
-            if pv in window and in_p(pv):
-                if not values_equal(rho_fn(pv), rp * chi_u[u], VERIFY_TOL):
-                    raise ConditionViolation(f"condition (I) fails at pv = {p}*{u}")
+            if pv in window and in_p(pv) and not values_equal(rho_fn(pv), rp * cu, VERIFY_TOL):
+                fails.append((k, 0, i, 1, f"pv = {p}*{u}"))
             row = rows[up]
             if window.isdisjoint(row):  # most rows: nothing to test
                 continue
-            for v, upv in zip(units, row):
+            for j, (v, upv) in enumerate(zip(units, row)):
                 if upv in window and in_p(upv):
-                    if not values_equal(rho_fn(upv), rp * chi_u[u] * chi_u[v], VERIFY_TOL):
-                        raise ConditionViolation(f"condition (I) fails at upv = {u}*{p}*{v}")
+                    if not values_equal(rho_fn(upv), rp * cu * chi_u[v], VERIFY_TOL):
+                        fails.append((k, 1, i, j, f"upv = {u}*{p}*{v}"))
+        if fails:
+            fails = [min(fails)]
+            stop = fails[0][0] + 1
+    if fails:
+        raise ConditionViolation(f"condition (I) fails at {fails[0][4]}")
 
 
 def _check_condition_ii(s, ns, h, units):

@@ -168,27 +168,27 @@ def pair_products(s: Semigroup, xs, ys=None, sigma=None) -> Iterator[tuple]:
     return ((x, y, product(x, r)) for x in xs for y, r in zip(ys, right))
 
 
-def left_rows(s: Semigroup, xs, ys=None, zs=None) -> Iterator[tuple]:
-    """(x, [x*y for y in ys], {p: [p*z for z in zs]}) for x in `xs`, p
+def left_rows(s: Semigroup, xs, ys=None) -> Iterator[tuple]:
+    """(x, [x*y for y in ys], {p: [p*z for z in xs]}) for x in `xs`, p
     running over the distinct products x*y.
 
-    `checked` runs once on each factor list before the first x (`ys` and
-    `zs` default to `xs`, which is then checked once), and once on each
+    `checked` runs once on each factor list before the first x (`ys`
+    defaults to `xs`, which is then checked once), and once on each
     distinct product x*y over the whole scan, before it is a left factor.
     One x's rows are built when it is reached, so a caller holds one left
-    factor's rows at a time.  Factors and products that passed the check
-    may be multiplied again with `s.product`.
+    factor's rows at a time.  The products x*y are computed here even
+    where a caller already has them.  Factors and products that passed the
+    check may be multiplied again with `s.product`.
     """
     xs = s.checked(xs)
     ys = xs if ys is None else s.checked(ys)
-    zs = xs if zs is None else s.checked(zs)
     product = s.product
     seen: set = set()
     for x in xs:
         xys = list(map(product, itertools.repeat(x), ys))
         distinct = dict.fromkeys(xys)
         seen.update(s.checked(p for p in distinct if p not in seen))
-        yield x, xys, {p: list(map(product, itertools.repeat(p), zs)) for p in distinct}
+        yield x, xys, {p: list(map(product, itertools.repeat(p), xs)) for p in distinct}
 
 
 def triple_sample(s: Semigroup) -> tuple:
@@ -207,6 +207,9 @@ def validate(s: Semigroup) -> list[tuple]:
     outside the carrier (table values, or window products that fail the
     domain test), ("associativity", x, y, z) entries name a triple with
     (xy)z != x(yz).  Any closure entry ends the check before associativity.
+    A window element outside a rule carrier's domain raises ValueError, as
+    in every window scan: each window element is tested once, each window
+    product once.
     """
     report: list[tuple] = []
     if s.is_finite:
@@ -224,17 +227,20 @@ def validate(s: Semigroup) -> list[tuple]:
             if s.cayley[s.cayley[x][y]][z] != s.cayley[x][s.cayley[y][z]]:
                 report.append(("associativity", x, y, z))
         return report
-    for x, y in itertools.product(s.elements, repeat=2):
+    elems = triple_sample(s)
+    sampled = frozenset(elems)
+    product = s.product
+    yz = {}  # the closure scan's products of sampled elements, for x(yz)
+    for x, y in itertools.product(s.checked(s.elements), repeat=2):
         try:
-            s.checked((s.compose(x, y),))
+            (xy,) = s.checked((product(x, y),))
         except Exception:
             report.append(("closure", x, y))
+            continue
+        if x in sampled and y in sampled:
+            yz[x, y] = xy
     if report:
         return report
-    elems = triple_sample(s)
-    # every product of window elements passed the closure scan
-    yz = {(y, z): p for y, z, p in pair_products(s, elems)}
-    product = s.product
     for x, xys, rows in left_rows(s, elems):
         for y, p in zip(elems, xys):
             for z, pz in zip(elems, rows[p]):

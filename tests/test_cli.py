@@ -336,6 +336,18 @@ def test_pair_file_huge_exponent_is_a_parse_error_at_once(tmp_path, capsys, comm
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("bad", ["e5", "0_e5"])
+def test_pair_file_malformed_literal_is_a_parse_error(tmp_path, capsys, bad):
+    pair = {"fixture": "c2", "sigma": "id", "alpha": [bad, "0"],
+            "g": [["1", "0"], ["1", "0"]], "f": [["0", "0"], ["0", "0"]]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    assert main(["verify", "--pair", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("literal, exact, value", [
     ("0e100000000", False, 0.0),
     ("0e100000000", True, 0),

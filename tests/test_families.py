@@ -258,6 +258,18 @@ def test_build_h_rejects_condition_i():
         )
 
 
+def test_build_h_condition_i_names_the_first_witness_in_p_major_order():
+    # rho = [x > 10] fails at up = u*2 for every odd u > 5 and at many upv
+    # (3*2*3 = 18 among them); the witness is the least p, then up and pv
+    # over every u, then upv
+    nat = get_fixture("naturals-from-2", window=50)
+    with pytest.raises(ConditionViolation, match=r"^condition \(I\) fails at up = 7\*2$"):
+        build_h(
+            nat.carrier, nat.sigma(), nat.characters["parity"],
+            rho=lambda x: 1 if x > 10 else 0, predicates=nat.null_predicates["parity"],
+        )
+
+
 def test_build_h_rejects_condition_ii():
     # with P_chi declared as all of 2N, h = rho = 3 on every even product,
     # so h(xu) != 0 for x in the window's I_chi - P_chi = 4N and u odd

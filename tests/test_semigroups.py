@@ -127,6 +127,15 @@ def test_validate_reports_rule_products_outside_the_domain():
     assert report == [("closure", x, y) for x in sub.window for y in sub.window if x - y < 2]
 
 
+def test_validate_rejects_a_window_element_outside_the_domain():
+    nat = ProceduralSemigroup(
+        "naturals", tuple(range(1, 8)), compose_rule=operator.mul,
+        contains_rule=lambda x: isinstance(x, int) and x >= 2,
+    )
+    with pytest.raises(ValueError, match="outside domain of naturals: 1"):
+        validate(nat)
+
+
 def test_product_set_naturals_is_composites():
     nat = get_fixture("naturals-from-2", window=50)
     s2 = product_set(nat.carrier, nat.carrier.elements)

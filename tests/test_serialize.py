@@ -189,6 +189,16 @@ def test_read_fraction_reads_the_spellings_fraction_reads():
     assert read_fraction("-0e1_000_000_000") == 0
 
 
+@pytest.mark.parametrize("bad", ["e5", ".e5", "-e0", "0_e5", "_0e5", "0e5_", "1__0e5"])
+def test_read_fraction_rejects_what_fraction_rejects(bad):
+    with pytest.raises(ValueError):
+        Fraction(bad)
+    with pytest.raises(ValueError):
+        read_fraction(bad)
+    with pytest.raises(ValueError):
+        scalar_from_json([bad, "0"])
+
+
 @pytest.mark.parametrize("huge", ["1e309", "-1e309", " 1e1_000_000_000 ", "0.01e100000000"])
 def test_read_fraction_rejects_huge_literals_without_the_power(huge):
     start = time.perf_counter()

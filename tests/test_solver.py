@@ -410,7 +410,8 @@ def test_a7_grid_matches_recorded_answers(a7_run):
         (run["fixture"], run["sigma"], complex(*run["alpha"])): run
         for run in json.loads((DATA / "a7-grid.json").read_text())
     }
-    _, runs = a7_run
+    result, runs = a7_run
+    assert set(runs) == set(golden), f"A7 stopped early: {result.detail}"
     seen = set()
     for name in FINITE_FIXTURES:
         fx = get_fixture(name)
