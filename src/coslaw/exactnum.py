@@ -16,6 +16,13 @@ Two exact number types supplement Python's float ``complex``:
 Everything degrades gracefully: mixing an exact value with a float
 ``complex`` produces a float ``complex``.
 
+``Cyc`` arithmetic divides no polynomials.  Each conductor n has one cached
+table of x^k mod Phi_n for phi(n) <= k < n, with integer entries since
+Phi_n is monic; a product, a conjugate, a lift or a sum across conductors
+folds its exponents mod n (zeta_n**n = 1) and reduces them with that table.
+Sums on one conductor and rational operands take fast paths that need no
+reduction, and ``complex(v)`` is computed once per value and cached.
+
 ``pack_scan`` is the fast path of exact residual scans: it maps every
 int, Fraction and ExpPoly value of one scan to a single Python int
 (Kronecker substitution: scale by the common denominator, shift to
@@ -112,10 +119,37 @@ def _phi_deg(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
-def _reduce(p: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    _, r = _pdivmod(_trim(list(p)), list(cyclotomic_poly(n)))
-    r = r + [Fraction(0)] * (_phi_deg(n) - len(r))
-    return tuple(r)
+@lru_cache(maxsize=None)
+def _reduction_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^k mod Phi_n for phi(n) <= k < n, one row per k, each row the
+    non-zero (i, coefficient) pairs of the remainder.  Phi_n is monic with
+    integer coefficients, so every entry is an int; lower powers are their
+    own remainders."""
+    d = _phi_deg(n)
+    low = [-int(c) for c in cyclotomic_poly(n)[:-1]]  # x^d = sum low[i] x^i
+    rows = []
+    cur = [0] * (d - 1) + [1]  # x^(d-1)
+    for _ in range(d, n):
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c + top * t for c, t in zip(cur, low)]
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
+    return tuple(rows)
+
+
+def _reduce(p: list, n: int) -> tuple[Fraction, ...]:
+    """Coefficients mod Phi_n of sum p[k] x^k, for rationals p (low degree
+    first) with at most n entries: callers fold exponents mod n, as
+    zeta_n**n = 1.  Each x^k with k >= phi(n) becomes its row of
+    `_reduction_table`."""
+    d = _phi_deg(n)
+    out = p[:d] + [0] * (d - len(p))
+    for ck, row in zip(p[d:], _reduction_table(n)):
+        if ck:
+            for i, t in row:
+                out[i] += t * ck
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in out)
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +160,37 @@ def _reduce(p: list[Fraction], n: int) -> tuple[Fraction, ...]:
 class Cyc:
     """An element of Q(zeta_n), reduced mod the cyclotomic polynomial.
 
-    The conductor n is per-value; binary operations lift both operands to
-    the lcm field first.  Representations are canonical within a fixed n,
-    so ``is_zero`` and equality are exact.
+    The conductor n is per-value.  Representations are canonical within a
+    fixed n (a tuple of phi(n) reduced Fractions), so ``is_zero`` and
+    equality are exact.
+
+    Arithmetic never divides polynomials: a product, or a sum across
+    conductors, collects its terms at exponents mod m, the lcm conductor
+    (zeta_m**m = 1), and reduces them once with m's integer table of
+    x^k mod Phi_m (`_reduction_table`).  Sums on one conductor add
+    coefficient by coefficient, an int or Fraction operand adds to the
+    constant term or scales the coefficients, and equality with a rational
+    reads the coefficients; none of these reduce.  ``complex(v)`` is
+    computed on first use by the same sum as always and kept in a slot (a
+    Cyc is immutable), so mixed exact/float arithmetic does not redo the
+    ``cmath.exp`` sum.
     """
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "c", "_z")
 
     def __init__(self, n: int, coeffs) -> None:
         self.n = n
         self.c = tuple(Fraction(x) for x in coeffs)
+        self._z = None
         if len(self.c) != _phi_deg(n):
             raise ValueError(f"need {_phi_deg(n)} coefficients for conductor {n}")
+
+    @staticmethod
+    def _of(n: int, c: tuple[Fraction, ...]) -> "Cyc":
+        """A Cyc from coefficients already reduced to Fractions for n."""
+        v = object.__new__(Cyc)
+        v.n, v.c, v._z = n, c, None
+        return v
 
     # -- constructors -------------------------------------------------
 
@@ -145,20 +198,19 @@ class Cyc:
     def rational(re: Rat, im: Rat = 0) -> "Cyc":
         re, im = Fraction(re), Fraction(im)
         if im == 0:
-            return Cyc(1, (re,))
-        return Cyc(4, (re, im))  # basis {1, i}
+            return Cyc._of(1, (re,))
+        return Cyc._of(4, (re, im))  # basis {1, i}
 
     @staticmethod
     def root_of_unity(turns: Fraction) -> "Cyc":
         """e^(2*pi*i*turns) for rational turns."""
         t = Fraction(turns) % 1
         n, k = t.denominator, t.numerator
-        mono = [Fraction(0)] * k + [Fraction(1)]
-        return Cyc(n, _reduce(mono, n))
+        return Cyc._of(n, _reduce([0] * k + [1], n))
 
     @staticmethod
     def zero() -> "Cyc":
-        return Cyc(1, (Fraction(0),))
+        return Cyc._of(1, (Fraction(0),))
 
     # -- coercion helpers ---------------------------------------------
 
@@ -172,85 +224,125 @@ class Cyc:
 
     def _lift(self, m: int) -> list[Fraction]:
         """Coefficients of self viewed in Q(zeta_m); requires n | m."""
+        if m == self.n:
+            return list(self.c)
+        acc = [0] * m
+        self._spread(m, acc)
+        return list(_reduce(acc, m))
+
+    def _spread(self, m: int, acc: list) -> None:
+        """Adds self's coefficients into acc at their exponents in Q(zeta_m)."""
         step = m // self.n
-        out = [Fraction(0)] * (len(self.c) * step + 1)
         for k, ck in enumerate(self.c):
-            out[k * step] += ck
-        return list(_reduce(out, m))
+            if ck:
+                acc[k * step] += ck
+
+    def _add_cyc(self, o: "Cyc") -> "Cyc":
+        if o.n == self.n:
+            return Cyc._of(self.n, tuple(a + b for a, b in zip(self.c, o.c)))
+        m = math.lcm(self.n, o.n)
+        acc = [0] * m
+        self._spread(m, acc)
+        o._spread(m, acc)
+        return Cyc._of(m, _reduce(acc, m))
+
+    def _mul_cyc(self, o: "Cyc") -> "Cyc":
+        m = math.lcm(self.n, o.n)
+        sa, sb = m // self.n, m // o.n
+        acc = [0] * m
+        for i, a in enumerate(self.c):
+            if a:
+                ia = i * sa
+                for j, b in enumerate(o.c):
+                    if b:
+                        acc[(ia + j * sb) % m] += a * b
+        return Cyc._of(m, _reduce(acc, m))
+
+    def _scaled(self, r: Rat) -> "Cyc":
+        return Cyc._of(self.n, tuple(x * r for x in self.c))
+
+    def _shifted(self, r: Rat) -> "Cyc":
+        """self + r for a rational r: only the constant term moves."""
+        return Cyc._of(self.n, (self.c[0] + r, *self.c[1:]))
 
     # -- arithmetic ----------------------------------------------------
-
-    def _binop(self, other, f):
-        o = Cyc._lift_of(other)
-        if o is None:
-            if isinstance(other, (float, complex, ExpPoly)):
-                return f(complex(self), complex(other), float_mode=True)
-            return NotImplemented
-        m = self.n * o.n // math.gcd(self.n, o.n)
-        return f(self._lift(m), o._lift(m), m=m)
+    # float, complex and ExpPoly operands give float complex results, from
+    # complex(self) and complex(other) in that order
 
     def __add__(self, other):
-        def f(a, b, m=None, float_mode=False):
-            if float_mode:
-                return a + b
-            return Cyc(m, _reduce(_padd(a, b), m))
-
-        return self._binop(other, f)
+        if isinstance(other, Cyc):
+            return self._add_cyc(other)
+        if isinstance(other, (int, Fraction)):
+            return self._shifted(other)
+        if isinstance(other, (float, complex, ExpPoly)):
+            return complex(self) + complex(other)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.n, tuple(-x for x in self.c))
+        return Cyc._of(self.n, tuple(-x for x in self.c))
 
     def __sub__(self, other):
-        if isinstance(other, (Cyc, int, Fraction)):
-            return self.__add__(-other)
+        if isinstance(other, Cyc):
+            if other.n == self.n:
+                return Cyc._of(self.n, tuple(a - b for a, b in zip(self.c, other.c)))
+            return self._add_cyc(-other)
+        if isinstance(other, (int, Fraction)):
+            return self._shifted(-other)
         if isinstance(other, (float, complex, ExpPoly)):
             return complex(self) - complex(other)
         return NotImplemented
 
     def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Cyc._of(self.n, (other - self.c[0], *(-x for x in self.c[1:])))
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        def f(a, b, m=None, float_mode=False):
-            if float_mode:
-                return a * b
-            return Cyc(m, _reduce(_pmul(a, b), m))
-
-        return self._binop(other, f)
+        if isinstance(other, Cyc):
+            return self._mul_cyc(other)
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        if isinstance(other, (float, complex, ExpPoly)):
+            return complex(self) * complex(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
+        if len(self.c) == 1:  # a rational: the extended gcd is ~25x slower
+            return Cyc._of(self.n, (1 / self.c[0],))
         g, u, _ = _pxgcd(_trim(list(self.c)), list(cyclotomic_poly(self.n)))
         assert len(g) == 1  # Phi_n irreducible over Q
-        inv = [x / g[0] for x in u]
-        return Cyc(self.n, _reduce(inv, self.n))
+        return Cyc._of(self.n, _reduce([x / g[0] for x in u], self.n))
 
     def __truediv__(self, other):
-        o = Cyc._lift_of(other)
-        if o is not None:
-            return self * o.inverse()
+        if isinstance(other, Cyc):
+            return self._mul_cyc(other.inverse())
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("inverse of zero cyclotomic")
+            return self._scaled(1 / Fraction(other))
         if isinstance(other, (float, complex)):
             return complex(self) / complex(other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        o = Cyc._lift_of(other)
-        if o is not None:
-            return o * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse()._scaled(other)
         if isinstance(other, (float, complex)):
             return complex(other) / complex(self)
         return NotImplemented
 
     def conjugate(self) -> "Cyc":
-        out = [Fraction(0)] * self.n
+        n = self.n
+        out = [0] * n
         for k, ck in enumerate(self.c):
-            out[(self.n - k) % self.n] += ck
-        return Cyc(self.n, _reduce(out, self.n))
+            out[-k % n] += ck
+        return Cyc._of(n, _reduce(out, n))
 
     # -- predicates / conversions ---------------------------------------
 
@@ -258,10 +350,12 @@ class Cyc:
         return all(x == 0 for x in self.c)
 
     def __eq__(self, other) -> bool:
-        o = Cyc._lift_of(other)
-        if o is not None:
-            d = self - o
-            return isinstance(d, Cyc) and d.is_zero()
+        if isinstance(other, Cyc):
+            if other.n == self.n:
+                return self.c == other.c
+            return (self - other).is_zero()
+        if isinstance(other, (int, Fraction)):
+            return self.c[0] == other and all(x == 0 for x in self.c[1:])
         if isinstance(other, (float, complex)):
             return complex(self) == complex(other)
         return NotImplemented
@@ -269,10 +363,13 @@ class Cyc:
     __hash__ = None  # representations across conductors are not canonical
 
     def __complex__(self) -> complex:
-        z = 0j
-        for k, ck in enumerate(self.c):
-            if ck:
-                z += float(ck) * cmath.exp(2j * cmath.pi * k / self.n)
+        z = self._z
+        if z is None:
+            z = 0j
+            for k, ck in enumerate(self.c):
+                if ck:
+                    z += float(ck) * cmath.exp(2j * cmath.pi * k / self.n)
+            self._z = z
         return z
 
     def __abs__(self) -> float:
@@ -284,16 +381,10 @@ class Cyc:
             return self.c[0], Fraction(0)
         if self.n == 4:
             return self.c[0], self.c[1]
-        if self.n % 4 == 0:
-            lifted = self
-        elif self.n % 2 == 0:
-            lifted = Cyc(self.n * 2, self._lift(self.n * 2))
-        else:
-            lifted = Cyc(self.n * 4, self._lift(self.n * 4))
-        m = lifted.n
+        m = math.lcm(self.n, 4)
         step = m // 4  # zeta_m^(m/4) = i, and m/4 < phi(m) so this is basis-reduced
         re, im = Fraction(0), Fraction(0)
-        for k, ck in enumerate(lifted.c):
+        for k, ck in enumerate(self._lift(m)):
             if ck == 0:
                 continue
             if k == 0:

@@ -1,6 +1,8 @@
 """Exact scalar arithmetic: cyclotomic rationals and Laurent polynomials in e."""
 
 import cmath
+import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -89,6 +91,160 @@ def test_exact_sqrt():
     assert exact_sqrt(Cyc.rational(0, 2)).rational_parts() == (F(1), F(1))
     assert exact_sqrt(Cyc.rational(2)) is None  # sqrt(2) is irrational
     assert exact_sqrt(Cyc.rational(-4)).rational_parts() == (F(0), F(2))
+
+
+# ---------------------------------------------------------------------------
+# Cyc against the polynomial-division arithmetic it replaced: every operand
+# lifted to the lcm conductor and reduced by dividing by Phi_m
+# ---------------------------------------------------------------------------
+
+
+def _ref_pdivmod(a, b):
+    a = list(a)
+    q = [F(0)] * max(0, len(a) - len(b) + 1)
+    inv = 1 / b[-1]
+    while len(a) >= len(b):
+        c = a[-1] * inv
+        d = len(a) - len(b)
+        q[d] = c
+        for i, cb in enumerate(b):
+            a[d + i] -= c * cb
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            break
+    return q, a
+
+
+def _ref_reduce(p, n):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    _, r = _ref_pdivmod(p, list(cyclotomic_poly(n)))
+    return tuple(r + [F(0)] * (len(cyclotomic_poly(n)) - 1 - len(r)))
+
+
+def _ref_lift(v, m):
+    n, c = (v.n, v.c) if isinstance(v, Cyc) else (1, (F(v),))
+    step = m // n
+    out = [F(0)] * (len(c) * step + 1)
+    for k, ck in enumerate(c):
+        out[k * step] += ck
+    return list(_ref_reduce(out, m))
+
+
+def _ref_conductor(a, b):
+    return math.lcm(*(v.n if isinstance(v, Cyc) else 1 for v in (a, b)))
+
+
+def _ref_sum(a, b, sign=1):
+    m = _ref_conductor(a, b)
+    return m, _ref_reduce([x + sign * y for x, y in zip(_ref_lift(a, m), _ref_lift(b, m))], m)
+
+
+def _ref_product(a, b):
+    m = _ref_conductor(a, b)
+    la, lb = _ref_lift(a, m), _ref_lift(b, m)
+    out = [F(0)] * (len(la) + len(lb))
+    for i, x in enumerate(la):
+        for j, y in enumerate(lb):
+            out[i + j] += x * y
+    return m, _ref_reduce(out, m)
+
+
+def _ref_conjugate(v):
+    out = [F(0)] * v.n
+    for k, ck in enumerate(v.c):
+        out[(v.n - k) % v.n] += ck
+    return v.n, _ref_reduce(out, v.n)
+
+
+def _formula_complex(v):
+    z = 0j
+    for k, ck in enumerate(v.c):
+        if ck:
+            z += float(ck) * cmath.exp(2j * cmath.pi * k / v.n)
+    return z
+
+
+def _bits(z):
+    return struct.pack("dd", z.real, z.imag)
+
+
+def _as_ref(v):
+    """(n, c) of a Cyc, with every coefficient checked to be a Fraction."""
+    assert isinstance(v, Cyc)
+    assert all(type(x) is F for x in v.c)
+    return v.n, v.c
+
+
+_small = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=6), st.just(F(0))
+)
+
+
+@st.composite
+def _cycs(draw):
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return Cyc.root_of_unity(F(draw(st.integers(0, n - 1)), n))
+    deg = len(cyclotomic_poly(n)) - 1
+    return Cyc(n, draw(st.lists(_small, min_size=deg, max_size=deg)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_cycs(), _cycs(), _small)
+def test_cyc_arithmetic_matches_the_division_reference(a, b, r):
+    # mixed conductors, and a rational operand on either side
+    for got, want in (
+        (a + b, _ref_sum(a, b)),
+        (a - b, _ref_sum(a, b, -1)),
+        (a * b, _ref_product(a, b)),
+        (a + r, _ref_sum(a, r)),
+        (r + a, _ref_sum(a, r)),
+        (a - r, _ref_sum(a, r, -1)),
+        (r - a, _ref_sum(Cyc.rational(r), a, -1)),
+        (a * r, _ref_product(a, r)),
+        (r * a, _ref_product(a, r)),
+        (a * b.conjugate(), _ref_product(a, Cyc(*_ref_conjugate(b)))),
+    ):
+        assert _as_ref(got) == want
+    assert (a == b) == (not any(_ref_sum(a, b, -1)[1]))
+    for x, y in ((a, r), (r, a)):
+        assert (x == y) == (not any(_ref_sum(a, r, -1)[1]))
+    if not b.is_zero():
+        assert _as_ref(a / b) == _ref_product(a, Cyc(*_as_ref(b.inverse())))
+    if r:
+        assert _as_ref(a / r) == _ref_product(a, F(1) / r)
+    if not a.is_zero():
+        assert _as_ref(r / a) == _ref_product(a.inverse(), r)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_cycs(), st.integers(1, 12), st.integers(0, 11))
+def test_cyc_conjugate_inverse_and_roots_match_the_division_reference(v, n, k):
+    assert _as_ref(v.conjugate()) == _ref_conjugate(v)
+    if v.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            v.inverse()
+    else:
+        inv = v.inverse()
+        # the inverse is unique: its reference product with v is one
+        assert _as_ref(inv)[0] == v.n
+        assert _ref_product(v, inv) == (v.n, _ref_reduce([F(1)], v.n))
+    t = F(k % n, n)
+    m, j = t.denominator, t.numerator
+    assert _as_ref(Cyc.root_of_unity(t)) == (m, _ref_reduce([F(0)] * j + [F(1)], m))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_cycs(), _cycs(), _small)
+def test_cyc_complex_is_cached_with_the_formula_bits(a, b, r):
+    for v in (a, b, a + b, a * b, a + r, r - a, a * r, -a, a.conjugate()):
+        want = _bits(_formula_complex(v))
+        assert _bits(complex(v)) == want
+        assert _bits(complex(v)) == want  # the cached value, on a repeated call
+        assert _bits(v + 0.5j) == _bits(_formula_complex(v) + 0.5j)
 
 
 def test_exppoly_ring():

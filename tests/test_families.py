@@ -20,6 +20,7 @@ from coslaw.families import (
 )
 from coslaw.fixtures import NullPredicates, get_fixture
 from coslaw.functions import ScalarFunction, is_even, star
+from coslaw.semigroups import InvolutiveAutomorphism
 
 F = Fraction
 
@@ -232,14 +233,39 @@ def test_family7_real_line_with_additive_h():
     assert rep.max_residual < 1e-9
 
 
+def _swap_3_and_5(x: int) -> int:
+    """The automorphism of (N>=2, *) that swaps the primes 3 and 5."""
+    e3 = e5 = 0
+    while x % 3 == 0:
+        x, e3 = x // 3, e3 + 1
+    while x % 5 == 0:
+        x, e5 = x // 5, e5 + 1
+    return x * 3**e5 * 5**e3
+
+
+SWAP_3_5 = InvolutiveAutomorphism("swap-3-5", rule=_swap_3_and_5)
+
+
 def test_build_h_rejects_asymmetric_rho():
+    # parity is even under the swap, but rho = [3 | x] on P_chi = 2N \ 4N is
+    # not: rho(6) = 1 while rho(sigma(6)) = rho(10) = 0
     nat = get_fixture("naturals-from-2", window=40)
-    rho = {p: p for p in range(2, 41) if p % 4 == 2}  # rho(up) != rho(p)chi(u)
-    with pytest.raises(ConditionViolation):
+    with pytest.raises(ConditionViolation, match=r"^rho is not sigma-symmetric at \d+$"):
         build_h(
-            nat.carrier, nat.sigma(), nat.characters["parity"],
+            nat.carrier, SWAP_3_5, nat.characters["parity"],
+            rho=lambda x: int(x % 3 == 0),
+            predicates=nat.null_predicates["parity"],
+        )
+
+
+def test_build_h_rejects_asymmetric_additive_part():
+    # the five-adic count is additive on the odd units, but A(3) = 0 while
+    # A(sigma(3)) = A(5) = 1; 3 is the first unit of the window
+    nat = get_fixture("naturals-from-2", window=40)
+    with pytest.raises(ConditionViolation, match=r"^additive part is not sigma-symmetric at 3$"):
+        build_h(
+            nat.carrier, SWAP_3_5, nat.characters["parity"],
             additive=nat.additive_rules["five-adic"],
-            rho=lambda x: x,
             predicates=nat.null_predicates["parity"],
         )
 
