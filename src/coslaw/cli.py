@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .analysis import NotASolution, classify, residual
-from .exactnum import VERIFY_TOL, Cyc, read_fraction
+from .exactnum import VERIFY_TOL, rational_complex, read_fraction
 from .families import (
     ConditionViolation,
     FamilyDescriptor,
@@ -83,9 +83,7 @@ def parse_complex(text: str, exact: bool = False):
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"malformed complex literal {text!r}") from None
     if exact:
-        if im_f == 0:
-            return int(re_f) if re_f.denominator == 1 else re_f
-        return Cyc.rational(re_f, im_f)
+        return rational_complex(re_f, im_f)
     return z.real if z.imag == 0 else z
 
 

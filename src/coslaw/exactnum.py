@@ -18,10 +18,14 @@ Everything degrades gracefully: mixing an exact value with a float
 
 ``Cyc`` arithmetic divides no polynomials.  Each conductor n has one cached
 table of x^k mod Phi_n for phi(n) <= k < n, with integer entries since
-Phi_n is monic; a product, a conjugate, a lift or a sum across conductors
-folds its exponents mod n (zeta_n**n = 1) and reduces them with that table.
-Sums on one conductor and rational operands take fast paths that need no
-reduction, and ``complex(v)`` is computed once per value and cached.
+Phi_n is monic; a product, a Galois conjugate sigma_k (zeta_n -> zeta_n**k),
+a lift or a sum across conductors folds its exponents mod n
+(zeta_n**n = 1) and reduces them with that table, the only way a value is
+reduced.  Phi_n itself is the integer product of the (x^d - 1)**mu(n/d),
+complex conjugation is sigma_(-1), and an inverse is the product of the
+other conjugates over the rational norm.  Sums on one conductor and
+rational operands take fast paths that need no reduction, and
+``complex(v)`` is computed once per value and cached.
 
 ``pack_scan`` is the fast path of exact residual scans: it maps every
 int, Fraction and ExpPoly value of one scan to a single Python int
@@ -43,76 +47,39 @@ from typing import Iterator, Union
 Rat = Union[int, Fraction]
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Q, coefficient lists low degree -> high
+# the cyclotomic polynomials and their reduction tables
 # ---------------------------------------------------------------------------
 
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _padd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
-
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
-
-
-def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b):
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        q[d] = c
-        for i, cb in enumerate(b):
-            a[d + i] -= c * cb
-        _trim(a)
-        if not a:
-            break
-    return _trim(q), a
-
-
-def _pxgcd(a: list[Fraction], b: list[Fraction]):
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, [-c for c in _pmul(q, s1)])
-        t0, t1 = t1, _padd(t0, [-c for c in _pmul(q, t1)])
-    return r0, s0, t0
+def _mobius(n: int) -> int:
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
-    """n-th cyclotomic polynomial Phi_n as a coefficient tuple."""
-    p = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _pdivmod(p, list(cyclotomic_poly(d)))
-            assert not r
+    """n-th cyclotomic polynomial Phi_n as a coefficient tuple, low degree
+    first, from Phi_n = prod_{d | n} (x^d - 1)^mu(n/d) in integers.
+    Multiplying by x^d - 1 is a shift and a subtract; dividing by it is a
+    running sum, exact because every factor is multiplied in first."""
+    factors = [(d, _mobius(n // d)) for d in range(1, n + 1) if n % d == 0]
+    p = [1]
+    for d, mu in sorted(factors, key=lambda f: -f[1]):
+        if mu == 1:
+            p = [a - b for a, b in zip([0] * d + p, p + [0] * d)]
+        elif mu == -1:  # p = q * (x^d - 1), so q_k = q_(k-d) - p_k
+            q: list[int] = []
+            for k in range(len(p) - d):
+                q.append((q[k - d] if k >= d else 0) - p[k])
             p = q
-    return tuple(p)
+    return tuple(Fraction(c) for c in p)
 
 
 def _phi_deg(n: int) -> int:
@@ -167,18 +134,23 @@ class Cyc:
     Arithmetic never divides polynomials: a product, or a sum across
     conductors, collects its terms at exponents mod m, the lcm conductor
     (zeta_m**m = 1), and reduces them once with m's integer table of
-    x^k mod Phi_m (`_reduction_table`).  Sums on one conductor add
-    coefficient by coefficient, an int or Fraction operand adds to the
-    constant term or scales the coefficients, and equality with a rational
-    reads the coefficients; none of these reduce.  ``complex(v)`` is
-    computed on first use by the same sum as always and kept in a slot (a
-    Cyc is immutable), so mixed exact/float arithmetic does not redo the
-    ``cmath.exp`` sum.
+    x^k mod Phi_m (`_reduction_table`).  ``conjugate`` is the Galois map
+    sigma_(-1) and ``inverse`` the product of sigma_k(v) over the units
+    k != 1 mod n, scaled by 1/N(v) for the rational norm N(v); both
+    re-index exponents and reduce with the same table.  Sums on one
+    conductor add coefficient by coefficient, an int or Fraction operand
+    adds to the constant term or scales the coefficients, and equality with
+    a rational reads the coefficients; none of these reduce.
+    ``complex(v)`` is computed on first use by the same sum as always and
+    kept in a slot (a Cyc is immutable), so mixed exact/float arithmetic
+    does not redo the ``cmath.exp`` sum.
     """
 
     __slots__ = ("n", "c", "_z")
 
     def __init__(self, n: int, coeffs) -> None:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"conductor must be an int >= 1, not {n!r}")
         self.n = n
         self.c = tuple(Fraction(x) for x in coeffs)
         self._z = None
@@ -311,13 +283,22 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
+        """1/self = prod_(k != 1) sigma_k(self) / N(self), k over the units
+        mod n: the norm N(self), the product over every unit, is a non-zero
+        rational for self != 0, as Phi_n is irreducible over Q."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        if len(self.c) == 1:  # a rational: the extended gcd is ~25x slower
+        if len(self.c) == 1:  # a rational: no conjugates to multiply
             return Cyc._of(self.n, (1 / self.c[0],))
-        g, u, _ = _pxgcd(_trim(list(self.c)), list(cyclotomic_poly(self.n)))
-        assert len(g) == 1  # Phi_n irreducible over Q
-        return Cyc._of(self.n, _reduce([x / g[0] for x in u], self.n))
+        n = self.n
+        rest = None
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                g = self._galois(k)
+                rest = g if rest is None else rest._mul_cyc(g)
+        norm = self._mul_cyc(rest).c
+        assert not any(norm[1:])
+        return rest._scaled(1 / norm[0])
 
     def __truediv__(self, other):
         if isinstance(other, Cyc):
@@ -337,12 +318,17 @@ class Cyc:
             return complex(other) / complex(self)
         return NotImplemented
 
-    def conjugate(self) -> "Cyc":
+    def _galois(self, k: int) -> "Cyc":
+        """sigma_k(self) for k prime to n, the automorphism zeta_n -> zeta_n**k:
+        exponents re-indexed mod n, then reduced."""
         n = self.n
         out = [0] * n
-        for k, ck in enumerate(self.c):
-            out[-k % n] += ck
+        for i, ci in enumerate(self.c):
+            out[i * k % n] += ci
         return Cyc._of(n, _reduce(out, n))
+
+    def conjugate(self) -> "Cyc":
+        return self._galois(-1)
 
     # -- predicates / conversions ---------------------------------------
 
@@ -609,6 +595,14 @@ def read_fraction(txt: str, exact: bool = True):
     if not exact and lead < -325:
         return -0.0 if sign == "-" else 0.0
     return Fraction(txt)
+
+
+def rational_complex(re: Fraction, im: Fraction):
+    """The exact scalar re + im*i: an int or a Fraction when im is 0, else
+    `Cyc.rational(re, im)`."""
+    if im == 0:
+        return simplify_scalar(re)
+    return Cyc.rational(re, im)
 
 
 # the one tolerance for "the equation holds" and its derived identities on

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exactnum import Cyc, is_exact, read_fraction
+from .exactnum import Cyc, is_exact, rational_complex, read_fraction
 from .families import SolutionPair, function_vanishing_on_products
 from .fixtures import Fixture, get_fixture
 from .functions import ScalarFunction, complex_pair, linear_combination, star
@@ -171,12 +171,7 @@ def scalar_to_json(v):
 def scalar_from_json(pair):
     re, im = pair
     if isinstance(re, str) or isinstance(im, str):
-        re, im = read_fraction(str(re)), read_fraction(str(im))
-        if im == 0 and re.denominator == 1:
-            return int(re)
-        if im == 0:
-            return re
-        return Cyc.rational(re, im)
+        return rational_complex(read_fraction(str(re)), read_fraction(str(im)))
     return complex(re, im) if im else float(re)
 
 

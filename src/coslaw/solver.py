@@ -80,6 +80,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.restarts <= 0:
             raise ValueError("SolverConfig.restarts must be positive")
+        if self.seed < 0:
+            raise ValueError("SolverConfig.seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,7 @@ def test_verify_nan_pair_is_check_failure(tmp_path, capsys):
         (["--alpha", "0.5", "--restarts", "0"], "restarts must be positive"),
         (["--alpha", "0.5", "--sigma", "bogus"], "no sigma named 'bogus'"),
         (["--alpha", "1e400"], "out of range"),
+        (["--alpha", "1", "--seed", "-1"], "seed must be non-negative"),
     ],
 )
 def test_solve_edge_inputs_are_usage_errors(capsys, argv, message):

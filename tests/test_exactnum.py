@@ -14,6 +14,7 @@ from coslaw.exactnum import (
     cyclotomic_poly,
     exact_sqrt,
     pack_scan,
+    rational_complex,
     values_equal,
 )
 
@@ -245,6 +246,68 @@ def test_cyc_complex_is_cached_with_the_formula_bits(a, b, r):
         assert _bits(complex(v)) == want
         assert _bits(complex(v)) == want  # the cached value, on a repeated call
         assert _bits(v + 0.5j) == _bits(_formula_complex(v) + 0.5j)
+
+
+# ---------------------------------------------------------------------------
+# Phi_n checked without the library's cyclotomic_poly, and Cyc beyond the
+# conductors the hypothesis tests draw
+# ---------------------------------------------------------------------------
+
+
+def _pmul_local(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_cyclotomic_polys_of_the_divisors_multiply_to_x_n_minus_1(n):
+    p = [1]
+    for d in range(1, n + 1):
+        if n % d == 0:
+            p = _pmul_local(p, cyclotomic_poly(d))
+    assert p == [-1] + [0] * (n - 1) + [1]
+    assert all(type(c) is F for c in cyclotomic_poly(n))
+
+
+def test_cyclotomic_poly_pins():
+    assert cyclotomic_poly(12) == tuple(map(F, (1, 0, -1, 0, 1)))
+    assert cyclotomic_poly(15) == tuple(map(F, (1, -1, 0, 1, -1, 1, 0, -1, 1)))
+    assert cyclotomic_poly(30) == tuple(map(F, (1, 1, 0, -1, -1, -1, 0, 1, 1)))
+
+
+@pytest.mark.parametrize("n", [0, -3, True, 3.0, "3", None])
+def test_cyc_conductor_must_be_a_positive_int(n):
+    with pytest.raises(ValueError, match="conductor must be an int >= 1"):
+        Cyc(n, [1])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from([15, 20, 60]).flatmap(
+    lambda n: st.lists(_small, min_size=len(cyclotomic_poly(n)) - 1,
+                       max_size=len(cyclotomic_poly(n)) - 1).map(lambda c: Cyc(n, c))
+))
+def test_cyc_inverse_and_conjugate_at_larger_conductors(v):
+    assert _as_ref(v.conjugate()) == _ref_conjugate(v)
+    if v.is_zero():
+        with pytest.raises(ZeroDivisionError, match="inverse of zero cyclotomic"):
+            v.inverse()
+        return
+    inv = v.inverse()
+    assert _as_ref(inv)[0] == v.n
+    assert v * inv == 1
+    assert _ref_product(v, inv) == (v.n, _ref_reduce([F(1)], v.n))
+
+
+def test_rational_complex_collapses_to_the_narrowest_exact_type():
+    one = rational_complex(F(1), F(0))
+    assert one == 1 and type(one) is int
+    half = rational_complex(F(1, 2), F(0))
+    assert half == F(1, 2) and type(half) is F
+    z = rational_complex(F(1, 2), F(-3))
+    assert isinstance(z, Cyc) and _as_ref(z) == (4, (F(1, 2), F(-3)))
 
 
 def test_exppoly_ring():

@@ -165,6 +165,12 @@ def test_config_validation():
         SolverConfig(restarts=0)
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SolverConfig(seed=-1)
+    assert SolverConfig(seed=0).seed == 0
+
+
 def test_procedural_carrier_rejected():
     rl = get_fixture("real-line")
     with pytest.raises(TypeError):
