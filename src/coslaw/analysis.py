@@ -9,7 +9,9 @@ G = G o sigma on products of three, and the parity cross-identities
 g_e(x) g_o(yz) = f_e(x) f_o(yz) and g_e(yz) g_o(x) = f_e(yz) f_o(x).
 `classify` maps a verified solution back to a family descriptor: it
 reconstructs the pair from each candidate of `_candidates`, the one place
-that holds the decision order, until one matches.
+that holds the decision order, until one matches.  The character facts the
+candidates need come from the carrier's `CharacterTable`, built once per
+(carrier, sigma).
 """
 
 from __future__ import annotations
@@ -37,12 +39,11 @@ from .families import (
 from .functions import (
     MultiplicativeFunction,
     ScalarFunction,
-    even_characters,
+    character_table,
     even_part,
     is_even,
     is_odd,
     linear_combination,
-    nonzero_characters,
     odd_part,
 )
 from .semigroups import InvolutiveAutomorphism, Semigroup, pair_products, triple_sample
@@ -375,18 +376,33 @@ def classify(
     alpha,
     g: ScalarFunction,
     f: ScalarFunction,
+    *,
+    verified_residual: float | None = None,
 ) -> ClassificationResult:
     """Recover a family descriptor reproducing a verified solution pair.
 
+    The pair is first verified with `residual`.  A caller that has just
+    done so on these very values and this alpha (the solver's
+    re-verification) passes the float `max_residual` it got as
+    `verified_residual` instead, and the scan is not repeated; it must
+    still be below VERIFY_TOL.
+
     Each candidate of `_candidates`, in its order, is constructed and
     compared with (g, f); the first within MATCH_TOL wins, which makes the
-    result a deterministic function of the input.
+    result a deterministic function of the input.  The candidates take
+    what they know of the characters from the `CharacterTable` of
+    (s, sigma), so a run of calls on one carrier and sigma derives it once.
     """
     if not s.is_finite:
         raise TypeError("classification enumerates characters; needs a finite carrier")
-    rep = residual(s, sigma, alpha, g, f)
-    if not rep.ok():
-        raise NotASolution(f"residual {rep.max_residual:.3e} exceeds {VERIFY_TOL}")
+    if verified_residual is None:
+        rep = residual(s, sigma, alpha, g, f)
+        max_residual, ok = rep.max_residual, rep.ok()
+    else:
+        max_residual = verified_residual
+        ok = max_residual < VERIFY_TOL
+    if not ok:
+        raise NotASolution(f"residual {max_residual:.3e} exceeds {VERIFY_TOL}")
 
     for d, free in _candidates(s, sigma, alpha, g, f):
         try:
@@ -395,8 +411,8 @@ def classify(
             continue
         m = max(pair.g.max_diff(g), pair.f.max_diff(f))
         if m <= MATCH_TOL:
-            return ClassificationResult(d.family, pair.provenance, m, rep.max_residual)
-    return ClassificationResult("unclassified", None, float("inf"), rep.max_residual)
+            return ClassificationResult(d.family, pair.provenance, m, max_residual)
+    return ClassificationResult("unclassified", None, float("inf"), max_residual)
 
 
 def _near(a, b) -> bool:
@@ -406,31 +422,36 @@ def _near(a, b) -> bool:
 def _candidates(s, sigma, alpha, g, f):
     """(descriptor, free function) pairs in the decision order 1, 2, 3, 4,
     6, 8, 5, 7, which resolves overlapping families.  A family's parameters
-    are computed only when the stream reaches it."""
-    even = even_characters(s, sigma)
-    nonzero = nonzero_characters(s)
+    are computed only when the stream reaches it.
+
+    What depends on the characters alone comes from the `CharacterTable` of
+    (s, sigma): the even and twisted characters, family 4's x0 with
+    chi(x0) and family 5's pivots with their determinant.  Its characters
+    are the ones `construct` takes without re-validating them.
+    """
+    table = character_table(s, sigma)
+    even = table.even
     if (_near(alpha, 1) or _near(alpha, -1)) and not f.is_zero(MATCH_TOL):
         yield FamilyDescriptor(1, alpha), f
     yield FamilyDescriptor(2, alpha), g
     yield FamilyDescriptor(3, alpha), g
     # family 4 has no dependence gate: reconstruction matching is the
     # arbiter, and the relative SVD test misjudges solutions with tiny norms
-    for chi in even:
-        # even characters are non-zero, so this `next` always finds an x0
-        x0 = next(x for x in s.elements if not values_equal(chi(x), 0))
-        q = 2 * _div(f(x0), chi(x0)) - alpha
+    for chi, (x0, chi_x0) in zip(even, table.first_nonzero):
+        q = 2 * _div(f(x0), chi_x0) - alpha
         for branch in (1, -1):
             yield FamilyDescriptor(4, alpha, q=q, branch=branch, chi=chi), None
     for chi1, chi2 in itertools.permutations(even, 2):
         yield FamilyDescriptor(6, alpha, chi1=chi1, chi2=chi2), None
-    for chi in nonzero:
-        if not chi.same_as(chi.star(sigma)):
-            yield FamilyDescriptor(8, alpha, chi=chi), None
-    for chi1, chi2 in itertools.combinations(even, 2):
-        sol = _solve_2x2(chi1.fn, chi2.fn, f, s.elements)
-        if sol is None or not _near(sol[0] + sol[1], alpha):
+    for chi, _ in table.twisted:
+        yield FamilyDescriptor(8, alpha, chi=chi), None
+    for chi1, chi2, pivots in table.even_pairs:
+        if pivots is None:
             continue
-        q = sol[0] - sol[1]
+        a1, a2 = _solve_2x2(chi1.fn, chi2.fn, f, pivots)
+        if not _near(a1 + a2, alpha):
+            continue
+        q = a1 - a2
         for branch in (1, -1):
             yield FamilyDescriptor(5, alpha, q=q, branch=branch, chi1=chi1, chi2=chi2), None
     for chi in even:
@@ -440,13 +461,10 @@ def _candidates(s, sigma, alpha, g, f):
                 yield FamilyDescriptor(7, alpha, branch=branch, chi=chi, h=h), None
 
 
-def _solve_2x2(chi1, chi2, target, elems):
-    """Coefficients (a1, a2) with a1*chi1 + a2*chi2 = target on two pivots."""
-    for x1, x2 in itertools.combinations(elems, 2):
-        det = chi1(x1) * chi2(x2) - chi1(x2) * chi2(x1)
-        if values_equal(det, 0, MATCH_TOL):
-            continue
-        a1 = _div(target(x1) * chi2(x2) - target(x2) * chi2(x1), det)
-        a2 = _div(chi1(x1) * target(x2) - chi1(x2) * target(x1), det)
-        return a1, a2
-    return None
+def _solve_2x2(chi1, chi2, target, pivots):
+    """Coefficients (a1, a2) with a1*chi1 + a2*chi2 = target at the two
+    pivots (x1, x2), where det = chi1(x1)chi2(x2) - chi1(x2)chi2(x1) != 0."""
+    x1, x2, det = pivots
+    a1 = _div(target(x1) * chi2(x2) - target(x2) * chi2(x1), det)
+    a2 = _div(chi1(x1) * target(x2) - chi1(x2) * target(x1), det)
+    return a1, a2

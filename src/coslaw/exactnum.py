@@ -63,12 +63,24 @@ def _mobius(n: int) -> int:
     return -mu if n > 1 else mu
 
 
-@lru_cache(maxsize=None)
+def _check_conductor(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"conductor must be an int >= 1, not {n!r}")
+
+
 def cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
     """n-th cyclotomic polynomial Phi_n as a coefficient tuple, low degree
     first, from Phi_n = prod_{d | n} (x^d - 1)^mu(n/d) in integers.
     Multiplying by x^d - 1 is a shift and a subtract; dividing by it is a
-    running sum, exact because every factor is multiplied in first."""
+    running sum, exact because every factor is multiplied in first.
+    ValueError unless n is an int >= 1 (tested before the cache, which
+    would take 2.0 or True for the int they equal)."""
+    _check_conductor(n)
+    return _cyclotomic_poly(n)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
     factors = [(d, _mobius(n // d)) for d in range(1, n + 1) if n % d == 0]
     p = [1]
     for d, mu in sorted(factors, key=lambda f: -f[1]):
@@ -83,7 +95,7 @@ def cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
 
 
 def _phi_deg(n: int) -> int:
-    return len(cyclotomic_poly(n)) - 1
+    return len(_cyclotomic_poly(n)) - 1
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +105,7 @@ def _reduction_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     integer coefficients, so every entry is an int; lower powers are their
     own remainders."""
     d = _phi_deg(n)
-    low = [-int(c) for c in cyclotomic_poly(n)[:-1]]  # x^d = sum low[i] x^i
+    low = [-int(c) for c in _cyclotomic_poly(n)[:-1]]  # x^d = sum low[i] x^i
     rows = []
     cur = [0] * (d - 1) + [1]  # x^(d-1)
     for _ in range(d, n):
@@ -149,8 +161,7 @@ class Cyc:
     __slots__ = ("n", "c", "_z")
 
     def __init__(self, n: int, coeffs) -> None:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"conductor must be an int >= 1, not {n!r}")
+        _check_conductor(n)
         self.n = n
         self.c = tuple(Fraction(x) for x in coeffs)
         self._z = None
@@ -239,15 +250,18 @@ class Cyc:
 
     # -- arithmetic ----------------------------------------------------
     # float, complex and ExpPoly operands give float complex results, from
-    # complex(self) and complex(other) in that order
+    # complex(self) and complex(other) in that order.  They are tested
+    # before int and Fraction: the type sets are disjoint, and an
+    # isinstance test against Fraction takes the slow abstract-base-class
+    # path for every other type
 
     def __add__(self, other):
         if isinstance(other, Cyc):
             return self._add_cyc(other)
-        if isinstance(other, (int, Fraction)):
-            return self._shifted(other)
         if isinstance(other, (float, complex, ExpPoly)):
             return complex(self) + complex(other)
+        if isinstance(other, (int, Fraction)):
+            return self._shifted(other)
         return NotImplemented
 
     __radd__ = __add__
@@ -260,10 +274,10 @@ class Cyc:
             if other.n == self.n:
                 return Cyc._of(self.n, tuple(a - b for a, b in zip(self.c, other.c)))
             return self._add_cyc(-other)
-        if isinstance(other, (int, Fraction)):
-            return self._shifted(-other)
         if isinstance(other, (float, complex, ExpPoly)):
             return complex(self) - complex(other)
+        if isinstance(other, (int, Fraction)):
+            return self._shifted(-other)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -274,10 +288,10 @@ class Cyc:
     def __mul__(self, other):
         if isinstance(other, Cyc):
             return self._mul_cyc(other)
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
         if isinstance(other, (float, complex, ExpPoly)):
             return complex(self) * complex(other)
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
         return NotImplemented
 
     __rmul__ = __mul__

@@ -40,6 +40,8 @@ from .functions import (
     is_even,
     linear_combination,
     null_sets,
+    vouched_even,
+    vouched_star,
 )
 from .semigroups import InvolutiveAutomorphism, Semigroup, left_rows, pair_products
 
@@ -59,6 +61,18 @@ def _eq(a, b) -> bool:
 
 
 HALF = Fraction(1, 2)
+_HALF_COMPLEX = complex(HALF)
+
+
+def _half(v):
+    """v/2 as `v * HALF` gives it, int for an integral Fraction.  A float or
+    complex v is scaled as `Fraction.__rmul__` would scale it (by 0.5, or
+    by complex(HALF)), without that method's abstract-base-class checks."""
+    if type(v) is complex:
+        return v * _HALF_COMPLEX
+    if type(v) is float:
+        return v * 0.5
+    return simplify_scalar(v * HALF)
 
 
 def sqrt_branch(z, branch: int = 1):
@@ -318,9 +332,18 @@ def _require_nonzero_fn(fn: ScalarFunction | None, what: str) -> ScalarFunction:
     return fn
 
 
-def _require_even(chi: MultiplicativeFunction, sigma, what: str):
+def _require_character(s: Semigroup, chi: MultiplicativeFunction, what: str):
     if chi is None or chi.is_zero:
         raise InvalidDescriptor(f"{what} requires a non-zero multiplicative function")
+    if chi.fn.carrier is not s and chi.fn.carrier != s:
+        raise InvalidDescriptor(f"{what} requires a multiplicative function on this carrier")
+
+
+def _require_even(s: Semigroup, sigma, chi: MultiplicativeFunction, what: str):
+    # a character of the carrier's own table was checked when it was built
+    if vouched_even(s, sigma, chi):
+        return
+    _require_character(s, chi, what)
     if not chi.is_even(sigma):
         raise InvalidDescriptor(f"{what} requires a sigma-even multiplicative function")
 
@@ -356,43 +379,42 @@ def _family3(s, sigma, d, free, predicates):
 
 
 def _family4(s, sigma, d, free, predicates):
-    _require_even(d.chi, sigma, "family 4")
+    _require_even(s, sigma, d.chi, "family 4")
     if d.q is None:
         raise InvalidDescriptor("family 4 requires the constant q")
     chi = d.chi.fn
     w = sqrt_branch(1 + d.q * d.q - d.alpha * d.alpha, d.branch)
-    f = chi.scale(simplify_scalar((d.q + d.alpha) * HALF))
-    g = chi.scale(simplify_scalar((1 + w) * HALF))
+    f = chi.scale(_half(d.q + d.alpha))
+    g = chi.scale(_half(1 + w))
     return g, f
 
 
 def _family5(s, sigma, d, free, predicates):
-    _require_even(d.chi1, sigma, "family 5")
-    _require_even(d.chi2, sigma, "family 5")
+    _require_even(s, sigma, d.chi1, "family 5")
+    _require_even(s, sigma, d.chi2, "family 5")
     if d.chi1.same_as(d.chi2):
         raise InvalidDescriptor("family 5 requires two different multiplicative functions")
     if d.q is None or _eq(d.q, d.alpha) or _eq(d.q, -d.alpha):
         raise InvalidDescriptor("family 5 requires a constant q outside {+-alpha}")
     w = sqrt_branch(1 + d.q * d.q - d.alpha * d.alpha, d.branch)
     c1, c2 = d.chi1.fn, d.chi2.fn
-    coef = lambda v: simplify_scalar(v * HALF)  # noqa: E731
-    f = linear_combination([(coef(d.alpha + d.q), c1), (coef(d.alpha - d.q), c2)])
-    g = linear_combination([(coef(1 + w), c1), (coef(1 - w), c2)])
+    f = linear_combination([(_half(d.alpha + d.q), c1), (_half(d.alpha - d.q), c2)])
+    g = linear_combination([(_half(1 + w), c1), (_half(1 - w), c2)])
     return g, f
 
 
 def _family6(s, sigma, d, free, predicates):
     if _eq(d.alpha, 0):
         raise InvalidDescriptor("family 6 requires alpha != 0")
-    _require_even(d.chi1, sigma, "family 6")
-    _require_even(d.chi2, sigma, "family 6")
+    _require_even(s, sigma, d.chi1, "family 6")
+    _require_even(s, sigma, d.chi2, "family 6")
     if d.chi1.same_as(d.chi2):
         raise InvalidDescriptor("family 6 requires two different multiplicative functions")
     return d.chi2.fn, d.chi1.fn.scale(d.alpha)
 
 
 def _family7(s, sigma, d, free, predicates):
-    _require_even(d.chi, sigma, "family 7")
+    _require_even(s, sigma, d.chi, "family 7")
     if d.h is not None:
         h = d.h
         if not is_even(h, sigma):
@@ -416,13 +438,15 @@ def _family7(s, sigma, d, free, predicates):
 def _family8(s, sigma, d, free, predicates):
     if _eq(d.alpha, 1) or _eq(d.alpha, -1):
         raise InvalidDescriptor("family 8 requires alpha != +-1")
-    if d.chi is None or d.chi.is_zero:
-        raise InvalidDescriptor("family 8 requires a non-zero multiplicative function")
-    chi_star = d.chi.star(sigma)
-    if d.chi.same_as(chi_star):
-        raise InvalidDescriptor("family 8 requires chi != chi o sigma")
-    cp = simplify_scalar((1 + d.alpha) * HALF)
-    cm = simplify_scalar((1 - d.alpha) * HALF)
+    # a twisted character of the carrier's own table comes with its star
+    chi_star = vouched_star(s, sigma, d.chi)
+    if chi_star is None:
+        _require_character(s, d.chi, "family 8")
+        chi_star = d.chi.star(sigma)
+        if d.chi.same_as(chi_star):
+            raise InvalidDescriptor("family 8 requires chi != chi o sigma")
+    cp = _half(1 + d.alpha)
+    cm = _half(1 - d.alpha)
     f = linear_combination([(cp, d.chi.fn), (-cm, chi_star.fn)])
     g = linear_combination([(cp, d.chi.fn), (cm, chi_star.fn)])
     return g, f

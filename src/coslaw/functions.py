@@ -247,6 +247,11 @@ class MultiplicativeFunction:
         )
 
     def is_even(self, sigma: InvolutiveAutomorphism) -> bool:
+        """chi o sigma = chi: read off the phases under a permutation sigma,
+        otherwise compared value by value with the star image."""
+        phases, perm = self.phases, sigma.perm
+        if phases is not None and perm is not None:
+            return all(phases[perm[x]] == t for x, t in enumerate(phases))
         return self.same_as(self.star(sigma))
 
     def same_as(self, other: "MultiplicativeFunction") -> bool:
@@ -330,7 +335,90 @@ def nonzero_characters(s: FiniteSemigroup) -> list[MultiplicativeFunction]:
 def even_characters(
     s: FiniteSemigroup, sigma: InvolutiveAutomorphism
 ) -> list[MultiplicativeFunction]:
-    return [c for c in nonzero_characters(s) if c.is_even(sigma)]
+    return list(character_table(s, sigma).even)
+
+
+@dataclass(frozen=True)
+class CharacterTable:
+    """What the characters of a finite carrier are under one sigma.
+
+    Everything here depends only on (carrier, sigma), so it is built once
+    per pair (`character_table`) and shared by every solution classified
+    there.  The characters are the very objects of
+    `enumerate_multiplicative`, in its order; a table vouches only for
+    those objects (`vouched_even`, `vouched_star`), tested by identity,
+    since `==` on a `MultiplicativeFunction` ignores its values and so its
+    carrier.
+    """
+
+    # the sigma-even characters, each with its first non-zero element x0
+    # and chi(x0)
+    even: tuple[MultiplicativeFunction, ...]
+    first_nonzero: tuple[tuple, ...]
+    # (chi, chi o sigma) for the non-zero chi with chi o sigma != chi
+    twisted: tuple[tuple[MultiplicativeFunction, MultiplicativeFunction], ...]
+    # (chi1, chi2, pivots) for each pair of even characters in
+    # combinations order: pivots (x1, x2, det) are the first two elements
+    # with det = chi1(x1)chi2(x2) - chi1(x2)chi2(x1) != 0, or None if
+    # there are none
+    even_pairs: tuple[tuple, ...]
+
+
+def character_table(s: FiniteSemigroup, sigma: InvolutiveAutomorphism) -> CharacterTable:
+    """The character table of (s, sigma), built on first use per (carrier,
+    permutation): two sigmas with one name but different permutations get
+    different tables."""
+    if not s.is_finite:
+        raise TypeError("a character table needs a finite carrier")
+    perm = sigma.perm if sigma.perm is not None else tuple(sigma(x) for x in s.elements)
+    return _character_table(s, perm)
+
+
+def vouched_even(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> bool:
+    """True when `chi` is itself one of the sigma-even characters of the
+    table of (s, sigma); False off the finite carriers that have tables."""
+    if not s.is_finite or s.order > CHARACTER_ORDER_BOUND:
+        return False
+    return any(c is chi for c in character_table(s, sigma).even)
+
+
+def vouched_star(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> MultiplicativeFunction | None:
+    """The table's chi o sigma when `chi` is itself one of the twisted
+    characters of the table of (s, sigma); None otherwise."""
+    if not s.is_finite or s.order > CHARACTER_ORDER_BOUND:
+        return None
+    return next((cs for c, cs in character_table(s, sigma).twisted if c is chi), None)
+
+
+@lru_cache(maxsize=None)
+def _character_table(s: FiniteSemigroup, perm: tuple[int, ...]) -> CharacterTable:
+    sigma = InvolutiveAutomorphism("sigma", perm=perm)
+    even, twisted = [], []
+    for chi in nonzero_characters(s):
+        if chi.is_even(sigma):
+            even.append(chi)
+        else:
+            twisted.append((chi, chi.star(sigma)))
+    first_nonzero = []
+    for chi in even:
+        # a non-zero character has a non-zero value
+        x0 = next(x for x in s.elements if not values_equal(chi(x), 0))
+        first_nonzero.append((x0, chi(x0)))
+    even_pairs = []
+    for chi1, chi2 in itertools.combinations(even, 2):
+        pivots = None
+        for x1, x2 in itertools.combinations(s.elements, 2):
+            det = chi1(x1) * chi2(x2) - chi1(x2) * chi2(x1)
+            if not values_equal(det, 0):
+                pivots = (x1, x2, det)
+                break
+        even_pairs.append((chi1, chi2, pivots))
+    return CharacterTable(
+        even=tuple(even),
+        first_nonzero=tuple(first_nonzero),
+        twisted=tuple(twisted),
+        even_pairs=tuple(even_pairs),
+    )
 
 
 # ---------------------------------------------------------------------------

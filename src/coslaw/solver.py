@@ -338,8 +338,8 @@ def find_solutions(
         gfn = ScalarFunction(s, values=list(g_values))
         ffn = ScalarFunction(s, values=list(f_values))
         rep = residual(s, sigma, alpha_c, gfn, ffn)
-        if rep.max_residual > NEWTON_TOL:
-            continue  # independent re-verification failed
+        if not rep.max_residual <= NEWTON_TOL:
+            continue  # independent re-verification failed (or read NaN)
         J = system.jac(row[None, :])[0]
         sv = np.linalg.svd(J, compute_uv=False)
         # fewer equations than unknowns leaves implicit zero singular values
@@ -401,13 +401,19 @@ def completeness_check(
     alpha,
     cfg: SolverConfig | None = None,
 ) -> CompletenessReport:
-    """Every numerically found solution must classify into some family."""
+    """Every numerically found solution must classify into some family.
+
+    Each entry's residual was computed by `find_solutions` with `residual`
+    on the same values and the same complex(alpha), and is at most
+    NEWTON_TOL, so `classify` takes it rather than scanning again.
+    """
     sols = find_solutions(s, sigma, alpha, cfg)
     tags: dict = {}
     unclassified = []
     for e in sols.entries:
         pair = e.as_pair(s, complex(alpha))
-        result = classify(s, sigma, complex(alpha), pair.g, pair.f)
+        result = classify(s, sigma, complex(alpha), pair.g, pair.f,
+                          verified_residual=e.residual)
         tags[result.family_tag] = tags.get(result.family_tag, 0) + 1
         if not result.classified:
             unclassified.append(e)

@@ -30,6 +30,14 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_poly(6) == (F(1), F(-1), F(1))
 
 
+@pytest.mark.parametrize("n", [0, -4, 2.0, True, "3", None])
+def test_cyclotomic_poly_rejects_what_is_not_a_conductor(n):
+    # the same rule as Cyc's conductor; 2.0 and True equal cached ints
+    cyclotomic_poly(2), cyclotomic_poly(1)
+    with pytest.raises(ValueError, match="conductor must be an int >= 1"):
+        cyclotomic_poly(n)
+
+
 def test_third_roots_sum_to_zero():
     w = Cyc.root_of_unity(F(1, 3))
     assert (1 + w + w * w).is_zero()

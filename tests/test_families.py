@@ -14,12 +14,14 @@ from coslaw.families import (
     HSpec,
     InvalidDescriptor,
     build_h,
+    HALF,
+    _half,
     construct,
     function_vanishing_on_products,
     sqrt_branch,
 )
 from coslaw.fixtures import NullPredicates, get_fixture
-from coslaw.functions import ScalarFunction, is_even, star
+from coslaw.functions import MultiplicativeFunction, ScalarFunction, is_even, star
 from coslaw.semigroups import InvolutiveAutomorphism
 
 F = Fraction
@@ -157,6 +159,65 @@ def test_families_4567_produce_even_pairs():
     for d in cases:
         pair = construct(s, sig, d)
         assert is_even(pair.g, sig) and is_even(pair.f, sig)
+
+
+def test_construct_validates_characters_its_table_does_not_vouch_for():
+    """A character object from the carrier's own table skips re-validation;
+    any other one is checked in full, even when it equals a table member
+    by `==`, which ignores a character's values and carrier."""
+    c3, c2 = get_fixture("c3"), get_fixture("c2")
+    flip = c3.sigma("inv")
+    twisted = c3.characters["chi2"]  # chi2 o inv = chi3
+    with pytest.raises(InvalidDescriptor, match="sigma-even"):
+        construct(c3.carrier, flip, FamilyDescriptor(4, F(1, 2), q=1, chi=twisted))
+    # a hand-built copy without phases, under the name of the even chi1
+    bare = MultiplicativeFunction(fn=twisted.fn, phases=None, name="chi1")
+    for d in (FamilyDescriptor(4, F(1, 2), q=1, chi=bare),
+              FamilyDescriptor(6, F(1, 2), chi1=c3.characters["chi1"], chi2=bare),
+              FamilyDescriptor(7, F(1, 2), chi=bare, h_spec=HSpec())):
+        with pytest.raises(InvalidDescriptor, match="sigma-even"):
+            construct(c3.carrier, flip, d)
+    # the trivial character of leftzero2 equals c2's chi1 by `==`
+    foreign = get_fixture("leftzero2").characters["chi1"]
+    assert foreign == c2.characters["chi1"] and foreign is not c2.characters["chi1"]
+    for d in (FamilyDescriptor(4, F(1, 2), q=1, chi=foreign),
+              FamilyDescriptor(5, F(1, 2), q=1, chi1=c2.characters["chi2"], chi2=foreign),
+              FamilyDescriptor(8, 2, chi=foreign)):
+        with pytest.raises(InvalidDescriptor, match="on this carrier"):
+            construct(c2.carrier, c2.sigma(), d)
+    # an even character outside the table is still accepted, with equal values
+    even = c3.characters["chi1"]
+    bare_even = MultiplicativeFunction(fn=even.fn, phases=None, name="chi1")
+    want = construct(c3.carrier, flip, FamilyDescriptor(4, F(1, 2), q=1, chi=even))
+    got = construct(c3.carrier, flip, FamilyDescriptor(4, F(1, 2), q=1, chi=bare_even))
+    assert got.g.values == want.g.values and got.f.values == want.f.values
+
+
+def test_family8_star_from_the_table_equals_the_computed_one():
+    fx = get_fixture("c3")
+    flip = fx.sigma("inv")
+    chi = fx.characters["chi2"]
+    bare = MultiplicativeFunction(fn=chi.fn, phases=None, name="chi2")
+    want = construct(fx.carrier, flip, FamilyDescriptor(8, 0.5j, chi=bare))
+    got = construct(fx.carrier, flip, FamilyDescriptor(8, 0.5j, chi=chi))
+    assert repr(got.g.values) == repr(want.g.values)
+    assert repr(got.f.values) == repr(want.f.values)
+
+
+@pytest.mark.parametrize("v", [
+    0.0, -0.0, 1.5, -3.25, 1e308, 5e-324, float("inf"), float("nan"),
+    1.5 + 0j, -0.0 - 0.0j, complex(0.0, -0.0), 0.3 - 2.7j, complex("nan+1j"),
+    complex(1e308, -1e308), 3, -7, F(3, 4), F(4, 2), Cyc.rational(1, 2),
+])
+def test_half_matches_fraction_scaling_bit_for_bit(v):
+    # the reference: v * HALF through Fraction's own operators, then the
+    # int collapse of simplify_scalar
+    want = v * HALF
+    if isinstance(want, Fraction) and want.denominator == 1:
+        want = int(want)
+    got = _half(v)
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)
 
 
 def test_families_2_to_8_are_abelian_and_central():

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from coslaw.exactnum import values_equal
 from coslaw.fixtures import get_fixture
 from coslaw.functions import (
+    MultiplicativeFunction,
     ScalarFunction,
     additive_basis,
+    character_table,
     check_pchi_lemma,
     enumerate_multiplicative,
     even_part,
@@ -22,6 +24,7 @@ from coslaw.functions import (
     odd_part,
     star,
 )
+from coslaw.semigroups import InvolutiveAutomorphism
 
 F = Fraction
 
@@ -189,6 +192,73 @@ def test_enumeration_bound():
     big = FiniteSemigroup(cayley=tuple(tuple(0 for _ in range(7)) for _ in range(7)))
     with pytest.raises(ValueError, match="bound"):
         enumerate_multiplicative(big)
+
+
+# ---------------------------------------------------------------------------
+# character tables
+# ---------------------------------------------------------------------------
+
+
+def test_character_table_matches_its_definitions(finite_fixture):
+    """Each fact of the table, against the per-character computation it
+    replaces: parity through the star image, x0 by scanning for the first
+    non-zero value, and the first pivot pair with a non-zero determinant."""
+    s = finite_fixture.carrier
+    nonzero = [c for c in enumerate_multiplicative(s) if not c.is_zero]
+    for sigma in finite_fixture.sigmas:
+        table = character_table(s, sigma)
+        assert table is character_table(s, sigma)
+        even = [c for c in nonzero if c.same_as(c.star(sigma))]
+        assert len(table.even) == len(even)
+        assert all(a is b for a, b in zip(table.even, even))
+        assert [c.is_even(sigma) for c in nonzero] == [c in even for c in nonzero]
+        twisted = [c for c in nonzero if not c.same_as(c.star(sigma))]
+        assert len(table.twisted) == len(twisted)
+        assert all(a is b for (a, _), b in zip(table.twisted, twisted))
+        for c, cs in table.twisted:
+            assert cs.same_as(c.star(sigma)) and cs.name == c.name + "*"
+            assert cs.fn.values == c.star(sigma).fn.values
+        for chi, (x0, v0) in zip(table.even, table.first_nonzero):
+            assert x0 == next(x for x in s.elements if not values_equal(chi(x), 0))
+            assert v0 is chi(x0)
+        pairs = list(itertools.combinations(even, 2))
+        assert len(table.even_pairs) == len(pairs)
+        for (chi1, chi2), (t1, t2, pivots) in zip(pairs, table.even_pairs):
+            assert t1 is chi1 and t2 is chi2
+            want = None
+            for x1, x2 in itertools.combinations(s.elements, 2):
+                det = chi1(x1) * chi2(x2) - chi1(x2) * chi2(x1)
+                if not values_equal(det, 0):
+                    want = (x1, x2, det)
+                    break
+            assert pivots == want
+
+
+def test_character_table_is_keyed_by_the_permutation_not_the_name():
+    s = get_fixture("c3").carrier
+    plain = InvolutiveAutomorphism("sigma", perm=(0, 1, 2))
+    flip = InvolutiveAutomorphism("sigma", perm=(0, 2, 1))
+    a, b = character_table(s, plain), character_table(s, flip)
+    assert a is not b
+    assert [c.name for c in a.even] == ["chi1", "chi2", "chi3"]
+    assert [c.name for c in b.even] == ["chi1"]
+    assert character_table(s, InvolutiveAutomorphism("other", perm=(0, 2, 1))) is b
+    # a sigma given by a rule on a finite carrier reads its permutation off
+    assert character_table(s, InvolutiveAutomorphism("rule", rule=lambda x: (-x) % 3)) is b
+
+
+def test_character_table_needs_a_finite_carrier():
+    rl = get_fixture("real-line")
+    with pytest.raises(TypeError):
+        character_table(rl.carrier, rl.sigma("neg"))
+
+
+def test_is_even_without_phases_compares_values():
+    fx = get_fixture("c3")
+    flip = fx.sigma("inv")
+    for chi in fx.characters.values():
+        bare = MultiplicativeFunction(fn=chi.fn, phases=None, name=chi.name)
+        assert bare.is_even(flip) == chi.is_even(flip) == chi.same_as(chi.star(flip))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Numerical solution enumeration: soundness, determinism, recall."""
 
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 
 from coslaw import solver
 from coslaw.acceptance import A7_ALPHAS, FINITE_FIXTURES
-from coslaw.analysis import classify, residual
+from coslaw.analysis import NotASolution, classify, residual
 from coslaw.families import FamilyDescriptor, construct
 from coslaw.fixtures import get_fixture
 from coslaw.semigroups import FiniteSemigroup, identity_automorphism
@@ -435,3 +437,74 @@ def test_a7_grid_matches_recorded_answers(a7_run):
                 assert got == want, key
                 seen.add(key)
     assert seen == set(golden)
+
+
+# ---------------------------------------------------------------------------
+# classify on the solver's output
+# ---------------------------------------------------------------------------
+
+
+def test_reverification_drops_a_nan_residual(monkeypatch):
+    """A row whose re-verification reads NaN is dropped like one above
+    NEWTON_TOL: `classify` takes the solver's verdict without scanning."""
+    fx = get_fixture("c2")
+    s, sig = fx.carrier, fx.sigma()
+    want = find_solutions(s, sig, 0.5, FAST)
+    assert len(want) > 1
+    real = solver.residual
+    seen = []
+
+    def nan_first(*args):
+        rep = real(*args)
+        seen.append(rep)
+        if len(seen) == 1:
+            return dataclasses.replace(rep, max_residual=float("nan"))
+        return rep
+
+    monkeypatch.setattr(solver, "residual", nan_first)
+    got = find_solutions(s, sig, 0.5, FAST)
+    assert got.entries == want.entries[1:]
+
+
+def test_classify_rejects_a_handed_residual_that_is_not_small():
+    fx = get_fixture("c2")
+    s, sig = fx.carrier, fx.sigma()
+    z = fx.characters["chi0"].fn
+    assert classify(s, sig, 0.5, z, z, verified_residual=0.0).family_tag == 4
+    for bad in (float("nan"), 1e-3):
+        with pytest.raises(NotASolution):
+            classify(s, sig, 0.5, z, z, verified_residual=bad)
+
+
+def _digest_row(result):
+    params = result.descriptor.as_params() if result.descriptor else None
+    return [result.family_tag, result.match_residual.hex(), result.max_residual.hex(), params]
+
+
+def test_classify_digest_matches_recorded(monkeypatch):
+    """Every classification completeness_check makes at seed 0 on c2/id and
+    c3/inv, alpha 1/2, hands `classify` the solver's residual and digests
+    to the value in tests/data/classify-digest.json; classify's public
+    path, which scans the residual itself, gives the same results."""
+    golden = json.loads((DATA / "classify-digest.json").read_text())["runs"]
+    real = solver.classify
+    for key, want in golden.items():
+        name, sigma, alpha = key.split("/")
+        fx = get_fixture(name)
+        s, sig = fx.carrier, fx.sigma(sigma)
+        calls = []
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append((args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(solver, "classify", recording)
+        rep = completeness_check(s, sig, float(alpha), SolverConfig(seed=0))
+        monkeypatch.setattr(solver, "classify", real)
+        assert rep.total == len(calls) == want["solutions"]
+        assert all(set(kwargs) == {"verified_residual"} for _, kwargs, _ in calls)
+        rows = [_digest_row(out) for _, _, out in calls]
+        digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+        assert digest == want["sha256"], key
+        assert [_digest_row(classify(*args)) for args, _, _ in calls] == rows, key
