@@ -377,15 +377,15 @@ def classify(
     g: ScalarFunction,
     f: ScalarFunction,
     *,
-    verified_residual: float | None = None,
+    _verified_residual: float | None = None,
 ) -> ClassificationResult:
     """Recover a family descriptor reproducing a verified solution pair.
 
-    The pair is first verified with `residual`.  A caller that has just
-    done so on these very values and this alpha (the solver's
-    re-verification) passes the float `max_residual` it got as
-    `verified_residual` instead, and the scan is not repeated; it must
-    still be below VERIFY_TOL.
+    The pair is first verified with `residual`.  `_verified_residual` is
+    internal: only `solver.completeness_check` passes it, with the float
+    `max_residual` that `find_solutions` computed by `residual` on these
+    very values and this complex(alpha), so the scan is not repeated.  It
+    must still be below VERIFY_TOL (a NaN is not).
 
     Each candidate of `_candidates`, in its order, is constructed and
     compared with (g, f); the first within MATCH_TOL wins, which makes the
@@ -395,11 +395,11 @@ def classify(
     """
     if not s.is_finite:
         raise TypeError("classification enumerates characters; needs a finite carrier")
-    if verified_residual is None:
+    if _verified_residual is None:
         rep = residual(s, sigma, alpha, g, f)
         max_residual, ok = rep.max_residual, rep.ok()
     else:
-        max_residual = verified_residual
+        max_residual = _verified_residual
         ok = max_residual < VERIFY_TOL
     if not ok:
         raise NotASolution(f"residual {max_residual:.3e} exceeds {VERIFY_TOL}")
@@ -427,7 +427,7 @@ def _candidates(s, sigma, alpha, g, f):
     What depends on the characters alone comes from the `CharacterTable` of
     (s, sigma): the even and twisted characters, family 4's x0 with
     chi(x0) and family 5's pivots with their determinant.  Its characters
-    are the ones `construct` takes without re-validating them.
+    are the objects of `enumerate_multiplicative`.
     """
     table = character_table(s, sigma)
     even = table.even
@@ -443,7 +443,7 @@ def _candidates(s, sigma, alpha, g, f):
             yield FamilyDescriptor(4, alpha, q=q, branch=branch, chi=chi), None
     for chi1, chi2 in itertools.permutations(even, 2):
         yield FamilyDescriptor(6, alpha, chi1=chi1, chi2=chi2), None
-    for chi, _ in table.twisted:
+    for chi in table.twisted:
         yield FamilyDescriptor(8, alpha, chi=chi), None
     for chi1, chi2, pivots in table.even_pairs:
         if pivots is None:

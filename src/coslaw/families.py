@@ -40,8 +40,6 @@ from .functions import (
     is_even,
     linear_combination,
     null_sets,
-    vouched_even,
-    vouched_star,
 )
 from .semigroups import InvolutiveAutomorphism, Semigroup, left_rows, pair_products
 
@@ -340,9 +338,6 @@ def _require_character(s: Semigroup, chi: MultiplicativeFunction, what: str):
 
 
 def _require_even(s: Semigroup, sigma, chi: MultiplicativeFunction, what: str):
-    # a character of the carrier's own table was checked when it was built
-    if vouched_even(s, sigma, chi):
-        return
     _require_character(s, chi, what)
     if not chi.is_even(sigma):
         raise InvalidDescriptor(f"{what} requires a sigma-even multiplicative function")
@@ -438,13 +433,10 @@ def _family7(s, sigma, d, free, predicates):
 def _family8(s, sigma, d, free, predicates):
     if _eq(d.alpha, 1) or _eq(d.alpha, -1):
         raise InvalidDescriptor("family 8 requires alpha != +-1")
-    # a twisted character of the carrier's own table comes with its star
-    chi_star = vouched_star(s, sigma, d.chi)
-    if chi_star is None:
-        _require_character(s, d.chi, "family 8")
-        chi_star = d.chi.star(sigma)
-        if d.chi.same_as(chi_star):
-            raise InvalidDescriptor("family 8 requires chi != chi o sigma")
+    _require_character(s, d.chi, "family 8")
+    chi_star = d.chi.star(sigma)
+    if d.chi.same_as(chi_star):
+        raise InvalidDescriptor("family 8 requires chi != chi o sigma")
     cp = _half(1 + d.alpha)
     cm = _half(1 - d.alpha)
     f = linear_combination([(cp, d.chi.fn), (-cm, chi_star.fn)])

@@ -345,18 +345,15 @@ class CharacterTable:
     Everything here depends only on (carrier, sigma), so it is built once
     per pair (`character_table`) and shared by every solution classified
     there.  The characters are the very objects of
-    `enumerate_multiplicative`, in its order; a table vouches only for
-    those objects (`vouched_even`, `vouched_star`), tested by identity,
-    since `==` on a `MultiplicativeFunction` ignores its values and so its
-    carrier.
+    `enumerate_multiplicative`, in its order.
     """
 
     # the sigma-even characters, each with its first non-zero element x0
     # and chi(x0)
     even: tuple[MultiplicativeFunction, ...]
     first_nonzero: tuple[tuple, ...]
-    # (chi, chi o sigma) for the non-zero chi with chi o sigma != chi
-    twisted: tuple[tuple[MultiplicativeFunction, MultiplicativeFunction], ...]
+    # the non-zero chi with chi o sigma != chi
+    twisted: tuple[MultiplicativeFunction, ...]
     # (chi1, chi2, pivots) for each pair of even characters in
     # combinations order: pivots (x1, x2, det) are the first two elements
     # with det = chi1(x1)chi2(x2) - chi1(x2)chi2(x1) != 0, or None if
@@ -374,22 +371,6 @@ def character_table(s: FiniteSemigroup, sigma: InvolutiveAutomorphism) -> Charac
     return _character_table(s, perm)
 
 
-def vouched_even(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> bool:
-    """True when `chi` is itself one of the sigma-even characters of the
-    table of (s, sigma); False off the finite carriers that have tables."""
-    if not s.is_finite or s.order > CHARACTER_ORDER_BOUND:
-        return False
-    return any(c is chi for c in character_table(s, sigma).even)
-
-
-def vouched_star(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> MultiplicativeFunction | None:
-    """The table's chi o sigma when `chi` is itself one of the twisted
-    characters of the table of (s, sigma); None otherwise."""
-    if not s.is_finite or s.order > CHARACTER_ORDER_BOUND:
-        return None
-    return next((cs for c, cs in character_table(s, sigma).twisted if c is chi), None)
-
-
 @lru_cache(maxsize=None)
 def _character_table(s: FiniteSemigroup, perm: tuple[int, ...]) -> CharacterTable:
     sigma = InvolutiveAutomorphism("sigma", perm=perm)
@@ -398,7 +379,7 @@ def _character_table(s: FiniteSemigroup, perm: tuple[int, ...]) -> CharacterTabl
         if chi.is_even(sigma):
             even.append(chi)
         else:
-            twisted.append((chi, chi.star(sigma)))
+            twisted.append(chi)
     first_nonzero = []
     for chi in even:
         # a non-zero character has a non-zero value

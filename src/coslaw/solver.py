@@ -413,7 +413,7 @@ def completeness_check(
     for e in sols.entries:
         pair = e.as_pair(s, complex(alpha))
         result = classify(s, sigma, complex(alpha), pair.g, pair.f,
-                          verified_residual=e.residual)
+                          _verified_residual=e.residual)
         tags[result.family_tag] = tags.get(result.family_tag, 0) + 1
         if not result.classified:
             unclassified.append(e)

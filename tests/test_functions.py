@@ -214,10 +214,7 @@ def test_character_table_matches_its_definitions(finite_fixture):
         assert [c.is_even(sigma) for c in nonzero] == [c in even for c in nonzero]
         twisted = [c for c in nonzero if not c.same_as(c.star(sigma))]
         assert len(table.twisted) == len(twisted)
-        assert all(a is b for (a, _), b in zip(table.twisted, twisted))
-        for c, cs in table.twisted:
-            assert cs.same_as(c.star(sigma)) and cs.name == c.name + "*"
-            assert cs.fn.values == c.star(sigma).fn.values
+        assert all(a is b for a, b in zip(table.twisted, twisted))
         for chi, (x0, v0) in zip(table.even, table.first_nonzero):
             assert x0 == next(x for x in s.elements if not values_equal(chi(x), 0))
             assert v0 is chi(x0)

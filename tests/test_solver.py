@@ -470,10 +470,10 @@ def test_classify_rejects_a_handed_residual_that_is_not_small():
     fx = get_fixture("c2")
     s, sig = fx.carrier, fx.sigma()
     z = fx.characters["chi0"].fn
-    assert classify(s, sig, 0.5, z, z, verified_residual=0.0).family_tag == 4
+    assert classify(s, sig, 0.5, z, z, _verified_residual=0.0).family_tag == 4
     for bad in (float("nan"), 1e-3):
         with pytest.raises(NotASolution):
-            classify(s, sig, 0.5, z, z, verified_residual=bad)
+            classify(s, sig, 0.5, z, z, _verified_residual=bad)
 
 
 def _digest_row(result):
@@ -503,7 +503,7 @@ def test_classify_digest_matches_recorded(monkeypatch):
         rep = completeness_check(s, sig, float(alpha), SolverConfig(seed=0))
         monkeypatch.setattr(solver, "classify", real)
         assert rep.total == len(calls) == want["solutions"]
-        assert all(set(kwargs) == {"verified_residual"} for _, kwargs, _ in calls)
+        assert all(set(kwargs) == {"_verified_residual"} for _, kwargs, _ in calls)
         rows = [_digest_row(out) for _, _, out in calls]
         digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
         assert digest == want["sha256"], key
