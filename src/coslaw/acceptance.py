@@ -43,9 +43,9 @@ from .families import (
 from .fixtures import Fixture, get_fixture
 from .functions import (
     ScalarFunction,
+    character_table,
     check_pchi_lemma,
     enumerate_multiplicative,
-    even_characters,
     is_multiplicative,
     null_sets,
 )
@@ -99,7 +99,8 @@ def family_case_matrix():
         s = fx.carrier
         outside = sorted(set(s.elements) - product_set(s, s.elements))
         for sigma in fx.sigmas:
-            evens = even_characters(s, sigma)
+            table = character_table(s, sigma)
+            evens = table.even
             ones = ScalarFunction(s, values=[k + 1 for k in range(s.order)])
             for alpha in (1, -1):
                 add(fx, sigma, FamilyDescriptor(1, alpha), free=ones, exact=True)
@@ -118,11 +119,10 @@ def family_case_matrix():
                 add(fx, sigma, FamilyDescriptor(5, 0.25, q=0.6 + 0.1j, branch=1, chi1=chi1, chi2=chi2))
                 add(fx, sigma, FamilyDescriptor(6, 2, chi1=chi1, chi2=chi2), exact=True)
                 add(fx, sigma, FamilyDescriptor(6, 0.5j, chi1=chi2, chi2=chi1))
-            for chi in enumerate_multiplicative(s):
-                if not chi.is_zero and not chi.same_as(chi.star(sigma)):
-                    add(fx, sigma, FamilyDescriptor(8, 2, chi=chi), exact=True)
-                    add(fx, sigma, FamilyDescriptor(8, Fraction(1, 2), chi=chi), exact=True)
-                    add(fx, sigma, FamilyDescriptor(8, 0.3 + 1.0j, chi=chi))
+            for chi in table.twisted:
+                add(fx, sigma, FamilyDescriptor(8, 2, chi=chi), exact=True)
+                add(fx, sigma, FamilyDescriptor(8, Fraction(1, 2), chi=chi), exact=True)
+                add(fx, sigma, FamilyDescriptor(8, 0.3 + 1.0j, chi=chi))
 
     rl = get_fixture("real-line")
     neg, rid = rl.sigma("neg"), rl.sigma("id")
@@ -315,11 +315,8 @@ def _criterion_4():
 
 def _random_descriptor(fx: Fixture, sigma, rng) -> tuple[FamilyDescriptor, object] | None:
     s = fx.carrier
-    evens = even_characters(s, sigma)
-    twisted = [
-        c for c in enumerate_multiplicative(s)
-        if not c.is_zero and not c.same_as(c.star(sigma))
-    ]
+    table = character_table(s, sigma)
+    evens, twisted = table.even, table.twisted
     outside = sorted(set(s.elements) - product_set(s, s.elements))
     choices = [1, 4, 7]
     if outside:

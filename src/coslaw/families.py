@@ -41,7 +41,7 @@ from .functions import (
     linear_combination,
     null_sets,
 )
-from .semigroups import InvolutiveAutomorphism, Semigroup, left_rows, pair_products
+from .semigroups import InvolutiveAutomorphism, Semigroup, pair_products
 
 
 class InvalidDescriptor(ValueError):
@@ -172,7 +172,7 @@ def build_h(
     sided variants), condition (II) h(xy) = h(yx) = 0 for x in
     I_chi \\ P_chi and y outside I_chi, and finally that h satisfies the
     sine addition law on all window pairs.  Raises ConditionViolation
-    otherwise.
+    otherwise.  Condition (I) reads the P_chi translates `null_sets` kept.
 
     `predicates` supplies exact membership rules for evaluation beyond the
     window of a procedural carrier (fixtures ship them where the null sets
@@ -190,8 +190,7 @@ def build_h(
             return rho_fn(x)
         return 0
 
-    elems = list(s.elements)
-    units = [u for u in elems if u not in ns.i_chi]
+    units = [u for u in s.elements if u not in ns.i_chi]
 
     if additive is not None:
         if not is_additive(s, units, additive):
@@ -203,7 +202,7 @@ def build_h(
         if not values_equal(rho_fn(sigma(p)), rho_fn(p), VERIFY_TOL):
             raise ConditionViolation(f"rho is not sigma-symmetric at {p}")
 
-    _check_condition_i(s, ns, chi, rho_fn, in_p, units)
+    _check_condition_i(ns, chi, rho_fn, in_p)
     # memoised, as the checks below and the procedural result evaluate it
     # at the same points again
     h = ScalarFunction(s, rule=h_rule)
@@ -217,7 +216,7 @@ def build_h(
         )
 
     if s.is_finite:
-        return ScalarFunction(s, values=[h(x) for x in elems])
+        return ScalarFunction(s, values=[h(x) for x in s.elements])
     return h
 
 
@@ -255,38 +254,23 @@ def _as_rho(rho) -> Callable:
     return lambda x: rho  # constant
 
 
-def _check_condition_i(s, ns, chi, rho_fn, in_p, units):
-    window = s.window_set
-    product = s.product
-    p_chi = tuple(ns.p_chi)
-    rho = {p: rho_fn(p) for p in p_chi}
-    chi_u = {u: chi(u) for u in units}
-    # the scan meets u outer; the witness raised is the first in p-major
-    # order (up and pv for every u, then upv), whatever order the scan meets
-    # the violations in
-    fails = []  # (p index, 0 for up/pv or 1 for upv, u index, v index, witness)
-    stop = len(p_chi)  # p past the least failing one cannot hold that witness
-    for i, (u, ups, rows) in enumerate(left_rows(s, units, p_chi)):
-        cu = chi_u[u]
-        for k, p, up in zip(range(stop), p_chi, ups):
-            rp = rho[p]
-            if up in window and in_p(up) and not values_equal(rho_fn(up), rp * cu, VERIFY_TOL):
-                fails.append((k, 0, i, 0, f"up = {u}*{p}"))
-            pv = product(p, u)
-            if pv in window and in_p(pv) and not values_equal(rho_fn(pv), rp * cu, VERIFY_TOL):
-                fails.append((k, 0, i, 1, f"pv = {p}*{u}"))
-            row = rows[up]
-            if window.isdisjoint(row):  # most rows: nothing to test
+def _check_condition_i(ns, chi, rho_fn, in_p):
+    """rho(upv) = rho(p)chi(u)chi(v) at every translate of p in P_chi that
+    null_sets kept (u or v None on one side); raises on the first failure
+    in p-major order: up and pv for every u, then upv."""
+    for p, translates in ns.translates.items():
+        rp = rho_fn(p)
+        for u, v, x in translates:
+            if not in_p(x):
                 continue
-            for j, (v, upv) in enumerate(zip(units, row)):
-                if upv in window and in_p(upv):
-                    if not values_equal(rho_fn(upv), rp * cu * chi_u[v], VERIFY_TOL):
-                        fails.append((k, 1, i, j, f"upv = {u}*{p}*{v}"))
-        if fails:
-            fails = [min(fails)]
-            stop = fails[0][0] + 1
-    if fails:
-        raise ConditionViolation(f"condition (I) fails at {fails[0][4]}")
+            want = rp
+            for w in (u, v):
+                if w is not None:
+                    want = want * chi(w)
+            if not values_equal(rho_fn(x), want, VERIFY_TOL):
+                name = ("u" if u is not None else "") + "p" + ("v" if v is not None else "")
+                at = "*".join(str(w) for w in (u, p, v) if w is not None)
+                raise ConditionViolation(f"condition (I) fails at {name} = {at}")
 
 
 def _check_condition_ii(s, ns, h, units):

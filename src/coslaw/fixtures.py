@@ -146,10 +146,17 @@ def _real_line(points: int = 64) -> Fixture:
     )
 
 
+def _exp(z: complex) -> complex:
+    """cmath.exp(z); OverflowError, not ValueError, at an infinite part of z."""
+    if cmath.isinf(z):
+        raise OverflowError(f"exp exponent {z} is infinite")
+    return cmath.exp(z)
+
+
 def _real_line_exp(carrier, lam) -> MultiplicativeFunction:
     """x -> e^(i*lambda*x)."""
     lam = complex(lam)
-    rule = lambda x: cmath.exp(1j * lam * x)  # noqa: E731
+    rule = lambda x: _exp(1j * lam * x)  # noqa: E731
     spec = {"rule": "exp", "lambda": complex_pair(lam)}
     return MultiplicativeFunction(fn=ScalarFunction(carrier, rule=rule, spec=spec), name="exp")
 
@@ -205,7 +212,7 @@ def _heisenberg_exp(carrier, a, b) -> MultiplicativeFunction:
         rule = lambda t: ExpPoly.exp(a * t[0] + b * t[1])  # noqa: E731
     else:
         a, b = complex(a), complex(b)
-        rule = lambda t: cmath.exp(a * t[0] + b * t[1])  # noqa: E731
+        rule = lambda t: _exp(a * t[0] + b * t[1])  # noqa: E731
     spec = {"rule": "exp", "a": complex_pair(a), "b": complex_pair(b)}
     return MultiplicativeFunction(fn=ScalarFunction(carrier, rule=rule, spec=spec), name="exp")
 

@@ -16,7 +16,8 @@ skipped, and reports are flagged "window" rather than "exact".  The
 window test is the caller's, a set operation against ``window_set``; the
 products come from the scan helpers of ``semigroups``: ``pair_products``
 for I_chi^2, and ``left_rows`` for the translates up, pu and upv of
-P_chi, one unit u at a time.
+P_chi, one unit u at a time.  ``null_sets`` keeps those in the window
+(``NullSets.translates``) for condition (I) and ``check_pchi_lemma``.
 """
 
 from __future__ import annotations
@@ -328,16 +329,6 @@ def enumerate_multiplicative(s: FiniteSemigroup) -> tuple[MultiplicativeFunction
     return tuple(out)
 
 
-def nonzero_characters(s: FiniteSemigroup) -> list[MultiplicativeFunction]:
-    return [c for c in enumerate_multiplicative(s) if not c.is_zero]
-
-
-def even_characters(
-    s: FiniteSemigroup, sigma: InvolutiveAutomorphism
-) -> list[MultiplicativeFunction]:
-    return list(character_table(s, sigma).even)
-
-
 @dataclass(frozen=True)
 class CharacterTable:
     """What the characters of a finite carrier are under one sigma.
@@ -374,12 +365,9 @@ def character_table(s: FiniteSemigroup, sigma: InvolutiveAutomorphism) -> Charac
 @lru_cache(maxsize=None)
 def _character_table(s: FiniteSemigroup, perm: tuple[int, ...]) -> CharacterTable:
     sigma = InvolutiveAutomorphism("sigma", perm=perm)
-    even, twisted = [], []
-    for chi in nonzero_characters(s):
-        if chi.is_even(sigma):
-            even.append(chi)
-        else:
-            twisted.append(chi)
+    nonzero = [chi for chi in enumerate_multiplicative(s) if not chi.is_zero]
+    even = [chi for chi in nonzero if chi.is_even(sigma)]
+    twisted = [chi for chi in nonzero if not chi.is_even(sigma)]
     first_nonzero = []
     for chi in even:
         # a non-zero character has a non-zero value
@@ -479,12 +467,19 @@ class AdditiveFunction:
 
 @dataclass(frozen=True)
 class NullSets:
-    """I_chi, I_chi^2 and P_chi, window-restricted on procedural carriers."""
+    """I_chi, I_chi^2 and P_chi, window-restricted on procedural carriers.
+
+    `translates` maps each p in P_chi (in P_chi's order) to its translates
+    x = upv by units u, v that land in the window, as (u, v, x), u or v None
+    on a one-sided x: (u, None, up) and (None, u, pu) for each u in unit
+    order, then (u, v, upv) in (u, v) order.
+    """
 
     i_chi: frozenset
     i_chi_sq: frozenset
     p_chi: frozenset
     certified: str  # "exact" | "window"
+    translates: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
@@ -502,21 +497,35 @@ def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
     diff = i_chi - i_sq
     candidates = tuple(diff)
     units = [u for u in elems if u not in i_chi]
-    # p stays while none of up, pu and upv lands in the window outside diff
-    outside = s.window_set - diff
+    # p stays while none of up, pu and upv lands in the window outside diff;
+    # kept[p] gathers the window translates of p, one-sided and two-sided
+    window = s.window_set
+    outside = window - diff
     product = s.product
     p_chi = set(diff)
+    kept = {p: ([], []) for p in candidates}
     for u, ups, rows in left_rows(s, units, candidates):
-        closed = {up: outside.isdisjoint(row) for up, row in rows.items()}
-        p_chi.difference_update(
-            p for p, up in zip(candidates, ups)
-            if up in outside or product(p, u) in outside or not closed[up]
-        )
+        hits = {  # the window products upv of each distinct up
+            up: [(u, v, upv) for v, upv in zip(units, row) if upv in window]
+            for up, row in rows.items() if not window.isdisjoint(row)
+        }
+        for p, up in zip(candidates, ups):
+            if p not in p_chi:
+                continue
+            pu, upvs = product(p, u), hits.get(up, ())
+            if up in outside or pu in outside or any(t[2] in outside for t in upvs):
+                p_chi.discard(p)
+                continue
+            one, two = kept[p]
+            one += [t for t in ((u, None, up), (None, u, pu)) if t[2] in window]
+            two += upvs
+    p_chi = frozenset(p_chi)
     return NullSets(
         i_chi=frozenset(i_chi),
         i_chi_sq=i_sq,
-        p_chi=frozenset(p_chi),
+        p_chi=p_chi,
         certified="exact" if s.is_finite else "window",
+        translates={p: tuple(itertools.chain(*kept[p])) for p in p_chi},
     )
 
 
@@ -540,24 +549,22 @@ def check_pchi_lemma(
     chi: MultiplicativeFunction,
 ) -> PchiReport:
     """Verifies (a) u not in I_chi, p in P_chi => up, pu in P_chi and
-    (b) sigma(P_chi) = P_(chi o sigma), window-bounded on procedural carriers."""
+    (b) sigma(P_chi) = P_(chi o sigma), window-bounded on procedural carriers.
+    (a) reads the translates `null_sets` kept; counterexamples are p-major."""
     ns = null_sets(s, sigma, chi)
-    window = s.window_set
-    units = [u for u in s.elements if u not in ns.i_chi]
-    bad = []
-    checked = 0
-    for u, p, up in pair_products(s, units, ns.p_chi):
-        for prod in (up, s.product(p, u)):
-            if prod in window:
-                checked += 1
-                if prod not in ns.p_chi:
-                    bad.append((u, p, prod))
+    # (u, p, up or pu) for each one-sided translate; (a) has no upv
+    sides = [
+        (v if u is None else u, p, x)
+        for p, translates in ns.translates.items()
+        for u, v, x in translates
+        if u is None or v is None
+    ]
     ns_star = null_sets(s, sigma, chi.star(sigma) if isinstance(chi, MultiplicativeFunction) else star(chi, sigma))
-    image = {sigma(p) for p in ns.p_chi} & window
+    image = {sigma(p) for p in ns.p_chi} & s.window_set
     agrees = image == set(ns_star.p_chi)
     return PchiReport(
-        counterexamples=bad,
-        translates_checked=checked,
+        counterexamples=[t for t in sides if t[2] not in ns.p_chi],
+        translates_checked=len(sides),
         reflection_agrees=agrees,
         certified=ns.certified,
     )

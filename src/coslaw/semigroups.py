@@ -13,12 +13,11 @@ the first element outside the carrier.  ``product`` is the bare product
 through two helpers that check each list of factors once, so an element
 is tested once per scan rather than once per product: ``pair_products``
 for the pairs x*y, and ``left_rows`` for the three-factor scans (the null
-set P_chi, condition (I), and the triple scans of ``validate`` and
-``is_abelian_fn``), which also checks each distinct product x*y once before
-it becomes a left factor.  Outside this module only ``residual``'s packed
-kernel pairs ``checked`` with ``product`` itself.  ``compose`` is the
-single-product convenience: ``checked`` on both arguments, then
-``product``.
+set P_chi and the triple scans of ``validate`` and ``is_abelian_fn``),
+which also checks each distinct product x*y once before it becomes a left
+factor.  Outside this module only ``residual``'s packed kernel pairs
+``checked`` with ``product`` itself.  ``compose`` is the single-product
+convenience: ``checked`` on both arguments, then ``product``.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ class FiniteSemigroup:
     def order(self) -> int:
         return len(self.cayley)
 
-    @property
+    @cached_property
     def elements(self) -> tuple[int, ...]:
         return tuple(range(self.order))
 

@@ -57,7 +57,7 @@ from .families import (
     construct,
     function_vanishing_on_products,
 )
-from .functions import ScalarFunction, complex_pair, even_characters, nonzero_characters
+from .functions import ScalarFunction, character_table, complex_pair
 from .semigroups import FiniteSemigroup, InvolutiveAutomorphism, product_set
 
 RANK_TOL = 1e-6
@@ -182,58 +182,60 @@ def _gauss_newton(system: _System, starts: np.ndarray) -> np.ndarray:
     sqrt(NEWTON_TOL) from the solution variety, and the extra iterations
     pull such points onto it.
     """
-    vals = starts.astype(complex)
-    m, w = vals.shape
-    active = np.ones(m, dtype=bool)
-    ridge = 1e-14 * np.eye(w)
-    for _ in range(NEWTON_MAX_ITERS):
-        if not active.any():
-            break
-        idx = np.where(active)[0]
-        base = vals[idx]
-        Ei = system.res(base)
-        J = system.jac(base)
-        JH = J.conj().transpose(0, 2, 1)
-        A = JH @ J
-        b = -(JH @ Ei[:, :, None])[:, :, 0]
-        try:
-            step = np.linalg.solve(A + ridge, b[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = np.stack(
-                [np.linalg.lstsq(J[i], -Ei[i], rcond=None)[0] for i in range(len(idx))]
-            )
-        old_ss = (np.abs(Ei) ** 2).sum(axis=1)
-        # the rows that have not improved yet try the next chunk of step
-        # lengths t = 2^-k in one res call; a row takes its first improving t
-        pending = np.arange(len(idx))
-        k = 0
-        while len(pending) and k < CHUNK_ENDS[-1]:
-            h = 1
-            if len(pending) > 1:
-                # at most n candidates per active row: a stacked residual block
-                # is no larger than half the Jacobian built above
-                end = next(e for e in CHUNK_ENDS if e > k)
-                h = min(end - k, system.n * len(idx) // len(pending))
-            t = np.ldexp(1.0, -np.arange(k, k + h))
-            cand = base[pending] + t[:, None, None] * step[pending]
-            new_ss = (np.abs(system.res(cand.reshape(-1, w))) ** 2).sum(axis=1)
-            better = new_ss.reshape(h, -1) < old_ss[pending]
-            first = np.where(better.any(axis=0), better.argmax(axis=0), h)
-            # a verdict counts only while two or more rows are pending (see the
-            # module docstring): the chunk ends at the first halving that
-            # leaves at most one row, and a lone row goes on one t at a time
-            left = (first >= np.arange(1, h + 1)[:, None]).sum(axis=1)
-            stop = int(np.argmax(left <= 1)) + 1 if left[-1] <= 1 else h
-            won = first < stop
-            rows = np.flatnonzero(won)
-            vals[idx[pending[rows]]] = cand[first[rows], rows]
-            pending = pending[~won]
-            k += stop
-        # no improving step exists: either at a solution (kept by the final
-        # residual filter) or at a local minimum of the norm (discarded there)
-        active[idx[pending]] = False
-    final = np.abs(system.res(vals)).max(axis=1)
-    return vals[final <= NEWTON_TOL]
+    # diverging rows overflow to inf/nan; the final residual filter drops them
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = starts.astype(complex)
+        m, w = vals.shape
+        active = np.ones(m, dtype=bool)
+        ridge = 1e-14 * np.eye(w)
+        for _ in range(NEWTON_MAX_ITERS):
+            if not active.any():
+                break
+            idx = np.where(active)[0]
+            base = vals[idx]
+            Ei = system.res(base)
+            J = system.jac(base)
+            JH = J.conj().transpose(0, 2, 1)
+            A = JH @ J
+            b = -(JH @ Ei[:, :, None])[:, :, 0]
+            try:
+                step = np.linalg.solve(A + ridge, b[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                step = np.stack(
+                    [np.linalg.lstsq(J[i], -Ei[i], rcond=None)[0] for i in range(len(idx))]
+                )
+            old_ss = (np.abs(Ei) ** 2).sum(axis=1)
+            # the rows that have not improved yet try the next chunk of step
+            # lengths t = 2^-k in one res call; a row takes its first improving t
+            pending = np.arange(len(idx))
+            k = 0
+            while len(pending) and k < CHUNK_ENDS[-1]:
+                h = 1
+                if len(pending) > 1:
+                    # at most n candidates per active row: a stacked residual block
+                    # is no larger than half the Jacobian built above
+                    end = next(e for e in CHUNK_ENDS if e > k)
+                    h = min(end - k, system.n * len(idx) // len(pending))
+                t = np.ldexp(1.0, -np.arange(k, k + h))
+                cand = base[pending] + t[:, None, None] * step[pending]
+                new_ss = (np.abs(system.res(cand.reshape(-1, w))) ** 2).sum(axis=1)
+                better = new_ss.reshape(h, -1) < old_ss[pending]
+                first = np.where(better.any(axis=0), better.argmax(axis=0), h)
+                # a verdict counts only while two or more rows are pending (see the
+                # module docstring): the chunk ends at the first halving that
+                # leaves at most one row, and a lone row goes on one t at a time
+                left = (first >= np.arange(1, h + 1)[:, None]).sum(axis=1)
+                stop = int(np.argmax(left <= 1)) + 1 if left[-1] <= 1 else h
+                won = first < stop
+                rows = np.flatnonzero(won)
+                vals[idx[pending[rows]]] = cand[first[rows], rows]
+                pending = pending[~won]
+                k += stop
+            # no improving step exists: either at a solution (kept by the final
+            # residual filter) or at a local minimum of the norm (discarded there)
+            active[idx[pending]] = False
+        final = np.abs(system.res(vals)).max(axis=1)
+        return vals[final <= NEWTON_TOL]
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +257,8 @@ def _family_seeds(
 ) -> list[np.ndarray]:
     n = s.order
     seeds = [np.zeros(2 * n, dtype=complex)]
-    evens = even_characters(s, sigma)
-    others = nonzero_characters(s)
+    table = character_table(s, sigma)
+    evens = table.even
 
     def try_build(d: FamilyDescriptor, free=None):
         try:
@@ -288,7 +290,7 @@ def _family_seeds(
                 )
     for chi1, chi2 in itertools.permutations(evens, 2):
         try_build(FamilyDescriptor(6, alpha, chi1=chi1, chi2=chi2))
-    for chi in others:
+    for chi in table.twisted:
         try_build(FamilyDescriptor(8, alpha, chi=chi))
     return seeds
 

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -283,6 +284,43 @@ def test_solve_edge_inputs_are_usage_errors(capsys, argv, message):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("usage error:") and message in err
+
+
+_INF_EXP_PAIR = {
+    "fixture": "real-line", "sigma": "neg", "alpha": [2.0, 0.0],
+    "g": {"rule": "exp", "lambda": [1e308, 0.0]}, "f": {"rule": "exp", "lambda": [1e308, 0.0]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "8", "--fixture", "real-line", "--lambda", "1e308", "--alpha", "2"],
+    ["construct", "--family", "8", "--fixture", "heisenberg", "--a", "1e308i", "--b", "0",
+     "--alpha", "2"],
+    ["nullsets", "real-line", "--lambda", "1e308"],
+    ["verify", "--pair", "PAIR"],
+], ids=["real-line", "heisenberg", "nullsets", "verify"])
+def test_infinite_exp_exponent_is_an_arithmetic_error(tmp_path, capsys, argv):
+    # i * 1e308 * x is infinite at |x| > 1.8: cmath.exp raises ValueError there
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_INF_EXP_PAIR))
+    assert main([str(path) if a == "PAIR" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("arithmetic error: exp exponent") and "infinite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["c2", "--alpha", "1e200", "--restarts", "5"],
+    ["c3", "--sigma", "inv", "--alpha", "1e300i", "--restarts", "5"],
+])
+def test_solve_at_a_huge_alpha_writes_nothing_to_stderr(capsys, argv):
+    # Gauss-Newton rows diverge to inf/nan and are dropped; numpy must not
+    # warn about the overflow on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", *argv]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_overflowing_literal_is_usage_error():

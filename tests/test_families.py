@@ -1,7 +1,9 @@
 """Family constructors: closed forms, invariants, and descriptor validation."""
 
 import cmath
+import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from coslaw.families import (
     FamilyDescriptor,
     HSpec,
     InvalidDescriptor,
+    _check_condition_i,
     build_h,
     HALF,
     _half,
@@ -21,7 +24,7 @@ from coslaw.families import (
     sqrt_branch,
 )
 from coslaw.fixtures import NullPredicates, get_fixture
-from coslaw.functions import MultiplicativeFunction, ScalarFunction, is_even, star
+from coslaw.functions import MultiplicativeFunction, NullSets, ScalarFunction, is_even, null_sets, star
 from coslaw.semigroups import InvolutiveAutomorphism
 
 F = Fraction
@@ -344,6 +347,40 @@ def test_build_h_condition_i_names_the_first_witness_in_p_major_order():
             nat.carrier, nat.sigma(), nat.characters["parity"],
             rho=lambda x: 1 if x > 10 else 0, predicates=nat.null_predicates["parity"],
         )
+
+
+@pytest.mark.parametrize("rho, witness", [
+    ({2: 1, 6: 1, 7: 0, 30: 0}, "pv = 2*3"),
+    ({2: 1, 6: 1, 7: 1, 30: 0}, "upv = 3*2*5"),
+])
+def test_condition_i_names_each_kind_of_translate(rho, witness):
+    # condition (I) reads the translates null_sets kept; these are made up so
+    # that pu differs from up and each kind of witness can come first
+    ns = NullSets(frozenset({2}), frozenset(), frozenset({2}), "exact",
+                  translates={2: ((3, None, 6), (None, 3, 7), (3, 5, 30))})
+    with pytest.raises(ConditionViolation, match=rf"^condition \(I\) fails at {re.escape(witness)}$"):
+        _check_condition_i(ns, lambda x: 1, rho.get, lambda x: True)
+
+
+def test_build_h_scans_p_chi_translates_only_in_null_sets():
+    # compose_rule calls on the naturals window 2..200: null_sets' translate
+    # scan is the only three-factor one; build_h adds at most the pair scans
+    # (sine law and condition (II)), two products per window pair
+    nat = get_fixture("naturals-from-2", window=200)
+    calls = 0
+
+    def rule(x, y):
+        nonlocal calls
+        calls += 1
+        return x * y
+
+    s = dataclasses.replace(nat.carrier, compose_rule=rule)
+    sigma, parity = nat.sigma("id"), nat.characters["parity"]
+    null_sets(s, sigma, parity)
+    own, calls = calls, 0
+    build_h(s, sigma, parity, additive=nat.additive_rules["five-adic"], rho=F(7, 3),
+            predicates=nat.null_predicates["parity"])
+    assert calls <= own + 2 * len(s.elements) ** 2
 
 
 def test_build_h_rejects_condition_ii():

@@ -11,6 +11,7 @@ from coslaw.exactnum import values_equal
 from coslaw.fixtures import get_fixture
 from coslaw.functions import (
     MultiplicativeFunction,
+    NullSets,
     ScalarFunction,
     additive_basis,
     character_table,
@@ -24,7 +25,7 @@ from coslaw.functions import (
     odd_part,
     star,
 )
-from coslaw.semigroups import InvolutiveAutomorphism
+from coslaw.semigroups import FiniteSemigroup, InvolutiveAutomorphism
 
 F = Fraction
 
@@ -297,6 +298,83 @@ def test_pchi_lemma_naturals():
     # spot witness: 3 outside I, 2 in P, so 6 must be in P
     ns = null_sets(nat.carrier, nat.sigma("id"), nat.characters["parity"])
     assert 2 in ns.p_chi and 6 in ns.p_chi
+
+
+# multiplication mod 4: chi = x mod 2 has I_chi = {0, 2}, I_chi^2 = {0} and
+# P_chi = {2}, the one finite case here with a non-empty P_chi
+MUL4 = FiniteSemigroup(cayley=tuple(tuple(x * y % 4 for y in range(4)) for x in range(4)))
+
+
+def test_null_sets_keeps_the_window_translates_of_p_chi():
+    chi = MultiplicativeFunction(ScalarFunction(MUL4, values=[0, 1, 0, 1]))
+    ns = null_sets(MUL4, InvolutiveAutomorphism("id", perm=(0, 1, 2, 3)), chi)
+    assert ns.p_chi == {2}
+    # up and pu for each unit, then upv in (u, v) order
+    assert ns.translates == {2: (
+        (1, None, 2), (None, 1, 2), (3, None, 2), (None, 3, 2),
+        (1, 1, 2), (1, 3, 2), (3, 1, 2), (3, 3, 2),
+    )}
+    # the kept translates are no part of the triple's value
+    bare = NullSets(ns.i_chi, ns.i_chi_sq, ns.p_chi, ns.certified)
+    assert ns == bare and hash(ns) == hash(bare) and repr(ns) == repr(bare)
+
+
+def test_null_sets_keeps_only_window_translates_on_naturals():
+    nat = get_fixture("naturals-from-2", window=50)
+    ns = null_sets(nat.carrier, nat.sigma("id"), nat.characters["parity"])
+    assert list(ns.translates) == list(ns.p_chi)
+    for p, translates in ns.translates.items():
+        assert all(x in nat.carrier.window_set for _, _, x in translates)
+        assert all(x == (u or 1) * p * (v or 1) for u, v, x in translates)
+    # 2 has the most: up = pu for u = 3, 5, ..., 25, and upv for uv <= 25
+    one_sided = [t for t in ns.translates[2] if None in t[:2]]
+    assert one_sided[:4] == [(3, None, 6), (None, 3, 6), (5, None, 10), (None, 5, 10)]
+    assert len(one_sided) == 2 * 12
+
+
+# check_pchi_lemma's (counterexamples, translates_checked, reflection_agrees,
+# certified) on every finite fixture x sigma x non-zero character, on
+# multiplication mod 4 and on the naturals, as the per-lemma scan gave them
+PCHI_REPORTS = {
+    **{(name, sigma, chi): ([], 0, True, "exact") for name, sigma, chi in [
+        ("c2", "id", "chi1"), ("c2", "id", "chi2"),
+        ("c3", "id", "chi1"), ("c3", "id", "chi2"), ("c3", "id", "chi3"),
+        ("c3", "inv", "chi1"), ("c3", "inv", "chi2"), ("c3", "inv", "chi3"),
+        ("leftzero2", "id", "chi1"), ("leftzero2", "swap", "chi1"),
+        ("null3", "id", "chi1"), ("null3", "swap", "chi1"),
+        ("bool-mult", "id", "chi1"), ("bool-mult", "id", "chi2"),
+    ]},
+    ("mul4", "id", "chi1"): ([], 4, True, "exact"),
+    ("mul4", "id", "chi2"): ([], 4, True, "exact"),
+    ("mul4", "id", "chi3"): ([], 0, True, "exact"),
+    ("naturals-from-2@50", "id", "parity"): ([], 36, True, "window"),
+    ("naturals-from-2@200", "id", "parity"): ([], 210, True, "window"),
+}
+
+
+def _pchi_cases():
+    for name in ("c2", "c3", "leftzero2", "null3", "bool-mult"):
+        fx = get_fixture(name)
+        for sigma in fx.sigmas:
+            for chi in enumerate_multiplicative(fx.carrier):
+                if not chi.is_zero:
+                    yield (name, sigma.name, chi.name), fx.carrier, sigma, chi
+    for chi in enumerate_multiplicative(MUL4):
+        if not chi.is_zero:
+            yield ("mul4", "id", chi.name), MUL4, InvolutiveAutomorphism("id", perm=(0, 1, 2, 3)), chi
+    for window in (50, 200):
+        nat = get_fixture("naturals-from-2", window=window)
+        key = (f"naturals-from-2@{window}", "id", "parity")
+        yield key, nat.carrier, nat.sigma("id"), nat.characters["parity"]
+
+
+def test_pchi_lemma_reports_are_pinned():
+    seen = {}
+    for key, s, sigma, chi in _pchi_cases():
+        rep = check_pchi_lemma(s, sigma, chi)
+        seen[key] = (rep.counterexamples, rep.translates_checked, rep.reflection_agrees,
+                     rep.certified)
+    assert seen == PCHI_REPORTS
 
 
 @settings(deadline=None)
