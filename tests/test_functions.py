@@ -326,7 +326,7 @@ def test_null_sets_keeps_only_window_translates_on_naturals():
     for p, translates in ns.translates.items():
         assert all(x in nat.carrier.window_set for _, _, x in translates)
         assert all(x == (u or 1) * p * (v or 1) for u, v, x in translates)
-    # 2 has the most: up = pu for u = 3, 5, ..., 25, and upv for uv <= 25
+    # p = 2: up = pu = 2u in the window for u = 3, 5, ..., 25
     one_sided = [t for t in ns.translates[2] if None in t[:2]]
     assert one_sided[:4] == [(3, None, 6), (None, 3, 6), (5, None, 10), (None, 5, 10)]
     assert len(one_sided) == 2 * 12
@@ -334,7 +334,7 @@ def test_null_sets_keeps_only_window_translates_on_naturals():
 
 # check_pchi_lemma's (counterexamples, translates_checked, reflection_agrees,
 # certified) on every finite fixture x sigma x non-zero character, on
-# multiplication mod 4 and on the naturals, as the per-lemma scan gave them
+# multiplication mod 4 and on the naturals
 PCHI_REPORTS = {
     **{(name, sigma, chi): ([], 0, True, "exact") for name, sigma, chi in [
         ("c2", "id", "chi1"), ("c2", "id", "chi2"),
