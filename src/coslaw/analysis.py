@@ -27,6 +27,7 @@ from .exactnum import (
     VERIFY_TOL,
     is_exact,
     pack_scan,
+    packed_pairs_vanish,
     scalar_is_zero,
     values_equal,
 )
@@ -46,7 +47,13 @@ from .functions import (
     linear_combination,
     odd_part,
 )
-from .semigroups import InvolutiveAutomorphism, Semigroup, pair_products, triple_sample
+from .semigroups import (
+    InvolutiveAutomorphism,
+    Semigroup,
+    pair_products,
+    pair_table,
+    triple_sample,
+)
 
 MATCH_TOL = 1e-7  # looser than the verifier to absorb linear-solve conditioning
 
@@ -82,20 +89,20 @@ def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> Verifi
     When alpha and every window value of g and f are ints, Fractions or
     `ExpPoly`s, the scan first runs a packed zero test
     (`_packed_defects_vanish`): each value becomes one Python int
-    (`exactnum.pack_scan`) and each pair's defect is one big-int
-    expression.  If every packed defect is 0 the report is the one the
-    exact scan below would give.  Otherwise (a non-zero defect, or a value
-    that does not pack: float, complex, `Cyc`) the exact scan below runs
-    from the start, so `max_residual`, `worst_pair` and the NaN rule are
-    the same bit for bit.
+    (`exactnum.pack_scan`), and every pair's defect is tested at once
+    against the carrier's cached `semigroups.pair_table` of the window and
+    its sigma-images (`exactnum.packed_pairs_vanish`).  If every packed
+    defect is 0 the report is the one the exact scan below would give.
+    Otherwise (a non-zero defect, or a value that does not pack: float,
+    complex, `Cyc`) the exact scan below runs from the start, so
+    `max_residual`, `worst_pair` and the NaN rule are the same bit for bit.
     """
     elems = s.checked(s.elements)
     gv = {x: g(x) for x in elems}
     fv = {x: f(x) for x in elems}
     sig = s.checked(sigma(y) for y in elems)
     af = f.scale(alpha)
-    product = s.product
-    if _packed_defects_vanish(elems, sig, product, alpha, gv, fv, g, af):
+    if _packed_defects_vanish(s, elems, sig, alpha, gv, fv, g, af):
         n = len(elems)
         return VerificationReport(
             max_residual=0.0,
@@ -103,6 +110,7 @@ def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> Verifi
             pair_count=n * n,
             mode="exact",
         )
+    product = s.product
     worst, worst_pair = -1.0, None
     count = 0
     exact = True
@@ -128,43 +136,28 @@ def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> Verifi
     )
 
 
-def _packed_defects_vanish(elems, sig, product, alpha, gv, fv, g, af) -> bool:
+def _packed_defects_vanish(s, elems, sig, alpha, gv, fv, g, af) -> bool:
     """True when every window defect of `residual` is exactly zero by the
     packed-integer test; False when one is not, or the values do not pack.
 
     Alpha and the window values are type-checked before any product is
-    evaluated.  The distinct products are collected in first-seen pair
-    order, with g(p) and then alpha*f(p) evaluated on first sight, as the
-    exact scan would evaluate them; the pairs are then streamed again
-    rather than stored.
+    taken.  g(p) and then alpha*f(p) are evaluated over the table's
+    distinct products in first-seen pair order, as the exact scan would
+    evaluate them.
     """
     if not isinstance(alpha, LAURENT_TYPES):
         return False
     window = [gv[x] for x in elems] + [fv[x] for x in elems]
     if not all(isinstance(v, LAURENT_TYPES) for v in window):
         return False
-    lin = {}  # each distinct product once; later its packed g(p) - alpha*f(p)
-    linear = []
-    for x in elems:
-        for sy in sig:
-            p = product(x, sy)
-            if p not in lin:
-                lin[p] = None
-                linear.append(g(p))
-                linear.append(af(p))
-    packed = pack_scan(window, linear)
+    table = pair_table(s, elems, sig)
+    packed = pack_scan(window, (v for p in table.products for v in (g(p), af(p))))
     if packed is None:
         return False
     pw, pl = packed
-    for p in lin:
-        lin[p] = next(pl) - next(pl)
     n = len(elems)
     pg, pf = pw[:n], pw[n:]
-    for x, gx, fx in zip(elems, pg, pf):
-        for sy, gy, fy in zip(sig, pg, pf):
-            if lin[product(x, sy)] != gx * gy - fx * fy:
-                return False
-    return True
+    return packed_pairs_vanish(table.index, [gp - afp for gp, afp in zip(pl, pl)], pg, pg, pf, pf)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,14 @@ other conjugates over the rational norm.  Sums on one conductor and
 rational operands take fast paths that need no reduction, and
 ``complex(v)`` is computed once per value and cached.
 
-``pack_scan`` is the fast path of exact residual scans: it maps every
-int, Fraction and ExpPoly value of one scan to a single Python int
-(Kronecker substitution: scale by the common denominator, shift to
-non-negative exponents, evaluate at B = 2**bits).  B is the least power of
-two above a bound on every coefficient of a scaled defect, so a defect is
-zero exactly when its packed int is.
+``pack_scan`` is the fast path of exact pairwise scans (the equation's
+residual and the sine addition law): it maps every int, Fraction and
+ExpPoly value of one scan to a single Python int (Kronecker substitution:
+scale by the common denominator, shift to non-negative exponents, evaluate
+at B = 2**bits).  B is the least power of two above a bound on every
+coefficient of a scaled defect, so a defect is zero exactly when its packed
+int is.  ``packed_pairs_vanish`` then tests every pair's packed defect at
+once, a row of pairs per numpy step.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Union
+
+import numpy as np
 
 Rat = Union[int, Fraction]
 
@@ -637,16 +641,19 @@ _PACK_MAX_BITS = 1 << 14
 
 
 def pack_scan(window, linear) -> "tuple[list[int], Iterator[int]] | None":
-    """The values of one residual scan, each packed into one Python int.
+    """The values of one pairwise scan, each packed into one Python int.
 
     The scan tests defects  l1 - l2 - a*b + c*d  with a, b, c, d from
-    `window` and l1, l2 from `linear`.  Each value is a Laurent polynomial
-    v = sum c_k e**k with rational c_k (an int or Fraction is one of degree
-    0).  With D the lcm of all denominators, s the shift that makes every
-    exponent non-negative and B = 2**bits, a window value packs to
-    D * B**s * v(B) and a linear value to D**2 * B**(2s) * v(B).  Evaluation
-    at B is a ring homomorphism, so a defect packs to D**2 * B**(2s) times
-    its value at B: an integer polynomial in B whose coefficients are at most
+    `window` and l1, l2 from `linear` (l2 may be absent): the residual
+    g(p) - alpha*f(p) - g(x)g(y) + f(x)f(y) at p = x*sigma(y), or the sine
+    law's h(p) - h(x)chi(y) - chi(x)h(y) at p = x*y.  Each value is a
+    Laurent polynomial v = sum c_k e**k with rational c_k (an int or
+    Fraction is one of degree 0).  With D the lcm of all denominators, s
+    the shift that makes every exponent non-negative and B = 2**bits, a
+    window value packs to D * B**s * v(B) and a linear value to
+    D**2 * B**(2s) * v(B).  Evaluation at B is a ring homomorphism, so a
+    defect packs to D**2 * B**(2s) times its value at B: an integer
+    polynomial in B whose coefficients are at most
 
         C = 2 * (max |D*a|_1 ** 2 + max |D**2 * l|_1)
 
@@ -695,6 +702,21 @@ def pack_scan(window, linear) -> "tuple[list[int], Iterator[int]] | None":
     if bits * (2 * (hi + s) + 1) > _PACK_MAX_BITS:
         return None
     return list(packed(*window_side)), packed(*linear_side)
+
+
+def packed_pairs_vanish(index, lin, a, b, c, d) -> bool:
+    """True when lin[index[i, j]] == a[i]*b[j] - c[i]*d[j] for every cell.
+
+    `index` is a 2-D integer array (`semigroups.PairTable.index`); `lin`,
+    `a`, `c` (one per row), `b` and `d` (one per column) are the Python ints
+    of `pack_scan`, so the test is exact.  The columns are object-dtype
+    arrays of those ints, which cannot overflow, and the cells are compared
+    a row at a time, so the transient arrays hold one row.
+    """
+    lin, b, d = (np.array(v, dtype=object) for v in (lin, b, d))
+    return all(
+        (lin[row] == ai * b - ci * d).all() for row, ai, ci in zip(index, a, c)
+    )
 
 
 def values_equal(a, b, tol: float = 0.0) -> bool:

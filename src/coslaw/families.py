@@ -29,7 +29,16 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
-from .exactnum import VERIFY_TOL, exact_sqrt, is_exact, simplify_scalar, values_equal
+from .exactnum import (
+    LAURENT_TYPES,
+    VERIFY_TOL,
+    exact_sqrt,
+    is_exact,
+    pack_scan,
+    packed_pairs_vanish,
+    simplify_scalar,
+    values_equal,
+)
 from .functions import (
     AdditiveFunction,
     MultiplicativeFunction,
@@ -41,7 +50,7 @@ from .functions import (
     linear_combination,
     null_sets,
 )
-from .semigroups import InvolutiveAutomorphism, Semigroup, pair_products
+from .semigroups import InvolutiveAutomorphism, Semigroup, pair_products, pair_table
 
 
 class InvalidDescriptor(ValueError):
@@ -222,8 +231,27 @@ def build_h(
 
 def _sine_law_failure(s: Semigroup, h, chi) -> tuple | None:
     """First window pair (x, y), with both sides, where h(xy) = h(x)chi(y) +
-    h(y)chi(x) fails; None when the sine addition law holds on the window."""
-    for x, y, xy in pair_products(s, s.elements):
+    h(y)chi(x) fails; None when the sine addition law holds on the window.
+
+    When every window value of h and chi is an int, Fraction or `ExpPoly`,
+    a packed zero test runs first, as in `analysis.residual`: h(p) is
+    evaluated over the distinct products of the carrier's cached
+    `pair_table` in first-seen pair order, and `packed_pairs_vanish` tests
+    h(p) = h(x)chi(y) - (-chi(x))h(y) on every pair.  Anything but "every
+    pair holds" falls through to the pairwise scan below, from its start.
+    """
+    elems = s.checked(s.elements)
+    hw = [h(x) for x in elems]
+    cw = [chi(x) for x in elems]
+    if all(isinstance(v, LAURENT_TYPES) for v in (*hw, *cw)):
+        table = pair_table(s, elems, elems)
+        packed = pack_scan(hw + cw, map(h, table.products))
+        if packed is not None:
+            pw, pl = packed
+            ph, pc = pw[: len(elems)], pw[len(elems):]
+            if packed_pairs_vanish(table.index, list(pl), ph, pc, [-v for v in pc], ph):
+                return None
+    for x, y, xy in pair_products(s, elems):
         lhs = h(xy)
         rhs = h(x) * chi(y) + h(y) * chi(x)
         if not values_equal(lhs, rhs, VERIFY_TOL):

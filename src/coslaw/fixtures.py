@@ -302,24 +302,32 @@ def _h_piecewise(carrier, preds: NullPredicates, spec: dict) -> ScalarFunction:
 
 
 # procedural fixture -> (builder, default window, smallest window that
-# still gives a non-empty, well-defined sample)
+# still gives a non-empty, well-defined sample, element count of a window)
 _PROCEDURAL = {
-    "real-line": (_real_line, 64, 2),
-    "heisenberg": (_heisenberg, 3, 1),
-    "naturals-from-2": (_naturals, 65, 2),
+    "real-line": (_real_line, 64, 2, lambda points: points),
+    "heisenberg": (_heisenberg, 3, 1, lambda bound: (2 * bound + 1) ** 3),
+    "naturals-from-2": (_naturals, 65, 2, lambda upper: upper - 1),
 }
+
+# largest window, as an element count: every window scan is quadratic or
+# cubic in it, and the window is built and held in memory
+MAX_WINDOW_ELEMENTS = 4096
 
 
 def get_fixture(name: str, window: int | None = None) -> Fixture:
     """Resolve a fixture name; `window` is points (real-line), coordinate
     bound (heisenberg) or upper end (naturals-from-2), and is ignored by the
     finite fixtures.  A window below the fixture's minimum (1 on finite
-    ones) raises ValueError."""
+    ones), or one of more than MAX_WINDOW_ELEMENTS elements, raises
+    ValueError before any element is built."""
     if name not in FINITE_TABLES and name not in _PROCEDURAL:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
-    build, default, least = _PROCEDURAL.get(name, (None, None, 1))
+    build, default, least, size = _PROCEDURAL.get(name, (None, None, 1, None))
     if window is not None and window < least:
         raise ValueError(f"{name} window must be at least {least}, got {window}")
     if build is None:
         return _finite_fixture(name)
-    return build(default if window is None else window)
+    window = default if window is None else window
+    if size(window) > MAX_WINDOW_ELEMENTS:
+        raise ValueError(f"{name} window {window} has more than {MAX_WINDOW_ELEMENTS} elements")
+    return build(window)

@@ -492,7 +492,7 @@ def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
     elems = s.checked(s.elements)
     if all(values_equal(ev(x), 0, VERIFY_TOL) for x in elems):
         raise ValueError("null sets require a non-zero multiplicative function")
-    i_chi = {x for x in elems if values_equal(ev(x), 0, VERIFY_TOL)}
+    i_chi = _window_zeros(elems, chi)
     i_sq = product_set(s, i_chi)
     diff = i_chi - i_sq
     candidates = tuple(diff)
@@ -529,6 +529,12 @@ def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
     )
 
 
+def _window_zeros(elems, chi) -> set:
+    """The zeros of chi among `elems`: all that `null_sets` reads of chi."""
+    ev = chi.fn if isinstance(chi, MultiplicativeFunction) else chi
+    return {x for x in elems if values_equal(ev(x), 0, VERIFY_TOL)}
+
+
 @dataclass
 class PchiReport:
     """Counterexample report for the closure/reflection properties of P_chi."""
@@ -550,7 +556,8 @@ def check_pchi_lemma(
 ) -> PchiReport:
     """Verifies (a) u not in I_chi, p in P_chi => up, pu in P_chi and
     (b) sigma(P_chi) = P_(chi o sigma), window-bounded on procedural carriers.
-    (a) reads the translates `null_sets` kept; counterexamples are p-major."""
+    (a) reads the translates `null_sets` kept; counterexamples are p-major.
+    (b) reuses chi's null sets when chi o sigma has the same window zeros."""
     ns = null_sets(s, sigma, chi)
     # (u, p, up or pu) for each one-sided translate; (a) has no upv
     sides = [
@@ -559,7 +566,10 @@ def check_pchi_lemma(
         for u, v, x in translates
         if u is None or v is None
     ]
-    ns_star = null_sets(s, sigma, chi.star(sigma) if isinstance(chi, MultiplicativeFunction) else star(chi, sigma))
+    chi_star = chi.star(sigma) if isinstance(chi, MultiplicativeFunction) else star(chi, sigma)
+    # chi o sigma with chi's window zeros (sigma = id, or an even chi) has chi's null sets
+    same = _window_zeros(s.elements, chi_star) == ns.i_chi
+    ns_star = ns if same else null_sets(s, sigma, chi_star)
     image = {sigma(p) for p in ns.p_chi} & s.window_set
     agrees = image == set(ns_star.p_chi)
     return PchiReport(

@@ -10,14 +10,16 @@ The domain test (an index in range, or the carrier's ``contains_rule``)
 lives in ``checked``, which raises ``IndexError`` or ``ValueError`` for
 the first element outside the carrier.  ``product`` is the bare product
 (a Cayley lookup or ``compose_rule``) and tests nothing.  Window scans go
-through two helpers that check each list of factors once, so an element
-is tested once per scan rather than once per product: ``pair_products``
-for the pairs x*y, and ``left_rows`` for the three-factor scans (the null
-set P_chi and the triple scans of ``validate`` and ``is_abelian_fn``),
-which also checks each distinct product x*y once before it becomes a left
-factor.  Outside this module only ``residual``'s packed kernel pairs
-``checked`` with ``product`` itself.  ``compose`` is the single-product
-convenience: ``checked`` on both arguments, then ``product``.
+through three helpers that take factors checked once per scan, so an
+element is tested once per scan rather than once per product:
+``pair_products`` streams the pairs x*y; ``pair_table`` gives the distinct
+products of two checked factor tuples and each pair's position among them,
+built once and cached on the carrier, for the packed exact scans of the
+equation and of the sine addition law; and ``left_rows`` serves the
+three-factor scans (the null set P_chi and the triple scans of ``validate``
+and ``is_abelian_fn``), checking each distinct product x*y once before it
+becomes a left factor.  ``compose`` is the single-product convenience:
+``checked`` on both arguments, then ``product``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .exactnum import VERIFY_TOL, values_equal
 
@@ -57,6 +61,11 @@ class FiniteSemigroup:
     def window_set(self) -> frozenset:
         """The whole carrier: on a finite carrier every product is in the window."""
         return frozenset(range(self.order))
+
+    @cached_property
+    def _pair_tables(self) -> dict:
+        """`pair_table`'s cache: (xs, right) -> PairTable."""
+        return {}
 
     is_finite = True
 
@@ -95,6 +104,11 @@ class ProceduralSemigroup:
     def window_set(self) -> frozenset:
         """Window membership for the window-closed quantifiers."""
         return frozenset(self.window)
+
+    @cached_property
+    def _pair_tables(self) -> dict:
+        """`pair_table`'s cache: (xs, right) -> PairTable."""
+        return {}
 
     is_finite = False
 
@@ -165,6 +179,37 @@ def pair_products(s: Semigroup, xs, ys=None, sigma=None) -> Iterator[tuple]:
     right = right if right is xs else s.checked(right)
     product = s.product
     return ((x, y, product(x, r)) for x in xs for y, r in zip(ys, right))
+
+
+class PairTable(NamedTuple):
+    """The distinct products x*r of two factor tuples, first seen x-major, and
+    index[i, j], the position of xs[i]*right[j] in `products`."""
+
+    products: tuple
+    index: np.ndarray
+
+
+def pair_table(s: Semigroup, xs: tuple, right: tuple) -> PairTable:
+    """The PairTable of the checked factor tuples `xs` and `right`.
+
+    The caller checks the factors; each pair then takes the bare `product`,
+    once, when the table is built.  The table is cached on the carrier
+    instance under (xs, right), so a later scan of the same factors takes
+    no product.  `index` has the smallest unsigned dtype that holds every
+    position and is read-only.
+    """
+    key = (xs, right)
+    table = s._pair_tables.get(key)
+    if table is None:
+        product = s.product
+        seen: dict = {}
+        index = np.empty((len(xs), len(right)), np.min_scalar_type(max(len(xs) * len(right) - 1, 0)))
+        for i, x in enumerate(xs):
+            index[i] = [seen.setdefault(p, len(seen)) for p in map(product, itertools.repeat(x), right)]
+        index = index.astype(np.min_scalar_type(max(len(seen) - 1, 0)), copy=False)
+        index.flags.writeable = False
+        table = s._pair_tables[key] = PairTable(tuple(seen), index)
+    return table
 
 
 def left_rows(s: Semigroup, xs, ys=None) -> Iterator[tuple]:

@@ -1,15 +1,18 @@
 """Residual verification, structural identities, lemma harnesses, classifier."""
 
 import cmath
+import dataclasses
 import itertools
 import json
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coslaw import analysis
+from coslaw import analysis, families
 from coslaw.analysis import (
     NotASolution,
     VerificationReport,
@@ -24,6 +27,7 @@ from coslaw.exactnum import Cyc, ExpPoly
 from coslaw.families import (
     FamilyDescriptor,
     InvalidDescriptor,
+    _sine_law_failure,
     construct,
     function_vanishing_on_products,
 )
@@ -248,6 +252,118 @@ def test_residual_domain_error_when_sigma_leaves_the_carrier():
     z = ScalarFunction(c2, values=[0, 0])
     with pytest.raises(IndexError):
         residual(c2, bad, 0, z, z)
+
+
+def _sums(k, rule=None):
+    """(N0, +) windowed to 0..k-1; `rule` replaces the sum."""
+    return ProceduralSemigroup(
+        name="sums", window=tuple(range(k)), compose_rule=rule or (lambda x, y: x + y),
+        contains_rule=lambda x: isinstance(x, int) and x >= 0,
+    )
+
+
+SUMS_ID = InvolutiveAutomorphism("id", rule=lambda x: x)
+_exact = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.dictionaries(st.integers(-3, 3), st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                    max_size=3).map(ExpPoly),
+)
+_bump = st.one_of(st.integers(1, 5), st.just(F(-1, 3)), st.just(ExpPoly({-1: 2})))
+
+
+@st.composite
+def _pairwise_scans(draw):
+    """A window 0..k-1 of (N0, +) and exact values on 0..2k-2 (every product)
+    of a residual pair (family 1: g = alpha*f) and of a sine-law pair
+    (h(x) = b*x*chi(x), chi(x) = c**x e**(a*x)).  `mode` keeps them solutions
+    ("zero"), bumps them at 2k-2, which only the pair (k-1, k-1) reaches
+    ("one"), bumps them at a random point ("some") or replaces g and h by
+    random values ("random")."""
+    mode = draw(st.sampled_from(["zero", "one", "some", "random"]))
+    k = draw(st.integers(2 if mode == "one" else 1, 5))  # 2k-2 is no window point
+    top = 2 * k - 1
+    alpha = draw(st.sampled_from([1, -1, F(-1), ExpPoly.const(1)]))
+    fv = draw(st.lists(_exact, min_size=top, max_size=top))
+    gv = [alpha * v for v in fv]
+    a, b = draw(st.integers(-2, 2)), draw(st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    c = draw(st.sampled_from([1, 2, F(-1, 2), F(3)]))
+    chi = [ExpPoly({a * x: c**x}) if a else c**x for x in range(top)]
+    hv = [b * x * chi[x] for x in range(top)]
+    if mode == "random":
+        gv = draw(st.lists(_exact, min_size=top, max_size=top))
+        hv = draw(st.lists(_exact, min_size=top, max_size=top))
+    elif mode != "zero":
+        at = top - 1 if mode == "one" else draw(st.integers(0, top - 1))
+        gv[at] = gv[at] + draw(_bump)
+        hv[at] = hv[at] + draw(_bump)
+    return k, mode, alpha, gv, fv, hv, chi
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_pairwise_scans())
+def test_packed_and_symbolic_scans_give_the_same_verdicts(data):
+    k, mode, alpha, gv, fv, hv, chi = data
+    s = _sums(k)
+    g, f, h, ch = (ScalarFunction(s, rule=v.__getitem__) for v in (gv, fv, hv, chi))
+    rep, bad = residual(s, SUMS_ID, alpha, g, f), _sine_law_failure(s, h, ch)
+    with mock.patch.object(analysis, "pack_scan", lambda *args: None), \
+            mock.patch.object(families, "pack_scan", lambda *args: None):
+        assert residual(s, SUMS_ID, alpha, g, f) == rep
+        assert _sine_law_failure(s, h, ch) == bad
+    if mode == "zero":
+        assert rep == VerificationReport(0.0, (0, 0), k * k, "exact") and bad is None
+    if mode == "one":
+        assert rep.worst_pair == (k - 1, k - 1) and rep.max_residual > 0
+        assert bad[:2] == (k - 1, k - 1)
+
+
+def _counting_sums(k):
+    s = _sums(k)
+    calls = []
+
+    def rule(x, y):
+        calls.append((x, y))
+        return x + y
+
+    return dataclasses.replace(s, compose_rule=rule), calls
+
+
+def _exp_family6(s, a1, a2, alpha):
+    """Family 6 on (N0, +): f = alpha*e**(a1*x), g = e**(a2*x)."""
+    g = ScalarFunction(s, rule=lambda x: ExpPoly.exp(a2 * x))
+    return g, ScalarFunction(s, rule=lambda x: ExpPoly({a1 * x: alpha}))
+
+
+def test_a_repeated_exact_scan_takes_each_window_product_once():
+    s, calls = _counting_sums(9)
+    n = len(s.elements)
+    for a1, a2 in ((1, 2), (-1, 3)):
+        rep = residual(s, SUMS_ID, F(2, 3), *_exp_family6(s, a1, a2, F(2, 3)))
+        assert rep.ok() and rep.mode == "exact"
+        # the first scan builds the carrier's pair table: n^2 products, not
+        # 2n^2; the second reads it
+        assert len(calls) == (n * n if a1 == 1 else 0)
+        calls.clear()
+    # the sine law scans the window with itself: sigma = id's table again
+    chi = ScalarFunction(s, rule=lambda x: ExpPoly.exp(x))
+    h = ScalarFunction(s, rule=lambda x: x * ExpPoly.exp(x))
+    assert _sine_law_failure(s, h, chi) is None and calls == []
+    s, calls = _counting_sums(9)
+    assert _sine_law_failure(s, h, chi) is None and len(calls) == n * n
+
+
+def test_equal_carriers_with_different_rules_keep_their_own_pair_tables():
+    s = _sums(6)
+    other = dataclasses.replace(s, compose_rule=max)
+    assert s == other  # carrier equality ignores compose_rule
+    g, f = _exp_family6(s, 1, 2, 3)
+    chi = ScalarFunction(s, rule=lambda x: ExpPoly.exp(x))
+    h = ScalarFunction(s, rule=lambda x: x * ExpPoly.exp(x))
+    assert residual(s, SUMS_ID, 3, g, f).max_residual == 0.0
+    assert _sine_law_failure(s, h, chi) is None
+    assert residual(other, SUMS_ID, 3, g, f).max_residual > 0
+    assert _sine_law_failure(other, h, chi)[:2] == (1, 1)
 
 
 def test_null_sets_domain_error_on_an_element_outside_the_carrier():

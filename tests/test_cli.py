@@ -430,6 +430,33 @@ def test_window_below_minimum_is_usage_error(capsys, fixture, window):
     assert "window must be at least" in err
 
 
+# (fixture, largest window): each holds MAX_WINDOW_ELEMENTS = 4096 elements or fewer
+LARGEST_WINDOWS = [("real-line", 4096), ("heisenberg", 7), ("naturals-from-2", 4097)]
+
+
+@pytest.mark.parametrize("fixture, window", LARGEST_WINDOWS)
+def test_window_above_maximum_is_usage_error(capsys, fixture, window):
+    assert len(get_fixture(fixture, window=window).carrier.elements) <= 4096
+    assert main(["validate", fixture, "--window", str(window + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: {fixture} window {window + 1} has more than 4096 elements\n"
+    )
+
+
+def test_huge_window_is_refused_before_any_element_is_built(tmp_path, capsys):
+    # (2*10**8 + 1)**3 Heisenberg elements would exhaust memory
+    assert main(["construct", "--family", "8", "--fixture", "heisenberg", "--window", "100000000",
+                 "--a", "1", "--b", "0", "--alpha", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: heisenberg window 100000000 has more than 4096 elements\n"
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"fixture": "heisenberg", "sigma": "flip", "window": 10**8,
+                                "alpha": 0, "g": 0, "f": 0}))
+    assert main(["verify", "--pair", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "header",
     [

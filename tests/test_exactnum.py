@@ -5,6 +5,7 @@ import math
 import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from coslaw.exactnum import (
     cyclotomic_poly,
     exact_sqrt,
     pack_scan,
+    packed_pairs_vanish,
     rational_complex,
     values_equal,
 )
@@ -399,6 +401,19 @@ def test_packed_defect_does_not_carry_into_the_next_digit():
     l1, l2 = 512, ExpPoly({0: -512, 1: 1})
     assert l1 - l2 == ExpPoly({0: 1024, 1: -1})
     assert packed_defect(l1, l2, 0, 0, 0, 0) == 1024 - 2048
+
+
+def test_packed_pairs_vanish_tests_every_cell():
+    index = np.array([[0, 1, 2], [3, 4, 1]], dtype=np.uint8)  # p = 1 twice
+    a, c = [3, 2], [2**70, -3]  # beyond any fixed-width integer
+    b, d = [1, 2, 0], [2**65, 0, 2]
+    lin = [3 - 2**135, 6, -(2**71), 2 + 3 * 2**65, 4]
+    assert lin[1] == a[0] * b[1] - c[0] * d[1] == a[1] * b[2] - c[1] * d[2]
+    assert packed_pairs_vanish(index, lin, a, b, c, d)
+    for p in range(5):  # each packed value off by one fails some cell
+        bumped = lin[:p] + [lin[p] + 1] + lin[p + 1:]
+        assert not packed_pairs_vanish(index, bumped, a, b, c, d)
+    assert packed_pairs_vanish(np.zeros((0, 0), np.uint8), [], [], [], [], [])
 
 
 def test_pack_scan_mixes_rational_and_laurent_values():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from coslaw.analysis import residual
-from coslaw.exactnum import Cyc
+from coslaw.exactnum import Cyc, ExpPoly
 from coslaw.families import (
     ConditionViolation,
     FamilyDescriptor,
@@ -392,6 +392,64 @@ def test_build_h_rejects_condition_ii():
             nat.carrier, nat.sigma(), nat.characters["parity"],
             rho=3, predicates=NullPredicates(in_i=_even, in_p=_even),
         )
+
+
+# rho matches condition (I) on the window (every translate there is <= 50)
+# but not beyond it, so only the sine law sees the difference; messages
+# recorded before the packed sine-law scan
+SINE_LAW_BUILD_H_PINS = [
+    (1, 2, "sine addition law fails at (2, 27): 2 != 1"),
+    (F(1, 3), F(1, 2), "sine addition law fails at (2, 27): Fraction(1, 2) != Fraction(1, 3)"),
+    (1.0, 2.0, "sine addition law fails at (2, 27): 2.0 != 1.0"),
+]
+
+
+@pytest.mark.parametrize("inside, outside, message", SINE_LAW_BUILD_H_PINS)
+def test_build_h_names_the_first_sine_law_failure(inside, outside, message):
+    nat = get_fixture("naturals-from-2", window=50)
+    with pytest.raises(ConditionViolation, match=f"^{re.escape(message)}$"):
+        build_h(nat.carrier, nat.sigma("id"), nat.characters["parity"],
+                additive=nat.additive_rules["five-adic"],
+                rho=lambda x: inside if x <= 50 else outside,
+                predicates=nat.null_predicates["parity"])
+
+
+def _heisenberg_coords_h(t):
+    """(x + y) e**x: a sine-law solution for chi = e**x, bumped at (2, 2, 3),
+    the product of (1, 1, 1) with itself and of no other window pair."""
+    v = (t[0] + t[1]) * ExpPoly.exp(t[0])
+    return v + 1 if t == (2, 2, 3) else v
+
+
+# (fixture, window, sigma, character, h) -> witness; recorded before the
+# packed sine-law scan
+SINE_LAW_FAMILY7_PINS = [
+    ("c2", None, "id", "chi1", [0, 1], "(1, 1)"),
+    ("c3", None, "inv", "chi1", [F(1, 2), 0, 0], "(0, 0)"),
+    ("c3", None, "id", "chi2", [0, 1, 1], "(1, 1)"),
+    ("heisenberg", 1, "id", {"a": 1, "b": 0}, lambda t: ExpPoly({t[0]: t[2]}),
+     "((-1, -1, -1), (-1, -1, -1))"),
+    ("heisenberg", 1, "id", {"a": 1, "b": 0}, _heisenberg_coords_h, "((1, 1, 1), (1, 1, 1))"),
+]
+
+
+@pytest.mark.parametrize("name, window, sigma, chi, h, witness", SINE_LAW_FAMILY7_PINS)
+def test_family7_names_the_first_pair_where_a_given_h_fails(name, window, sigma, chi, h, witness):
+    fx = get_fixture(name, window=window)
+    s = fx.carrier
+    chi = fx.character("exp", **chi) if isinstance(chi, dict) else fx.characters[chi]
+    h = ScalarFunction(s, rule=h) if callable(h) else ScalarFunction(s, values=h)
+    message = f"h fails the sine addition law at {witness}"
+    with pytest.raises(InvalidDescriptor, match=f"^{re.escape(message)}$"):
+        construct(s, fx.sigma(sigma), FamilyDescriptor(7, 2, branch=1, chi=chi, h=h))
+
+
+def test_family7_accepts_a_given_exact_sine_law_solution():
+    fx = get_fixture("heisenberg", window=1)
+    h = ScalarFunction(fx.carrier, rule=lambda t: (t[0] + t[1]) * ExpPoly.exp(t[0]))
+    d = FamilyDescriptor(7, 2, branch=1, chi=fx.character("exp", a=1, b=0), h=h)
+    pair = construct(fx.carrier, fx.sigma("id"), d)
+    assert residual(fx.carrier, fx.sigma("id"), 2, pair.g, pair.f).max_residual == 0.0
 
 
 def test_construct_rejects_odd_h():

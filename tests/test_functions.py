@@ -1,12 +1,14 @@
 """Scalar functions: parity decomposition, characters, null sets."""
 
 import cmath
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coslaw import functions
 from coslaw.exactnum import values_equal
 from coslaw.fixtures import get_fixture
 from coslaw.functions import (
@@ -375,6 +377,42 @@ def test_pchi_lemma_reports_are_pinned():
         seen[key] = (rep.counterexamples, rep.translates_checked, rep.reflection_agrees,
                      rep.certified)
     assert seen == PCHI_REPORTS
+
+
+def test_pchi_lemma_with_sigma_id_makes_one_null_set_scan():
+    nat = get_fixture("naturals-from-2", window=50)
+    calls = 0
+
+    def rule(x, y):
+        nonlocal calls
+        calls += 1
+        return x * y
+
+    s = dataclasses.replace(nat.carrier, compose_rule=rule)
+    sigma, parity = nat.sigma("id"), nat.characters["parity"]
+    null_sets(s, sigma, parity)
+    one, calls = calls, 0
+    check_pchi_lemma(s, sigma, parity)
+    assert calls == one > 0
+
+
+# {0, 1}^2 under coordinatewise multiplication, element i = (i & 1, i >> 1);
+# swap exchanges the coordinates
+BITS2 = FiniteSemigroup(cayley=tuple(tuple(i & j for j in range(4)) for i in range(4)))
+
+
+@pytest.mark.parametrize("sigma, values, scans", [
+    ((0, 1, 2, 3), [0, 1, 0, 1], 1),  # sigma = id
+    ((0, 2, 1, 3), [0, 0, 0, 1], 1),  # an even chi
+    ((0, 2, 1, 3), [0, 1, 0, 1], 2),  # chi o sigma has other zeros: its own scan
+])
+def test_pchi_lemma_scans_chi_o_sigma_only_for_other_zeros(monkeypatch, sigma, values, scans):
+    seen = []
+    real = functions.null_sets
+    monkeypatch.setattr(functions, "null_sets", lambda *args: seen.append(args) or real(*args))
+    chi = MultiplicativeFunction(ScalarFunction(BITS2, values=values))
+    rep = check_pchi_lemma(BITS2, InvolutiveAutomorphism("s", perm=sigma), chi)
+    assert len(seen) == scans and rep.ok
 
 
 @settings(deadline=None)

@@ -25,6 +25,7 @@ from coslaw.semigroups import (
     is_abelian_fn,
     is_central,
     pair_products,
+    pair_table,
     product_set,
     validate,
     validate_automorphism,
@@ -289,9 +290,10 @@ def test_scans_test_each_element_once_per_scan(scan):
     rule, run = SCANS[scan]
     s, calls = _counting_naturals(rule)
     if scan == "check_pchi_lemma":
-        # its two null_sets calls test each u*p once in their three-factor loops
+        # its null_sets call (one: chi o id has chi's zeros) tests each u*p
+        # once in its three-factor loop
         null_sets(s, ID, MultiplicativeFunction(_fn(s, lambda x: x % 2)))
-        own = -2 * len(calls)
+        own = -len(calls)
         calls.clear()
     else:
         own = 0
@@ -347,3 +349,35 @@ def test_pair_products_order_and_factor_lists():
     assert calls == [2, 4]
     with pytest.raises(ValueError, match="domain"):
         pair_products(s, (2,), (1,))  # checked before the first pair is asked for
+
+
+def test_pair_table_products_index_and_dtype():
+    s, calls = _counting_naturals(operator.mul, n=3)  # window 2, 3, 4
+    table = pair_table(s, (2, 3), (2, 3, 4))
+    assert table.products == (4, 6, 8, 9, 12)  # first seen, x-major
+    assert table.index.tolist() == [[0, 1, 2], [1, 3, 4]]
+    assert table.index.dtype == np.uint8 and not table.index.flags.writeable
+    assert calls == []  # the caller checks the factors
+    wide = pair_table(s, tuple(range(2, 30)), tuple(range(2, 30)))
+    assert len(wide.products) > 256 and wide.index.dtype == np.uint16
+    assert [wide.products[k] for k in wide.index[5]] == [7 * y for y in range(2, 30)]
+    empty = pair_table(s, (), (2, 3))
+    assert empty.products == () and empty.index.shape == (0, 2)
+
+
+def test_pair_table_is_built_once_per_carrier_instance():
+    products = []
+
+    def rule(x, y):
+        products.append((x, y))
+        return x * y
+
+    s, _ = _counting_naturals(rule, n=4)
+    table = pair_table(s, s.elements, s.elements)
+    assert len(products) == 16
+    assert pair_table(s, s.elements, s.elements) is table and len(products) == 16
+    assert pair_table(s, s.elements, (2,)) is not table and len(products) == 20
+    # an equal carrier (the rules are not compared) has a table of its own
+    twin, _ = _counting_naturals(rule, n=4)
+    assert twin == s and pair_table(twin, twin.elements, twin.elements) is not table
+    assert pair_table(BOOL_MULT, (0, 1), (1, 0)).products == (0, 1)
