@@ -35,6 +35,7 @@ from .families import (
     ConditionViolation,
     FamilyDescriptor,
     InvalidDescriptor,
+    _vanishes_on_products,
     construct,
 )
 from .functions import (
@@ -83,19 +84,22 @@ def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> Verifi
 
     The window elements and their sigma-images pass the carrier's domain
     test once per scan; each pair then takes the bare product.  The term
-    alpha*f(x sigma(y)) comes from `f.scale(alpha)`, whose memo computes
-    alpha * f(p) once per distinct product p (same operands, same order).
+    alpha*f(x sigma(y)) comes from the node `f.scale(alpha)`, whose memo
+    computes alpha * f(p) once per distinct product p (same operations,
+    same order).
 
     When alpha and every window value of g and f are ints, Fractions or
     `ExpPoly`s, the scan first runs a packed zero test
-    (`_packed_defects_vanish`): each value becomes one Python int
-    (`exactnum.pack_scan`), and every pair's defect is tested at once
-    against the carrier's cached `semigroups.pair_table` of the window and
-    its sigma-images (`exactnum.packed_pairs_vanish`).  If every packed
-    defect is 0 the report is the one the exact scan below would give.
-    Otherwise (a non-zero defect, or a value that does not pack: float,
-    complex, `Cyc`) the exact scan below runs from the start, so
-    `max_residual`, `worst_pair` and the NaN rule are the same bit for bit.
+    (`_packed_defects_vanish`): g - alpha*f is taken as its exact linear
+    form over the bases of g and alpha*f, and the window values and each
+    base's values at the products of the carrier's cached
+    `semigroups.pair_table` of the window and its sigma-images are packed
+    into Python ints (`exactnum.pack_scan`); every pair's defect is then
+    tested at once (`exactnum.packed_pairs_vanish`).  If every packed defect
+    is 0 the report is the one the exact scan below would give.  Otherwise
+    (a non-zero defect, or a value that does not pack: float, complex,
+    `Cyc`) the exact scan below runs from the start, so `max_residual`,
+    `worst_pair` and the NaN rule are the same bit for bit.
     """
     elems = s.checked(s.elements)
     gv = {x: g(x) for x in elems}
@@ -141,23 +145,30 @@ def _packed_defects_vanish(s, elems, sig, alpha, gv, fv, g, af) -> bool:
     packed-integer test; False when one is not, or the values do not pack.
 
     Alpha and the window values are type-checked before any product is
-    taken.  g(p) and then alpha*f(p) are evaluated over the table's
-    distinct products in first-seen pair order, as the exact scan would
-    evaluate them.
+    taken.  g - alpha*f is the sum of the linear forms of g and of the node
+    af = alpha*f, negated, each distinct base once with its coefficients
+    added (a function with no exact linear form is its own base); each base
+    is evaluated over the table's distinct products in first-seen pair
+    order, and no g(p) or alpha*f(p) is formed.
     """
     if not isinstance(alpha, LAURENT_TYPES):
         return False
     window = [gv[x] for x in elems] + [fv[x] for x in elems]
     if not all(isinstance(v, LAURENT_TYPES) for v in window):
         return False
+    combo: dict = {}  # id(base) -> [base, coefficient], first-seen order
+    for sign, fn in ((1, g), (-1, af)):
+        for c, base in fn.linear:
+            combo.setdefault(id(base), [base, 0])[1] += sign * c
     table = pair_table(s, elems, sig)
-    packed = pack_scan(window, (v for p in table.products for v in (g(p), af(p))))
+    columns = [list(map(base, table.products)) for base, _ in combo.values()]
+    packed = pack_scan(window, columns, [c for _, c in combo.values()])
     if packed is None:
         return False
-    pw, pl = packed
+    pw, lin = packed
     n = len(elems)
     pg, pf = pw[:n], pw[n:]
-    return packed_pairs_vanish(table.index, [gp - afp for gp, afp in zip(pl, pl)], pg, pg, pf, pf)
+    return packed_pairs_vanish(table.index, lin, pg, pg, pf, pf)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +426,8 @@ def _near(a, b) -> bool:
 def _candidates(s, sigma, alpha, g, f):
     """(descriptor, free function) pairs in the decision order 1, 2, 3, 4,
     6, 8, 5, 7, which resolves overlapping families.  A family's parameters
-    are computed only when the stream reaches it.
+    are computed only when the stream reaches it; families 2 and 3 come
+    only when g vanishes on S^2, tested once for both.
 
     What depends on the characters alone comes from the `CharacterTable` of
     (s, sigma): the even and twisted characters, family 4's x0 with
@@ -426,8 +438,10 @@ def _candidates(s, sigma, alpha, g, f):
     even = table.even
     if (_near(alpha, 1) or _near(alpha, -1)) and not f.is_zero(MATCH_TOL):
         yield FamilyDescriptor(1, alpha), f
-    yield FamilyDescriptor(2, alpha), g
-    yield FamilyDescriptor(3, alpha), g
+    # construct rejects families 2 and 3 unless g vanishes on S^2: one scan
+    if _vanishes_on_products(s, g):
+        yield FamilyDescriptor(2, alpha), g
+        yield FamilyDescriptor(3, alpha), g
     # family 4 has no dependence gate: reconstruction matching is the
     # arbiter, and the relative SVD test misjudges solutions with tiny norms
     for chi, (x0, chi_x0) in zip(even, table.first_nonzero):

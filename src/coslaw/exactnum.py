@@ -31,20 +31,25 @@ rational operands take fast paths that need no reduction, and
 residual and the sine addition law): it maps every int, Fraction and
 ExpPoly value of one scan to a single Python int (Kronecker substitution:
 scale by the common denominator, shift to non-negative exponents, evaluate
-at B = 2**bits).  B is the least power of two above a bound on every
-coefficient of a scaled defect, so a defect is zero exactly when its packed
-int is.  ``packed_pairs_vanish`` then tests every pair's packed defect at
-once, a row of pairs per numpy step.
+at B = 2**bits).  The window values are packed as they are; the linear
+part of each defect is packed from the values of its bases, the functions
+it is an exact linear combination of, and not from its own value.  B is
+the least power of two above a bound on every coefficient of a scaled
+defect, so a defect is zero exactly when its packed int is.
+``packed_pairs_vanish`` then tests every pair's packed defect at once, a
+row of pairs per numpy step.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -640,68 +645,72 @@ LAURENT_TYPES = (ExpPoly, int, Fraction)
 _PACK_MAX_BITS = 1 << 14
 
 
-def pack_scan(window, linear) -> "tuple[list[int], Iterator[int]] | None":
-    """The values of one pairwise scan, each packed into one Python int.
+def pack_scan(window, columns, coefs) -> "tuple[list[int], list[int]] | None":
+    """The values of one pairwise scan, packed into Python ints.
 
-    The scan tests defects  l1 - l2 - a*b + c*d  with a, b, c, d from
-    `window` and l1, l2 from `linear` (l2 may be absent): the residual
-    g(p) - alpha*f(p) - g(x)g(y) + f(x)f(y) at p = x*sigma(y), or the sine
-    law's h(p) - h(x)chi(y) - chi(x)h(y) at p = x*y.  Each value is a
-    Laurent polynomial v = sum c_k e**k with rational c_k (an int or
-    Fraction is one of degree 0).  With D the lcm of all denominators, s
-    the shift that makes every exponent non-negative and B = 2**bits, a
-    window value packs to D * B**s * v(B) and a linear value to
-    D**2 * B**(2s) * v(B).  Evaluation at B is a ring homomorphism, so a
-    defect packs to D**2 * B**(2s) times its value at B: an integer
-    polynomial in B whose coefficients are at most
+    The scan tests defects  L - a*b + c*d  with a, b, c, d from `window`
+    and L a linear combination sum_i coefs[i] * phi_i of bases phi_i, whose
+    values at the scan's products are the `columns` (one equal-length
+    sequence per base): for the residual, L = g(p) - alpha*f(p) at
+    p = x*sigma(y) over the bases of g and alpha*f; for the sine law,
+    L = h(p) at p = x*y, one base.  Each value is a Laurent polynomial
+    v = sum c_k e**k with rational c_k (an int or Fraction is one of degree
+    0), and each coefficient a rational.  With D the lcm of all their
+    denominators, s the shift that makes every exponent non-negative and
+    B = 2**bits, a window value packs to D * B**s * v(B), a base value to
+    D * B**(2s) * v(B) and base i weighs w_i = D * coefs[i], all integers.
+    Evaluation at B is a ring homomorphism, so the packed
+    sum_i w_i * phi_i - a*b + c*d is D**2 * B**(2s) times the defect's
+    value at B: an integer polynomial in B whose coefficients are at most
 
-        C = 2 * (max |D*a|_1 ** 2 + max |D**2 * l|_1)
+        C = |w|_1 * max |D*phi|_1 + 2 * max |D*a|_1 ** 2
 
-    in magnitude (|.|_1 is the sum of the absolute coefficients).  B is the
-    least power of two above C, and then the packed defect is 0 exactly when
-    the Laurent defect is: a non-zero digit d_t at B**t outweighs all the
-    lower ones, whose sum is at most (B - 1) * (1 + B + ... + B**(t-1)),
-    which is B**t - 1.  (B > 2C would make the digits recoverable too; the
-    zero test needs only B > C.)
+    in magnitude (|.|_1 is the sum of the absolute coefficients, and a
+    product's is at most the product of its factors').  B is the least
+    power of two above C, and then the packed defect is 0 exactly when the
+    Laurent defect is: a non-zero digit d_t at B**t outweighs all the lower
+    ones, whose sum is at most (B - 1) * (1 + B + ... + B**(t-1)), which is
+    B**t - 1.  (B > 2C would make the digits recoverable too; the zero test
+    needs only B > C.)  Packing the bases instead of L's values takes one
+    shifted int per monomial base value, and no Laurent arithmetic.
 
-    Returns the packed window values as a list and the packed linear values
-    as an iterator, both in input order (a caller can fold the linear ones
-    as they come, without holding them all), or None when a value is not
-    in LAURENT_TYPES or a packed defect would be wider than _PACK_MAX_BITS.
+    Returns the packed window values and the packed L at each product, both
+    in input order, or None when a value is not in LAURENT_TYPES or a packed
+    defect would be wider than _PACK_MAX_BITS.
     """
     terms = []
-    for v in (*window, *linear):
+    for v in itertools.chain(window, *columns):
         if isinstance(v, ExpPoly):
             terms.append(v.terms)
         elif isinstance(v, (int, Fraction)):
             terms.append({0: v} if v else {})
         else:
             return None
-    s = max(0, -min((k for t in terms for k in t), default=0))
-    hi = max(0, max((k for t in terms for k in t), default=0))
-    d = math.lcm(*(c.denominator for t in terms for c in t.values()))
+    exps = [k for t in terms for k in t]
+    s = max(0, -min(exps, default=0))
+    hi = max(0, max(exps, default=0))
+    d = math.lcm(*{c.denominator for t in terms for c in t.values()}, *(c.denominator for c in coefs))
+    weights = [c.numerator * (d // c.denominator) for c in coefs]
+    # each value as (exponent, D * coefficient) pairs; at D = 1 the
+    # coefficients themselves, a Fraction n/1 among them (packed as int(c))
+    if d == 1:
+        rows = [t.items() for t in terms]
+    else:
+        rows = [[(k, c.numerator * (d // c.denominator)) for k, c in t.items()] for t in terms]
+    norms = [sum([abs(c) for _, c in r]) for r in rows]
     nw = len(window)
-    # window values: D*c at exponent k+s; linear values: D**2*c at exponent k+2s
-    window_side = (d, s, range(nw))
-    linear_side = (d * d, 2 * s, range(nw, len(terms)))
-
-    def norm(m, _, idx):
-        return max(
-            (sum(abs(c.numerator) * (m // c.denominator) for c in terms[i].values()) for i in idx),
-            default=0,
-        )
-
-    def packed(m, shift, idx):
-        for i in idx:
-            yield sum(
-                c.numerator * (m // c.denominator) << bits * (k + shift)
-                for k, c in terms[i].items()
-            )
-
-    bits = (2 * (norm(*window_side) ** 2 + norm(*linear_side))).bit_length()
+    bits = int(sum(map(abs, weights)) * max(norms[nw:], default=0)
+               + 2 * max(norms[:nw], default=0) ** 2).bit_length()
     if bits * (2 * (hi + s) + 1) > _PACK_MAX_BITS:
         return None
-    return list(packed(*window_side)), packed(*linear_side)
+
+    def packed(part, shift):
+        return [sum([int(c) << bits * (k + shift) for k, c in r]) for r in part]
+
+    m = len(columns[0]) if columns else 0
+    bases = [packed(rows[nw + i * m: nw + (i + 1) * m], 2 * s) for i in range(len(columns))]
+    lin = [sum(map(operator.mul, weights, vs)) for vs in zip(*bases)]
+    return packed(rows[:nw], s), lin
 
 
 def packed_pairs_vanish(index, lin, a, b, c, d) -> bool:

@@ -234,7 +234,8 @@ def _sine_law_failure(s: Semigroup, h, chi) -> tuple | None:
     h(y)chi(x) fails; None when the sine addition law holds on the window.
 
     When every window value of h and chi is an int, Fraction or `ExpPoly`,
-    a packed zero test runs first, as in `analysis.residual`: h(p) is
+    a packed zero test runs first through the packer of
+    `analysis.residual`, with h the one base of the linear part: h is
     evaluated over the distinct products of the carrier's cached
     `pair_table` in first-seen pair order, and `packed_pairs_vanish` tests
     h(p) = h(x)chi(y) - (-chi(x))h(y) on every pair.  Anything but "every
@@ -245,11 +246,11 @@ def _sine_law_failure(s: Semigroup, h, chi) -> tuple | None:
     cw = [chi(x) for x in elems]
     if all(isinstance(v, LAURENT_TYPES) for v in (*hw, *cw)):
         table = pair_table(s, elems, elems)
-        packed = pack_scan(hw + cw, map(h, table.products))
+        packed = pack_scan(hw + cw, [list(map(h, table.products))], [1])
         if packed is not None:
-            pw, pl = packed
+            pw, lin = packed
             ph, pc = pw[: len(elems)], pw[len(elems):]
-            if packed_pairs_vanish(table.index, list(pl), ph, pc, [-v for v in pc], ph):
+            if packed_pairs_vanish(table.index, lin, ph, pc, [-v for v in pc], ph):
                 return None
     for x, y, xy in pair_products(s, elems):
         lhs = h(xy)
@@ -355,11 +356,20 @@ def _require_even(s: Semigroup, sigma, chi: MultiplicativeFunction, what: str):
         raise InvalidDescriptor(f"{what} requires a sigma-even multiplicative function")
 
 
+def _vanishes_on_products(s: Semigroup, g: ScalarFunction) -> bool:
+    """g = 0 at every pairwise window product, including products outside
+    the window: what families 2 and 3 require of g."""
+    return all(values_equal(g(xy), 0, VERIFY_TOL) for _, _, xy in pair_products(s, s.elements))
+
+
 def _check_vanishing_on_products(s: Semigroup, g: ScalarFunction):
-    # test on every pairwise product, including products outside the window
-    for x, y, xy in pair_products(s, s.elements):
-        if not values_equal(g(xy), 0, VERIFY_TOL):
-            raise InvalidDescriptor(f"function does not vanish on S^2 (violated at {x}*{y})")
+    if _vanishes_on_products(s, g):
+        return
+    # name the first violation; g's values there are memoised or dense
+    x, y = next(
+        (x, y) for x, y, xy in pair_products(s, s.elements) if not values_equal(g(xy), 0, VERIFY_TOL)
+    )
+    raise InvalidDescriptor(f"function does not vanish on S^2 (violated at {x}*{y})")
 
 
 def _family1(s, sigma, d, free, predicates):

@@ -74,7 +74,7 @@ class Fixture:
 
     `rules` decodes the fixture's own named function rules from their JSON
     specs (the generic rules live in `serialize`); `h_specs` maps a
-    (character, additive rule) name pair to the spec encoder of the
+    (character, additive rule or None) name pair to the spec encoder of the
     family-7 h that `build_h` makes from them with a constant rho; `exp`
     builds the parametrized exponential characters.
     """
@@ -86,7 +86,7 @@ class Fixture:
     null_predicates: dict[str, NullPredicates] = field(default_factory=dict)
     additive_rules: dict[str, AdditiveFunction] = field(default_factory=dict)
     rules: dict[str, Callable[[dict], ScalarFunction]] = field(default_factory=dict)
-    h_specs: dict[tuple[str, str], Callable[[object], dict]] = field(default_factory=dict)
+    h_specs: dict[tuple[str, str | None], Callable[[object], dict]] = field(default_factory=dict)
     exp: Callable[..., MultiplicativeFunction] | None = None
 
     def sigma(self, name: str | None = None) -> InvolutiveAutomorphism:
@@ -274,23 +274,29 @@ def _naturals(upper: int = 65) -> Fixture:
         # with chi = one, I_chi is empty and h is the five-adic valuation itself
         h_specs={
             ("parity", "five-adic"): _h_piecewise_spec,
+            ("parity", None): lambda rho: {**_h_piecewise_spec(rho), "additive": None},
             ("one", "five-adic"): lambda rho: {"rule": "five-adic"},
         },
     )
 
 
 def _h_piecewise_spec(rho) -> dict:
-    """Spec of build_h(parity, five-adic, constant rho)."""
+    """Spec of build_h(parity, five-adic, constant rho); with no additive
+    part, the spec also has "additive": null."""
     return {"rule": "h-piecewise", "c": complex_pair(rho or 0)}
 
 
 def _h_piecewise(carrier, preds: NullPredicates, spec: dict) -> ScalarFunction:
-    """The five-adic valuation off I_chi, c on P_chi and 0 between."""
+    """The five-adic valuation off I_chi (0 when "additive" is null), c on
+    P_chi and 0 between."""
     c = complex(*spec["c"])
+    if spec.get("additive") is not None:
+        raise ValueError('h-piecewise "additive" must be null when present')
+    five_adic = "additive" not in spec
 
     def h(x):
         if not preds.in_i(x):
-            return _five_adic(x)
+            return _five_adic(x) if five_adic else 0
         return c if preds.in_p(x) else 0
 
     return ScalarFunction(carrier, rule=h, spec=spec)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from .exactnum import VERIFY_TOL, Cyc, values_equal
@@ -47,23 +47,43 @@ CHARACTER_ORDER_BOUND = 6
 # ---------------------------------------------------------------------------
 
 
+_MISSING = object()  # a memo miss: no function value is this object
+
+
 class ScalarFunction:
-    """A function carrier -> C: dense value vector (finite) or evaluator rule.
+    """A function carrier -> C: a dense value vector (finite carriers), an
+    evaluator rule, or a linear combination node.
 
     Procedural evaluators are total on the carrier's domain, so they accept
-    products that fall outside the sample window.  Evaluations are memoised.
+    products that fall outside the sample window.  Evaluations are memoised,
+    one memo per function read with `dict.get`; an unhashable element skips
+    it.
+
+    A linear combination that is not all dense is one node.  Its `terms` are
+    (coefficient, part) pairs summed left to right; a part is a base (a dense
+    or rule function that is no node) or a nested terms tuple, summed first.
+    `scale`, `+`, `-`, `linear_combination`, `even_part`/`odd_part` and
+    `star` of a node build one node, and `star` puts sigma onto each base.
+    A node evaluates the operations of the pointwise expression it was built
+    from, in their order: c*(a*phi(x)) stays that, and a term added by `+`
+    has the coefficient None and is not multiplied (1*complex(inf, 0) is
+    inf+nanj), so float and complex values are those of the expression bit
+    for bit.  `linear` is the exact linear form the packed scans read, and
+    `spec` records the nesting the function was built with (the wire form).
     """
 
-    __slots__ = ("carrier", "values", "rule", "spec", "_memo")
+    __slots__ = ("carrier", "values", "rule", "spec", "terms", "_linear", "_memo")
 
-    def __init__(self, carrier: Semigroup, values=None, rule=None, spec=None):
+    def __init__(self, carrier: Semigroup, values=None, rule=None, spec=None, terms=None):
+        if (values is None) + (rule is None) + (terms is None) != 2:
+            raise ValueError("exactly one of values / rule / terms must be given")
         self.carrier = carrier
         self.values = tuple(values) if values is not None else None
-        self.rule = rule
+        self.rule = rule if terms is None else partial(_evaluate, terms)
         self.spec = spec
+        self.terms = terms
+        self._linear = None if terms is None else _linear_form(terms)
         self._memo: dict = {}
-        if (values is None) == (rule is None):
-            raise ValueError("exactly one of values / rule must be given")
         if carrier.is_finite and self.values is not None and len(self.values) != carrier.order:
             raise ValueError("need one value per element")
 
@@ -71,14 +91,24 @@ class ScalarFunction:
         if self.values is not None:
             return self.values[x]
         try:
-            return self._memo[x]
-        except (KeyError, TypeError):
-            v = self.rule(x)
-            try:
-                self._memo[x] = v
-            except TypeError:
-                pass
-            return v
+            v = self._memo.get(x, _MISSING)
+        except TypeError:  # an unhashable element
+            return self.rule(x)
+        if v is _MISSING:
+            v = self._memo[x] = self.rule(x)
+        return v
+
+    @property
+    def linear(self) -> tuple:
+        """(coefficient, base) pairs whose sum is this function, every
+        coefficient an int or Fraction, nested coefficients multiplied out.
+        A function that is no such combination (not a node, or a node with
+        another coefficient) is its own one-term form ((1, self),)."""
+        return self._linear or ((1, self),)
+
+    def _part(self):
+        """What a node holds for this function: its terms, or itself as a base."""
+        return self if self.terms is None else self.terms
 
     def window_values(self) -> list:
         return [self(x) for x in self.carrier.elements]
@@ -99,10 +129,12 @@ class ScalarFunction:
                 return ScalarFunction(
                     self.carrier, values=[a + b for a, b in zip(self.values, other.values)]
                 )
+            # self's terms start the sum; other is one more term, its own
+            # when it has one, else its sum nested
+            left = self.terms or ((None, self),)
+            right = other.terms if other.terms and len(other.terms) == 1 else ((None, other._part()),)
             return ScalarFunction(
-                self.carrier,
-                rule=lambda x: self(x) + other(x),
-                spec=_combo_spec([(1, self), (1, other)]),
+                self.carrier, terms=left + right, spec=_combo_spec([(1, self), (1, other)])
             )
         return NotImplemented
 
@@ -118,7 +150,7 @@ class ScalarFunction:
         if self.values is not None:
             return ScalarFunction(self.carrier, values=[c * v for v in self.values])
         return ScalarFunction(
-            self.carrier, rule=lambda x: c * self(x), spec=_combo_spec([(c, self)])
+            self.carrier, terms=((c, self._part()),), spec=_combo_spec([(c, self)])
         )
 
     def __mul__(self, other):
@@ -151,6 +183,36 @@ class ScalarFunction:
         return f"ScalarFunction(rule, spec={self.spec!r})"
 
 
+def _evaluate(terms: tuple, x):
+    """A node's value at x: its terms' sum, left to right."""
+    total = _MISSING
+    for c, part in terms:
+        v = _evaluate(part, x) if part.__class__ is tuple else part(x)
+        if c is not None:
+            v = c * v
+        total = v if total is _MISSING else total + v
+    return total
+
+
+def _linear_form(terms: tuple) -> tuple | None:
+    """`ScalarFunction.linear` of a node; None unless every coefficient is
+    an int or Fraction."""
+    out = []
+    for c, part in terms:
+        if c is None:
+            c = 1
+        elif not isinstance(c, (int, Fraction)):
+            return None
+        if part.__class__ is tuple:
+            inner = _linear_form(part)
+            if inner is None:
+                return None
+            out += [(c * ci, base) for ci, base in inner]
+        else:
+            out.append((c, part))
+    return tuple(out)
+
+
 def complex_pair(c) -> list[float]:
     """[re, im] floats: the wire form of scalars inside rule specs."""
     z = complex(c)
@@ -170,14 +232,20 @@ def _combo_spec(parts) -> dict | None:
 
 
 def linear_combination(parts: list[tuple]) -> ScalarFunction:
-    """sum of coef * fn over parts; keeps a serializable spec when possible."""
+    """sum of coef * fn over parts, summed left to right; keeps a
+    serializable spec when possible.  All-dense parts give a dense function,
+    any other mix one node."""
     (c0, f0), *rest = parts
-    out = f0.scale(c0)
-    for c, f in rest:
-        out = out + f.scale(c)
-    if any(f.values is None for _, f in parts):
-        out.spec = _combo_spec(parts)
-    return out
+    for _, f in rest:
+        f0._assert_same(f)
+    if all(f.values is not None for _, f in parts):
+        out = f0.scale(c0)
+        for c, f in rest:
+            out = out + f.scale(c)
+        return out
+    return ScalarFunction(
+        f0.carrier, terms=tuple((c, f._part()) for c, f in parts), spec=_combo_spec(parts)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +254,22 @@ def linear_combination(parts: list[tuple]) -> ScalarFunction:
 
 
 def star(f: ScalarFunction, sigma: InvolutiveAutomorphism) -> ScalarFunction:
-    """f* = f o sigma."""
+    """f* = f o sigma; of a node, the node of the starred bases."""
     if f.values is not None:
         return ScalarFunction(f.carrier, values=[f.values[sigma(x)] for x in f.carrier.elements])
     spec = None
     if f.spec is not None:
         spec = {"rule": "star", "sigma": sigma.name, "fn": f.spec}
+    if f.terms is not None:
+        return ScalarFunction(f.carrier, terms=_star_terms(f.terms, sigma), spec=spec)
     return ScalarFunction(f.carrier, rule=lambda x: f(sigma(x)), spec=spec)
+
+
+def _star_terms(terms: tuple, sigma: InvolutiveAutomorphism) -> tuple:
+    return tuple(
+        (c, _star_terms(part, sigma) if part.__class__ is tuple else star(part, sigma))
+        for c, part in terms
+    )
 
 
 def even_part(f: ScalarFunction, sigma: InvolutiveAutomorphism) -> ScalarFunction:
@@ -488,11 +565,10 @@ def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
     Window semantics on procedural carriers: quantified products that leave
     the window are skipped, so membership is certified on the window only.
     """
-    ev = chi.fn if isinstance(chi, MultiplicativeFunction) else chi
     elems = s.checked(s.elements)
-    if all(values_equal(ev(x), 0, VERIFY_TOL) for x in elems):
-        raise ValueError("null sets require a non-zero multiplicative function")
     i_chi = _window_zeros(elems, chi)
+    if all(x in i_chi for x in elems):  # the empty window too
+        raise ValueError("null sets require a non-zero multiplicative function")
     i_sq = product_set(s, i_chi)
     diff = i_chi - i_sq
     candidates = tuple(diff)

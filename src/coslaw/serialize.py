@@ -32,6 +32,9 @@ fixture's rule table (`Fixture.rules`):
     naturals-from-2  parity, one  {}                     the named characters
                      five-adic    {}                     the 5-adic valuation
                      h-piecewise  {"c": z}               family-7 h with rho = c
+                                  {"c": z, "additive": null}   the same
+                                                         without the five-adic
+                                                         part (0 off I_chi)
 
 Because rule specs carry floats, a procedural pair reloads in float mode
 even when it was built from exact inputs.

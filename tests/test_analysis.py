@@ -32,7 +32,7 @@ from coslaw.families import (
     function_vanishing_on_products,
 )
 from coslaw.fixtures import get_fixture
-from coslaw.functions import ScalarFunction, null_sets
+from coslaw.functions import ScalarFunction, linear_combination, null_sets
 from coslaw.semigroups import FiniteSemigroup, InvolutiveAutomorphism, ProceduralSemigroup
 
 F = Fraction
@@ -270,6 +270,7 @@ _exact = st.one_of(
                     max_size=3).map(ExpPoly),
 )
 _bump = st.one_of(st.integers(1, 5), st.just(F(-1, 3)), st.just(ExpPoly({-1: 2})))
+_coefficient = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=5))
 
 
 @st.composite
@@ -279,7 +280,11 @@ def _pairwise_scans(draw):
     (h(x) = b*x*chi(x), chi(x) = c**x e**(a*x)).  `mode` keeps them solutions
     ("zero"), bumps them at 2k-2, which only the pair (k-1, k-1) reaches
     ("one"), bumps them at a random point ("some") or replaces g and h by
-    random values ("random")."""
+    random values ("random").  With `combo`, g and f are nodes over random
+    exact bases instead of value rules: f a linear combination of them, g
+    alpha*f (`f.scale(alpha)`, or the combination with the coefficients
+    times alpha, sharing f's bases), a bump a further base added to g, and a
+    random g a combination of f's bases and one of its own."""
     mode = draw(st.sampled_from(["zero", "one", "some", "random"]))
     k = draw(st.integers(2 if mode == "one" else 1, 5))  # 2k-2 is no window point
     top = 2 * k - 1
@@ -290,23 +295,54 @@ def _pairwise_scans(draw):
     c = draw(st.sampled_from([1, 2, F(-1, 2), F(3)]))
     chi = [ExpPoly({a * x: c**x}) if a else c**x for x in range(top)]
     hv = [b * x * chi[x] for x in range(top)]
+    combo = None
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        bases = draw(st.lists(st.lists(_exact, min_size=top, max_size=top), min_size=n, max_size=n))
+        coefs = draw(st.lists(_coefficient, min_size=n, max_size=n))
+        combo = {"bases": bases, "coefs": coefs, "flat": draw(st.booleans()), "bump": None}
     if mode == "random":
         gv = draw(st.lists(_exact, min_size=top, max_size=top))
         hv = draw(st.lists(_exact, min_size=top, max_size=top))
+        if combo:
+            combo["random"] = draw(st.lists(_coefficient, min_size=n + 1, max_size=n + 1))
     elif mode != "zero":
         at = top - 1 if mode == "one" else draw(st.integers(0, top - 1))
-        gv[at] = gv[at] + draw(_bump)
+        bump = draw(_bump)
+        gv[at] = gv[at] + bump
         hv[at] = hv[at] + draw(_bump)
-    return k, mode, alpha, gv, fv, hv, chi
+        if combo:
+            combo["bump"] = (at, bump)
+    return k, mode, alpha, gv, fv, hv, chi, combo
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+def _combo_pair(s, alpha, gv, combo):
+    """(g, f) of `_pairwise_scans`' combo draw on the carrier s."""
+    bases = [ScalarFunction(s, rule=v.__getitem__) for v in combo["bases"]]
+    f = linear_combination(list(zip(combo["coefs"], bases)))
+    if "random" in combo:
+        own = ScalarFunction(s, rule=gv.__getitem__)
+        return linear_combination(list(zip(combo["random"], bases + [own]))), f
+    if combo["flat"] and not isinstance(alpha, ExpPoly):
+        g = linear_combination([(alpha * c, base) for c, base in zip(combo["coefs"], bases)])
+    else:
+        g = f.scale(alpha)
+    if combo["bump"] is not None:
+        at, bump = combo["bump"]
+        g = g + ScalarFunction(s, rule=lambda x: bump if x == at else 0)
+    return g, f
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
 @given(_pairwise_scans())
 def test_packed_and_symbolic_scans_give_the_same_verdicts(data):
-    k, mode, alpha, gv, fv, hv, chi = data
+    k, mode, alpha, gv, fv, hv, chi, combo = data
     s = _sums(k)
     g, f, h, ch = (ScalarFunction(s, rule=v.__getitem__) for v in (gv, fv, hv, chi))
+    if combo:
+        g, f = _combo_pair(s, alpha, gv, combo)
     rep, bad = residual(s, SUMS_ID, alpha, g, f), _sine_law_failure(s, h, ch)
+    # the only packer: patched out, both scans take the symbolic path
     with mock.patch.object(analysis, "pack_scan", lambda *args: None), \
             mock.patch.object(families, "pack_scan", lambda *args: None):
         assert residual(s, SUMS_ID, alpha, g, f) == rep
@@ -667,15 +703,42 @@ def test_classify_exact_mode_round_trip():
     assert rebuilt.g.equal_to(pair.g, tol=0) and rebuilt.f.equal_to(pair.f, tol=0)
 
 
+def test_classify_tests_vanishing_on_products_once(monkeypatch):
+    """Families 2 and 3 share one scan of g on S^2 in `_candidates`; where g
+    does not vanish there, neither is constructed."""
+    calls = []
+    real = families._vanishes_on_products
+
+    def counting(s, g):
+        calls.append(g)
+        return real(s, g)
+
+    monkeypatch.setattr(families, "_vanishes_on_products", counting)
+    monkeypatch.setattr(analysis, "_vanishes_on_products", counting)
+    c2, null3 = get_fixture("c2"), get_fixture("null3")
+    d = FamilyDescriptor(6, 2, chi1=c2.characters["chi1"], chi2=c2.characters["chi2"])
+    pair = construct(c2.carrier, c2.sigma("id"), d)
+    assert classify(c2.carrier, c2.sigma("id"), 2, pair.g, pair.f).family_tag == 6
+    assert calls == [pair.g]
+    calls.clear()
+    g = ScalarFunction(null3.carrier, values=[0, F(1, 2), 3])
+    assert classify(null3.carrier, null3.sigma("id"), F(1, 3), g, g).family_tag == 2
+    assert calls == [g, g]  # classify's scan, then construct's check of family 2
+
+
 def test_classify_attempts_follow_the_decision_order(monkeypatch):
     """Every candidate `classify` constructs, in order: a stub `construct`
     that rejects everything logs the whole stream; the real one logs the
     prefix up to the hit."""
     order = (1, 2, 3, 4, 6, 8, 5, 7)
-    c3, c2 = get_fixture("c3"), get_fixture("c2")
+    c3, c2, null3 = get_fixture("c3"), get_fixture("c2"), get_fixture("null3")
+    # families 2 and 3 are candidates only where g vanishes on S^2: null3's
+    # S^2 is {0}
+    vanishing = ScalarFunction(null3.carrier, values=[0, 1, 2])
     cases = (
         (c3, "inv", F(1, 2), FamilyDescriptor(8, F(1, 2), chi=c3.characters["chi3"])),
         (c2, "id", 1, FamilyDescriptor(6, 1, chi1=c2.characters["chi1"], chi2=c2.characters["chi2"])),
+        (null3, "id", F(1, 2), FamilyDescriptor(2, F(1, 2), free=vanishing)),
     )
     real = analysis.construct
     seen = set()

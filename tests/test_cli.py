@@ -234,6 +234,9 @@ GOLDEN_PAIRS = {
     # I_chi is empty for chi = one, so h is the five-adic rule itself
     "naturals-one-family7": ["--family", "7", "--fixture", "naturals-from-2", "--chi", "one",
                              "--additive", "five-adic"],
+    # rho alone: h is 0 off I_chi, so its spec marks the additive part absent
+    "naturals-parity-rho-family7": ["--family", "7", "--fixture", "naturals-from-2",
+                                    "--chi", "parity", "--rho-const", "1", "--alpha", "1"],
 }
 
 

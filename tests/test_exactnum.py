@@ -361,9 +361,12 @@ def test_values_equal_exact_vs_float():
 
 
 def packed_defect(l1, l2, a, b, c, d, extra_window=(), extra_linear=()):
-    """l1 - l2 - a*b + c*d evaluated on the packed ints of one scan."""
-    pw, pl = pack_scan([a, b, c, d, *extra_window], [l1, l2, *extra_linear])
-    return next(pl) - next(pl) - pw[0] * pw[1] + pw[2] * pw[3]
+    """l1 - l2 - a*b + c*d evaluated on the packed ints of one scan: l1 and
+    l2 are the two bases' values at the first product, with coefficients
+    1 and -1; the extra linear values are both bases' at more products."""
+    columns = [[l1, *extra_linear], [l2, *extra_linear]]
+    pw, lin = pack_scan([a, b, c, d, *extra_window], columns, [1, -1])
+    return lin[0] - pw[0] * pw[1] + pw[2] * pw[3]
 
 
 _coefficients = st.one_of(
@@ -397,7 +400,8 @@ def test_packed_defect_is_zero_exactly_when_the_laurent_defect_is(vals, xw, xl, 
 
 def test_packed_defect_does_not_carry_into_the_next_digit():
     # the defect 1024 - e would vanish at B = 1024; this scan's bound is
-    # 2 * (0**2 + |l2|_1) = 1026, so B = 2048 and the defect packs to 1024 - 2048
+    # |(1, -1)|_1 * |l2|_1 + 2 * 0**2 = 1026, so B = 2048 and the defect
+    # packs to 1024 - 2048
     l1, l2 = 512, ExpPoly({0: -512, 1: 1})
     assert l1 - l2 == ExpPoly({0: 1024, 1: -1})
     assert packed_defect(l1, l2, 0, 0, 0, 0) == 1024 - 2048
@@ -418,20 +422,19 @@ def test_packed_pairs_vanish_tests_every_cell():
 
 def test_pack_scan_mixes_rational_and_laurent_values():
     half = F(1, 2)
-    pw, pl = pack_scan([3, half, ExpPoly({-1: half, 2: 1})], [F(1, 4), ExpPoly.exp(-2)])
-    pl = list(pl)
-    # D = 4 and s = 2: window values are 4 * B**2 * v(B), linear ones
-    # 16 * B**4 * v(B); bound = 2 * (12**2 + 16) = 320, so B = 2**9
+    pw, pl = pack_scan([3, half, ExpPoly({-1: half, 2: 1})], [[F(1, 4), ExpPoly.exp(-2)]], [1])
+    # D = 4 and s = 2: window values are 4 * B**2 * v(B), base values
+    # 4 * B**4 * v(B) of weight 4; bound = 4 * 4 + 2 * 12**2 = 304, so B = 2**9
     B = 512
     assert pw == [12 * B**2, 2 * B**2, 2 * B + 4 * B**4]
     assert pl == [4 * B**4, 16 * B**2]
 
 
 def test_pack_scan_of_an_empty_scan_and_of_values_it_cannot_pack():
-    pw, pl = pack_scan([], [])
-    assert pw == [] and list(pl) == []
+    pw, pl = pack_scan([], [], [])
+    assert pw == [] and pl == []
     for bad in (0.5, 1j, Cyc.rational(1, 1), float("nan")):
-        assert pack_scan([1, bad], [0]) is None
-        assert pack_scan([1], [bad]) is None
+        assert pack_scan([1, bad], [[0]], [1]) is None
+        assert pack_scan([1], [[bad]], [1]) is None
     # too wide to pack densely: e**(10**6)
-    assert pack_scan([ExpPoly.exp(10**6)], [0]) is None
+    assert pack_scan([ExpPoly.exp(10**6)], [[0]], [1]) is None

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from coslaw import functions
 from coslaw.exactnum import values_equal
+from coslaw.families import FamilyDescriptor, construct
 from coslaw.fixtures import get_fixture
 from coslaw.functions import (
     MultiplicativeFunction,
@@ -27,7 +28,7 @@ from coslaw.functions import (
     odd_part,
     star,
 )
-from coslaw.semigroups import FiniteSemigroup, InvolutiveAutomorphism
+from coslaw.semigroups import FiniteSemigroup, InvolutiveAutomorphism, ProceduralSemigroup
 
 F = Fraction
 
@@ -93,6 +94,111 @@ def test_star_linearity_and_decomposition(fv, gv, a, b):
     for x in fx.carrier.elements:
         assert abs(ev(x) - ev(sig(x))) < 1e-9
         assert abs(od(x) + od(sig(x))) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# linear combination nodes
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b) -> bool:
+    """Equal type and repr: tells -0.0 from 0.0 and keeps a NaN part."""
+    return (type(a), repr(a)) == (type(b), repr(b))
+
+
+def _float_bases():
+    """real-line-like (R, +) on four points, sigma = x -> -x, and three
+    bases: p complex with complex(inf, 0) at 1.0, q float, r float."""
+    s = ProceduralSemigroup(
+        name="line", window=(-1.0, 0.5, 1.0, 2.0), compose_rule=lambda x, y: x + y,
+        contains_rule=lambda x: isinstance(x, float),
+    )
+    neg = InvolutiveAutomorphism("neg", rule=lambda x: -x)
+    pv = {-1.0: 0.3 + 0.7j, 0.5: -1.1 + 0.1j, 1.0: complex(float("inf"), 0), 2.0: 2.9 - 0.4j,
+          -0.5: 0.2j, -2.0: -0.9 + 0.0j}
+    qv = {x: 0.1 * x + 0.7 for x in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)}
+    rv = {x: 1.0 / (3.0 + x) for x in qv}
+    p, q, r = (ScalarFunction(s, rule=v.__getitem__) for v in (pv, qv, rv))
+    return s, neg, p, q, r
+
+
+def test_float_and_complex_nodes_keep_the_expressions_bits():
+    s, neg, p, q, r = _float_bases()
+    third, c = F(1, 3), 0.1
+    a = p.scale(c) + q                                   # c*p + q
+    b = a.scale(1 / 3)                                   # (1/3)*(c*p + q)
+    mix = linear_combination([(third, q), (2.5, a), (-0.7j, r)])
+    d = b + mix                                          # nested sum kept
+    e = d - p.scale(1j)
+    plain = q + p                                        # no coefficient on either
+    ev, od = even_part(e, neg), odd_part(e, neg)
+    twice = e.scale(0.3).scale(7.0)                      # 7.0*(0.3*e), not 2.1*e
+
+    def e_by_hand(x):
+        ax = c * p(x) + q(x)
+        mixx = third * q(x) + 2.5 * ax + -0.7j * r(x)
+        return (1 / 3) * ax + mixx + -1 * (1j * p(x))
+
+    for x in s.elements:
+        assert _same_bits(a(x), c * p(x) + q(x))
+        assert _same_bits(e(x), e_by_hand(x))
+        assert _same_bits(plain(x), q(x) + p(x))
+        assert _same_bits(ev(x), F(1, 2) * e_by_hand(x) + F(1, 2) * e_by_hand(-x))
+        assert _same_bits(od(x), F(1, 2) * e_by_hand(x) + F(-1, 2) * e_by_hand(-x))
+        assert _same_bits(twice(x), 7.0 * (0.3 * e_by_hand(x)))
+        assert _same_bits(star(e, neg)(x), e_by_hand(-x))
+    # a term added by + is not multiplied by 1: 1*complex(inf, 0) is inf+nanj
+    inf = complex(float("inf"), 0)
+    assert p(1.0) == inf and _same_bits(plain(1.0), q(1.0) + inf)
+    assert not cmath.isnan(plain(1.0)) and cmath.isnan((p.scale(1) + q)(1.0))
+
+
+def test_an_exact_family8_pair_is_one_node_over_two_bases():
+    h = get_fixture("heisenberg", window=1)
+    flip = h.sigma("flip")
+    chi = h.character("exp", a=1, b=2)
+    pair = construct(h.carrier, flip, FamilyDescriptor(8, F(1, 3), chi=chi))
+    g, f = pair.g, pair.f
+    # g = (2/3) chi + (1/3) chi*: one node, both parts bases (no nested level)
+    assert [c for c, _ in g.terms] == [F(2, 3), F(1, 3)]
+    assert g.terms[0][1] is chi.fn
+    assert all(isinstance(part, ScalarFunction) and part.terms is None for _, part in g.terms)
+    assert g.linear == g.terms
+    star_chi = g.terms[1][1]
+    assert f.terms == ((F(2, 3), chi.fn), (F(-1, 3), star_chi))
+    # alpha*f nests f's terms once, and its linear form folds the coefficients
+    af = f.scale(F(1, 3))
+    assert af.terms == ((F(1, 3), f.terms),)
+    assert af.linear == ((F(2, 9), chi.fn), (F(-1, 9), star_chi))
+    # one memo: evaluating g fills g's and the bases', nothing in between
+    x = (1, -1, 0)
+    assert g(x) == F(2, 3) * chi.fn(x) + F(1, 3) * chi.fn(flip(x))
+    assert list(g._memo) == [x] and x in chi.fn._memo and x in star_chi._memo
+
+
+def test_a_node_with_an_inexact_coefficient_is_its_own_linear_form():
+    s, neg, p, q, r = _float_bases()
+    exact = linear_combination([(2, p), (F(1, 2), q)]) - r.scale(3)
+    assert exact.linear == ((2, p), (F(1, 2), q), (-3, r))
+    assert star(exact, neg).linear[0][1] is not p  # sigma went onto the bases
+    for node in (p.scale(0.5), p + q.scale(1j), linear_combination([(1, p), (F(1), q)]).scale(1.0)):
+        assert node.linear == ((1, node),)
+    assert p.linear == ((1, p),)
+    # dense functions stay value vectors
+    c3 = get_fixture("c3").carrier
+    dense = ScalarFunction(c3, values=[1, 2, 3])
+    combo = linear_combination([(2, dense), (F(1, 2), dense)]) - dense.scale(3)
+    assert combo.terms is None and combo.values == (F(-1, 2), F(-1), F(-3, 2))
+
+
+def test_memo_is_skipped_for_an_unhashable_element():
+    s, _, p, q, _ = _float_bases()
+    calls = []
+    fn = ScalarFunction(s, rule=lambda x: calls.append(x) or 1.0)
+    node = fn + fn
+    assert node([1]) == 2.0 and node([1]) == 2.0 and not node._memo
+    assert node(0.5) == 2.0 and node(0.5) == 2.0 and list(node._memo) == [0.5]
+    assert calls == [[1], [1], [1], [1], 0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +397,24 @@ def test_null_sets_reject_zero_character():
     fx = get_fixture("c2")
     with pytest.raises(ValueError, match="non-zero"):
         null_sets(fx.carrier, fx.sigma("id"), fx.characters["chi0"])
+
+
+def test_null_sets_read_each_window_value_of_chi_once(monkeypatch):
+    tests = []
+    real = functions.values_equal
+    monkeypatch.setattr(functions, "values_equal", lambda *a: tests.append(a[0]) or real(*a))
+    fx = get_fixture("bool-mult")
+    chi = next(c for c in enumerate_multiplicative(fx.carrier) if c.phases == (None, F(0)))
+    ns = null_sets(fx.carrier, fx.sigma(), chi)
+    assert ns.i_chi == {0} and len(tests) == fx.carrier.order
+    # every window element a zero, the empty window included: the same error
+    zero = ScalarFunction(fx.carrier, values=[0, 0])
+    empty = ProceduralSemigroup(name="empty", window=(), compose_rule=lambda x, y: x * y,
+                                contains_rule=lambda x: isinstance(x, int))
+    one = ScalarFunction(empty, rule=lambda x: 1)
+    for s, fn in ((fx.carrier, zero), (empty, one)):
+        with pytest.raises(ValueError, match="non-zero multiplicative function"):
+            null_sets(s, InvolutiveAutomorphism("id", rule=lambda x: x), fn)
 
 
 def test_pchi_lemma_naturals():

@@ -178,6 +178,28 @@ def test_nested_rule_specs_round_trip(name):
         assert abs(complex(pair2.f(x)) - complex(pair.f(x))) < 1e-12
 
 
+def test_h_piecewise_without_the_additive_part():
+    """The rho-only family-7 h: 0 off I_chi, rho on P_chi, 0 between; its
+    spec is the five-adic one plus "additive": null, and decodes to it."""
+    fx = get_fixture("naturals-from-2", window=40)
+    s, sigma, parity = fx.carrier, fx.sigma(), fx.characters["parity"]
+    spec = fx.h_specs["parity", None](F(3, 2))
+    assert spec == {"rule": "h-piecewise", "c": [1.5, 0.0], "additive": None}
+    h = function_from_json(fx, spec)
+    built = construct(s, sigma, FamilyDescriptor(
+        7, 1, chi=parity, h_spec=HSpec(rho=F(3, 2), spec=spec),
+    ), predicates=fx.null_predicates["parity"])
+    for x in (*s.elements, 4002, 1250):
+        want = 1.5 if x % 4 == 2 else 0
+        assert h(x) == want and built.f(x) - parity(x) == want
+    assert built.f.spec["terms"][1]["fn"] is spec
+    with_five_adic = function_from_json(fx, {"rule": "h-piecewise", "c": [1.5, 0.0]})
+    assert with_five_adic(25) == 2 and h(25) == 0
+    with pytest.raises(ParseError, match="additive"):
+        pair_from_json({"fixture": "naturals-from-2", "sigma": "id", "alpha": [1, 0],
+                        "g": {**spec, "additive": "five-adic"}, "f": spec})
+
+
 def test_unknown_rule_is_parse_error():
     with pytest.raises(ParseError, match="unknown function rule 'parity'"):
         function_from_json(get_fixture("real-line"), {"rule": "parity"})
