@@ -38,7 +38,6 @@ from .functions import (
     MultiplicativeFunction,
     NullSets,
     ScalarFunction,
-    additive_basis,
     check_pchi_lemma,
     enumerate_multiplicative,
     even_part,

@@ -2,7 +2,8 @@
 
 Subcommands: validate, automorphisms, characters, nullsets, construct,
 verify, solve, classify, suite.  Exit status 0 on success / pass, 1 on a
-check failure, 2 on usage errors.  Complex literals accept ``a``, ``bi``,
+check failure, 2 on usage errors; a stdout closed early (``| head``) ends
+the run with status 1 and no traceback.  Complex literals accept ``a``, ``bi``,
 ``a+bi`` and ``a-bi`` with decimal reals (fractions too under ``--exact``).
 The output directory for artifact files can be overridden with the
 ``COSLAW_OUTDIR`` environment variable.
@@ -409,7 +410,15 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:  # stdout closed early, as by `| head`
+        # the interpreter flushes stdout at exit: point it at the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

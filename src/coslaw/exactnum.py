@@ -672,45 +672,48 @@ def pack_scan(window, columns, coefs) -> "tuple[list[int], list[int]] | None":
     ones, whose sum is at most (B - 1) * (1 + B + ... + B**(t-1)), which is
     B**t - 1.  (B > 2C would make the digits recoverable too; the zero test
     needs only B > C.)  Packing the bases instead of L's values takes one
-    shifted int per monomial base value, and no Laurent arithmetic.
+    shifted int per monomial base value, and no Laurent arithmetic.  At
+    degree 0 it takes no term list either: an int or Fraction v packs to
+    the integer D*v, times B**s or B**(2s) only when some ExpPoly of the
+    scan has a negative exponent (s > 0).
 
     Returns the packed window values and the packed L at each product, both
     in input order, or None when a value is not in LAURENT_TYPES or a packed
     defect would be wider than _PACK_MAX_BITS.
     """
-    terms = []
-    for v in itertools.chain(window, *columns):
-        if isinstance(v, ExpPoly):
-            terms.append(v.terms)
-        elif isinstance(v, (int, Fraction)):
-            terms.append({0: v} if v else {})
-        else:
-            return None
-    exps = [k for t in terms for k in t]
+    values = list(itertools.chain(window, *columns))
+    if not all(map(isinstance, values, itertools.repeat(LAURENT_TYPES))):
+        return None
+    # an ExpPoly's terms; None for a constant (an int or Fraction)
+    terms = [v.terms if isinstance(v, ExpPoly) else None for v in values]
+    exps = [k for t in terms if t for k in t]
     s = max(0, -min(exps, default=0))
     hi = max(0, max(exps, default=0))
-    d = math.lcm(*{c.denominator for t in terms for c in t.values()}, *(c.denominator for c in coefs))
+    d = math.lcm(*{v.denominator for v, t in zip(values, terms) if t is None},
+                 *{c.denominator for t in terms if t for c in t.values()},
+                 *(c.denominator for c in coefs))
     weights = [c.numerator * (d // c.denominator) for c in coefs]
-    # each value as (exponent, D * coefficient) pairs; at D = 1 the
-    # coefficients themselves, a Fraction n/1 among them (packed as int(c))
+    # D * v: an int for a constant; an ExpPoly as (exponent, D * coefficient)
+    # pairs, at D = 1 its own terms, a Fraction n/1 among them (packed as int(c))
+    out = [0 if t is not None else v.numerator * (d // v.denominator) for v, t in zip(values, terms)]
     if d == 1:
-        rows = [t.items() for t in terms]
+        terms = [t and t.items() for t in terms]
     else:
-        rows = [[(k, c.numerator * (d // c.denominator)) for k, c in t.items()] for t in terms]
-    norms = [sum([abs(c) for _, c in r]) for r in rows]
+        terms = [t and [(k, c.numerator * (d // c.denominator)) for k, c in t.items()] for t in terms]
+    norms = [abs(v) if t is None else sum([abs(c) for _, c in t]) for v, t in zip(out, terms)]
     nw = len(window)
     bits = int(sum(map(abs, weights)) * max(norms[nw:], default=0)
                + 2 * max(norms[:nw], default=0) ** 2).bit_length()
     if bits * (2 * (hi + s) + 1) > _PACK_MAX_BITS:
         return None
-
-    def packed(part, shift):
-        return [sum([int(c) << bits * (k + shift) for k, c in r]) for r in part]
-
+    if exps:  # else every value is a constant at s = 0, or a zero ExpPoly
+        out = [v << bits * shift if t is None else sum([int(c) << bits * (k + shift) for k, c in t])
+               for part, shift in ((slice(nw), s), (slice(nw, None), 2 * s))
+               for v, t in zip(out[part], terms[part])]
     m = len(columns[0]) if columns else 0
-    bases = [packed(rows[nw + i * m: nw + (i + 1) * m], 2 * s) for i in range(len(columns))]
+    bases = [out[nw + i * m: nw + (i + 1) * m] for i in range(len(columns))]
     lin = [sum(map(operator.mul, weights, vs)) for vs in zip(*bases)]
-    return packed(rows[:nw], s), lin
+    return out[:nw], lin
 
 
 def packed_pairs_vanish(index, lin, a, b, c, d) -> bool:

@@ -29,16 +29,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
-from .exactnum import (
-    LAURENT_TYPES,
-    VERIFY_TOL,
-    exact_sqrt,
-    is_exact,
-    pack_scan,
-    packed_pairs_vanish,
-    simplify_scalar,
-    values_equal,
-)
+from .exactnum import VERIFY_TOL, exact_sqrt, is_exact, simplify_scalar, values_equal
 from .functions import (
     AdditiveFunction,
     MultiplicativeFunction,
@@ -49,6 +40,7 @@ from .functions import (
     is_even,
     linear_combination,
     null_sets,
+    packed_law_holds,
 )
 from .semigroups import InvolutiveAutomorphism, Semigroup, pair_products, pair_table
 
@@ -233,25 +225,13 @@ def _sine_law_failure(s: Semigroup, h, chi) -> tuple | None:
     """First window pair (x, y), with both sides, where h(xy) = h(x)chi(y) +
     h(y)chi(x) fails; None when the sine addition law holds on the window.
 
-    When every window value of h and chi is an int, Fraction or `ExpPoly`,
-    a packed zero test runs first through the packer of
-    `analysis.residual`, with h the one base of the linear part: h is
-    evaluated over the distinct products of the carrier's cached
-    `pair_table` in first-seen pair order, and `packed_pairs_vanish` tests
-    h(p) = h(x)chi(y) - (-chi(x))h(y) on every pair.  Anything but "every
-    pair holds" falls through to the pairwise scan below, from its start.
+    The packed scan of `packed_law_holds`, with (a, b) = (h, chi), runs
+    first.  Anything but "every pair holds" falls through to the pairwise
+    scan below, from its start.
     """
     elems = s.checked(s.elements)
-    hw = [h(x) for x in elems]
-    cw = [chi(x) for x in elems]
-    if all(isinstance(v, LAURENT_TYPES) for v in (*hw, *cw)):
-        table = pair_table(s, elems, elems)
-        packed = pack_scan(hw + cw, [list(map(h, table.products))], [1])
-        if packed is not None:
-            pw, lin = packed
-            ph, pc = pw[: len(elems)], pw[len(elems):]
-            if packed_pairs_vanish(table.index, lin, ph, pc, [-v for v in pc], ph):
-                return None
+    if packed_law_holds(s, elems, h, [h(x) for x in elems], [chi(x) for x in elems]):
+        return None
     for x, y, xy in pair_products(s, elems):
         lhs = h(xy)
         rhs = h(x) * chi(y) + h(y) * chi(x)
@@ -303,7 +283,16 @@ def _check_condition_i(ns, chi, rho_fn, in_p):
 
 
 def _check_condition_ii(s, ns, h, units):
-    for x, y, xy in pair_products(s, ns.i_chi - ns.p_chi, units):
+    """h(xy) = h(yx) = 0 for x in I_chi \\ P_chi and y a unit.  h is tested
+    once per distinct product of the carrier's cached pair tables of the
+    two orders; on a failure the pairwise scan runs from its start and
+    raises on its first witness."""
+    rest = ns.i_chi - ns.p_chi
+    xs, units = s.checked(x for x in s.elements if x in rest), s.checked(units)
+    products = {*pair_table(s, xs, units).products, *pair_table(s, units, xs).products}
+    if all(values_equal(h(p), 0, VERIFY_TOL) for p in products):
+        return
+    for x, y, xy in pair_products(s, rest, units):
         for prod in (xy, s.product(y, x)):
             if not values_equal(h(prod), 0, VERIFY_TOL):
                 raise ConditionViolation(f"condition (II) fails: h({x}*{y} side) != 0")

@@ -244,6 +244,8 @@ def _naturals(upper: int = 65) -> Fixture:
         window=window,
         compose_rule=lambda x, y: x * y,
         contains_rule=lambda x: isinstance(x, int) and not isinstance(x, bool) and x >= 2,
+        # factors are at least 2, so a product exceeds each of its factors
+        escapes=lambda x: x > upper,
     )
     sig_id = InvolutiveAutomorphism("id", rule=lambda x: x)
     parity = MultiplicativeFunction(

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable
 
-from .exactnum import VERIFY_TOL, Cyc, values_equal
+from .exactnum import LAURENT_TYPES, VERIFY_TOL, Cyc, pack_scan, packed_pairs_vanish, values_equal
 from .semigroups import (
     FiniteSemigroup,
     InvolutiveAutomorphism,
@@ -36,6 +36,7 @@ from .semigroups import (
     element_period,
     left_rows,
     pair_products,
+    pair_table,
     product_set,
 )
 
@@ -350,17 +351,46 @@ def is_additive(s: Semigroup, subset, f, tol: float = VERIFY_TOL) -> bool:
     """A(xy) = A(x) + A(y) for sub-carrier pairs.
 
     For dense finite functions the product must stay inside the subset to
-    be testable; rule-defined functions are evaluated at any product.
+    be testable; rule-defined functions are evaluated at any product, and
+    for them the packed scan of `packed_law_holds`, with (a, b) = (A, 1)
+    over the window elements of the subset, runs first.  Anything but
+    "every pair holds" falls through to the pairwise scan, from its start.
     """
     subset = frozenset(subset)
     ev = f if callable(f) else (lambda x: f[x])
     dense = isinstance(f, ScalarFunction) and f.values is not None
+    if callable(f) and not dense:
+        xs = s.checked(x for x in s.elements if x in subset)
+        if packed_law_holds(s, xs, ev, [ev(x) for x in xs], [1] * len(xs)):
+            return True
     for x, y, xy in pair_products(s, subset & set(s.elements)):
         if dense and xy not in subset:
             continue
         if not values_equal(ev(xy), ev(x) + ev(y), tol):
             return False
     return True
+
+
+def packed_law_holds(s: Semigroup, xs: tuple, lhs, aw: list, bw: list) -> bool:
+    """True when lhs(x*y) = a(x)b(y) + b(x)a(y) for every pair of the
+    checked tuple `xs`, with `aw` and `bw` the values of a and b at `xs`;
+    False when one packed scan does not show it: a value `pack_scan` cannot
+    pack, or a pair that fails.  The sine addition law is (a, b) = (h, chi)
+    and additivity (A, 1).
+
+    lhs is evaluated over the distinct products of the carrier's cached
+    `pair_table`, and `packed_pairs_vanish` tests
+    lhs(p) = a(x)b(y) - (-b(x))a(y) on every pair at once.
+    """
+    if not all(isinstance(v, LAURENT_TYPES) for v in (*aw, *bw)):
+        return False
+    table = pair_table(s, xs, xs)
+    packed = pack_scan(aw + bw, [list(map(lhs, table.products))], [1])
+    if packed is None:
+        return False
+    pw, lin = packed
+    pa, pb = pw[: len(xs)], pw[len(xs):]
+    return packed_pairs_vanish(table.index, lin, pa, pb, [-v for v in pb], pa)
 
 
 def _phase_mul(a: Fraction | None, b: Fraction | None) -> Fraction | None:
@@ -467,64 +497,6 @@ def _character_table(s: FiniteSemigroup, perm: tuple[int, ...]) -> CharacterTabl
     )
 
 
-# ---------------------------------------------------------------------------
-# additive-function solution space (finite carriers)
-# ---------------------------------------------------------------------------
-
-
-def additive_basis(s: FiniteSemigroup, subset=None) -> list[dict]:
-    """Basis of the space of additive functions on a finite sub-carrier.
-
-    Exact rational null space of the constraints A(xy) = A(x) + A(y); on a
-    finite semigroup the space is always {0} because p * A(x) = 0 for the
-    period p of x.
-    """
-    subset = frozenset(s.elements if subset is None else subset)
-    index = {x: i for i, x in enumerate(sorted(subset))}
-    rows: list[list[Fraction]] = []
-    for x, y, xy in pair_products(s, sorted(subset)):
-        if xy not in subset:
-            continue
-        row = [Fraction(0)] * len(index)
-        row[index[xy]] += 1
-        row[index[x]] -= 1
-        row[index[y]] -= 1
-        rows.append(row)
-    basis_vectors = _nullspace(rows, len(index))
-    order = sorted(subset)
-    return [{order[i]: v[i] for i in range(len(order))} for v in basis_vectors]
-
-
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
-
-
 @dataclass(frozen=True)
 class AdditiveFunction:
     """An additive function on a stated sub-carrier (intended: S \\ I_chi)."""
@@ -564,6 +536,10 @@ def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
 
     Window semantics on procedural carriers: quantified products that leave
     the window are skipped, so membership is certified on the window only.
+    Given the carrier's `escapes` rule, the translate scan builds no row
+    upv for an escaping up: every upv is then outside the window, so the
+    row could add nothing to P_chi or its translates.  up itself is still
+    checked, and pu still computed.
     """
     elems = s.checked(s.elements)
     i_chi = _window_zeros(elems, chi)
@@ -580,7 +556,7 @@ def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
     product = s.product
     p_chi = set(diff)
     kept = {p: ([], []) for p in candidates}
-    for u, ups, rows in left_rows(s, units, candidates):
+    for u, ups, rows in left_rows(s, units, candidates, s.escapes):
         hits = {  # the window products upv of each distinct up
             up: [(u, v, upv) for v, upv in zip(units, row) if upv in window]
             for up, row in rows.items() if not window.isdisjoint(row)

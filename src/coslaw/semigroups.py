@@ -15,11 +15,14 @@ element is tested once per scan rather than once per product:
 ``pair_products`` streams the pairs x*y; ``pair_table`` gives the distinct
 products of two checked factor tuples and each pair's position among them,
 built once and cached on the carrier, for the packed exact scans of the
-equation and of the sine addition law; and ``left_rows`` serves the
-three-factor scans (the null set P_chi and the triple scans of ``validate``
-and ``is_abelian_fn``), checking each distinct product x*y once before it
-becomes a left factor.  ``compose`` is the single-product convenience:
-``checked`` on both arguments, then ``product``.
+equation, of the sine addition law and of additivity, and for condition
+(II) of family 7; and ``left_rows`` serves the three-factor scans (the
+null set P_chi and the triple scans of ``validate`` and
+``is_abelian_fn``), checking each distinct product x*y once before it
+becomes a left factor; given an ``escapes`` rule (``null_sets`` passes
+the carrier's), it builds no row for a product the rule puts beyond the
+window.  ``compose`` is the single-product convenience: ``checked`` on
+both arguments, then ``product``.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ class FiniteSemigroup:
         return {}
 
     is_finite = True
+    escapes = None  # every product is in the window
 
     def checked(self, xs) -> tuple:
         """`xs` as a tuple; IndexError if an element is not an index in range."""
@@ -88,13 +92,21 @@ class FiniteSemigroup:
 
 @dataclass(frozen=True)
 class ProceduralSemigroup:
-    """Rule-defined carrier with a finite sample window for bounded checks."""
+    """Rule-defined carrier with a finite sample window for bounded checks.
+
+    `escapes`, when given, is a fact about the carrier: escapes(x) means
+    that every product with x as a factor, on either side, lies outside
+    the window (on the naturals from 2, x > max(window), since products
+    only grow).  The P_chi translate scan of `null_sets` builds no row
+    x*v for such an x; without the rule every row is built.
+    """
 
     name: str
     window: tuple
     compose_rule: Callable = field(compare=False)
     contains_rule: Callable = field(compare=False)
     eq_rule: Callable | None = field(default=None, compare=False)
+    escapes: Callable | None = field(default=None, compare=False)
 
     @property
     def elements(self) -> tuple:
@@ -212,9 +224,10 @@ def pair_table(s: Semigroup, xs: tuple, right: tuple) -> PairTable:
     return table
 
 
-def left_rows(s: Semigroup, xs, ys=None) -> Iterator[tuple]:
+def left_rows(s: Semigroup, xs, ys=None, escapes=None) -> Iterator[tuple]:
     """(x, [x*y for y in ys], {p: [p*z for z in xs]}) for x in `xs`, p
-    running over the distinct products x*y.
+    running over the distinct products x*y, except those with escapes(p)
+    when an `escapes` rule is given: such a p gets no row.
 
     `checked` runs once on each factor list before the first x (`ys`
     defaults to `xs`, which is then checked once), and once on each
@@ -232,7 +245,8 @@ def left_rows(s: Semigroup, xs, ys=None) -> Iterator[tuple]:
         xys = list(map(product, itertools.repeat(x), ys))
         distinct = dict.fromkeys(xys)
         seen.update(s.checked(p for p in distinct if p not in seen))
-        yield x, xys, {p: list(map(product, itertools.repeat(p), xs)) for p in distinct}
+        rowed = distinct if escapes is None else itertools.filterfalse(escapes, distinct)
+        yield x, xys, {p: list(map(product, itertools.repeat(p), xs)) for p in rowed}
 
 
 def triple_sample(s: Semigroup) -> tuple:

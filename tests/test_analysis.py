@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coslaw import analysis, families
+from coslaw import analysis, families, functions
 from coslaw.analysis import (
     NotASolution,
     VerificationReport,
@@ -263,13 +263,14 @@ def _sums(k, rule=None):
 
 
 SUMS_ID = InvolutiveAutomorphism("id", rule=lambda x: x)
+_rational = st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=6))
 _exact = st.one_of(
-    st.integers(-9, 9),
-    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    _rational,
     st.dictionaries(st.integers(-3, 3), st.fractions(min_value=-9, max_value=9, max_denominator=6),
                     max_size=3).map(ExpPoly),
 )
-_bump = st.one_of(st.integers(1, 5), st.just(F(-1, 3)), st.just(ExpPoly({-1: 2})))
+_rational_bump = st.one_of(st.integers(1, 5), st.just(F(-1, 3)))
+_bump = st.one_of(_rational_bump, st.just(ExpPoly({-1: 2})))
 _coefficient = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=5))
 
 
@@ -284,33 +285,38 @@ def _pairwise_scans(draw):
     exact bases instead of value rules: f a linear combination of them, g
     alpha*f (`f.scale(alpha)`, or the combination with the coefficients
     times alpha, sharing f's bases), a bump a further base added to g, and a
-    random g a combination of f's bases and one of its own."""
+    random g a combination of f's bases and one of its own.  With
+    `rational`, every value, alpha and bump is an int or Fraction, so each
+    scan packs at degree 0."""
     mode = draw(st.sampled_from(["zero", "one", "some", "random"]))
     k = draw(st.integers(2 if mode == "one" else 1, 5))  # 2k-2 is no window point
     top = 2 * k - 1
-    alpha = draw(st.sampled_from([1, -1, F(-1), ExpPoly.const(1)]))
-    fv = draw(st.lists(_exact, min_size=top, max_size=top))
+    rational = draw(st.booleans())
+    values, bumps = (_rational, _rational_bump) if rational else (_exact, _bump)
+    alpha = draw(st.sampled_from([1, -1, F(-1)] + ([] if rational else [ExpPoly.const(1)])))
+    fv = draw(st.lists(values, min_size=top, max_size=top))
     gv = [alpha * v for v in fv]
-    a, b = draw(st.integers(-2, 2)), draw(st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    a = 0 if rational else draw(st.integers(-2, 2))
+    b = draw(st.fractions(min_value=-4, max_value=4, max_denominator=3))
     c = draw(st.sampled_from([1, 2, F(-1, 2), F(3)]))
     chi = [ExpPoly({a * x: c**x}) if a else c**x for x in range(top)]
     hv = [b * x * chi[x] for x in range(top)]
     combo = None
     if draw(st.booleans()):
         n = draw(st.integers(1, 3))
-        bases = draw(st.lists(st.lists(_exact, min_size=top, max_size=top), min_size=n, max_size=n))
+        bases = draw(st.lists(st.lists(values, min_size=top, max_size=top), min_size=n, max_size=n))
         coefs = draw(st.lists(_coefficient, min_size=n, max_size=n))
         combo = {"bases": bases, "coefs": coefs, "flat": draw(st.booleans()), "bump": None}
     if mode == "random":
-        gv = draw(st.lists(_exact, min_size=top, max_size=top))
-        hv = draw(st.lists(_exact, min_size=top, max_size=top))
+        gv = draw(st.lists(values, min_size=top, max_size=top))
+        hv = draw(st.lists(values, min_size=top, max_size=top))
         if combo:
             combo["random"] = draw(st.lists(_coefficient, min_size=n + 1, max_size=n + 1))
     elif mode != "zero":
         at = top - 1 if mode == "one" else draw(st.integers(0, top - 1))
-        bump = draw(_bump)
+        bump = draw(bumps)
         gv[at] = gv[at] + bump
-        hv[at] = hv[at] + draw(_bump)
+        hv[at] = hv[at] + draw(bumps)
         if combo:
             combo["bump"] = (at, bump)
     return k, mode, alpha, gv, fv, hv, chi, combo
@@ -333,7 +339,7 @@ def _combo_pair(s, alpha, gv, combo):
     return g, f
 
 
-@settings(max_examples=250, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(_pairwise_scans())
 def test_packed_and_symbolic_scans_give_the_same_verdicts(data):
     k, mode, alpha, gv, fv, hv, chi, combo = data
@@ -344,11 +350,16 @@ def test_packed_and_symbolic_scans_give_the_same_verdicts(data):
     rep, bad = residual(s, SUMS_ID, alpha, g, f), _sine_law_failure(s, h, ch)
     # the only packer: patched out, both scans take the symbolic path
     with mock.patch.object(analysis, "pack_scan", lambda *args: None), \
-            mock.patch.object(families, "pack_scan", lambda *args: None):
+            mock.patch.object(functions, "pack_scan", lambda *args: None):
         assert residual(s, SUMS_ID, alpha, g, f) == rep
         assert _sine_law_failure(s, h, ch) == bad
     if mode == "zero":
         assert rep == VerificationReport(0.0, (0, 0), k * k, "exact") and bad is None
+        # ... and the packed scans alone said so, with no symbolic fallback
+        elems = s.elements
+        gw, fw = {x: g(x) for x in elems}, {x: f(x) for x in elems}
+        assert analysis._packed_defects_vanish(s, elems, elems, alpha, gw, fw, g, f.scale(alpha))
+        assert functions.packed_law_holds(s, elems, h, list(map(h, elems)), list(map(ch, elems)))
     if mode == "one":
         assert rep.worst_pair == (k - 1, k - 1) and rep.max_residual > 0
         assert bad[:2] == (k - 1, k - 1)

@@ -3,6 +3,9 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -15,6 +18,7 @@ from coslaw.cli import main, parse_complex, UsageError
 from coslaw.fixtures import FIXTURE_NAMES, get_fixture
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def test_parse_complex_forms():
@@ -458,6 +462,24 @@ def test_huge_window_is_refused_before_any_element_is_built(tmp_path, capsys):
     assert main(["verify", "--pair", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("window", [50, 2000])
+def test_a_closed_stdout_pipe_gives_no_traceback(window):
+    # the reader is gone before the first write; stdout is block-buffered,
+    # so at window 50 the output fits the buffer and the flush at the end
+    # meets the closed pipe, and at 2000 a print does
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coslaw", "nullsets", "naturals-from-2", "--chi", "parity",
+         "--window", str(window)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and err == ""
 
 
 @pytest.mark.parametrize(

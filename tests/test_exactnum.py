@@ -430,6 +430,16 @@ def test_pack_scan_mixes_rational_and_laurent_values():
     assert pl == [4 * B**4, 16 * B**2]
 
 
+def test_pack_scan_packs_a_constant_to_d_times_its_value():
+    # ints, Fractions and a bool, no ExpPoly: D = lcm(2, 4, 2, 3) = 12, no
+    # shift, and base 0 weighs 12 * 2/3 = 8
+    pw, pl = pack_scan([3, F(1, 2), -2, True], [[F(1, 4), 0, F(-3, 2)]], [F(2, 3)])
+    assert pw == [36, 6, -24, 12] and pl == [24, 0, -144]
+    assert all(type(v) is int for v in pw + pl)
+    # too wide to pack: one constant of 20,000 bits
+    assert pack_scan([2**20000], [[0]], [1]) is None
+
+
 def test_pack_scan_of_an_empty_scan_and_of_values_it_cannot_pack():
     pw, pl = pack_scan([], [], [])
     assert pw == [] and pl == []

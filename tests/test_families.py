@@ -381,17 +381,34 @@ def test_build_h_scans_p_chi_translates_only_in_null_sets():
     build_h(s, sigma, parity, additive=nat.additive_rules["five-adic"], rho=F(7, 3),
             predicates=nat.null_predicates["parity"])
     assert calls <= own + 2 * len(s.elements) ** 2
+    # a repeat reads every pair scan's products (additivity, condition (II),
+    # sine law) from the carrier's cached pair tables
+    calls = 0
+    build_h(s, sigma, parity, additive=nat.additive_rules["five-adic"], rho=F(7, 3),
+            predicates=nat.null_predicates["parity"])
+    assert calls == own
 
 
 def test_build_h_rejects_condition_ii():
     # with P_chi declared as all of 2N, h = rho = 3 on every even product,
     # so h(xu) != 0 for x in the window's I_chi - P_chi = 4N and u odd
     nat = get_fixture("naturals-from-2", window=50)
-    with pytest.raises(ConditionViolation, match=r"^condition \(II\) fails"):
+    with pytest.raises(ConditionViolation, match=r"^condition \(II\) fails: h\(32\*3 side\) != 0$"):
         build_h(
             nat.carrier, nat.sigma(), nat.characters["parity"],
             rho=3, predicates=NullPredicates(in_i=_even, in_p=_even),
         )
+
+
+@pytest.mark.parametrize("window", [50, 200])
+def test_build_h_condition_ii_fails_at_a_single_product(window):
+    # 196 = 4*49 = 28*7 is declared in P_chi, so h(196) = rho != 0 there and
+    # nowhere else in (I_chi - P_chi) * units; no translate of P_chi is
+    # 0 mod 4, so condition (I) passes
+    nat = get_fixture("naturals-from-2", window=window)
+    preds = NullPredicates(in_i=_even, in_p=lambda x: x % 4 == 2 or x == 196)
+    with pytest.raises(ConditionViolation, match=r"^condition \(II\) fails: h\(4\*49 side\) != 0$"):
+        build_h(nat.carrier, nat.sigma(), nat.characters["parity"], rho=3, predicates=preds)
 
 
 # rho matches condition (I) on the window (every translate there is <= 50)

@@ -11,12 +11,11 @@ from hypothesis import given, settings, strategies as st
 from coslaw import functions
 from coslaw.exactnum import values_equal
 from coslaw.families import FamilyDescriptor, construct
-from coslaw.fixtures import get_fixture
+from coslaw.fixtures import FIXTURE_NAMES, get_fixture
 from coslaw.functions import (
     MultiplicativeFunction,
     NullSets,
     ScalarFunction,
-    additive_basis,
     character_table,
     check_pchi_lemma,
     enumerate_multiplicative,
@@ -216,21 +215,31 @@ def test_parity_character_on_naturals():
     assert is_multiplicative(nat.carrier, nat.characters["parity"], tol=0)
 
 
-def test_five_adic_count_is_additive_on_odds():
+def test_five_adic_count_is_additive_on_odds(monkeypatch):
     nat = get_fixture("naturals-from-2", window=60)
     odds = [x for x in nat.carrier.elements if x % 2]
+    tests = []
+    real = functions.values_equal
+    monkeypatch.setattr(functions, "values_equal", lambda *a: tests.append(a) or real(*a))
     assert is_additive(nat.carrier, odds, nat.additive_rules["five-adic"], tol=0)
+    assert tests == []  # the packed scan answered; no pairwise fallback
 
 
-def test_additive_basis_trivial_on_finite(finite_fixture):
-    # on a finite carrier x^(i+p) = x^i forces p*A(x) = 0, so A = 0
-    assert additive_basis(finite_fixture.carrier) == []
-    s = finite_fixture.carrier
-    for chi in enumerate_multiplicative(s):
-        if chi.is_zero:
-            continue
-        sub = [x for x in s.elements if not values_equal(chi(x), 0)]
-        assert additive_basis(s, sub) == []
+def test_is_additive_fails_on_a_rule_off_at_one_product(monkeypatch):
+    # 177 = 3 * 59 is no other product of odd window elements, so only the
+    # pairs (3, 59) and (59, 3) fail
+    nat = get_fixture("naturals-from-2", window=60)
+    odds = [x for x in nat.carrier.elements if x % 2]
+    five = nat.additive_rules["five-adic"]
+    off = ScalarFunction(nat.carrier, rule=lambda x: five(x) + (x == 177))
+    tests = []
+    real = functions.values_equal
+    monkeypatch.setattr(functions, "values_equal", lambda *a: tests.append(a) or real(*a))
+    assert not is_additive(nat.carrier, odds, off, tol=0)
+    assert tests[-1] == (1, 0, 0)  # the pairwise scan found the witness: A(177) = 1
+    # float values take the pairwise scan only, with the same verdicts
+    assert is_additive(nat.carrier, odds, lambda x: float(five(x)))
+    assert not is_additive(nat.carrier, odds, lambda x: float(off(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +424,64 @@ def test_null_sets_read_each_window_value_of_chi_once(monkeypatch):
     for s, fn in ((fx.carrier, zero), (empty, one)):
         with pytest.raises(ValueError, match="non-zero multiplicative function"):
             null_sets(s, InvolutiveAutomorphism("id", rule=lambda x: x), fn)
+
+
+def _escape_violations(s) -> int:
+    """The products p of two window elements with escapes(p) for which some
+    p*w or w*p, w a window element, is in the window."""
+    elems, window, rule = s.elements, s.window_set, s.compose_rule
+    escaping = [p for p in {rule(x, y) for x in elems for y in elems} if s.escapes(p)]
+    assert escaping
+    return sum(
+        not window.isdisjoint(itertools.chain(map(rule, itertools.repeat(p), elems),
+                                              map(rule, elems, itertools.repeat(p))))
+        for p in escaping
+    )
+
+
+@pytest.mark.parametrize("window", [50, 200])
+def test_escapes_rules_hold_against_compose_rule(window):
+    named = [name for name in FIXTURE_NAMES if get_fixture(name).carrier.escapes is not None]
+    assert "naturals-from-2" in named
+    for name in named:
+        s = get_fixture(name, window=window).carrier
+        assert _escape_violations(s) == 0
+        # the check has teeth: a rule that escapes too soon fails it
+        early = dataclasses.replace(s, escapes=lambda x: x > window // 4)
+        assert _escape_violations(early) > 0
+
+
+@pytest.mark.parametrize("window", [50, 200])
+def test_null_sets_skipping_escaping_rows_changes_nothing(window):
+    nat = get_fixture("naturals-from-2", window=window)
+    sigma, parity = nat.sigma("id"), nat.characters["parity"]
+    full = dataclasses.replace(nat.carrier, escapes=None)  # every row built
+    ns, ref = null_sets(nat.carrier, sigma, parity), null_sets(full, sigma, parity)
+    assert ns == ref and list(ns.translates.items()) == list(ref.translates.items())
+    assert check_pchi_lemma(nat.carrier, sigma, parity) == check_pchi_lemma(full, sigma, parity)
+
+
+def test_null_sets_builds_no_row_for_an_escaping_translate():
+    nat = get_fixture("naturals-from-2", window=200)
+    calls = 0
+
+    def rule(x, y):
+        nonlocal calls
+        calls += 1
+        return x * y
+
+    counts = []
+    for escapes in (nat.carrier.escapes, None):
+        s = dataclasses.replace(nat.carrier, compose_rule=rule, escapes=escapes)
+        null_sets(s, nat.sigma("id"), nat.characters["parity"])
+        counts.append(calls)
+        calls = 0
+    # I_chi^2 takes 100 * 100 products; then, for the 99 odd units u and the
+    # 50 p = 2 mod 4, up and pu for each (u, p), and a 99-product row for
+    # each distinct up: all 99 * 50 of them without the rule, the 105 with
+    # up <= 200 with it
+    assert counts == [10_000 + 9_900 + 105 * 99, 10_000 + 9_900 + 99 * 50 * 99]
+    assert counts[1] == 509_950
 
 
 def test_pchi_lemma_naturals():
