@@ -393,9 +393,12 @@ def classify(
 
     Each candidate of `_candidates`, in its order, is constructed and
     compared with (g, f); the first within MATCH_TOL wins, which makes the
-    result a deterministic function of the input.  The candidates take
-    what they know of the characters from the `CharacterTable` of
-    (s, sigma), so a run of calls on one carrier and sigma derives it once.
+    result a deterministic function of the input.  The match test stops at
+    the first half that misses: f's diff is taken only when g's is within
+    MATCH_TOL, and the winner's `match_residual` is the max of both.  The
+    candidates take what they know of the characters from the
+    `CharacterTable` of (s, sigma), so a run of calls on one carrier and
+    sigma derives it once.
     """
     if not s.is_finite:
         raise TypeError("classification enumerates characters; needs a finite carrier")
@@ -413,7 +416,10 @@ def classify(
             pair = construct(s, sigma, d, free_f=free)
         except (InvalidDescriptor, ConditionViolation):
             continue
-        m = max(pair.g.max_diff(g), pair.f.max_diff(f))
+        g_diff = pair.g.max_diff(g)
+        if not g_diff <= MATCH_TOL:
+            continue  # f's diff cannot rescue a g that misses (or reads NaN)
+        m = max(g_diff, pair.f.max_diff(f))
         if m <= MATCH_TOL:
             return ClassificationResult(d.family, pair.provenance, m, max_residual)
     return ClassificationResult("unclassified", None, float("inf"), max_residual)

@@ -34,11 +34,16 @@ alpha = i differ at seeds 3 and 5.
 Solutions lying on positive-dimensional components (families 1-3 and the
 q-parametrized curves) are returned through whichever converged
 representatives survive deduplication, flagged rank-deficient via the
-Jacobian's smallest singular value.  Deduplication is greedy in lexsort
-order (Re x0 first): the first row within `DEDUP_RADIUS` (max-norm of the
-complex difference) represents the others.  Only kept rows whose Re x0 lies
-within the radius of the current row are compared, since |z| >= |Re z|
-rules out the rest.
+Jacobian's smallest singular value.  The rank test is one stacked Jacobian
+and one SVD over the rows that pass re-verification; its singular values
+are bit for bit the per-row ones, since `jac` is elementwise per row and
+numpy's `svd` runs the same LAPACK routine, with the same workspace, on
+each matrix of a stack.
+
+Deduplication is greedy in lexsort order (Re x0 first): the first row
+within `DEDUP_RADIUS` (max-norm of the complex difference) represents the
+others.  Only kept rows whose Re x0 lies within the radius of the current
+row are compared, since |z| >= |Re z| rules out the rest.
 """
 
 from __future__ import annotations
@@ -315,7 +320,11 @@ def find_solutions(
     """All converged, deduplicated solutions from seeded + random starts.
 
     Every returned entry re-verifies through the analysis module at the
-    Newton tolerance.  Random starts come from numpy's default generator
+    Newton tolerance.  The rows that do are rank-tested together: one
+    `jac` call on their stack and one SVD of the (k, n^2, 2n) result,
+    whose singular values equal those of one row at a time (see the module
+    docstring); a row that fails re-verification, NaN included, is never
+    SVD'd.  Random starts come from numpy's default generator
     (PCG64) seeded with cfg.seed, so a fixed config gives an identical
     SolutionSet.
     """
@@ -333,28 +342,31 @@ def find_solutions(
     system = _System(s, sigma, alpha_c)
     sols = _gauss_newton(system, starts)
     kept = _dedup(sols, DEDUP_RADIUS)
-    entries = []
-    for row in kept:
-        g_values = tuple(row[:n])
-        f_values = tuple(row[n:])
-        gfn = ScalarFunction(s, values=list(g_values))
-        ffn = ScalarFunction(s, values=list(f_values))
+    verified, residuals = [], []
+    for i, row in enumerate(kept):
+        gfn = ScalarFunction(s, values=list(row[:n]))
+        ffn = ScalarFunction(s, values=list(row[n:]))
         rep = residual(s, sigma, alpha_c, gfn, ffn)
-        if not rep.max_residual <= NEWTON_TOL:
-            continue  # independent re-verification failed (or read NaN)
-        J = system.jac(row[None, :])[0]
-        sv = np.linalg.svd(J, compute_uv=False)
-        # fewer equations than unknowns leaves implicit zero singular values
-        deficient = len(sv) < 2 * n or sv[-1] <= RANK_TOL * max(1.0, sv[0])
-        entries.append(
-            SolvedEntry(
-                g_values=g_values,
-                f_values=f_values,
-                residual=rep.max_residual,
-                rank_deficient=bool(deficient),
-            )
+        if rep.max_residual <= NEWTON_TOL:  # a NaN fails too
+            verified.append(i)
+            residuals.append(rep.max_residual)
+    if not verified:
+        return SolutionSet(entries=(), alpha=alpha_c, order=n)
+    rows = kept[verified]
+    sv = np.linalg.svd(system.jac(rows), compute_uv=False)
+    # fewer equations than unknowns leaves implicit zero singular values
+    small = sv[:, -1] <= RANK_TOL * np.maximum(1.0, sv[:, 0])
+    deficient = (small | (sv.shape[1] < 2 * n)).tolist()
+    entries = tuple(
+        SolvedEntry(
+            g_values=tuple(row[:n]),
+            f_values=tuple(row[n:]),
+            residual=res,
+            rank_deficient=flag,
         )
-    return SolutionSet(entries=tuple(entries), alpha=alpha_c, order=n)
+        for row, res, flag in zip(rows, residuals, deficient)
+    )
+    return SolutionSet(entries=entries, alpha=alpha_c, order=n)
 
 
 def _dedup(sols: np.ndarray, radius: float) -> np.ndarray:

@@ -714,6 +714,54 @@ def test_classify_exact_mode_round_trip():
     assert rebuilt.g.equal_to(pair.g, tol=0) and rebuilt.f.equal_to(pair.f, tol=0)
 
 
+def test_classify_rejects_a_pair_whose_g_matches_but_f_does_not():
+    """g is family 4's g for the q that f's value at x0 gives, so the
+    candidate passes on g; f is off at the other point, so f's diff still
+    decides and the candidate is rejected."""
+    fx = get_fixture("c2")
+    s, sig = fx.carrier, fx.sigma()
+    d = FamilyDescriptor(4, 0.5, q=1.5, branch=1, chi=fx.characters["chi2"])
+    pair = construct(s, sig, d)
+    f = ScalarFunction(s, values=[complex(pair.f(0)), complex(pair.f(1)) + 0.25])
+    assert classify(s, sig, 0.5, pair.g, pair.f).family_tag == 4
+    # f(x0) is unchanged, so family 4's candidate rebuilds this very g
+    assert construct(s, sig, d).g.max_diff(pair.g) == 0.0
+    assert construct(s, sig, d).f.max_diff(f) == 0.25
+    res = classify(s, sig, 0.5, pair.g, f, _verified_residual=0.0)
+    assert res.family_tag == "unclassified" and res.match_residual == math.inf
+
+
+def test_classify_match_residual_is_the_max_of_both_diffs():
+    """On solver output, where the diffs are rounding noise of either sign
+    of g_diff - f_diff, the winner's match_residual is max(g_diff, f_diff)
+    of the candidate rebuilt from its descriptor."""
+    from coslaw.solver import SolverConfig, find_solutions
+
+    fx = get_fixture("c2")
+    s, sig = fx.carrier, fx.sigma()
+    sols = find_solutions(s, sig, 0.5, SolverConfig(restarts=200, seed=42))
+    larger = set()
+    for e in sols.entries:
+        pair = e.as_pair(s, 0.5)
+        res = classify(s, sig, 0.5, pair.g, pair.f)
+        rebuilt = construct(s, sig, res.descriptor)
+        g_diff, f_diff = rebuilt.g.max_diff(pair.g), rebuilt.f.max_diff(pair.f)
+        assert res.match_residual == max(g_diff, f_diff)
+        larger.add("g" if g_diff > f_diff else "f" if f_diff > g_diff else "=")
+    assert larger == {"g", "f", "="}
+
+
+def test_classify_rejects_a_nan_in_g():
+    fx = get_fixture("c2")
+    s, sig = fx.carrier, fx.sigma()
+    chi = fx.characters["chi1"].fn
+    g = ScalarFunction(s, values=[math.nan, 1.0])
+    assert classify(s, sig, 0.5, chi, chi.scale(0.5)).family_tag == 4
+    for f in (chi.scale(0.5), g):
+        res = classify(s, sig, 0.5, g, f, _verified_residual=0.0)
+        assert res.family_tag == "unclassified" and res.match_residual == math.inf
+
+
 def test_classify_tests_vanishing_on_products_once(monkeypatch):
     """Families 2 and 3 share one scan of g on S^2 in `_candidates`; where g
     does not vanish there, neither is constructed."""

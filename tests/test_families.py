@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from coslaw import families, semigroups
 from coslaw.analysis import residual
 from coslaw.exactnum import Cyc, ExpPoly
 from coslaw.families import (
@@ -25,7 +26,7 @@ from coslaw.families import (
 )
 from coslaw.fixtures import NullPredicates, get_fixture
 from coslaw.functions import MultiplicativeFunction, NullSets, ScalarFunction, is_even, null_sets, star
-from coslaw.semigroups import InvolutiveAutomorphism
+from coslaw.semigroups import FiniteSemigroup, InvolutiveAutomorphism, identity_automorphism
 
 F = Fraction
 
@@ -147,6 +148,38 @@ def test_families_2_3_validate_vanishing():
     with pytest.raises(InvalidDescriptor, match="non-zero"):
         construct(s, fx.sigma(), FamilyDescriptor(2, 0),
                   free_f=ScalarFunction(s, values=[0, 0, 0]))
+
+
+def test_vanishing_on_products_reads_the_cached_pair_table(monkeypatch):
+    """The first test of g on S^2 builds the carrier's pair table; later
+    ones take no product and start no pair scan.  Only a failing check
+    scans pairs again, to name the first violated pair."""
+    s = FiniteSemigroup(cayley=((0, 0, 0), (0, 0, 0), (0, 0, 0)))  # null3, an empty cache
+    products, scans = [], []
+    real_product, real_scan = FiniteSemigroup.product, semigroups.pair_products
+
+    def counting_product(self, x, y):
+        products.append((x, y))
+        return real_product(self, x, y)
+
+    def counting_scan(*args, **kwargs):
+        scans.append(args)
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(FiniteSemigroup, "product", counting_product)
+    monkeypatch.setattr(families, "pair_products", counting_scan)
+    good = function_vanishing_on_products(s, {1: 1, 2: F(2, 3)})
+    bad = ScalarFunction(s, values=[1, 1, 1])
+    assert families._vanishes_on_products(s, good)
+    assert len(products) == 9 and scans == []
+    products.clear()
+    assert families._vanishes_on_products(s, good)
+    assert not families._vanishes_on_products(s, bad)
+    assert construct(s, identity_automorphism(s), FamilyDescriptor(3, 0), free_f=good)
+    assert products == [] and scans == []
+    with pytest.raises(InvalidDescriptor, match=re.escape("does not vanish on S^2 (violated at 0*0)")):
+        construct(s, identity_automorphism(s), FamilyDescriptor(2, 0), free_f=bad)
+    assert len(scans) == 1
 
 
 def test_families_4567_produce_even_pairs():

@@ -508,3 +508,100 @@ def test_classify_digest_matches_recorded(monkeypatch):
         digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
         assert digest == want["sha256"], key
         assert [_digest_row(classify(*args)) for args, _, _ in calls] == rows, key
+
+
+# ---------------------------------------------------------------------------
+# the per-solution tail: re-verification, then one stacked rank test
+# ---------------------------------------------------------------------------
+
+# find_solutions at seed 0, 500 restarts, as recorded before the rank test
+# was stacked: sha256 of to_json_lines() and the rank_deficient flags in
+# entry order ("1" for a rank-deficient entry)
+PINNED_SOLUTIONS = {
+    ("c2", "id", 0.5): (
+        "790dcb3a692a2ea95ab491552b6749ece8f1a21744d6a96b1b4afa66453c4990", "1" * 527),
+    ("c3", "inv", 0.5): (
+        "8b36c742da0ee651114c4aee1ec0c1417f18074e765a7bee9e9b7d8699ee10ad", "11111111111100111"),
+    ("null3", "id", 0.5): (
+        "70be39af236522424217ee62c2ae1d4168daed589ad4c0f409c3c1a4878bef32", "1" * 131),
+    ("leftzero2", "swap", 1j): (
+        "375bbb91019dd5441371be8a6b02902f38c69e753973b8694354c72dc4630640", "1" * 19),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_SOLUTIONS)
+def test_solution_sets_match_pinned_output(case):
+    name, sigma, alpha = case
+    sha, flags = PINNED_SOLUTIONS[case]
+    fx = get_fixture(name)
+    sols = find_solutions(fx.carrier, fx.sigma(sigma), alpha, SolverConfig(restarts=500, seed=0))
+    assert hashlib.sha256(sols.to_json_lines().encode()).hexdigest() == sha
+    assert "".join("1" if e.rank_deficient else "0" for e in sols.entries) == flags
+
+
+def _recording_svd(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
+def test_rank_test_is_one_svd_over_the_verified_rows(monkeypatch):
+    fx = get_fixture("c3")
+    s, sig = fx.carrier, fx.sigma("inv")
+    calls = _recording_svd(monkeypatch)
+    sols = find_solutions(s, sig, 0.5, FAST)
+    assert calls == [(len(sols), 9, 6)]
+    system = solver._System(s, sig, complex(0.5))
+    for e in sols.entries:
+        J = system.jac(_vec(e)[None, :])[0]
+        sv = np.linalg.svd(J, compute_uv=False)
+        assert e.rank_deficient == bool(sv[-1] <= solver.RANK_TOL * max(1.0, sv[0]))
+
+
+def test_a_nan_row_that_fails_reverification_is_never_svd_d(monkeypatch):
+    """A kept row of NaNs reads a NaN residual and is dropped before the
+    stacked SVD, which would raise LinAlgError on it; the other entries and
+    their flags are those of the run without it."""
+    fx = get_fixture("c3")
+    s, sig = fx.carrier, fx.sigma("inv")
+    want = find_solutions(s, sig, 0.5, FAST)
+    assert len(want) > 2
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.svd(np.full((1, 9, 6), np.nan, dtype=complex), compute_uv=False)
+    real_dedup, real_residual = solver._dedup, solver.residual
+    seen = []
+
+    def with_nan_row(rows, radius):
+        kept = real_dedup(rows, radius)
+        return np.insert(kept, 1, np.nan, axis=0)
+
+    def recording(*args):
+        rep = real_residual(*args)
+        seen.append(rep.max_residual)
+        return rep
+
+    monkeypatch.setattr(solver, "_dedup", with_nan_row)
+    monkeypatch.setattr(solver, "residual", recording)
+    got = find_solutions(s, sig, 0.5, FAST)
+    assert len(seen) == len(want) + 1 and np.isnan(seen[1])
+    assert got.entries == want.entries
+    assert [e.rank_deficient for e in got.entries] == [e.rank_deficient for e in want.entries]
+
+
+def test_every_row_failing_reverification_gives_an_empty_set_and_no_svd(monkeypatch):
+    fx = get_fixture("c2")
+    s, sig = fx.carrier, fx.sigma()
+    real = solver.residual
+    monkeypatch.setattr(
+        solver, "residual", lambda *a: dataclasses.replace(real(*a), max_residual=1.0)
+    )
+    calls = _recording_svd(monkeypatch)
+    got = find_solutions(s, sig, 0.5, FAST)
+    assert got.entries == () and len(got) == 0 and got.to_json_lines() == ""
+    assert calls == []
