@@ -26,8 +26,6 @@ from .exactnum import (
     LAURENT_TYPES,
     VERIFY_TOL,
     is_exact,
-    pack_scan,
-    packed_pairs_vanish,
     scalar_is_zero,
     values_equal,
 )
@@ -35,7 +33,7 @@ from .families import (
     ConditionViolation,
     FamilyDescriptor,
     InvalidDescriptor,
-    _vanishes_on_products,
+    _s2_failure,
     construct,
 )
 from .functions import (
@@ -45,8 +43,11 @@ from .functions import (
     even_part,
     is_even,
     is_odd,
+    law_failure,
     linear_combination,
+    nonzero_product,
     odd_part,
+    packed_law_holds,
 )
 from .semigroups import (
     InvolutiveAutomorphism,
@@ -91,12 +92,11 @@ def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> Verifi
     When alpha and every window value of g and f are ints, Fractions or
     `ExpPoly`s, the scan first runs a packed zero test
     (`_packed_defects_vanish`): g - alpha*f is taken as its exact linear
-    form over the bases of g and alpha*f, and the window values and each
-    base's values at the products of the carrier's cached
-    `semigroups.pair_table` of the window and its sigma-images are packed
-    into Python ints (`exactnum.pack_scan`); every pair's defect is then
-    tested at once (`exactnum.packed_pairs_vanish`).  If every packed defect
-    is 0 the report is the one the exact scan below would give.  Otherwise
+    form over the bases of g and alpha*f, and `functions.packed_law_holds`,
+    the packed test of every pairwise law, tests g(x)g(y) - f(x)f(y) against
+    it at once over the carrier's cached `semigroups.pair_table` of the
+    window and its sigma-images.  If every packed defect is 0 the report is
+    the one the exact scan below would give.  Otherwise
     (a non-zero defect, or a value that does not pack: float, complex,
     `Cyc`) the exact scan below runs from the start, so `max_residual`,
     `worst_pair` and the NaN rule are the same bit for bit.
@@ -153,22 +153,14 @@ def _packed_defects_vanish(s, elems, sig, alpha, gv, fv, g, af) -> bool:
     """
     if not isinstance(alpha, LAURENT_TYPES):
         return False
-    window = [gv[x] for x in elems] + [fv[x] for x in elems]
-    if not all(isinstance(v, LAURENT_TYPES) for v in window):
+    gw, fw = [gv[x] for x in elems], [fv[x] for x in elems]
+    if not all(isinstance(v, LAURENT_TYPES) for v in itertools.chain(gw, fw)):
         return False
-    combo: dict = {}  # id(base) -> [base, coefficient], first-seen order
+    combo: dict = {}  # id(base) -> [coefficient, base], first-seen order
     for sign, fn in ((1, g), (-1, af)):
         for c, base in fn.linear:
-            combo.setdefault(id(base), [base, 0])[1] += sign * c
-    table = pair_table(s, elems, sig)
-    columns = [list(map(base, table.products)) for base, _ in combo.values()]
-    packed = pack_scan(window, columns, [c for _, c in combo.values()])
-    if packed is None:
-        return False
-    pw, lin = packed
-    n = len(elems)
-    pg, pf = pw[:n], pw[n:]
-    return packed_pairs_vanish(table.index, lin, pg, pg, pf, pf)
+            combo.setdefault(id(base), [0, base])[0] += sign * c
+    return packed_law_holds(pair_table(s, elems, sig), list(combo.values()), gw, gw, fw, fw, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +177,6 @@ class PropertyReport:
     @property
     def counterexample_free(self) -> bool:
         return not any(self.counterexamples.values())
-
-    @property
-    def vacuous(self) -> bool:
-        return not self.hypothesis_ok
 
     @property
     def ok(self) -> bool:
@@ -298,14 +286,16 @@ def check_dependence_lemma(
         return PropertyReport(False, "hypothesis fails: beta = 0")
     if g.is_zero(tol):
         return PropertyReport(False, "hypothesis fails: g = 0")
-    for x, y, xy in pair_products(s, s.elements):
-        if not values_equal(g(xy), 0, tol):
-            return PropertyReport(False, f"hypothesis fails: g({x}*{y}) != 0")
-    for x, y, xsy in pair_products(s, s.elements, sigma=sigma):
-        lhs = f(xsy)
-        rhs = beta * f(x) * f(y) - beta * g(x) * g(y)
-        if not values_equal(lhs, rhs, tol):
-            return PropertyReport(False, f"hypothesis fails: equation broken at ({x},{y})")
+    elems = s.checked(s.elements)
+    bad = nonzero_product(s, elems, elems, g, tol)
+    if bad is not None:
+        return PropertyReport(False, f"hypothesis fails: g({elems[bad[0]]}*{elems[bad[1]]}) != 0")
+    # beta f(x)f(y) - beta g(x)g(y) = (beta f(x))f(y) + (-beta g(x))g(y)
+    fw, gw, minus = [f(x) for x in elems], [g(x) for x in elems], -beta
+    sig = s.checked(sigma(y) for y in elems)
+    bad = law_failure(s, elems, sig, f, [beta * v for v in fw], fw, [minus * v for v in gw], gw, tol)
+    if bad is not None:
+        return PropertyReport(False, f"hypothesis fails: equation broken at ({elems[bad[0]]},{elems[bad[1]]})")
     dependent, _ = check_linear_dependence(f, g, tol)
     cx = {} if dependent else {"dependence": [("f", "g")]}
     return PropertyReport(True, "hypotheses hold", cx)
@@ -445,7 +435,7 @@ def _candidates(s, sigma, alpha, g, f):
     if (_near(alpha, 1) or _near(alpha, -1)) and not f.is_zero(MATCH_TOL):
         yield FamilyDescriptor(1, alpha), f
     # construct rejects families 2 and 3 unless g vanishes on S^2: one scan
-    if _vanishes_on_products(s, g):
+    if _s2_failure(s, g) is None:
         yield FamilyDescriptor(2, alpha), g
         yield FamilyDescriptor(3, alpha), g
     # family 4 has no dependence gate: reconstruction matching is the

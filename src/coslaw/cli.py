@@ -228,6 +228,8 @@ def _cmd_construct(args) -> int:
     if family in (5, 6):
         if not (args.chi1 and args.chi2):
             raise UsageError(f"family {family} needs --chi1 and --chi2")
+        if fx.exp is not None and "exp" in (args.chi1, args.chi2):
+            raise UsageError(f"--chi1/--chi2 name characters; {fx.name}'s exp takes parameters (--chi exp)")
         try:
             chi1, chi2 = fx.character(args.chi1), fx.character(args.chi2)
         except KeyError as e:

@@ -28,7 +28,7 @@ rational operands take fast paths that need no reduction, and
 ``complex(v)`` is computed once per value and cached.
 
 ``pack_scan`` is the fast path of exact pairwise scans (the equation's
-residual and the sine addition law): it maps every int, Fraction and
+residual and ``functions.law_failure``): it maps every int, Fraction and
 ExpPoly value of one scan to a single Python int (Kronecker substitution:
 scale by the common denominator, shift to non-negative exponents, evaluate
 at B = 2**bits).  The window values are packed as they are; the linear
@@ -72,24 +72,14 @@ def _mobius(n: int) -> int:
     return -mu if n > 1 else mu
 
 
-def _check_conductor(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"conductor must be an int >= 1, not {n!r}")
-
-
-def cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def _cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
     """n-th cyclotomic polynomial Phi_n as a coefficient tuple, low degree
     first, from Phi_n = prod_{d | n} (x^d - 1)^mu(n/d) in integers.
     Multiplying by x^d - 1 is a shift and a subtract; dividing by it is a
-    running sum, exact because every factor is multiplied in first.
-    ValueError unless n is an int >= 1 (tested before the cache, which
-    would take 2.0 or True for the int they equal)."""
-    _check_conductor(n)
-    return _cyclotomic_poly(n)
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
+    running sum, exact because every factor is multiplied in first.  The
+    cache would take 2.0 or True for the int they equal, so `Cyc` tests a
+    conductor before it gets here."""
     factors = [(d, _mobius(n // d)) for d in range(1, n + 1) if n % d == 0]
     p = [1]
     for d, mu in sorted(factors, key=lambda f: -f[1]):
@@ -170,7 +160,8 @@ class Cyc:
     __slots__ = ("n", "c", "_z")
 
     def __init__(self, n: int, coeffs) -> None:
-        _check_conductor(n)
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"conductor must be an int >= 1, not {n!r}")
         self.n = n
         self.c = tuple(Fraction(x) for x in coeffs)
         self._z = None

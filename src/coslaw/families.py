@@ -29,6 +29,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .exactnum import VERIFY_TOL, exact_sqrt, is_exact, simplify_scalar, values_equal
 from .functions import (
     AdditiveFunction,
@@ -38,11 +40,12 @@ from .functions import (
     complex_pair,
     is_additive,
     is_even,
+    law_failure,
     linear_combination,
+    nonzero_product,
     null_sets,
-    packed_law_holds,
 )
-from .semigroups import InvolutiveAutomorphism, Semigroup, pair_products, pair_table
+from .semigroups import InvolutiveAutomorphism, Semigroup, pair_table
 
 
 class InvalidDescriptor(ValueError):
@@ -223,21 +226,12 @@ def build_h(
 
 def _sine_law_failure(s: Semigroup, h, chi) -> tuple | None:
     """First window pair (x, y), with both sides, where h(xy) = h(x)chi(y) +
-    h(y)chi(x) fails; None when the sine addition law holds on the window.
-
-    The packed scan of `packed_law_holds`, with (a, b) = (h, chi), runs
-    first.  Anything but "every pair holds" falls through to the pairwise
-    scan below, from its start.
-    """
+    chi(x)h(y) fails; None when the sine addition law holds on the window.
+    One `law_failure` scan with (a, b, c, d) = (h, chi, chi, h)."""
     elems = s.checked(s.elements)
-    if packed_law_holds(s, elems, h, [h(x) for x in elems], [chi(x) for x in elems]):
-        return None
-    for x, y, xy in pair_products(s, elems):
-        lhs = h(xy)
-        rhs = h(x) * chi(y) + h(y) * chi(x)
-        if not values_equal(lhs, rhs, VERIFY_TOL):
-            return x, y, lhs, rhs
-    return None
+    hw, cw = [h(x) for x in elems], [chi(x) for x in elems]
+    bad = law_failure(s, elems, elems, h, hw, cw, cw, hw)
+    return bad and (elems[bad[0]], elems[bad[1]], *bad[2:])
 
 
 def _membership(s: Semigroup, ns: NullSets, predicates) -> tuple[Callable, Callable]:
@@ -283,19 +277,21 @@ def _check_condition_i(ns, chi, rho_fn, in_p):
 
 
 def _check_condition_ii(s, ns, h, units):
-    """h(xy) = h(yx) = 0 for x in I_chi \\ P_chi and y a unit.  h is tested
-    once per distinct product of the carrier's cached pair tables of the
-    two orders; on a failure the pairwise scan runs from its start and
-    raises on its first witness."""
-    rest = ns.i_chi - ns.p_chi
-    xs, units = s.checked(x for x in s.elements if x in rest), s.checked(units)
-    products = {*pair_table(s, xs, units).products, *pair_table(s, units, xs).products}
-    if all(values_equal(h(p), 0, VERIFY_TOL) for p in products):
-        return
-    for x, y, xy in pair_products(s, rest, units):
-        for prod in (xy, s.product(y, x)):
-            if not values_equal(h(prod), 0, VERIFY_TOL):
-                raise ConditionViolation(f"condition (II) fails: h({x}*{y} side) != 0")
+    """h(xy) = h(yx) = 0 for x in I_chi \\ P_chi and y a unit; raises on the
+    first (x, y), x running over I_chi \\ P_chi in set order and y over the
+    units, where either product is not zero.  `nonzero_product` tests the
+    xy order; then h is tested at the products of the yx order that the xy
+    order lacks (none on a commutative carrier)."""
+    xs, units = s.checked(ns.i_chi - ns.p_chi), s.checked(units)
+    tables = pair_table(s, xs, units), pair_table(s, units, xs)
+    if nonzero_product(s, xs, units, h) is None:
+        vanish = set(tables[0].products)
+        if all(values_equal(h(p), 0, VERIFY_TOL) for p in tables[1].products if p not in vanish):
+            return
+    xy, yx = (np.array([not values_equal(h(p), 0, VERIFY_TOL) for p in t.products])[t.index]
+              for t in tables)
+    i, j = divmod(int((xy | yx.T).argmax()), len(units))
+    raise ConditionViolation(f"condition (II) fails: h({xs[i]}*{units[j]} side) != 0")
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +341,13 @@ def _require_even(s: Semigroup, sigma, chi: MultiplicativeFunction, what: str):
         raise InvalidDescriptor(f"{what} requires a sigma-even multiplicative function")
 
 
-def _vanishes_on_products(s: Semigroup, g: ScalarFunction) -> bool:
-    """g = 0 at every pairwise window product, including products outside
-    the window: what families 2 and 3 require of g.  The distinct products
-    come from the carrier's cached pair table."""
+def _s2_failure(s: Semigroup, g: ScalarFunction) -> tuple | None:
+    """The first window pair (x, y) with g(xy) != 0, products outside the
+    window included; None when g vanishes on S^2, as families 2 and 3
+    require.  One `nonzero_product` scan."""
     elems = s.checked(s.elements)
-    return all(values_equal(g(xy), 0, VERIFY_TOL) for xy in pair_table(s, elems, elems).products)
-
-
-def _check_vanishing_on_products(s: Semigroup, g: ScalarFunction):
-    if _vanishes_on_products(s, g):
-        return
-    # name the first violation; g's values there are memoised or dense
-    x, y = next(
-        (x, y) for x, y, xy in pair_products(s, s.elements) if not values_equal(g(xy), 0, VERIFY_TOL)
-    )
-    raise InvalidDescriptor(f"function does not vanish on S^2 (violated at {x}*{y})")
+    bad = nonzero_product(s, elems, elems, g)
+    return bad and (elems[bad[0]], elems[bad[1]])
 
 
 def _family1(s, sigma, d, free, predicates):
@@ -370,20 +357,16 @@ def _family1(s, sigma, d, free, predicates):
     return f.scale(d.alpha), f
 
 
-def _family2(s, sigma, d, free, predicates):
-    if _eq(d.alpha, 1):
-        raise InvalidDescriptor("family 2 requires alpha != 1")
-    g = _require_nonzero_fn(free, "family 2")
-    _check_vanishing_on_products(s, g)
-    return g, g
-
-
-def _family3(s, sigma, d, free, predicates):
-    if _eq(d.alpha, -1):
-        raise InvalidDescriptor("family 3 requires alpha != -1")
-    g = _require_nonzero_fn(free, "family 3")
-    _check_vanishing_on_products(s, g)
-    return g, -g
+def _family23(s, sigma, d, free, predicates):
+    """f = g (family 2, alpha != 1) or f = -g (family 3, alpha != -1)."""
+    sign = 1 if d.family == 2 else -1
+    if _eq(d.alpha, sign):
+        raise InvalidDescriptor(f"family {d.family} requires alpha != {sign}")
+    g = _require_nonzero_fn(free, f"family {d.family}")
+    bad = _s2_failure(s, g)
+    if bad is not None:
+        raise InvalidDescriptor(f"function does not vanish on S^2 (violated at {bad[0]}*{bad[1]})")
+    return g, g if sign == 1 else -g
 
 
 def _family4(s, sigma, d, free, predicates):
@@ -458,6 +441,6 @@ def _family8(s, sigma, d, free, predicates):
 
 
 _BUILDERS = {
-    1: _family1, 2: _family2, 3: _family3, 4: _family4,
+    1: _family1, 2: _family23, 3: _family23, 4: _family4,
     5: _family5, 6: _family6, 7: _family7, 8: _family8,
 }

@@ -14,10 +14,16 @@ On finite carriers everything is exact.  On rule-defined carriers the
 quantifiers are window-closed: products that leave the sample window are
 skipped, and reports are flagged "window" rather than "exact".  The
 window test is the caller's, a set operation against ``window_set``; the
-products come from the scan helpers of ``semigroups``: ``pair_products``
+products come from the scan helpers of ``semigroups``: ``product_set``
 for I_chi^2, and ``left_rows`` for the translates up, pu and upv of
 P_chi, one unit u at a time.  ``null_sets`` keeps those in the window
 (``NullSets.translates``) for condition (I) and ``check_pchi_lemma``.
+
+Every pairwise law L(x*r) = a(x)b(y) + c(x)d(y), r = y or sigma(y), is
+tested by ``law_failure`` (multiplicativity, additivity, the sine law of
+family 7, the dependence lemma), with the packed test ``packed_law_holds``
+that the equation's residual shares; ``nonzero_product`` tests the
+all-zero laws (g on S^2, condition (II)).
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .semigroups import (
     Semigroup,
     element_period,
     left_rows,
-    pair_products,
     pair_table,
     product_set,
 )
@@ -153,18 +158,6 @@ class ScalarFunction:
         return ScalarFunction(
             self.carrier, terms=((c, self._part()),), spec=_combo_spec([(c, self)])
         )
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarFunction):
-            self._assert_same(other)
-            if self.values is not None and other.values is not None:
-                return ScalarFunction(
-                    self.carrier, values=[a * b for a, b in zip(self.values, other.values)]
-                )
-            return ScalarFunction(self.carrier, rule=lambda x: self(x) * other(x))
-        return self.scale(other)
-
-    __rmul__ = __mul__
 
     def max_diff(self, other: "ScalarFunction") -> float:
         self._assert_same(other)
@@ -342,55 +335,94 @@ class MultiplicativeFunction:
 def is_multiplicative(s: Semigroup, f, tol: float = VERIFY_TOL) -> bool:
     """chi(xy) = chi(x)chi(y) on all window pairs (exact for exact values)."""
     ev = f.fn if isinstance(f, MultiplicativeFunction) else f
-    return all(
-        values_equal(ev(xy), ev(x) * ev(y), tol) for x, y, xy in pair_products(s, s.elements)
-    )
+    xs = s.checked(s.elements)
+    values = [ev(x) for x in xs]
+    return law_failure(s, xs, xs, ev, values, values, tol=tol) is None
 
 
 def is_additive(s: Semigroup, subset, f, tol: float = VERIFY_TOL) -> bool:
-    """A(xy) = A(x) + A(y) for sub-carrier pairs.
-
-    For dense finite functions the product must stay inside the subset to
-    be testable; rule-defined functions are evaluated at any product, and
-    for them the packed scan of `packed_law_holds`, with (a, b) = (A, 1)
-    over the window elements of the subset, runs first.  Anything but
-    "every pair holds" falls through to the pairwise scan, from its start.
-    """
+    """A(xy) = A(x)*1 + 1*A(y) for the pairs of the subset's window elements.
+    A dense finite function is tested only where the product stays inside
+    the subset; rule-defined functions are evaluated at any product."""
     subset = frozenset(subset)
-    ev = f if callable(f) else (lambda x: f[x])
-    dense = isinstance(f, ScalarFunction) and f.values is not None
-    if callable(f) and not dense:
-        xs = s.checked(x for x in s.elements if x in subset)
-        if packed_law_holds(s, xs, ev, [ev(x) for x in xs], [1] * len(xs)):
-            return True
-    for x, y, xy in pair_products(s, subset & set(s.elements)):
-        if dense and xy not in subset:
-            continue
-        if not values_equal(ev(xy), ev(x) + ev(y), tol):
-            return False
-    return True
+    ev = lhs = f if callable(f) else f.__getitem__
+    if isinstance(f, ScalarFunction) and f.values is not None:
+        lhs = lambda p: f.values[p] if p in subset else None  # noqa: E731
+    xs = s.checked(x for x in s.elements if x in subset)
+    values, ones = [ev(x) for x in xs], [1] * len(xs)
+    return law_failure(s, xs, xs, lhs, values, ones, ones, values, tol) is None
 
 
-def packed_law_holds(s: Semigroup, xs: tuple, lhs, aw: list, bw: list) -> bool:
-    """True when lhs(x*y) = a(x)b(y) + b(x)a(y) for every pair of the
-    checked tuple `xs`, with `aw` and `bw` the values of a and b at `xs`;
-    False when one packed scan does not show it: a value `pack_scan` cannot
-    pack, or a pair that fails.  The sine addition law is (a, b) = (h, chi)
-    and additivity (A, 1).
+def law_failure(s: Semigroup, xs: tuple, right: tuple, lhs, a, b, c=None, d=None,
+                tol: float = VERIFY_TOL) -> tuple | None:
+    """The first pair (i, j), rows of `xs` outer and `right` inner, where
+    lhs(xs[i] * right[j]) = a[i]*b[j] + c[i]*d[j] fails, as (i, j, lhs value,
+    right-hand value); None when the law holds at every pair.
 
-    lhs is evaluated over the distinct products of the carrier's cached
-    `pair_table`, and `packed_pairs_vanish` tests
-    lhs(p) = a(x)b(y) - (-b(x))a(y) on every pair at once.
+    `xs` and `right` are checked factor tuples (`right` is `xs` or the
+    sigma-images of the column elements); a and c hold one value per row, b
+    and d one per column, and c = d = None drops the second product.  A
+    product where lhs is None is not tested.  When every value of a, b, c
+    and d is an int, Fraction or ExpPoly, `packed_law_holds` runs first and
+    a pass ends the scan.  Otherwise, or when it fails, the carrier's cached
+    `pair_table` is walked row by row, lhs evaluated once per distinct
+    product where the walk first reaches it.
     """
-    if not all(isinstance(v, LAURENT_TYPES) for v in (*aw, *bw)):
-        return False
-    table = pair_table(s, xs, xs)
-    packed = pack_scan(aw + bw, [list(map(lhs, table.products))], [1])
+    table = pair_table(s, xs, right)
+    lists = [v for v in (a, b, c, d) if v is not None]
+    packable = all(isinstance(v, LAURENT_TYPES) for v in itertools.chain(*lists))
+    if packable and packed_law_holds(table, ((1, lhs),), a, b, c, d):
+        return None
+    seen = [_MISSING] * len(table.products)
+    for i, row in enumerate(table.index):
+        ai = a[i]
+        ci = c[i] if c is not None else None
+        for j, k in enumerate(row.tolist()):
+            v = seen[k]
+            if v is _MISSING:
+                v = seen[k] = lhs(table.products[k])
+            if v is None:
+                continue
+            rhs = ai * b[j] if c is None else ai * b[j] + ci * d[j]
+            if not values_equal(v, rhs, tol):
+                return i, j, v, rhs
+    return None
+
+
+def packed_law_holds(table, terms, a, b, c, d, sign: int = 1) -> bool:
+    """True when sum(w * phi(p) for w, phi in terms) = a[i]*b[j] +
+    sign*c[i]*d[j] at every cell (i, j) of the `PairTable`, p its product;
+    False when a value does not pack (`pack_scan`) or a cell fails.  `terms`
+    is the left side's exact linear form; a and c hold one value per row, b
+    and d one per column, c = d = None drops the second product.  A list
+    passed twice (the equation's g, g, f, f) is packed once, and the sign
+    is applied to packed ints, so no value is negated.
+    """
+    lists = {id(v): v for v in (a, b, c, d) if v is not None}
+    columns = [list(map(base, table.products)) for _, base in terms]
+    packed = pack_scan([v for vs in lists.values() for v in vs], columns, [w for w, _ in terms])
     if packed is None:
         return False
-    pw, lin = packed
-    pa, pb = pw[: len(xs)], pw[len(xs):]
-    return packed_pairs_vanish(table.index, lin, pa, pb, [-v for v in pb], pa)
+    pw = iter(packed[0])
+    at = {key: list(itertools.islice(pw, len(vs))) for key, vs in lists.items()}
+    pa, pb = at[id(a)], at[id(b)]
+    pc, pd = (at[id(c)], at[id(d)]) if c is not None else ([0] * len(pa), pb)
+    return packed_pairs_vanish(table.index, packed[1], pa, pb, [-v for v in pc] if sign > 0 else pc, pd)
+
+
+def nonzero_product(s: Semigroup, xs: tuple, right: tuple, h, tol: float = VERIFY_TOL) -> tuple | None:
+    """The first pair (i, j), rows of the checked tuple `xs` outer and of
+    `right` inner, where h(xs[i] * right[j]) is not zero; None when there
+    is none.  h is tested once per distinct product of the cached
+    `pair_table`, in first-seen order, up to the first that fails; that
+    product is first seen at the first failing pair, so the first cell
+    holding it is that pair.
+    """
+    table = pair_table(s, xs, right)
+    for k, p in enumerate(table.products):
+        if not values_equal(h(p), 0, tol):
+            return divmod(int((table.index == k).argmax()), len(right))
+    return None
 
 
 def _phase_mul(a: Fraction | None, b: Fraction | None) -> Fraction | None:

@@ -12,16 +12,17 @@ the first element outside the carrier.  ``product`` is the bare product
 (a Cayley lookup or ``compose_rule``) and tests nothing.  Window scans go
 through three helpers that take factors checked once per scan, so an
 element is tested once per scan rather than once per product:
-``pair_products`` streams the pairs x*y; ``pair_table`` gives the distinct
-products of two checked factor tuples and each pair's position among them,
-built once and cached on the carrier, for the packed exact scans of the
-equation, of the sine addition law and of additivity, and for condition
-(II) of family 7; and ``left_rows`` serves the three-factor scans (the
-null set P_chi and the triple scans of ``validate`` and
-``is_abelian_fn``), checking each distinct product x*y once before it
-becomes a left factor; given an ``escapes`` rule (``null_sets`` passes
-the carrier's), it builds no row for a product the rule puts beyond the
-window.  ``compose`` is the single-product convenience: ``checked`` on
+``pair_products`` streams the pairs x*y (automorphism checks, T^2,
+centrality and the G-identities of solutions); ``pair_table`` gives the
+distinct products of two checked factor tuples and each pair's position
+among them, built once and cached on the carrier, for the equation's
+residual and for every pairwise-law scan of ``functions``
+(``law_failure`` and ``nonzero_product``); and ``left_rows`` serves the
+three-factor scans (the null set P_chi and the triple scans of
+``validate`` and ``is_abelian_fn``), checking each distinct product x*y
+once before it becomes a left factor; given an ``escapes`` rule
+(``null_sets`` passes the carrier's), it builds no row for a product the
+rule puts beyond the window.  ``compose`` is the single-product convenience: ``checked`` on
 both arguments, then ``product``.
 """
 

@@ -33,7 +33,7 @@ from coslaw.families import (
 )
 from coslaw.fixtures import get_fixture
 from coslaw.functions import ScalarFunction, linear_combination, null_sets
-from coslaw.semigroups import FiniteSemigroup, InvolutiveAutomorphism, ProceduralSemigroup
+from coslaw.semigroups import FiniteSemigroup, InvolutiveAutomorphism, ProceduralSemigroup, pair_table
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -225,7 +225,7 @@ def test_residual_does_not_pack_float_values(monkeypatch):
     def refuse(*args):
         raise AssertionError("float values were packed")
 
-    monkeypatch.setattr(analysis, "pack_scan", refuse)
+    monkeypatch.setattr(functions, "pack_scan", refuse)
     rep = residual(*_c3_float_family8())
     assert rep.mode == "float" and rep.ok()
     # an exact alpha with float window values bails out before any product
@@ -349,8 +349,7 @@ def test_packed_and_symbolic_scans_give_the_same_verdicts(data):
         g, f = _combo_pair(s, alpha, gv, combo)
     rep, bad = residual(s, SUMS_ID, alpha, g, f), _sine_law_failure(s, h, ch)
     # the only packer: patched out, both scans take the symbolic path
-    with mock.patch.object(analysis, "pack_scan", lambda *args: None), \
-            mock.patch.object(functions, "pack_scan", lambda *args: None):
+    with mock.patch.object(functions, "pack_scan", lambda *args: None):
         assert residual(s, SUMS_ID, alpha, g, f) == rep
         assert _sine_law_failure(s, h, ch) == bad
     if mode == "zero":
@@ -359,7 +358,8 @@ def test_packed_and_symbolic_scans_give_the_same_verdicts(data):
         elems = s.elements
         gw, fw = {x: g(x) for x in elems}, {x: f(x) for x in elems}
         assert analysis._packed_defects_vanish(s, elems, elems, alpha, gw, fw, g, f.scale(alpha))
-        assert functions.packed_law_holds(s, elems, h, list(map(h, elems)), list(map(ch, elems)))
+        hw, cw = list(map(h, elems)), list(map(ch, elems))
+        assert functions.packed_law_holds(pair_table(s, elems, elems), ((1, h),), hw, cw, cw, hw)
     if mode == "one":
         assert rep.worst_pair == (k - 1, k - 1) and rep.max_residual > 0
         assert bad[:2] == (k - 1, k - 1)
@@ -463,7 +463,7 @@ def test_g_properties_flags_non_solution():
     g = ScalarFunction(s, values=[2.0, 3.0])
     f = ScalarFunction(s, values=[1.0, 5.0])
     rep = check_G_properties(s, fx.sigma(), 1, g, f)
-    assert not rep.hypothesis_ok and rep.vacuous
+    assert not rep.hypothesis_ok
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +560,11 @@ def test_dependence_lemma_vacuous_cases():
     zero = ScalarFunction(s, values=[0, 0, 0])
     some = ScalarFunction(s, values=[0, 1, 1])
     rep = check_dependence_lemma(s, sig, 1, some, zero)  # g = 0: hypotheses fail
-    assert rep.vacuous
+    assert not rep.hypothesis_ok
     # f = 0 cannot satisfy the equation with g != 0 (g(x)^2 = 0 forces g = 0),
     # but the dependence conclusion itself is trivially true
     rep2 = check_dependence_lemma(s, sig, 1, zero, some)
-    assert rep2.vacuous
+    assert not rep2.hypothesis_ok
     dep, wit = check_linear_dependence(zero, some)
     assert dep and wit == (1, 0)
 
@@ -595,7 +595,7 @@ def test_parity_lemma_sigma_id_vacuous():
     rep = check_parity_lemma(
         fx.characters["chi1"], fx.characters["chi2"], 1, 1, 1, -1, fx.sigma("id")
     )
-    assert rep.vacuous  # no non-zero odd functions under sigma = id
+    assert not rep.hypothesis_ok  # no non-zero odd functions under sigma = id
 
 
 def test_parity_lemma_real_line_parity():
@@ -766,14 +766,14 @@ def test_classify_tests_vanishing_on_products_once(monkeypatch):
     """Families 2 and 3 share one scan of g on S^2 in `_candidates`; where g
     does not vanish there, neither is constructed."""
     calls = []
-    real = families._vanishes_on_products
+    real = families._s2_failure
 
     def counting(s, g):
         calls.append(g)
         return real(s, g)
 
-    monkeypatch.setattr(families, "_vanishes_on_products", counting)
-    monkeypatch.setattr(analysis, "_vanishes_on_products", counting)
+    monkeypatch.setattr(families, "_s2_failure", counting)
+    monkeypatch.setattr(analysis, "_s2_failure", counting)
     c2, null3 = get_fixture("c2"), get_fixture("null3")
     d = FamilyDescriptor(6, 2, chi1=c2.characters["chi1"], chi2=c2.characters["chi2"])
     pair = construct(c2.carrier, c2.sigma("id"), d)

@@ -427,6 +427,17 @@ def test_chi_exp_takes_the_exp_parameters(tmp_path, capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("fixture", ["real-line", "heisenberg"])
+@pytest.mark.parametrize("family", ["5", "6"])
+def test_bare_exp_in_chi1_chi2_is_a_usage_error(capsys, fixture, family):
+    # the parametrized exp has no parameters to read for two characters
+    assert main(["construct", "--family", family, "--fixture", fixture,
+                 "--chi1", "exp", "--chi2", "exp", "--alpha", "1"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "exp takes parameters" in err
+
+
 @pytest.mark.parametrize(
     "fixture, window", [("real-line", 0), ("real-line", 1), ("c2", 0), ("naturals-from-2", -3)]
 )

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from coslaw.exactnum import (
     Cyc,
     ExpPoly,
-    cyclotomic_poly,
+    _cyclotomic_poly,
     exact_sqrt,
     pack_scan,
     packed_pairs_vanish,
@@ -25,19 +25,20 @@ F = Fraction
 
 def test_cyclotomic_polynomials():
     # Phi_1 = x - 1, Phi_2 = x + 1, Phi_3 = x^2 + x + 1, Phi_4 = x^2 + 1
-    assert cyclotomic_poly(1) == (F(-1), F(1))
-    assert cyclotomic_poly(2) == (F(1), F(1))
-    assert cyclotomic_poly(3) == (F(1), F(1), F(1))
-    assert cyclotomic_poly(4) == (F(1), F(0), F(1))
-    assert cyclotomic_poly(6) == (F(1), F(-1), F(1))
+    assert _cyclotomic_poly(1) == (F(-1), F(1))
+    assert _cyclotomic_poly(2) == (F(1), F(1))
+    assert _cyclotomic_poly(3) == (F(1), F(1), F(1))
+    assert _cyclotomic_poly(4) == (F(1), F(0), F(1))
+    assert _cyclotomic_poly(6) == (F(1), F(-1), F(1))
 
 
 @pytest.mark.parametrize("n", [0, -4, 2.0, True, "3", None])
 def test_cyclotomic_poly_rejects_what_is_not_a_conductor(n):
-    # the same rule as Cyc's conductor; 2.0 and True equal cached ints
-    cyclotomic_poly(2), cyclotomic_poly(1)
+    # Cyc tests its conductor before the cached Phi_n is read: 2.0 and True
+    # equal cached ints
+    _cyclotomic_poly(2), _cyclotomic_poly(1)
     with pytest.raises(ValueError, match="conductor must be an int >= 1"):
-        cyclotomic_poly(n)
+        Cyc(n, [1])
 
 
 def test_third_roots_sum_to_zero():
@@ -131,8 +132,8 @@ def _ref_reduce(p, n):
     p = list(p)
     while p and p[-1] == 0:
         p.pop()
-    _, r = _ref_pdivmod(p, list(cyclotomic_poly(n)))
-    return tuple(r + [F(0)] * (len(cyclotomic_poly(n)) - 1 - len(r)))
+    _, r = _ref_pdivmod(p, list(_cyclotomic_poly(n)))
+    return tuple(r + [F(0)] * (len(_cyclotomic_poly(n)) - 1 - len(r)))
 
 
 def _ref_lift(v, m):
@@ -199,7 +200,7 @@ def _cycs(draw):
     n = draw(st.integers(1, 12))
     if draw(st.booleans()):
         return Cyc.root_of_unity(F(draw(st.integers(0, n - 1)), n))
-    deg = len(cyclotomic_poly(n)) - 1
+    deg = len(_cyclotomic_poly(n)) - 1
     return Cyc(n, draw(st.lists(_small, min_size=deg, max_size=deg)))
 
 
@@ -259,7 +260,7 @@ def test_cyc_complex_is_cached_with_the_formula_bits(a, b, r):
 
 
 # ---------------------------------------------------------------------------
-# Phi_n checked without the library's cyclotomic_poly, and Cyc beyond the
+# Phi_n checked without the library's _cyclotomic_poly, and Cyc beyond the
 # conductors the hypothesis tests draw
 # ---------------------------------------------------------------------------
 
@@ -277,15 +278,15 @@ def test_cyclotomic_polys_of_the_divisors_multiply_to_x_n_minus_1(n):
     p = [1]
     for d in range(1, n + 1):
         if n % d == 0:
-            p = _pmul_local(p, cyclotomic_poly(d))
+            p = _pmul_local(p, _cyclotomic_poly(d))
     assert p == [-1] + [0] * (n - 1) + [1]
-    assert all(type(c) is F for c in cyclotomic_poly(n))
+    assert all(type(c) is F for c in _cyclotomic_poly(n))
 
 
 def test_cyclotomic_poly_pins():
-    assert cyclotomic_poly(12) == tuple(map(F, (1, 0, -1, 0, 1)))
-    assert cyclotomic_poly(15) == tuple(map(F, (1, -1, 0, 1, -1, 1, 0, -1, 1)))
-    assert cyclotomic_poly(30) == tuple(map(F, (1, 1, 0, -1, -1, -1, 0, 1, 1)))
+    assert _cyclotomic_poly(12) == tuple(map(F, (1, 0, -1, 0, 1)))
+    assert _cyclotomic_poly(15) == tuple(map(F, (1, -1, 0, 1, -1, 1, 0, -1, 1)))
+    assert _cyclotomic_poly(30) == tuple(map(F, (1, 1, 0, -1, -1, -1, 0, 1, 1)))
 
 
 @pytest.mark.parametrize("n", [0, -3, True, 3.0, "3", None])
@@ -296,8 +297,8 @@ def test_cyc_conductor_must_be_a_positive_int(n):
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.sampled_from([15, 20, 60]).flatmap(
-    lambda n: st.lists(_small, min_size=len(cyclotomic_poly(n)) - 1,
-                       max_size=len(cyclotomic_poly(n)) - 1).map(lambda c: Cyc(n, c))
+    lambda n: st.lists(_small, min_size=len(_cyclotomic_poly(n)) - 1,
+                       max_size=len(_cyclotomic_poly(n)) - 1).map(lambda c: Cyc(n, c))
 ))
 def test_cyc_inverse_and_conjugate_at_larger_conductors(v):
     assert _as_ref(v.conjugate()) == _ref_conjugate(v)

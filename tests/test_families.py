@@ -17,6 +17,7 @@ from coslaw.families import (
     HSpec,
     InvalidDescriptor,
     _check_condition_i,
+    _check_condition_ii,
     build_h,
     HALF,
     _half,
@@ -152,8 +153,8 @@ def test_families_2_3_validate_vanishing():
 
 def test_vanishing_on_products_reads_the_cached_pair_table(monkeypatch):
     """The first test of g on S^2 builds the carrier's pair table; later
-    ones take no product and start no pair scan.  Only a failing check
-    scans pairs again, to name the first violated pair."""
+    ones take no product and start no pair scan.  A failing check names
+    the first violated pair from the table too."""
     s = FiniteSemigroup(cayley=((0, 0, 0), (0, 0, 0), (0, 0, 0)))  # null3, an empty cache
     products, scans = [], []
     real_product, real_scan = FiniteSemigroup.product, semigroups.pair_products
@@ -167,19 +168,19 @@ def test_vanishing_on_products_reads_the_cached_pair_table(monkeypatch):
         return real_scan(*args, **kwargs)
 
     monkeypatch.setattr(FiniteSemigroup, "product", counting_product)
-    monkeypatch.setattr(families, "pair_products", counting_scan)
+    monkeypatch.setattr(semigroups, "pair_products", counting_scan)
     good = function_vanishing_on_products(s, {1: 1, 2: F(2, 3)})
     bad = ScalarFunction(s, values=[1, 1, 1])
-    assert families._vanishes_on_products(s, good)
+    assert families._s2_failure(s, good) is None
     assert len(products) == 9 and scans == []
     products.clear()
-    assert families._vanishes_on_products(s, good)
-    assert not families._vanishes_on_products(s, bad)
+    assert families._s2_failure(s, good) is None
+    assert families._s2_failure(s, bad) == (0, 0)
     assert construct(s, identity_automorphism(s), FamilyDescriptor(3, 0), free_f=good)
     assert products == [] and scans == []
     with pytest.raises(InvalidDescriptor, match=re.escape("does not vanish on S^2 (violated at 0*0)")):
         construct(s, identity_automorphism(s), FamilyDescriptor(2, 0), free_f=bad)
-    assert len(scans) == 1
+    assert products == [] and scans == []
 
 
 def test_families_4567_produce_even_pairs():
@@ -393,6 +394,21 @@ def test_condition_i_names_each_kind_of_translate(rho, witness):
                   translates={2: ((3, None, 6), (None, 3, 7), (3, 5, 30))})
     with pytest.raises(ConditionViolation, match=rf"^condition \(I\) fails at {re.escape(witness)}$"):
         _check_condition_i(ns, lambda x: 1, rho.get, lambda x: True)
+
+
+@pytest.mark.parametrize("row1", [(0, 0, 4, 0, 0), (0,) * 5])
+def test_condition_ii_names_the_first_pair_with_either_product_non_zero(row1):
+    # a made-up non-commutative table: h is non-zero only at 4 = 3*0 = 2*1
+    # (and 1*2 in the first row1).  x runs over I_chi - P_chi = {0, 1}, y
+    # over the units 2, 3, and (x, y) = (0, 3) is the first pair with h(xy)
+    # or h(yx) non-zero, by its yx product; the xy order alone fails first at
+    # (1, 2), or nowhere
+    s = FiniteSemigroup(cayley=((0,) * 5, row1, (0, 4, 0, 0, 0), (4, 0, 0, 0, 0), (0,) * 5))
+    ns = NullSets(frozenset({0, 1}), frozenset(), frozenset(), "exact")
+    h = ScalarFunction(s, values=[0, 0, 0, 0, 1])
+    with pytest.raises(ConditionViolation, match=r"^condition \(II\) fails: h\(0\*3 side\) != 0$"):
+        _check_condition_ii(s, ns, h, (2, 3))
+    _check_condition_ii(s, ns, ScalarFunction(s, values=[0, 0, 0, 0, 0]), (2, 3))
 
 
 def test_build_h_scans_p_chi_translates_only_in_null_sets():

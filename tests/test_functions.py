@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coslaw import functions
-from coslaw.exactnum import values_equal
+from coslaw.exactnum import VERIFY_TOL, Cyc, ExpPoly, values_equal
 from coslaw.families import FamilyDescriptor, construct
 from coslaw.fixtures import FIXTURE_NAMES, get_fixture
 from coslaw.functions import (
@@ -22,7 +22,9 @@ from coslaw.functions import (
     even_part,
     is_additive,
     is_multiplicative,
+    law_failure,
     linear_combination,
+    nonzero_product,
     null_sets,
     odd_part,
     star,
@@ -240,6 +242,104 @@ def test_is_additive_fails_on_a_rule_off_at_one_product(monkeypatch):
     # float values take the pairwise scan only, with the same verdicts
     assert is_additive(nat.carrier, odds, lambda x: float(five(x)))
     assert not is_additive(nat.carrier, odds, lambda x: float(off(x)))
+
+
+def test_is_additive_tests_a_dense_function_only_inside_its_subset():
+    # on C3 = Z/3 the subset {0, 1} is not closed: 1 + 1 = 2 leaves it.  The
+    # dense function's value at 2 is not tested; the rule's is, and fails
+    s = get_fixture("c3").carrier
+    assert [s.product(x, y) for x in (0, 1) for y in (0, 1)] == [0, 1, 1, 2]
+    values = [0, 1, 5]
+    assert is_additive(s, {0, 1}, ScalarFunction(s, values=values), tol=0)
+    assert not is_additive(s, {0, 1}, ScalarFunction(s, rule=values.__getitem__), tol=0)
+    assert not is_additive(s, {0, 1}, ScalarFunction(s, values=[1, 1, 5]), tol=0)  # 0 + 0 = 0
+
+
+# ---------------------------------------------------------------------------
+# the pairwise-law scans against a brute-force oracle
+# ---------------------------------------------------------------------------
+
+_LAW_ORDER = 5  # the carriers below: random tables on 0..4, so products repeat
+_LAW_VALUES = {
+    "int": st.integers(-3, 3),
+    "fraction": st.fractions(-2, 2, max_denominator=3),
+    "exppoly": st.builds(lambda k, c: ExpPoly({k: c}), st.integers(-2, 2), st.integers(-2, 2)),
+    "cyc": st.builds(lambda k, z: Cyc.zero() if z else Cyc.root_of_unity(F(k, 6)),
+                     st.integers(0, 5), st.booleans()),
+    "float": st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.5]),
+    "nan": st.sampled_from([0.0, 1.0, -2.0, float("nan"), complex(1, -1)]),
+}
+
+
+@st.composite
+def _law_scans(draw):
+    """A random table carrier, row factors xs, columns `right` (xs itself or
+    the images of xs under a random permutation), and values of one kind."""
+    cayley = draw(st.lists(st.lists(st.integers(0, _LAW_ORDER - 1), min_size=_LAW_ORDER,
+                                    max_size=_LAW_ORDER), min_size=_LAW_ORDER, max_size=_LAW_ORDER))
+    s = FiniteSemigroup(cayley=cayley)
+    xs = tuple(draw(st.lists(st.integers(0, _LAW_ORDER - 1), min_size=1, max_size=4, unique=True)))
+    right = xs
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(_LAW_ORDER)))
+        right = tuple(perm[y] for y in xs)
+    value = _LAW_VALUES[draw(st.sampled_from(sorted(_LAW_VALUES)))]
+    n = len(xs)
+    row, col = st.lists(value, min_size=n, max_size=n), st.lists(value, min_size=n, max_size=n)
+    a, b = draw(row), draw(col)
+    form = draw(st.sampled_from(["one product", "two", "shared"]))
+    c, d = {"one product": (None, None), "two": (draw(row), draw(col)), "shared": (b, a)}[form]
+    # lhs is the right-hand side at each product's first cell, so the law
+    # holds unless two cells of a product disagree, or lhs is bumped or
+    # left untested (None) at one product
+    lhs = {}
+    for i, x in enumerate(xs):
+        for j, r in enumerate(right):
+            rhs = a[i] * b[j] if c is None else a[i] * b[j] + c[i] * d[j]
+            lhs.setdefault(s.product(x, r), rhs)
+    edit = draw(st.sampled_from(["none", "bump", "skip"]))
+    if edit != "none":
+        at = draw(st.sampled_from(sorted(lhs)))
+        lhs[at] = None if edit == "skip" else lhs[at] + draw(value) + 1
+    zeros = {p: draw(st.one_of(st.just(0), value)) for p in lhs}
+    return s, xs, right, lhs, (a, b, c, d), zeros
+
+
+def _oracle_law(s, xs, right, lhs, a, b, c, d):
+    for i, x in enumerate(xs):
+        for j, r in enumerate(right):
+            v = lhs(s.product(x, r))
+            if v is None:
+                continue
+            rhs = a[i] * b[j] if c is None else a[i] * b[j] + c[i] * d[j]
+            if not values_equal(v, rhs, VERIFY_TOL):
+                return i, j, v, rhs
+    return None
+
+
+def _oracle_nonzero(s, xs, right, h):
+    return next(
+        ((i, j) for i, x in enumerate(xs) for j, r in enumerate(right)
+         if not values_equal(h(s.product(x, r)), 0, VERIFY_TOL)),
+        None,
+    )
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_law_scans())
+def test_law_scans_name_the_oracles_first_pair(scan):
+    s, xs, right, lhs, law, zeros = scan
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return lhs[p]
+
+    got = law_failure(s, xs, right, counted, *law)
+    assert repr(got) == repr(_oracle_law(s, xs, right, lhs.get, *law))
+    # the packed test evaluates each product once; the walk once more at most
+    assert max(map(calls.count, calls), default=0) <= 2
+    assert nonzero_product(s, xs, right, zeros.get) == _oracle_nonzero(s, xs, right, zeros.get)
 
 
 # ---------------------------------------------------------------------------
