@@ -24,6 +24,7 @@ import numpy as np
 
 from .exactnum import (
     LAURENT_TYPES,
+    ROW_BLOCK_CELLS,
     VERIFY_TOL,
     is_exact,
     scalar_is_zero,
@@ -87,19 +88,28 @@ def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> Verifi
     test once per scan; each pair then takes the bare product.  The term
     alpha*f(x sigma(y)) comes from the node `f.scale(alpha)`, whose memo
     computes alpha * f(p) once per distinct product p (same operations,
-    same order).
+    same order).  The report comes from the first of three paths that
+    applies; each gives the one the loop (the third) would give, bit for
+    bit.
 
-    When alpha and every window value of g and f are ints, Fractions or
-    `ExpPoly`s, the scan first runs a packed zero test
-    (`_packed_defects_vanish`): g - alpha*f is taken as its exact linear
-    form over the bases of g and alpha*f, and `functions.packed_law_holds`,
-    the packed test of every pairwise law, tests g(x)g(y) - f(x)f(y) against
-    it at once over the carrier's cached `semigroups.pair_table` of the
-    window and its sigma-images.  If every packed defect is 0 the report is
-    the one the exact scan below would give.  Otherwise
-    (a non-zero defect, or a value that does not pack: float, complex,
-    `Cyc`) the exact scan below runs from the start, so `max_residual`,
-    `worst_pair` and the NaN rule are the same bit for bit.
+    1. Packed exact test (`_packed_defects_vanish`): when alpha and every
+       window value of g and f are ints, Fractions or `ExpPoly`s, g -
+       alpha*f is taken as its exact linear form over the bases of g and
+       alpha*f, and `functions.packed_law_holds`, the packed test of every
+       pairwise law, tests g(x)g(y) - f(x)f(y) against it at once over the
+       carrier's cached `semigroups.pair_table` of the window and its
+       sigma-images.  If every packed defect is 0 the report is an exact 0.
+    2. Float scan (`_float_scan`): when the scan has at least
+       _FLOAT_SCAN_MIN_CELLS cells, every value of g and f in the window,
+       and of g and alpha*f at the table's products, is a float or complex,
+       and every defect is finite, the defects are formed in numpy, with
+       Python's complex arithmetic written out as float64 ufuncs.
+    3. The loop below, pair by pair in x-major order, for everything else:
+       a non-zero exact defect, `Cyc` or mixed values, a small scan, or a
+       float scan that meets a non-finite value or magnitude, or an
+       exception (the loop raises the first one in its pair order).  Its
+       NaN rule: a NaN defect compares false both ways, and the first one
+       sticks.
     """
     elems = s.checked(s.elements)
     gv = {x: g(x) for x in elems}
@@ -114,6 +124,9 @@ def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> Verifi
             pair_count=n * n,
             mode="exact",
         )
+    report = _float_scan(s, elems, sig, gv, fv, g, af)
+    if report is not None:
+        return report
     product = s.product
     worst, worst_pair = -1.0, None
     count = 0
@@ -137,6 +150,70 @@ def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> Verifi
         worst_pair=worst_pair,
         pair_count=count,
         mode="exact" if exact else "float",
+    )
+
+
+# below this many cells the Python loop beats the float scan's numpy calls
+_FLOAT_SCAN_MIN_CELLS = 64
+
+
+def _float_scan(s, elems, sig, gv, fv, g, af) -> VerificationReport | None:
+    """`residual`'s float report from numpy; None when the loop must run.
+
+    g and then alpha*f are evaluated once per distinct product of the
+    cached pair table, in first-seen order, which is the loop's order.  Each
+    defect ((g(p) - g(x)g(y)) + f(x)f(y)) - alpha*f(p) is formed in real and
+    imaginary float64 parts, each complex product (a_r*b_r - a_i*b_i,
+    a_r*b_i + a_i*b_r) and each sum as Python (or numpy's scalar complex
+    type) computes it, a float v taken as the complex (v, +0.0), which
+    Python up to 3.13 promotes it to.  Where Python keeps a float (or, from
+    3.14, mixes a float with a complex without promoting, as numpy's float64
+    scalar does), a zero part here may carry the other sign, which no later
+    sum turns into a non-zero and `np.hypot`, which equals `abs(complex)`,
+    ignores.  The scan runs
+    ROW_BLOCK_CELLS at a time and gives up on any non-finite magnitude, so
+    the loop keeps its NaN rule and the OverflowError of an `abs` that
+    overflows.  A NaN or inf value makes some magnitude non-finite (every
+    value enters a sum or a product of some cell, and no product or sum of
+    a non-finite part is finite), so a finite scan met no such value and no
+    step of it overflowed.
+    """
+    n = len(elems)
+    if n * n < _FLOAT_SCAN_MIN_CELLS:
+        return None
+    window = [gv[x] for x in elems] + [fv[x] for x in elems]
+    if not all(isinstance(v, (float, complex)) for v in window):
+        return None
+    try:
+        table = pair_table(s, elems, sig)
+        pv = [v for p in table.products for v in (g(p), af(p))]
+    except Exception:
+        return None  # the loop raises it, or an error of an earlier pair
+    if not all(isinstance(v, (float, complex)) for v in pv):
+        return None
+    w, pv = np.array(window, complex), np.array(pv, complex)
+    gr, gi, fr, fi = w.real[:n], w.imag[:n], w.real[n:], w.imag[n:]
+    pgr, pgi, par, pai = pv.real[0::2], pv.imag[0::2], pv.real[1::2], pv.imag[1::2]
+    rows = max(1, ROW_BLOCK_CELLS // n)
+    worst, cell = -1.0, 0
+    with np.errstate(all="ignore"):  # an overflow reads inf and hands over to the loop
+        for i in range(0, n, rows):
+            k = table.index[i:i + rows]
+            xgr, xgi = gr[i:i + rows, None], gi[i:i + rows, None]
+            xfr, xfi = fr[i:i + rows, None], fi[i:i + rows, None]
+            re = ((pgr[k] - (xgr * gr - xgi * gi)) + (xfr * fr - xfi * fi)) - par[k]
+            im = ((pgi[k] - (xgr * gi + xgi * gr)) + (xfr * fi + xfi * fr)) - pai[k]
+            mag = np.hypot(re, im)
+            if not np.isfinite(mag).all():
+                return None
+            top = int(mag.argmax())  # the first maximum, x-major
+            if mag.flat[top] > worst:
+                worst, cell = float(mag.flat[top]), i * n + top
+    return VerificationReport(
+        max_residual=worst,
+        worst_pair=(elems[cell // n], elems[cell % n]),
+        pair_count=n * n,
+        mode="float",
     )
 
 

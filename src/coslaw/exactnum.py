@@ -36,8 +36,9 @@ part of each defect is packed from the values of its bases, the functions
 it is an exact linear combination of, and not from its own value.  B is
 the least power of two above a bound on every coefficient of a scaled
 defect, so a defect is zero exactly when its packed int is.
-``packed_pairs_vanish`` then tests every pair's packed defect at once, a
-row of pairs per numpy step.
+``packed_pairs_vanish`` then tests every pair's packed defect at once, in
+int64 blocks of rows when the packed ints are narrow enough, else a row of
+object ints per numpy step.
 """
 
 from __future__ import annotations
@@ -230,6 +231,11 @@ class Cyc:
         return Cyc._of(m, _reduce(acc, m))
 
     def _mul_cyc(self, o: "Cyc") -> "Cyc":
+        # Q(zeta_1) = Q(zeta_2) = Q: at conductors 1 and 2 a value is one
+        # rational, and a product of two is that of their coefficients at the
+        # larger conductor (the lcm), the tuple the general code would give
+        if self.n <= 2 and o.n <= 2:
+            return Cyc._of(max(self.n, o.n), (self.c[0] * o.c[0],))
         m = math.lcm(self.n, o.n)
         sa, sb = m // self.n, m // o.n
         acc = [0] * m
@@ -707,18 +713,39 @@ def pack_scan(window, columns, coefs) -> "tuple[list[int], list[int]] | None":
     return out[:nw], lin
 
 
+# cells per row block of the vectorised scans: this kernel's int64 test and
+# the float scan of `analysis.residual`
+ROW_BLOCK_CELLS = 1 << 12
+
+
 def packed_pairs_vanish(index, lin, a, b, c, d) -> bool:
     """True when lin[index[i, j]] == a[i]*b[j] - c[i]*d[j] for every cell.
 
     `index` is a 2-D integer array (`semigroups.PairTable.index`); `lin`,
     `a`, `c` (one per row), `b` and `d` (one per column) are the Python ints
-    of `pack_scan`, so the test is exact.  The columns are object-dtype
-    arrays of those ints, which cannot overflow, and the cells are compared
-    a row at a time, so the transient arrays hold one row.
+    of `pack_scan`, and the test is exact.  When every window int has at
+    most 31 bits and every `lin` value at most 62, each product is below
+    2**62 and each difference below 2**63 in magnitude, so the cells are
+    tested in int64, ROW_BLOCK_CELLS at a time; otherwise the columns are
+    object-dtype arrays of the ints, which cannot overflow, tested a row at
+    a time.  Either way the transient arrays stay small.
     """
-    lin, b, d = (np.array(v, dtype=object) for v in (lin, b, d))
+    small = all(_fits(v, 31) for v in (a, b, c, d)) and _fits(lin, 62)
+    return _pairs_vanish(index, lin, a, b, c, d, np.int64 if small else object)
+
+
+def _fits(values: list, bits: int) -> bool:
+    """True when every int of `values` has at most `bits` bits."""
+    return not values or (-(1 << bits) < min(values) and max(values) < 1 << bits)
+
+
+def _pairs_vanish(index, lin, a, b, c, d, dtype) -> bool:
+    """`packed_pairs_vanish` with its columns in `dtype` (np.int64 or object)."""
+    lin, a, b, c, d = (np.array(v, dtype=dtype) for v in (lin, a, b, c, d))
+    rows = 1 if dtype is object else max(1, ROW_BLOCK_CELLS // max(len(b), 1))
     return all(
-        (lin[row] == ai * b - ci * d).all() for row, ai, ci in zip(index, a, c)
+        (lin[index[i:i + rows]] == a[i:i + rows, None] * b - c[i:i + rows, None] * d).all()
+        for i in range(0, len(a), rows)
     )
 
 

@@ -209,17 +209,22 @@ def pair_table(s: Semigroup, xs: tuple, right: tuple) -> PairTable:
     once, when the table is built.  The table is cached on the carrier
     instance under (xs, right), so a later scan of the same factors takes
     no product.  `index` has the smallest unsigned dtype that holds every
-    position and is read-only.
+    position and is read-only; it is filled in that dtype, widened (the
+    rows so far copied) only when a row's positions outgrow it.
     """
     key = (xs, right)
     table = s._pair_tables.get(key)
     if table is None:
         product = s.product
         seen: dict = {}
-        index = np.empty((len(xs), len(right)), np.min_scalar_type(max(len(xs) * len(right) - 1, 0)))
+        index = np.empty((len(xs), len(right)), np.uint8)
         for i, x in enumerate(xs):
-            index[i] = [seen.setdefault(p, len(seen)) for p in map(product, itertools.repeat(x), right)]
-        index = index.astype(np.min_scalar_type(max(len(seen) - 1, 0)), copy=False)
+            row = [seen.setdefault(p, len(seen)) for p in map(product, itertools.repeat(x), right)]
+            if len(seen) - 1 > np.iinfo(index.dtype).max:
+                wider = np.empty(index.shape, np.min_scalar_type(len(seen) - 1))
+                wider[:i] = index[:i]
+                index = wider
+            index[i] = row
         index.flags.writeable = False
         table = s._pair_tables[key] = PairTable(tuple(seen), index)
     return table

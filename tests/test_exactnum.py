@@ -1,14 +1,17 @@
 """Exact scalar arithmetic: cyclotomic rationals and Laurent polynomials in e."""
 
 import cmath
+import itertools
 import math
 import struct
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coslaw import exactnum
 from coslaw.exactnum import (
     Cyc,
     ExpPoly,
@@ -273,6 +276,19 @@ def _pmul_local(a, b):
     return out
 
 
+@pytest.mark.parametrize("n1, n2", itertools.product((1, 2), repeat=2))
+def test_rational_fast_path_gives_the_general_sum_and_product(n1, n2):
+    # at conductors 1 and 2 a value is one rational coefficient: the root
+    # of unity -1 is Cyc(2, [-1])
+    values = [F(0), F(1), F(-1), F(3, 7), F(-5, 2), F(2**70, 3)]
+    for p, q in itertools.product(values, repeat=2):
+        a, b = Cyc(n1, [p]), Cyc(n2, [q])
+        assert _as_ref(a + b) == _ref_sum(a, b) == (max(n1, n2), (p + q,))
+        assert _as_ref(a - b) == _ref_sum(a, b, -1)
+        assert _as_ref(a * b) == _ref_product(a, b) == (max(n1, n2), (p * q,))
+    assert _as_ref(Cyc.root_of_unity(F(1, 2))) == (2, (F(-1),))
+
+
 @pytest.mark.parametrize("n", range(1, 61))
 def test_cyclotomic_polys_of_the_divisors_multiply_to_x_n_minus_1(n):
     p = [1]
@@ -419,6 +435,63 @@ def test_packed_pairs_vanish_tests_every_cell():
         bumped = lin[:p] + [lin[p] + 1] + lin[p + 1:]
         assert not packed_pairs_vanish(index, bumped, a, b, c, d)
     assert packed_pairs_vanish(np.zeros((0, 0), np.uint8), [], [], [], [], [])
+
+
+_TOP = 2**31 - 1  # 31 bits: every product is below 2**62, every difference below 2**63
+
+# (a, b, c, d, the dtype the kernel must test in); lin is a*b - c*d, exact
+_WIDTH_EDGES = {
+    # the widest int64 scan: 31-bit window ints and 62-bit packed values
+    "31/62": ([_TOP, -_TOP], [_TOP, -_TOP], [0, 1], [0, 1], np.int64),
+    # one 32-bit window int: (2**32 - 1)**2 wraps in int64
+    "32/64": ([2**32 - 1], [2**32 - 1], [0], [0], object),
+    # 31-bit window ints whose difference 2 * _TOP**2 has 63 bits
+    "31/63": ([_TOP], [_TOP], [-_TOP], [_TOP], object),
+}
+
+
+@pytest.mark.parametrize("edge", _WIDTH_EDGES)
+def test_int64_and_object_kernels_agree_at_the_width_edges(edge):
+    a, b, c, d, dtype = _WIDTH_EDGES[edge]
+    index = np.arange(len(a) * len(b), dtype=np.uint8).reshape(len(a), len(b))
+    lin = [ai * bj - ci * dj for ai, ci in zip(a, c) for bj, dj in zip(b, d)]
+    assert edge.endswith(str(max(map(abs, lin)).bit_length()))
+    for bump in (0, 1):  # both verdicts
+        bumped = [lin[0] + bump] + lin[1:]
+        with mock.patch.object(exactnum, "_pairs_vanish", wraps=exactnum._pairs_vanish) as spy:
+            verdict = packed_pairs_vanish(index, bumped, a, b, c, d)
+        assert spy.call_args.args[-1] is dtype
+        assert verdict == (bump == 0) == exactnum._pairs_vanish(index, bumped, a, b, c, d, object)
+    if edge == "32/64":  # what the width test guards against: int64 wraps
+        wrapped = [lin[0] - 2**64]
+        assert exactnum._pairs_vanish(index, wrapped, a, b, c, d, np.int64)
+        assert not packed_pairs_vanish(index, wrapped, a, b, c, d)
+
+
+def _pairs_vanish_oracle(index, lin, a, b, c, d):
+    return all(
+        lin[index[i, j]] == a[i] * b[j] - c[i] * d[j]
+        for i in range(len(a)) for j in range(len(b))
+    )
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 40), st.data())
+def test_int64_kernel_blocks_rows_and_finds_every_failing_cell(rows, cols, block, data):
+    # at 30 bits every cell packs to int64; the 31-bit ends widen some
+    ints = st.one_of(st.integers(-2**30, 2**30), st.sampled_from([_TOP, -_TOP]))
+    a, c = (data.draw(st.lists(ints, min_size=rows, max_size=rows)) for _ in "ac")
+    b, d = (data.draw(st.lists(ints, min_size=cols, max_size=cols)) for _ in "bd")
+    index = np.arange(rows * cols, dtype=np.uint8).reshape(rows, cols)
+    lin = [ai * bj - ci * dj for ai, ci in zip(a, c) for bj, dj in zip(b, d)]
+    lin = [v if abs(v) < 2**62 else 0 for v in lin]  # keep the scan int64
+    want = _pairs_vanish_oracle(index, lin, a, b, c, d)
+    with mock.patch.object(exactnum, "ROW_BLOCK_CELLS", block):
+        assert exactnum._pairs_vanish(index, lin, a, b, c, d, np.int64) == want
+        assert packed_pairs_vanish(index, lin, a, b, c, d) == want
+        cell = data.draw(st.integers(0, rows * cols - 1))
+        bumped = lin[:cell] + [lin[cell] + 1] + lin[cell + 1:]
+        assert not exactnum._pairs_vanish(index, bumped, a, b, c, d, np.int64)
 
 
 def test_pack_scan_mixes_rational_and_laurent_values():

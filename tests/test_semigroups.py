@@ -365,6 +365,17 @@ def test_pair_table_products_index_and_dtype():
     assert empty.products == () and empty.index.shape == (0, 2)
 
 
+@pytest.mark.parametrize("n, dtype", [(16, np.uint8), (17, np.uint16), (256, np.uint16), (257, np.uint32)])
+def test_pair_table_index_widens_while_filling_and_keeps_every_row(n, dtype):
+    # x*y = 1000x + y: every cell a new product, so the positions outgrow
+    # uint8 after 16 rows of 16 and uint16 after 256 rows of 256
+    s, _ = _counting_naturals(lambda x, y: 1000 * x + y, n=n)
+    table = pair_table(s, s.elements, s.elements)
+    assert table.index.dtype == dtype and not table.index.flags.writeable
+    assert table.index.tolist() == [list(range(i * n, (i + 1) * n)) for i in range(n)]
+    assert table.products[-1] == 1000 * s.elements[-1] + s.elements[-1]
+
+
 def test_pair_table_is_built_once_per_carrier_instance():
     products = []
 
