@@ -24,7 +24,6 @@ import numpy as np
 
 from .exactnum import (
     LAURENT_TYPES,
-    ROW_BLOCK_CELLS,
     VERIFY_TOL,
     is_exact,
     scalar_is_zero,
@@ -50,13 +49,7 @@ from .functions import (
     odd_part,
     packed_law_holds,
 )
-from .semigroups import (
-    InvolutiveAutomorphism,
-    Semigroup,
-    pair_products,
-    pair_table,
-    triple_sample,
-)
+from .semigroups import InvolutiveAutomorphism, Semigroup, pair_blocks, triple_sample
 
 MATCH_TOL = 1e-7  # looser than the verifier to absorb linear-solve conditioning
 
@@ -96,9 +89,9 @@ def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> Verifi
        window value of g and f are ints, Fractions or `ExpPoly`s, g -
        alpha*f is taken as its exact linear form over the bases of g and
        alpha*f, and `functions.packed_law_holds`, the packed test of every
-       pairwise law, tests g(x)g(y) - f(x)f(y) against it at once over the
-       carrier's cached `semigroups.pair_table` of the window and its
-       sigma-images.  If every packed defect is 0 the report is an exact 0.
+       pairwise law, tests g(x)g(y) - f(x)f(y) against it at once over each
+       of the `semigroups.pair_blocks` of the window and its sigma-images.
+       If every packed defect is 0 the report is an exact 0.
     2. Float scan (`_float_scan`): when the scan has at least
        _FLOAT_SCAN_MIN_CELLS cells, every value of g and f in the window,
        and of g and alpha*f at the table's products, is a float or complex,
@@ -160,23 +153,22 @@ _FLOAT_SCAN_MIN_CELLS = 64
 def _float_scan(s, elems, sig, gv, fv, g, af) -> VerificationReport | None:
     """`residual`'s float report from numpy; None when the loop must run.
 
-    g and then alpha*f are evaluated once per distinct product of the
-    cached pair table, in first-seen order, which is the loop's order.  Each
-    defect ((g(p) - g(x)g(y)) + f(x)f(y)) - alpha*f(p) is formed in real and
-    imaginary float64 parts, each complex product (a_r*b_r - a_i*b_i,
-    a_r*b_i + a_i*b_r) and each sum as Python (or numpy's scalar complex
-    type) computes it, a float v taken as the complex (v, +0.0), which
-    Python up to 3.13 promotes it to.  Where Python keeps a float (or, from
-    3.14, mixes a float with a complex without promoting, as numpy's float64
-    scalar does), a zero part here may carry the other sign, which no later
-    sum turns into a non-zero and `np.hypot`, which equals `abs(complex)`,
-    ignores.  The scan runs
-    ROW_BLOCK_CELLS at a time and gives up on any non-finite magnitude, so
-    the loop keeps its NaN rule and the OverflowError of an `abs` that
-    overflows.  A NaN or inf value makes some magnitude non-finite (every
-    value enters a sum or a product of some cell, and no product or sum of
-    a non-finite part is finite), so a finite scan met no such value and no
-    step of it overflowed.
+    g and then alpha*f are evaluated once per distinct product of each of
+    the scan's `pair_blocks`, in first-seen order, which is the loop's
+    order.  Each defect ((g(p) - g(x)g(y)) + f(x)f(y)) - alpha*f(p) is
+    formed in real and imaginary float64 parts, each complex product
+    (a_r*b_r - a_i*b_i, a_r*b_i + a_i*b_r) and each sum as Python (or
+    numpy's scalar complex type) computes it, a float v taken as the
+    complex (v, +0.0), which Python up to 3.13 promotes it to.  Where
+    Python keeps a float (or, from 3.14, mixes a float with a complex
+    without promoting, as numpy's float64 scalar does), a zero part here
+    may carry the other sign, which no later sum turns into a non-zero and
+    `np.hypot`, which equals `abs(complex)`, ignores.  The scan gives up on
+    any non-finite magnitude, so the loop keeps its NaN rule and the
+    OverflowError of an `abs` that overflows.  A NaN or inf value makes some magnitude
+    non-finite (every value enters a sum or a product of some cell, and no
+    product or sum of a non-finite part is finite), so a finite scan met no
+    such value and no step of it overflowed.
     """
     n = len(elems)
     if n * n < _FLOAT_SCAN_MIN_CELLS:
@@ -184,31 +176,33 @@ def _float_scan(s, elems, sig, gv, fv, g, af) -> VerificationReport | None:
     window = [gv[x] for x in elems] + [fv[x] for x in elems]
     if not all(isinstance(v, (float, complex)) for v in window):
         return None
-    try:
-        table = pair_table(s, elems, sig)
-        pv = [v for p in table.products for v in (g(p), af(p))]
-    except Exception:
-        return None  # the loop raises it, or an error of an earlier pair
-    if not all(isinstance(v, (float, complex)) for v in pv):
-        return None
-    w, pv = np.array(window, complex), np.array(pv, complex)
+    w = np.array(window, complex)
     gr, gi, fr, fi = w.real[:n], w.imag[:n], w.real[n:], w.imag[n:]
-    pgr, pgi, par, pai = pv.real[0::2], pv.imag[0::2], pv.real[1::2], pv.imag[1::2]
-    rows = max(1, ROW_BLOCK_CELLS // n)
     worst, cell = -1.0, 0
-    with np.errstate(all="ignore"):  # an overflow reads inf and hands over to the loop
-        for i in range(0, n, rows):
-            k = table.index[i:i + rows]
-            xgr, xgi = gr[i:i + rows, None], gi[i:i + rows, None]
-            xfr, xfi = fr[i:i + rows, None], fi[i:i + rows, None]
+    blocks = pair_blocks(s, elems, sig)
+    while True:
+        try:
+            table = next(blocks)
+            pv = [v for p in table.products for v in (g(p), af(p))]
+        except StopIteration:
+            break
+        except Exception:
+            return None  # the loop raises it, or an error of an earlier pair
+        if not all(isinstance(v, (float, complex)) for v in pv):
+            return None
+        pv, k = np.array(pv, complex), table.index
+        pgr, pgi, par, pai = pv.real[0::2], pv.imag[0::2], pv.real[1::2], pv.imag[1::2]
+        x = slice(table.start, table.start + len(k))
+        xgr, xgi, xfr, xfi = gr[x, None], gi[x, None], fr[x, None], fi[x, None]
+        with np.errstate(all="ignore"):  # an overflow reads inf and hands over to the loop
             re = ((pgr[k] - (xgr * gr - xgi * gi)) + (xfr * fr - xfi * fi)) - par[k]
             im = ((pgi[k] - (xgr * gi + xgi * gr)) + (xfr * fi + xfi * fr)) - pai[k]
             mag = np.hypot(re, im)
-            if not np.isfinite(mag).all():
-                return None
-            top = int(mag.argmax())  # the first maximum, x-major
-            if mag.flat[top] > worst:
-                worst, cell = float(mag.flat[top]), i * n + top
+        if not np.isfinite(mag).all():
+            return None
+        top = int(mag.argmax())  # the first maximum, x-major
+        if mag.flat[top] > worst:
+            worst, cell = float(mag.flat[top]), table.start * n + top
     return VerificationReport(
         max_residual=worst,
         worst_pair=(elems[cell // n], elems[cell % n]),
@@ -225,7 +219,7 @@ def _packed_defects_vanish(s, elems, sig, alpha, gv, fv, g, af) -> bool:
     taken.  g - alpha*f is the sum of the linear forms of g and of the node
     af = alpha*f, negated, each distinct base once with its coefficients
     added (a function with no exact linear form is its own base); each base
-    is evaluated over the table's distinct products in first-seen pair
+    is evaluated over each block's distinct products in first-seen pair
     order, and no g(p) or alpha*f(p) is formed.
     """
     if not isinstance(alpha, LAURENT_TYPES):
@@ -237,7 +231,8 @@ def _packed_defects_vanish(s, elems, sig, alpha, gv, fv, g, af) -> bool:
     for sign, fn in ((1, g), (-1, af)):
         for c, base in fn.linear:
             combo.setdefault(id(base), [0, base])[0] += sign * c
-    return packed_law_holds(pair_table(s, elems, sig), list(combo.values()), gw, gw, fw, fw, -1)
+    terms = list(combo.values())
+    return all(packed_law_holds(t, terms, gw, gw, fw, fw, -1) for t in pair_blocks(s, elems, sig))
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +270,19 @@ def check_G_properties(
         return PropertyReport(False, f"not a solution: residual {rep.max_residual:.3e}")
     G = g - f.scale(alpha)
     cx: dict = {"symmetry": [], "sigma_on_triples": [], "parity_L1": [], "parity_L2": []}
-    for x, y, xsy in pair_products(s, s.elements, sigma=sigma):
-        if not values_equal(G(xsy), G(s.product(y, sigma(x))), tol):
-            cx["symmetry"].append((x, y))
-    elems = triple_sample(s)
+    elems = s.checked(s.elements)
+    sig = s.checked(sigma(y) for y in elems)
+    for t in pair_blocks(s, elems, sig):
+        for i, row in enumerate(t.index.tolist(), t.start):
+            for j, k in enumerate(row):
+                if not values_equal(G(t.products[k]), G(s.product(elems[j], sig[i])), tol):
+                    cx["symmetry"].append((elems[i], elems[j]))
+    elems = s.checked(triple_sample(s))
     # each product once, in first-seen order
-    products = dict.fromkeys(yz for _, _, yz in pair_products(s, elems))
-    triple_products = dict.fromkeys(yzx for _, _, yzx in pair_products(s, products, elems))
+    products = dict.fromkeys(itertools.chain.from_iterable(
+        t.products for t in pair_blocks(s, elems, elems)))
+    triple_products = dict.fromkeys(itertools.chain.from_iterable(
+        t.products for t in pair_blocks(s, s.checked(products), elems)))
     for t in triple_products:
         if not values_equal(G(t), G(sigma(t)), tol):
             cx["sigma_on_triples"].append(t)

@@ -332,9 +332,30 @@ def _cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are one `usage error: ...` line, exit 2."""
+
+    def error(self, message):
+        print(f"usage error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
+def _join_literals(argv: list) -> list:
+    """`--alpha -1/2` as `--alpha=-1/2`, and so for each option that takes a
+    literal: argparse reads a value that starts with "-" as an option unless
+    it is a plain negative number, so `-i`, `-1/2` or `-1e3` would not reach
+    the option.  The parsers take no abbreviated names, so these are all."""
+    literal = {"--alpha", "--q", "--lambda", "--a", "--b", "--rho-const"}
+    args = list(argv)
+    for k in range(len(args) - 1, 0, -1):
+        if args[k - 1] in literal and args[k][:1] == "-" and args[k][:2] != "--":
+            args[k - 1:k + 1] = [f"{args[k - 1]}={args[k]}"]
+    return args
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="coslaw",
+    p = _Parser(
+        prog="coslaw", allow_abbrev=False,
         description="Construct, verify, solve and classify solutions of "
         "g(x sigma(y)) = g(x)g(y) - f(x)f(y) + alpha f(x sigma(y)) on semigroups.",
     )
@@ -342,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, window=False, exact=False, **kw):
         """A subcommand; `window` and `exact` give it the flags it reads."""
-        sp = sub.add_parser(name, **kw)
+        sp = sub.add_parser(name, allow_abbrev=False, **kw)
         sp.set_defaults(fn=fn)
         if window:
             sp.add_argument("--window", type=int, default=None, help="fixture window size")
@@ -408,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_literals(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -713,8 +713,7 @@ def pack_scan(window, columns, coefs) -> "tuple[list[int], list[int]] | None":
     return out[:nw], lin
 
 
-# cells per row block of the vectorised scans: this kernel's int64 test and
-# the float scan of `analysis.residual`
+# cells per row block of this kernel's int64 test
 ROW_BLOCK_CELLS = 1 << 12
 
 

@@ -29,8 +29,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .exactnum import VERIFY_TOL, exact_sqrt, is_exact, simplify_scalar, values_equal
 from .functions import (
     AdditiveFunction,
@@ -45,7 +43,7 @@ from .functions import (
     nonzero_product,
     null_sets,
 )
-from .semigroups import InvolutiveAutomorphism, Semigroup, pair_table
+from .semigroups import InvolutiveAutomorphism, Semigroup
 
 
 class InvalidDescriptor(ValueError):
@@ -279,19 +277,16 @@ def _check_condition_i(ns, chi, rho_fn, in_p):
 def _check_condition_ii(s, ns, h, units):
     """h(xy) = h(yx) = 0 for x in I_chi \\ P_chi and y a unit; raises on the
     first (x, y), x running over I_chi \\ P_chi in set order and y over the
-    units, where either product is not zero.  `nonzero_product` tests the
-    xy order; then h is tested at the products of the yx order that the xy
-    order lacks (none on a commutative carrier)."""
+    units, where either product is not zero.  Two `nonzero_product` scans
+    test the xy and the yx order; only a failure walks the pairs to name
+    that (x, y)."""
     xs, units = s.checked(ns.i_chi - ns.p_chi), s.checked(units)
-    tables = pair_table(s, xs, units), pair_table(s, units, xs)
-    if nonzero_product(s, xs, units, h) is None:
-        vanish = set(tables[0].products)
-        if all(values_equal(h(p), 0, VERIFY_TOL) for p in tables[1].products if p not in vanish):
-            return
-    xy, yx = (np.array([not values_equal(h(p), 0, VERIFY_TOL) for p in t.products])[t.index]
-              for t in tables)
-    i, j = divmod(int((xy | yx.T).argmax()), len(units))
-    raise ConditionViolation(f"condition (II) fails: h({xs[i]}*{units[j]} side) != 0")
+    if nonzero_product(s, xs, units, h) is None and nonzero_product(s, units, xs, h) is None:
+        return
+    x, y = next((x, y) for x in xs for y in units
+                if not (values_equal(h(s.product(x, y)), 0, VERIFY_TOL)
+                        and values_equal(h(s.product(y, x)), 0, VERIFY_TOL)))
+    raise ConditionViolation(f"condition (II) fails: h({x}*{y} side) != 0")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ Every pairwise law L(x*r) = a(x)b(y) + c(x)d(y), r = y or sigma(y), is
 tested by ``law_failure`` (multiplicativity, additivity, the sine law of
 family 7, the dependence lemma), with the packed test ``packed_law_holds``
 that the equation's residual shares; ``nonzero_product`` tests the
-all-zero laws (g on S^2, condition (II)).
+all-zero laws (g on S^2, condition (II)).  Each reads its scan one
+``semigroups.pair_blocks`` row block at a time.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ from typing import Callable
 
 from .exactnum import LAURENT_TYPES, VERIFY_TOL, Cyc, pack_scan, packed_pairs_vanish, values_equal
 from .semigroups import (
+    PAIR_BLOCK_CELLS,
     FiniteSemigroup,
     InvolutiveAutomorphism,
     Semigroup,
     element_period,
     left_rows,
-    pair_table,
+    pair_blocks,
     product_set,
 )
 
@@ -63,7 +65,8 @@ class ScalarFunction:
     Procedural evaluators are total on the carrier's domain, so they accept
     products that fall outside the sample window.  Evaluations are memoised,
     one memo per function read with `dict.get`; an unhashable element skips
-    it.
+    it.  The memo is cleared when it holds PAIR_BLOCK_CELLS values: a rule
+    is pure, so its values do not depend on the memo.
 
     A linear combination that is not all dense is one node.  Its `terms` are
     (coefficient, part) pairs summed left to right; a part is a base (a dense
@@ -101,6 +104,8 @@ class ScalarFunction:
         except TypeError:  # an unhashable element
             return self.rule(x)
         if v is _MISSING:
+            if len(self._memo) >= PAIR_BLOCK_CELLS:
+                self._memo.clear()
             v = self._memo[x] = self.rule(x)
         return v
 
@@ -363,41 +368,44 @@ def law_failure(s: Semigroup, xs: tuple, right: tuple, lhs, a, b, c=None, d=None
     sigma-images of the column elements); a and c hold one value per row, b
     and d one per column, and c = d = None drops the second product.  A
     product where lhs is None is not tested.  When every value of a, b, c
-    and d is an int, Fraction or ExpPoly, `packed_law_holds` runs first and
-    a pass ends the scan.  Otherwise, or when it fails, the carrier's cached
-    `pair_table` is walked row by row, lhs evaluated once per distinct
-    product where the walk first reaches it.
+    and d is an int, Fraction or ExpPoly, `packed_law_holds` tests each of
+    the scan's `pair_blocks` first and a pass skips it.  Otherwise, or when
+    it fails, the block is walked row by row, lhs evaluated once per
+    distinct product of the block where the walk first reaches it.
     """
-    table = pair_table(s, xs, right)
     lists = [v for v in (a, b, c, d) if v is not None]
     packable = all(isinstance(v, LAURENT_TYPES) for v in itertools.chain(*lists))
-    if packable and packed_law_holds(table, ((1, lhs),), a, b, c, d):
-        return None
-    seen = [_MISSING] * len(table.products)
-    for i, row in enumerate(table.index):
-        ai = a[i]
-        ci = c[i] if c is not None else None
-        for j, k in enumerate(row.tolist()):
-            v = seen[k]
-            if v is _MISSING:
-                v = seen[k] = lhs(table.products[k])
-            if v is None:
-                continue
-            rhs = ai * b[j] if c is None else ai * b[j] + ci * d[j]
-            if not values_equal(v, rhs, tol):
-                return i, j, v, rhs
+    for table in pair_blocks(s, xs, right):
+        if packable and packed_law_holds(table, ((1, lhs),), a, b, c, d):
+            continue
+        seen = [_MISSING] * len(table.products)
+        for i, row in enumerate(table.index, table.start):
+            ai = a[i]
+            ci = c[i] if c is not None else None
+            for j, k in enumerate(row.tolist()):
+                v = seen[k]
+                if v is _MISSING:
+                    v = seen[k] = lhs(table.products[k])
+                if v is None:
+                    continue
+                rhs = ai * b[j] if c is None else ai * b[j] + ci * d[j]
+                if not values_equal(v, rhs, tol):
+                    return i, j, v, rhs
     return None
 
 
 def packed_law_holds(table, terms, a, b, c, d, sign: int = 1) -> bool:
     """True when sum(w * phi(p) for w, phi in terms) = a[i]*b[j] +
-    sign*c[i]*d[j] at every cell (i, j) of the `PairTable`, p its product;
-    False when a value does not pack (`pack_scan`) or a cell fails.  `terms`
-    is the left side's exact linear form; a and c hold one value per row, b
-    and d one per column, c = d = None drops the second product.  A list
-    passed twice (the equation's g, g, f, f) is packed once, and the sign
-    is applied to packed ints, so no value is negated.
+    sign*c[i]*d[j] at every cell (i, j) of the `PairTable` block, p its
+    product; False when a value does not pack (`pack_scan`) or a cell fails.
+    `terms` is the left side's exact linear form; a and c hold one value per
+    row of the scan, b and d one per column, c = d = None drops the second
+    product.  A list passed twice (the equation's g, g, f, f) to a one-block
+    scan is packed once, and the sign is applied to packed ints.
     """
+    if len(table.index) != len(a):
+        rows = slice(table.start, table.start + len(table.index))
+        a, c = a[rows], None if c is None else c[rows]
     lists = {id(v): v for v in (a, b, c, d) if v is not None}
     columns = [list(map(base, table.products)) for _, base in terms]
     packed = pack_scan([v for vs in lists.values() for v in vs], columns, [w for w, _ in terms])
@@ -413,15 +421,16 @@ def packed_law_holds(table, terms, a, b, c, d, sign: int = 1) -> bool:
 def nonzero_product(s: Semigroup, xs: tuple, right: tuple, h, tol: float = VERIFY_TOL) -> tuple | None:
     """The first pair (i, j), rows of the checked tuple `xs` outer and of
     `right` inner, where h(xs[i] * right[j]) is not zero; None when there
-    is none.  h is tested once per distinct product of the cached
-    `pair_table`, in first-seen order, up to the first that fails; that
-    product is first seen at the first failing pair, so the first cell
-    holding it is that pair.
+    is none.  h is tested once per distinct product of each of the scan's
+    `pair_blocks`, in first-seen order, up to the first that fails; that
+    product is first seen in its block at the first failing pair, so the
+    first cell holding it is that pair.
     """
-    table = pair_table(s, xs, right)
-    for k, p in enumerate(table.products):
-        if not values_equal(h(p), 0, tol):
-            return divmod(int((table.index == k).argmax()), len(right))
+    for table in pair_blocks(s, xs, right):
+        for k, p in enumerate(table.products):
+            if not values_equal(h(p), 0, tol):
+                i, j = divmod(int((table.index == k).argmax()), len(right))
+                return table.start + i, j
     return None
 
 
@@ -447,18 +456,10 @@ def enumerate_multiplicative(s: FiniteSemigroup) -> tuple[MultiplicativeFunction
     for x in range(n):
         p = element_period(s, x)
         candidates.append([None] + [Fraction(k, p) for k in range(p)])
-    found: list[tuple] = []
-    for assign in itertools.product(*candidates):
-        ok = True
-        for x in range(n):
-            for y in range(n):
-                if _phase_mul(assign[x], assign[y]) != assign[s.cayley[x][y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(assign)
+    cells = [(x, y, t.products[k]) for t in pair_blocks(s, s.elements, s.elements)
+             for x, row in enumerate(t.index.tolist(), t.start) for y, k in enumerate(row)]
+    found = [a for a in itertools.product(*candidates)
+             if all(_phase_mul(a[x], a[y]) == a[xy] for x, y, xy in cells)]
     found.sort(key=lambda a: tuple((0, Fraction(0)) if t is None else (1, t) for t in a))
     out = []
     for i, phases in enumerate(found):

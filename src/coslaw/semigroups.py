@@ -10,20 +10,22 @@ The domain test (an index in range, or the carrier's ``contains_rule``)
 lives in ``checked``, which raises ``IndexError`` or ``ValueError`` for
 the first element outside the carrier.  ``product`` is the bare product
 (a Cayley lookup or ``compose_rule``) and tests nothing.  Window scans go
-through three helpers that take factors checked once per scan, so an
+through two helpers that take factors checked once per scan, so an
 element is tested once per scan rather than once per product:
-``pair_products`` streams the pairs x*y (automorphism checks, T^2,
-centrality and the G-identities of solutions); ``pair_table`` gives the
-distinct products of two checked factor tuples and each pair's position
-among them, built once and cached on the carrier, for the equation's
-residual and for every pairwise-law scan of ``functions``
-(``law_failure`` and ``nonzero_product``); and ``left_rows`` serves the
-three-factor scans (the null set P_chi and the triple scans of
-``validate`` and ``is_abelian_fn``), checking each distinct product x*y
-once before it becomes a left factor; given an ``escapes`` rule
-(``null_sets`` passes the carrier's), it builds no row for a product the
-rule puts beyond the window.  ``compose`` is the single-product convenience: ``checked`` on
-both arguments, then ``product``.
+``pair_blocks`` serves every two-factor scan (the equation's residual,
+the pairwise laws of ``functions``, T^2, centrality, the closure scan of
+``validate``, automorphism checks and the G-identities of solutions),
+giving the distinct products of each block of rows and each pair's
+position among them; a scan of at most PAIR_BLOCK_CELLS cells is one
+block, kept on the carrier, and a larger one is built block by block and
+kept by no one.  The budget bounds each table, not their number: every
+distinct factor pair under it stays kept for the carrier's life.
+``left_rows`` serves the three-factor scans (the null set P_chi and the
+triple scans of ``validate`` and ``is_abelian_fn``), checking each
+distinct product x*y once before it becomes a left factor; given an
+``escapes`` rule (``null_sets`` passes the carrier's), it builds no row
+for a product the rule puts beyond the window.  ``compose`` is the single-product
+convenience: ``checked`` on both arguments, then ``product``.
 """
 
 from __future__ import annotations
@@ -66,11 +68,6 @@ class FiniteSemigroup:
         """The whole carrier: on a finite carrier every product is in the window."""
         return frozenset(range(self.order))
 
-    @cached_property
-    def _pair_tables(self) -> dict:
-        """`pair_table`'s cache: (xs, right) -> PairTable."""
-        return {}
-
     is_finite = True
     escapes = None  # every product is in the window
 
@@ -89,6 +86,9 @@ class FiniteSemigroup:
 
     def compose(self, x: int, y: int) -> int:
         return self.product(*self.checked((x, y)))
+
+    def same_element(self, x: int, y: int) -> bool:
+        return x == y
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,6 @@ class ProceduralSemigroup:
     def window_set(self) -> frozenset:
         """Window membership for the window-closed quantifiers."""
         return frozenset(self.window)
-
-    @cached_property
-    def _pair_tables(self) -> dict:
-        """`pair_table`'s cache: (xs, right) -> PairTable."""
-        return {}
 
     is_finite = False
 
@@ -176,58 +171,49 @@ def identity_automorphism(s: Semigroup) -> InvolutiveAutomorphism:
 # ---------------------------------------------------------------------------
 
 
-def pair_products(s: Semigroup, xs, ys=None, sigma=None) -> Iterator[tuple]:
-    """(x, y, x*sigma(y)) for x in `xs` (outer) and y in `ys` (inner).
-
-    `checked` runs once on `xs` and once on the sigma-images of `ys` (on
-    `ys` itself when `sigma` is omitted), before the first pair; each pair
-    then takes the bare `product`.  With `ys` and `sigma` both omitted,
-    `xs` serves as both lists and is checked once.  Factors that passed
-    the check may be multiplied again with `s.product`, e.g. y*x by a
-    caller that needs both orders.
-    """
-    xs = s.checked(xs)
-    ys = xs if ys is None else tuple(ys)
-    right = ys if sigma is None else map(sigma, ys)
-    right = right if right is xs else s.checked(right)
-    product = s.product
-    return ((x, y, product(x, r)) for x in xs for y, r in zip(ys, right))
+# a pair scan of at most this many cells is one block, kept on the carrier;
+# `ScalarFunction`'s memo is cleared when it reaches this size
+PAIR_BLOCK_CELLS = 1 << 17
 
 
 class PairTable(NamedTuple):
-    """The distinct products x*r of two factor tuples, first seen x-major, and
-    index[i, j], the position of xs[i]*right[j] in `products`."""
+    """A block of rows of a pair scan: the distinct products x*r, first seen
+    x-major, and index[i, j], the position of xs[start + i]*right[j]."""
 
     products: tuple
     index: np.ndarray
+    start: int = 0
 
 
-def pair_table(s: Semigroup, xs: tuple, right: tuple) -> PairTable:
-    """The PairTable of the checked factor tuples `xs` and `right`.
-
-    The caller checks the factors; each pair then takes the bare `product`,
-    once, when the table is built.  The table is cached on the carrier
-    instance under (xs, right), so a later scan of the same factors takes
-    no product.  `index` has the smallest unsigned dtype that holds every
-    position and is read-only; it is filled in that dtype, widened (the
-    rows so far copied) only when a row's positions outgrow it.
+def pair_blocks(s: Semigroup, xs: tuple, right: tuple) -> Iterator[PairTable]:
+    """The pairs of the checked factor tuples `xs` and `right` as PairTable
+    blocks of whole rows, x-major, each of at most PAIR_BLOCK_CELLS cells
+    (or one row).  Each pair takes the bare `product` once, when its block
+    is read.  A scan of at most PAIR_BLOCK_CELLS cells is one block, cached
+    on the carrier instance under (xs, right), so a later scan of the same
+    factors takes no product; a larger one is kept by no one.  A block's
+    `index` is filled in uint32 and narrowed to the smallest unsigned dtype
+    that holds every position; it is read-only.
     """
-    key = (xs, right)
-    table = s._pair_tables.get(key)
-    if table is None:
-        product = s.product
-        seen: dict = {}
-        index = np.empty((len(xs), len(right)), np.uint8)
-        for i, x in enumerate(xs):
-            row = [seen.setdefault(p, len(seen)) for p in map(product, itertools.repeat(x), right)]
-            if len(seen) - 1 > np.iinfo(index.dtype).max:
-                wider = np.empty(index.shape, np.min_scalar_type(len(seen) - 1))
-                wider[:i] = index[:i]
-                index = wider
-            index[i] = row
-        index.flags.writeable = False
-        table = s._pair_tables[key] = PairTable(tuple(seen), index)
-    return table
+    if len(xs) * len(right) > PAIR_BLOCK_CELLS:
+        rows = PAIR_BLOCK_CELLS // len(right) or 1
+        yield from (_pair_block(s, xs[i:i + rows], right, i) for i in range(0, len(xs), rows))
+        return
+    key, kept = (xs, right), vars(s).setdefault("_pair_tables", {})
+    if key not in kept:
+        kept[key] = _pair_block(s, xs, right, 0)
+    yield kept[key]
+
+
+def _pair_block(s: Semigroup, xs: tuple, right: tuple, start: int) -> PairTable:
+    product = s.product
+    seen: dict = {}
+    index = np.empty((len(xs), len(right)), np.uint32)
+    for i, x in enumerate(xs):
+        index[i] = [seen.setdefault(p, len(seen)) for p in map(product, itertools.repeat(x), right)]
+    index = index.astype(np.min_scalar_type(max(len(seen) - 1, 0)), copy=False)
+    index.flags.writeable = False
+    return PairTable(tuple(seen), index, start)
 
 
 def left_rows(s: Semigroup, xs, ys=None, escapes=None) -> Iterator[tuple]:
@@ -271,40 +257,34 @@ def validate(s: Semigroup) -> list[tuple]:
     outside the carrier (table values, or window products that fail the
     domain test), ("associativity", x, y, z) entries name a triple with
     (xy)z != x(yz).  Any closure entry ends the check before associativity.
-    A window element outside a rule carrier's domain raises ValueError, as
-    in every window scan: each window element is tested once, each window
-    product once.
+    A window element outside a rule carrier's domain raises ValueError, and
+    a rule that raises propagates, as in every window scan: each window
+    element is tested once, and each distinct product of a pair block once.
     """
     report: list[tuple] = []
     if s.is_finite:
         n = s.order
-        bad_cells = set()
         for x in range(n):
             for y in range(n):
                 v = s.cayley[x][y]
                 if not isinstance(v, int) or not 0 <= v < n:
                     report.append(("closure", x, y))
-                    bad_cells.add((x, y))
-        if bad_cells:
+        if report:
             return report
         for x, y, z in itertools.product(range(n), repeat=3):
             if s.cayley[s.cayley[x][y]][z] != s.cayley[x][s.cayley[y][z]]:
                 report.append(("associativity", x, y, z))
         return report
-    elems = triple_sample(s)
-    sampled = frozenset(elems)
-    product = s.product
-    yz = {}  # the closure scan's products of sampled elements, for x(yz)
-    for x, y in itertools.product(s.checked(s.elements), repeat=2):
-        try:
-            (xy,) = s.checked((product(x, y),))
-        except Exception:
-            report.append(("closure", x, y))
-            continue
-        if x in sampled and y in sampled:
-            yz[x, y] = xy
+    elems, contains = s.checked(s.elements), s.contains_rule
+    for t in pair_blocks(s, elems, elems):
+        outside = {k for k, p in enumerate(t.products) if not contains(p)}
+        if outside:
+            report.extend(("closure", x, y) for x, row in zip(elems[t.start:], t.index.tolist())
+                          for y, k in zip(elems, row) if k in outside)
     if report:
         return report
+    elems, product = triple_sample(s), s.product
+    yz = {(y, z): product(y, z) for y in elems for z in elems}  # in the carrier: checked above
     for x, xys, rows in left_rows(s, elems):
         for y, p in zip(elems, xys):
             for z, pz in zip(elems, rows[p]):
@@ -313,27 +293,23 @@ def validate(s: Semigroup) -> list[tuple]:
     return report
 
 
-def _same(s: Semigroup, a, b) -> bool:
-    return a == b if s.is_finite else s.same_element(a, b)
-
-
 def validate_automorphism(s: Semigroup, sigma: InvolutiveAutomorphism) -> list[tuple]:
     """Violations of involutivity / multiplicativity on the window."""
-    report: list[tuple] = []
-    for x in s.elements:
-        if not _same(s, sigma(sigma(x)), x):
-            report.append(("involution", x))
-    elems = s.elements
-    images = pair_products(s, [sigma(x) for x in elems], elems, sigma)
-    for (x, y, xy), (_, _, sxsy) in zip(pair_products(s, elems), images):
-        if not _same(s, sigma(xy), sxsy):
-            report.append(("automorphism", x, y))
+    report = [("involution", x) for x in s.elements if not s.same_element(sigma(sigma(x)), x)]
+    elems = s.checked(s.elements)
+    images = s.checked(map(sigma, elems))
+    for t, ti in zip(pair_blocks(s, elems, elems), pair_blocks(s, images, images)):
+        for i, row, irow in zip(itertools.count(t.start), t.index.tolist(), ti.index.tolist()):
+            for j, k, ki in zip(itertools.count(), row, irow):
+                if not s.same_element(sigma(t.products[k]), ti.products[ki]):
+                    report.append(("automorphism", elems[i], elems[j]))
     return report
 
 
 def product_set(s: Semigroup, t: Iterable) -> frozenset:
     """T^2 = {xy | x, y in T}, intersected with the window."""
-    return s.window_set.intersection(xy for _, _, xy in pair_products(s, frozenset(t)))
+    ts = s.checked(frozenset(t))
+    return s.window_set.intersection(p for b in pair_blocks(s, ts, ts) for p in b.products)
 
 
 def enumerate_involutive_automorphisms(s: FiniteSemigroup) -> list[InvolutiveAutomorphism]:
@@ -346,18 +322,14 @@ def enumerate_involutive_automorphisms(s: FiniteSemigroup) -> list[InvolutiveAut
         raise TypeError("enumeration requires a finite carrier")
     if s.order > AUTOMORPHISM_ORDER_BOUND:
         raise ValueError(f"order {s.order} exceeds enumeration bound {AUTOMORPHISM_ORDER_BOUND}")
-    n = s.order
-    found = []
-    for perm in itertools.permutations(range(n)):
-        if any(perm[perm[x]] != x for x in range(n)):
-            continue
-        if all(
-            perm[s.cayley[x][y]] == s.cayley[perm[x]][perm[y]]
-            for x in range(n)
-            for y in range(n)
-        ):
-            found.append(InvolutiveAutomorphism(_perm_name(perm), perm=perm))
-    return found
+    cells = [(x, y, t.products[k]) for t in pair_blocks(s, s.elements, s.elements)
+             for x, row in enumerate(t.index.tolist(), t.start) for y, k in enumerate(row)]
+    return [
+        InvolutiveAutomorphism(_perm_name(perm), perm=perm)
+        for perm in itertools.permutations(range(s.order))
+        if all(perm[perm[x]] == x for x in range(s.order))
+        and all(perm[xy] == s.product(perm[x], perm[y]) for x, y, xy in cells)
+    ]
 
 
 def element_period(s: FiniteSemigroup, x: int) -> int:
@@ -380,9 +352,12 @@ def _perm_name(perm: tuple[int, ...]) -> str:
 
 def is_central(s: Semigroup, f) -> bool:
     """f(xy) = f(yx) for all window pairs."""
+    elems = s.checked(s.elements)
     return all(
-        values_equal(f(xy), f(s.product(y, x)), VERIFY_TOL)
-        for x, y, xy in pair_products(s, s.elements)
+        values_equal(f(t.products[k]), f(s.product(elems[j], elems[i])), VERIFY_TOL)
+        for t in pair_blocks(s, elems, elems)
+        for i, row in enumerate(t.index.tolist(), t.start)
+        for j, k in enumerate(row)
     )
 
 

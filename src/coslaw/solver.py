@@ -63,7 +63,7 @@ from .families import (
     function_vanishing_on_products,
 )
 from .functions import ScalarFunction, character_table, complex_pair
-from .semigroups import FiniteSemigroup, InvolutiveAutomorphism, product_set
+from .semigroups import FiniteSemigroup, InvolutiveAutomorphism, pair_blocks, product_set
 
 RANK_TOL = 1e-6
 START_RADIUS = 3.0
@@ -139,12 +139,9 @@ class _System:
         n = s.order
         self.n = n
         self.alpha = alpha
-        P, X, Y = [], [], []
-        for x, y in itertools.product(range(n), repeat=2):
-            P.append(s.cayley[x][sigma(y)])
-            X.append(x)
-            Y.append(y)
-        self.P, self.X, self.Y = np.array(P), np.array(X), np.array(Y)
+        sig = tuple(map(sigma, s.elements))
+        self.P = np.array([t.products[k] for t in pair_blocks(s, s.elements, sig) for k in t.index.flat])
+        self.X, self.Y = np.divmod(np.arange(n * n), n)
         # flat positions of the d/dg(P), d/dg(X) and d/dg(Y) cells of each
         # equation in an (n^2 * 2n) Jacobian row; the d/df cells sit n further on
         row = 2 * n * np.arange(n * n)

@@ -33,7 +33,7 @@ from coslaw.families import (
 )
 from coslaw.fixtures import get_fixture
 from coslaw.functions import ScalarFunction, linear_combination, null_sets
-from coslaw.semigroups import FiniteSemigroup, InvolutiveAutomorphism, ProceduralSemigroup, pair_table
+from coslaw.semigroups import FiniteSemigroup, InvolutiveAutomorphism, ProceduralSemigroup, pair_blocks
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -359,7 +359,7 @@ def test_packed_and_symbolic_scans_give_the_same_verdicts(data):
         gw, fw = {x: g(x) for x in elems}, {x: f(x) for x in elems}
         assert analysis._packed_defects_vanish(s, elems, elems, alpha, gw, fw, g, f.scale(alpha))
         hw, cw = list(map(h, elems)), list(map(ch, elems))
-        assert functions.packed_law_holds(pair_table(s, elems, elems), ((1, h),), hw, cw, cw, hw)
+        assert functions.packed_law_holds(next(pair_blocks(s, elems, elems)), ((1, h),), hw, cw, cw, hw)
     if mode == "one":
         assert rep.worst_pair == (k - 1, k - 1) and rep.max_residual > 0
         assert bad[:2] == (k - 1, k - 1)

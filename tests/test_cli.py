@@ -562,6 +562,62 @@ def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "c2", "--bogus"],
+    ["solve", "c2", "--alpha", "1", "--bogus"],
+    ["construct", "--family", "9", "--fixture", "c2"],
+    ["verify"],
+], ids=["missing-alpha", "unknown-option", "bad-choice", "missing-pair"])
+def test_argparse_errors_are_one_usage_line(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+
+
+def test_help_is_still_the_argparse_usage_block(capsys):
+    assert main(["solve", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: coslaw solve [-h] [--window WINDOW] --alpha ALPHA")
+    assert "--restarts RESTARTS" in out and len(out.splitlines()) > 5
+
+
+@pytest.mark.parametrize("literal", ["-1/2", "-i", "-1e3", "-2+1i"])
+def test_a_negative_literal_after_alpha_is_its_value(capsys, literal):
+    assert main(["solve", "c2", "--alpha", literal, "--restarts", "5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and f"(alpha = {literal}," in captured.out
+
+
+def test_a_malformed_negative_literal_reaches_the_literal_parser(capsys):
+    assert main(["solve", "c2", "--alpha", "-2+1j", "--restarts", "5"]) == 2
+    assert capsys.readouterr().err == "usage error: malformed complex literal '-2+1j'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "4", "--fixture", "c2", "--chi", "chi1", "--q", "-1/2", "--alpha", "-i"],
+    ["--family", "8", "--fixture", "real-line", "--lambda", "-1e3", "--alpha", "-2+1i", "--window", "8"],
+    ["--family", "7", "--fixture", "naturals-from-2", "--chi", "parity", "--rho-const", "-i",
+     "--alpha", "1", "--window", "50"],
+    ["--family", "8", "--fixture", "heisenberg", "--sigma", "flip", "--a", "-i", "--b", "-1/2",
+     "--alpha", "3", "--window", "1"],
+], ids=["q", "lambda", "rho-const", "a-b"])
+def test_negative_literals_after_every_literal_option(tmp_path, capsys, argv):
+    out = tmp_path / "pair.json"
+    assert main(["construct", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "" and out.exists()
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["construct", "--family", "8", "--fixture", "real-line", "--lam", "-1e3", "--alpha", "2"],
+     "unrecognized arguments: --lam -1e3"),
+    (["solve", "c2", "--alph", "-1/2"], "the following arguments are required: --alpha"),
+], ids=["lam", "alph"])
+def test_an_abbreviated_literal_option_is_not_an_option_name(capsys, argv, err):
+    # option names are taken only whole, so no spelling escapes the literal join
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {err}\n"
+
+
 @pytest.mark.parametrize("case", ["missing", "truncated", "short-vector", "bad-fraction", "unknown-rule"])
 def test_free_file_errors_are_parse_errors(tmp_path, capsys, case):
     path = tmp_path / "free.json"
@@ -774,6 +830,55 @@ def test_semigroup_file_fuzz_keeps_the_exit_contract(tmp_path, capsys, data):
     path = tmp_path / "table.sg"
     path.write_bytes(data)
     rc = main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err and len(err.strip().splitlines()) <= 1
+
+
+# well-formed literals drawn three times as often as malformed ones
+_CONSTRUCT_LITERALS = st.sampled_from(
+    ["0", "1", "-1", "2", "1/3", "-1/2", "i", "-i", "-1e3", "-2+1i", "0.5-0.5i"] * 3
+    + ["1e400", "-2+1j", "x", "", "-", "--", "nan"])
+
+
+@st.composite
+def _construct_argv(draw):
+    """`construct` argument lists: a family (or a bad one), a fixture, and a
+    few options with names from the fixture or not and literals of every
+    shape; windows stay small so that each construct is quick."""
+    fixture = draw(st.sampled_from([*FIXTURE_NAMES] * 3 + ["bogus"]))
+    fx = get_fixture(fixture) if fixture != "bogus" else None
+    names = {
+        "--sigma": [s.name for s in fx.sigmas] if fx else [],
+        "--chi": [*fx.characters, "exp"] if fx else [],
+        "--additive": list(fx.additive_rules) if fx else [],
+    }
+    names["--chi1"] = names["--chi2"] = names["--chi"]
+    options = {opt: st.sampled_from([*values] * 3 + ["bogus"]) for opt, values in names.items()}
+    options.update({opt: _CONSTRUCT_LITERALS for opt in ("--alpha", "--q", "--lambda", "--a", "--b", "--rho-const")})
+    options["--branch"] = st.sampled_from(["1", "-1", "2"])
+    options["--free-file"] = st.just("missing.json")
+    family = draw(st.sampled_from([*"12345678"] * 3 + ["0", "9", "x"]))
+    argv = ["construct", "--family", family, "--fixture", fixture]
+    # the characters the family reads, given three times in four
+    needs = {"5": ["--chi1", "--chi2"], "6": ["--chi1", "--chi2"]}.get(family, ["--chi"])
+    needs = needs if draw(st.integers(0, 3)) else []
+    for opt in dict.fromkeys(needs + draw(st.lists(st.sampled_from(sorted(options)), max_size=5))):
+        argv += [opt, draw(options[opt])]
+    if fixture in ("heisenberg", "naturals-from-2") or draw(st.booleans()):
+        window = ["1", "2"] if fixture == "heisenberg" else ["2", "3", "8", "40"]
+        argv += ["--window", draw(st.sampled_from([*window, "0", "-1", "x"]))]
+    if draw(st.booleans()):
+        argv.append("--exact")
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(_construct_argv())
+def test_construct_argument_fuzz_keeps_the_exit_contract(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("COSLAW_OUTDIR", str(tmp_path))
+    rc = main(argv)
     err = capsys.readouterr().err
     assert rc in (0, 1, 2)
     assert "Traceback" not in err and len(err.strip().splitlines()) <= 1

@@ -153,27 +153,28 @@ def test_families_2_3_validate_vanishing():
 
 def test_vanishing_on_products_reads_the_cached_pair_table(monkeypatch):
     """The first test of g on S^2 builds the carrier's pair table; later
-    ones take no product and start no pair scan.  A failing check names
-    the first violated pair from the table too."""
+    ones take no product and build no block.  A failing check names the
+    first violated pair from the table too."""
     s = FiniteSemigroup(cayley=((0, 0, 0), (0, 0, 0), (0, 0, 0)))  # null3, an empty cache
     products, scans = [], []
-    real_product, real_scan = FiniteSemigroup.product, semigroups.pair_products
+    real_product, real_block = FiniteSemigroup.product, semigroups._pair_block
 
     def counting_product(self, x, y):
         products.append((x, y))
         return real_product(self, x, y)
 
-    def counting_scan(*args, **kwargs):
+    def counting_block(*args, **kwargs):
         scans.append(args)
-        return real_scan(*args, **kwargs)
+        return real_block(*args, **kwargs)
 
     monkeypatch.setattr(FiniteSemigroup, "product", counting_product)
-    monkeypatch.setattr(semigroups, "pair_products", counting_scan)
+    monkeypatch.setattr(semigroups, "_pair_block", counting_block)
     good = function_vanishing_on_products(s, {1: 1, 2: F(2, 3)})
     bad = ScalarFunction(s, values=[1, 1, 1])
     assert families._s2_failure(s, good) is None
-    assert len(products) == 9 and scans == []
+    assert len(products) == 9 and len(scans) == 1
     products.clear()
+    scans.clear()
     assert families._s2_failure(s, good) is None
     assert families._s2_failure(s, bad) == (0, 0)
     assert construct(s, identity_automorphism(s), FamilyDescriptor(3, 0), free_f=good)
@@ -425,6 +426,8 @@ def test_build_h_scans_p_chi_translates_only_in_null_sets():
 
     s = dataclasses.replace(nat.carrier, compose_rule=rule)
     sigma, parity = nat.sigma("id"), nat.characters["parity"]
+    null_sets(s, sigma, parity)  # builds and keeps the I_chi^2 pair table
+    calls = 0
     null_sets(s, sigma, parity)
     own, calls = calls, 0
     build_h(s, sigma, parity, additive=nat.additive_rules["five-adic"], rho=F(7, 3),

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coslaw import analysis
+from coslaw import analysis, semigroups
 from coslaw.analysis import residual
 from coslaw.functions import ScalarFunction
 from coslaw.semigroups import FiniteSemigroup, InvolutiveAutomorphism, ProceduralSemigroup
@@ -158,7 +158,7 @@ def _outcome(case, vectorised: bool):
 
     real_scan = analysis._float_scan
     with mock.patch.object(analysis, "_float_scan", scan), \
-            mock.patch.object(analysis, "ROW_BLOCK_CELLS", case["block"]):
+            mock.patch.object(semigroups, "PAIR_BLOCK_CELLS", case["block"]):
         try:
             rep = residual(*_build(case))
         except Exception as e:  # noqa: BLE001 - the exception is the outcome

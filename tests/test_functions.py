@@ -681,6 +681,8 @@ def test_pchi_lemma_with_sigma_id_makes_one_null_set_scan():
 
     s = dataclasses.replace(nat.carrier, compose_rule=rule)
     sigma, parity = nat.sigma("id"), nat.characters["parity"]
+    null_sets(s, sigma, parity)  # builds and keeps the I_chi^2 pair table
+    calls = 0
     null_sets(s, sigma, parity)
     one, calls = calls, 0
     check_pchi_lemma(s, sigma, parity)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from coslaw import semigroups
 from coslaw.analysis import check_dependence_lemma, check_G_properties
 from coslaw.fixtures import get_fixture
 from coslaw.functions import (
@@ -24,8 +25,7 @@ from coslaw.semigroups import (
     enumerate_involutive_automorphisms,
     is_abelian_fn,
     is_central,
-    pair_products,
-    pair_table,
+    pair_blocks,
     product_set,
     validate,
     validate_automorphism,
@@ -336,41 +336,44 @@ def test_scans_on_a_finite_carrier_raise_index_error():
         check_G_properties(null2, bad, 0, z, z)
 
 
-def test_pair_products_order_and_factor_lists():
+def test_pair_blocks_order_and_factor_lists(monkeypatch):
     s, calls = _counting_naturals(operator.mul, n=3)  # window 2, 3, 4
-    double = InvolutiveAutomorphism("double", rule=lambda x: 2 * x)
-    assert list(pair_products(s, (2, 3))) == [(2, 2, 4), (2, 3, 6), (3, 2, 6), (3, 3, 9)]
-    assert calls == [2, 3]  # one list, checked once
-    calls.clear()
-    assert list(pair_products(s, (2, 3), (4,), double)) == [(2, 4, 16), (3, 4, 24)]
-    assert calls == [2, 3, 8]  # the xs, then the sigma-images of the ys
-    calls.clear()
-    assert list(pair_products(s, (2,), sigma=double)) == [(2, 2, 8)]
-    assert calls == [2, 4]
-    with pytest.raises(ValueError, match="domain"):
-        pair_products(s, (2,), (1,))  # checked before the first pair is asked for
+    blocks = pair_blocks(s, (2, 3), (2, 3))
+    assert "_pair_tables" not in vars(s)  # nothing is built before the first block is read
+    (table,) = blocks
+    assert table.products == (4, 6, 9) and table.index.tolist() == [[0, 1], [1, 2]]
+    assert table.start == 0 and calls == []  # the caller checks the factors
+    # above the budget: x-major blocks of whole rows, each with its own
+    # first-seen products, kept by no one
+    monkeypatch.setattr(semigroups, "PAIR_BLOCK_CELLS", 4)
+    blocks = list(pair_blocks(s, (2, 3, 4), (2, 3)))
+    assert [(b.start, b.products, b.index.tolist()) for b in blocks] == [
+        (0, (4, 6, 9), [[0, 1], [1, 2]]), (2, (8, 12), [[0, 1]])]
+    assert list(vars(s)["_pair_tables"]) == [((2, 3), (2, 3))]
+    # a row longer than the budget is a block of its own
+    assert [b.start for b in pair_blocks(s, (2, 3), (2, 3, 4, 5, 6))] == [0, 1]
 
 
 def test_pair_table_products_index_and_dtype():
     s, calls = _counting_naturals(operator.mul, n=3)  # window 2, 3, 4
-    table = pair_table(s, (2, 3), (2, 3, 4))
+    (table,) = pair_blocks(s, (2, 3), (2, 3, 4))
     assert table.products == (4, 6, 8, 9, 12)  # first seen, x-major
     assert table.index.tolist() == [[0, 1, 2], [1, 3, 4]]
     assert table.index.dtype == np.uint8 and not table.index.flags.writeable
     assert calls == []  # the caller checks the factors
-    wide = pair_table(s, tuple(range(2, 30)), tuple(range(2, 30)))
+    (wide,) = pair_blocks(s, tuple(range(2, 30)), tuple(range(2, 30)))
     assert len(wide.products) > 256 and wide.index.dtype == np.uint16
     assert [wide.products[k] for k in wide.index[5]] == [7 * y for y in range(2, 30)]
-    empty = pair_table(s, (), (2, 3))
+    (empty,) = pair_blocks(s, (), (2, 3))
     assert empty.products == () and empty.index.shape == (0, 2)
 
 
 @pytest.mark.parametrize("n, dtype", [(16, np.uint8), (17, np.uint16), (256, np.uint16), (257, np.uint32)])
-def test_pair_table_index_widens_while_filling_and_keeps_every_row(n, dtype):
+def test_pair_table_index_is_narrowed_once_and_keeps_every_row(n, dtype):
     # x*y = 1000x + y: every cell a new product, so the positions outgrow
     # uint8 after 16 rows of 16 and uint16 after 256 rows of 256
     s, _ = _counting_naturals(lambda x, y: 1000 * x + y, n=n)
-    table = pair_table(s, s.elements, s.elements)
+    (table,) = pair_blocks(s, s.elements, s.elements)
     assert table.index.dtype == dtype and not table.index.flags.writeable
     assert table.index.tolist() == [list(range(i * n, (i + 1) * n)) for i in range(n)]
     assert table.products[-1] == 1000 * s.elements[-1] + s.elements[-1]
@@ -384,11 +387,11 @@ def test_pair_table_is_built_once_per_carrier_instance():
         return x * y
 
     s, _ = _counting_naturals(rule, n=4)
-    table = pair_table(s, s.elements, s.elements)
+    (table,) = pair_blocks(s, s.elements, s.elements)
     assert len(products) == 16
-    assert pair_table(s, s.elements, s.elements) is table and len(products) == 16
-    assert pair_table(s, s.elements, (2,)) is not table and len(products) == 20
+    assert next(pair_blocks(s, s.elements, s.elements)) is table and len(products) == 16
+    assert next(pair_blocks(s, s.elements, (2,))) is not table and len(products) == 20
     # an equal carrier (the rules are not compared) has a table of its own
     twin, _ = _counting_naturals(rule, n=4)
-    assert twin == s and pair_table(twin, twin.elements, twin.elements) is not table
-    assert pair_table(BOOL_MULT, (0, 1), (1, 0)).products == (0, 1)
+    assert twin == s and next(pair_blocks(twin, twin.elements, twin.elements)) is not table
+    assert next(pair_blocks(BOOL_MULT, (0, 1), (1, 0))).products == (0, 1)

@@ -22,6 +22,7 @@ KEPT = {
     "compose": "the checked single product; perfbench counts its calls, and CI requires that no scan makes one",
     "conjugate": "complex conjugation of Cyc and ExpPoly values, as complex.conjugate",
     "is_abelian_fn": "the tests' check that constructed pairs of families 2-8 are abelian functions",
+    "error": "the argparse hook that the CLI parser overrides; argparse calls it on a usage error",
 }
 
 
