@@ -34,7 +34,6 @@ from .families import (
 )
 from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
 from .functions import (
-    AdditiveFunction,
     MultiplicativeFunction,
     NullSets,
     ScalarFunction,

@@ -232,10 +232,7 @@ def _criterion_3():
     grid = (0, 1, -1, 2, 1j, 1 - 1j)
     even_params = []
     for a, b in itertools.product(grid, repeat=2):
-        if isinstance(a, complex) or isinstance(b, complex):
-            chi = h3.character("exp", a=a, b=b)
-        else:
-            chi = h3.character("exp", a=int(a), b=int(b))
+        chi = h3.character("exp", a=a, b=b)
         if chi.is_even(flip):
             even_params.append((a, b))
     if even_params != [(0, 0)]:

@@ -122,10 +122,6 @@ def _resolve_character(fx: Fixture, args):
     if fx.name == "heisenberg":
         a = parse_complex(args.a or "1")
         b = parse_complex(args.b or "0")
-        if isinstance(a, float) and a.is_integer():
-            a = int(a)
-        if isinstance(b, float) and b.is_integer():
-            b = int(b)
         return fx.character("exp", a=a, b=b)
     raise UsageError(f"--chi is required for fixture {fx.name}")
 

@@ -31,7 +31,6 @@ from typing import Callable
 
 from .exactnum import VERIFY_TOL, exact_sqrt, is_exact, simplify_scalar, values_equal
 from .functions import (
-    AdditiveFunction,
     MultiplicativeFunction,
     NullSets,
     ScalarFunction,
@@ -99,7 +98,7 @@ def sqrt_branch(z, branch: int = 1):
 class HSpec:
     """Data for the piecewise sine-law solution: additive part and rho values."""
 
-    additive: AdditiveFunction | None = None
+    additive: Callable | None = None  # A on S \ I_chi
     rho: object = None  # dict element -> value | callable | constant scalar
     spec: dict | None = None  # serializable rule for the assembled h, if any
 
@@ -163,7 +162,7 @@ def build_h(
     s: Semigroup,
     sigma: InvolutiveAutomorphism,
     chi: MultiplicativeFunction,
-    additive: AdditiveFunction | None = None,
+    additive: Callable | None = None,
     rho=None,
     predicates=None,
 ) -> ScalarFunction:

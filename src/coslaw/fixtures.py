@@ -11,7 +11,7 @@ Rule-defined fixtures:
 * heisenberg — upper unitriangular 3x3 integer matrices as coordinate
   triples (x, y, z) with (x,y,z)(x',y',z') = (x+x', y+y', z+z'+x*y');
   reflection (x,y,z) -> (-x,-y,z); characters X -> e^(a*x+b*y), evaluated
-  exactly as Laurent monomials in e when a, b are integers.
+  exactly as Laurent monomials in e when a, b are integral.
 * naturals-from-2 — (N \\ {1}, *) on the window [2, upper]; the parity
   character (1 on odds, 0 on evens) has I_chi = evens, P_chi = 2N \\ 4N,
   and the 5-adic valuation is additive on the odd sub-carrier.
@@ -29,7 +29,6 @@ from typing import Callable
 
 from .exactnum import ExpPoly
 from .functions import (
-    AdditiveFunction,
     MultiplicativeFunction,
     ScalarFunction,
     complex_pair,
@@ -84,7 +83,7 @@ class Fixture:
     sigmas: tuple[InvolutiveAutomorphism, ...]
     characters: dict[str, MultiplicativeFunction] = field(default_factory=dict)
     null_predicates: dict[str, NullPredicates] = field(default_factory=dict)
-    additive_rules: dict[str, AdditiveFunction] = field(default_factory=dict)
+    additive_rules: dict[str, Callable] = field(default_factory=dict)
     rules: dict[str, Callable[[dict], ScalarFunction]] = field(default_factory=dict)
     h_specs: dict[tuple[str, str | None], Callable[[object], dict]] = field(default_factory=dict)
     exp: Callable[..., MultiplicativeFunction] | None = None
@@ -136,11 +135,7 @@ def _real_line(points: int = 64) -> Fixture:
         name="real-line",
         carrier=carrier,
         sigmas=(sig_neg, sig_id),
-        additive_rules={
-            "linear": AdditiveFunction(
-                carrier, frozenset(grid), lambda x: x
-            )
-        },
+        additive_rules={"linear": lambda x: x},
         rules={"exp": lambda spec: exp(lam=complex(*spec["lambda"])).fn},
         exp=exp,
     )
@@ -196,32 +191,34 @@ def _heisenberg(bound: int = 3) -> Fixture:
         name="heisenberg",
         carrier=carrier,
         sigmas=(sig_flip, sig_id),
-        additive_rules={
-            "coords": AdditiveFunction(
-                carrier, frozenset(window), lambda t: t[0] + t[1]
-            )
-        },
-        rules={"exp": lambda spec: _decode_heisenberg_exp(exp, spec)},
+        additive_rules={"coords": lambda t: t[0] + t[1]},
+        rules={"exp": lambda spec: exp(a=complex(*spec["a"]), b=complex(*spec["b"])).fn},
         exp=exp,
     )
 
 
+def _integral(z) -> int | None:
+    """z as an int when it is an int, an integral float or a complex with
+    integral real part and imaginary part 0; otherwise None."""
+    if isinstance(z, complex) and z.imag == 0:
+        z = z.real
+    if isinstance(z, float) and z.is_integer():
+        return int(z)
+    return z if isinstance(z, int) else None
+
+
 def _heisenberg_exp(carrier, a, b) -> MultiplicativeFunction:
-    """X -> e^(a*x+b*y); exact Laurent monomials in e for integer a, b."""
-    if isinstance(a, int) and isinstance(b, int):
+    """X -> e^(a*x+b*y); exact Laurent monomials in e when a and b are both
+    integral (see `_integral`), complex floats otherwise."""
+    ints = _integral(a), _integral(b)
+    if None not in ints:
+        a, b = ints
         rule = lambda t: ExpPoly.exp(a * t[0] + b * t[1])  # noqa: E731
     else:
         a, b = complex(a), complex(b)
         rule = lambda t: _exp(a * t[0] + b * t[1])  # noqa: E731
     spec = {"rule": "exp", "a": complex_pair(a), "b": complex_pair(b)}
     return MultiplicativeFunction(fn=ScalarFunction(carrier, rule=rule, spec=spec), name="exp")
-
-
-def _decode_heisenberg_exp(exp, spec) -> ScalarFunction:
-    a, b = complex(*spec["a"]), complex(*spec["b"])
-    if a.imag == 0 and b.imag == 0 and a.real.is_integer() and b.real.is_integer():
-        a, b = int(a.real), int(b.real)
-    return exp(a=a, b=b).fn
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +253,6 @@ def _naturals(upper: int = 65) -> Fixture:
         fn=ScalarFunction(carrier, rule=lambda x: 1, spec={"rule": "one"}),
         name="one",
     )
-    odds = frozenset(x for x in window if x % 2)
     preds = NullPredicates(in_i=lambda x: x % 2 == 0, in_p=lambda x: x % 4 == 2)
     return Fixture(
         name="naturals-from-2",
@@ -264,9 +260,7 @@ def _naturals(upper: int = 65) -> Fixture:
         sigmas=(sig_id,),
         characters={"parity": parity, "one": one},
         null_predicates={"parity": preds},
-        additive_rules={
-            "five-adic": AdditiveFunction(carrier, odds, _five_adic)
-        },
+        additive_rules={"five-adic": _five_adic},
         rules={
             "parity": lambda spec: parity.fn,
             "one": lambda spec: one.fn,

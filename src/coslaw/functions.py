@@ -33,7 +33,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable
 
 from .exactnum import LAURENT_TYPES, VERIFY_TOL, Cyc, pack_scan, packed_pairs_vanish, values_equal
 from .semigroups import (
@@ -530,18 +529,6 @@ def _character_table(s: FiniteSemigroup, perm: tuple[int, ...]) -> CharacterTabl
     )
 
 
-@dataclass(frozen=True)
-class AdditiveFunction:
-    """An additive function on a stated sub-carrier (intended: S \\ I_chi)."""
-
-    carrier: Semigroup = field(compare=False)
-    subset: frozenset = field(compare=False)
-    fn: Callable = field(compare=False)
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
 # ---------------------------------------------------------------------------
 # null sets
 # ---------------------------------------------------------------------------
@@ -572,7 +559,9 @@ def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
     Given the carrier's `escapes` rule, the translate scan builds no row
     upv for an escaping up: every upv is then outside the window, so the
     row could add nothing to P_chi or its translates.  up itself is still
-    checked, and pu still computed.
+    checked, once in each row u where it appears, and pu still computed;
+    the scan remembers only the products up that got a row, those in the
+    window on the naturals from 2, so its memory stays within the window.
     """
     elems = s.checked(s.elements)
     i_chi = _window_zeros(elems, chi)

@@ -6,9 +6,9 @@ window: axioms and universally quantified properties are checked on window
 elements, while composition and function evaluation stay total so products
 may leave the window.
 
-The domain test (an index in range, or the carrier's ``contains_rule``)
-lives in ``checked``, which raises ``IndexError`` or ``ValueError`` for
-the first element outside the carrier.  ``product`` is the bare product
+The domain test is the carrier's ``contains_rule`` (on a finite carrier,
+an index in range).  ``checked`` raises ``IndexError`` or ``ValueError``
+for the first element that fails it.  ``product`` is the bare product
 (a Cayley lookup or ``compose_rule``) and tests nothing.  Window scans go
 through two helpers that take factors checked once per scan, so an
 element is tested once per scan rather than once per product:
@@ -22,15 +22,17 @@ kept by no one.  The budget bounds each table, not their number: every
 distinct factor pair under it stays kept for the carrier's life.
 ``left_rows`` serves the three-factor scans (the null set P_chi and the
 triple scans of ``validate`` and ``is_abelian_fn``), checking each
-distinct product x*y once before it becomes a left factor; given an
+distinct product x*y before it becomes a left factor; given an
 ``escapes`` rule (``null_sets`` passes the carrier's), it builds no row
-for a product the rule puts beyond the window.  ``compose`` is the single-product
-convenience: ``checked`` on both arguments, then ``product``.
+for a product the rule puts beyond the window.  Finite and rule carriers
+take the same scans.  ``compose`` is the single-product convenience:
+``checked`` on both arguments, then ``product``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -43,17 +45,31 @@ AUTOMORPHISM_ORDER_BOUND = 8
 TRIPLE_SAMPLE_CAP = 64  # triple-quantified checks subsample large windows
 
 
+def _table_cell(v) -> int:
+    """A Cayley table cell as an int; ValueError if it is not an integer."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"Cayley table entry is not an integer: {v!r}") from None
+
+
 @dataclass(frozen=True)
 class FiniteSemigroup:
-    """Order-n carrier with an n x n Cayley table (entry [x][y] = index of xy)."""
+    """Order-n carrier with an n x n Cayley table (entry [x][y] = index of xy).
+
+    Each cell is taken as an int by `operator.index` (numpy integers too);
+    a cell that is not an integer raises ValueError, as a table that is not
+    square does.  `validate` reports a cell out of range.
+    """
 
     cayley: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         n = len(self.cayley)
-        object.__setattr__(self, "cayley", tuple(tuple(row) for row in self.cayley))
-        if any(len(row) != n for row in self.cayley):
+        rows = tuple(tuple(row) for row in self.cayley)
+        if any(len(row) != n for row in rows):
             raise ValueError("Cayley table must be square")
+        object.__setattr__(self, "cayley", tuple(tuple(map(_table_cell, row)) for row in rows))
 
     @property
     def order(self) -> int:
@@ -71,12 +87,16 @@ class FiniteSemigroup:
     is_finite = True
     escapes = None  # every product is in the window
 
+    def contains_rule(self, x) -> bool:
+        """Membership: x is an index in range."""
+        return 0 <= x < self.order
+
     def checked(self, xs) -> tuple:
-        """`xs` as a tuple; IndexError if an element is not an index in range."""
+        """`xs` as a tuple; IndexError if an element fails `contains_rule`."""
         xs = tuple(xs)
-        n = self.order
+        contains = self.contains_rule
         for x in xs:
-            if not 0 <= x < n:
+            if not contains(x):
                 raise IndexError(f"element index out of range: {x!r}")
         return xs
 
@@ -222,8 +242,11 @@ def left_rows(s: Semigroup, xs, ys=None, escapes=None) -> Iterator[tuple]:
     when an `escapes` rule is given: such a p gets no row.
 
     `checked` runs once on each factor list before the first x (`ys`
-    defaults to `xs`, which is then checked once), and once on each
-    distinct product x*y over the whole scan, before it is a left factor.
+    defaults to `xs`, which is then checked once), and on each distinct
+    product x*y of a row that has not had a row yet, before it is a left
+    factor.  The scan remembers only the products that got a row (on the
+    naturals from 2, those in the window), so an escaping product is
+    checked again in each row where it appears.
     One x's rows are built when it is reached, so a caller holds one left
     factor's rows at a time.  The products x*y are computed here even
     where a caller already has them.  Factors and products that passed the
@@ -236,45 +259,39 @@ def left_rows(s: Semigroup, xs, ys=None, escapes=None) -> Iterator[tuple]:
     for x in xs:
         xys = list(map(product, itertools.repeat(x), ys))
         distinct = dict.fromkeys(xys)
-        seen.update(s.checked(p for p in distinct if p not in seen))
-        rowed = distinct if escapes is None else itertools.filterfalse(escapes, distinct)
+        s.checked(p for p in distinct if p not in seen)
+        rowed = distinct if escapes is None else [p for p in distinct if not escapes(p)]
+        seen.update(rowed)
         yield x, xys, {p: list(map(product, itertools.repeat(p), xs)) for p in rowed}
 
 
 def triple_sample(s: Semigroup) -> tuple:
-    """Deterministic element subsample for triple-quantified window checks."""
+    """Elements for triple-quantified checks: every element of a finite
+    carrier, and a deterministic subsample of a window of more than
+    TRIPLE_SAMPLE_CAP elements."""
     elems = s.elements
-    if len(elems) <= TRIPLE_SAMPLE_CAP:
+    if s.is_finite or len(elems) <= TRIPLE_SAMPLE_CAP:
         return tuple(elems)
     step = -(-len(elems) // TRIPLE_SAMPLE_CAP)
     return tuple(elems[::step])
 
 
 def validate(s: Semigroup) -> list[tuple]:
-    """Closure/associativity violations on all checked triples; empty iff valid.
+    """Closure/associativity violations, x-major; empty iff none was found.
 
     Violations are data, not errors: ("closure", x, y) entries flag products
-    outside the carrier (table values, or window products that fail the
-    domain test), ("associativity", x, y, z) entries name a triple with
-    (xy)z != x(yz).  Any closure entry ends the check before associativity.
-    A window element outside a rule carrier's domain raises ValueError, and
-    a rule that raises propagates, as in every window scan: each window
-    element is tested once, and each distinct product of a pair block once.
+    xy that fail the carrier's `contains_rule` (a table cell out of range,
+    or a window product outside a rule carrier's domain), and
+    ("associativity", x, y, z) entries name a triple with (xy)z != x(yz).
+    Closure is checked on every pair of elements; associativity on every
+    triple of a finite carrier and on the triples of `triple_sample`'s
+    TRIPLE_SAMPLE_CAP elements of a larger window.  Any closure entry ends
+    the check before associativity.  A window element outside a rule
+    carrier's domain raises ValueError, and a rule that raises propagates,
+    as in every window scan: each element is tested once, and each distinct
+    product of a pair block once.
     """
     report: list[tuple] = []
-    if s.is_finite:
-        n = s.order
-        for x in range(n):
-            for y in range(n):
-                v = s.cayley[x][y]
-                if not isinstance(v, int) or not 0 <= v < n:
-                    report.append(("closure", x, y))
-        if report:
-            return report
-        for x, y, z in itertools.product(range(n), repeat=3):
-            if s.cayley[s.cayley[x][y]][z] != s.cayley[x][s.cayley[y][z]]:
-                report.append(("associativity", x, y, z))
-        return report
     elems, contains = s.checked(s.elements), s.contains_rule
     for t in pair_blocks(s, elems, elems):
         outside = {k for k, p in enumerate(t.products) if not contains(p)}

@@ -154,6 +154,18 @@ def test_float_and_complex_nodes_keep_the_expressions_bits():
     assert not cmath.isnan(plain(1.0)) and cmath.isnan((p.scale(1) + q)(1.0))
 
 
+def test_an_integral_float_or_real_complex_heisenberg_exp_is_exact():
+    h = get_fixture("heisenberg", window=1)
+    exact = h.character("exp", a=1, b=2).fn
+    same = h.character("exp", a=1.0, b=2 + 0j).fn
+    assert same.spec == exact.spec
+    for t in h.carrier.elements:
+        assert isinstance(same(t), ExpPoly) and same(t) == exact(t)
+    # not integral: complex floats
+    assert isinstance(h.character("exp", a=1.5, b=2).fn((1, 0, 0)), complex)
+    assert isinstance(h.character("exp", a=1, b=2 + 1j).fn((1, 0, 0)), complex)
+
+
 def test_an_exact_family8_pair_is_one_node_over_two_bases():
     h = get_fixture("heisenberg", window=1)
     flip = h.sigma("flip")

@@ -137,6 +137,77 @@ def test_validate_rejects_a_window_element_outside_the_domain():
         validate(nat)
 
 
+def _finite_validate(cayley):
+    """The finite-table check that `validate` kept apart from the pair and
+    triple scans before they served every carrier: a closure pass over
+    the n^2 cells, then, if it found nothing, an associativity pass over
+    the n^3 triples.  The reference for the shared scans."""
+    report = []
+    n = len(cayley)
+    for x in range(n):
+        for y in range(n):
+            v = cayley[x][y]
+            if not isinstance(v, int) or not 0 <= v < n:
+                report.append(("closure", x, y))
+    if report:
+        return report
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if cayley[cayley[x][y]][z] != cayley[x][cayley[y][z]]:
+            report.append(("associativity", x, y, z))
+    return report
+
+
+def _small_tables():
+    """Every 1- and 2-element table with entries in 0..n, then seeded random
+    3-5-element tables: half in range, half with cells in -1..n."""
+    for n in (1, 2):
+        for cells in itertools.product(range(n + 1), repeat=n * n):
+            yield [cells[i:i + n] for i in range(0, n * n, n)]
+    rng = np.random.default_rng(22)
+    for k in range(400):
+        n = int(rng.integers(3, 6))
+        low, high = (0, n) if k % 2 else (-1, n + 1)
+        yield rng.integers(low, high, size=(n, n)).tolist()
+
+
+def test_validate_matches_the_finite_reference_entry_for_entry():
+    kinds = set()
+    for cayley in _small_tables():
+        s = FiniteSemigroup(cayley=cayley)
+        report = validate(s)
+        assert report == _finite_validate(s.cayley), cayley
+        kinds.add(report[0][0] if report else "valid")
+    assert kinds == {"closure", "associativity", "valid"}
+
+
+def test_validate_checks_every_triple_of_a_table_above_the_sample_cap():
+    n = 70
+    cayley = [[0] * n for _ in range(n)]
+    cayley[69][1] = 1  # (69*69)*1 = 0*1 = 0, but 69*(69*1) = 69*1 = 1
+    s = FiniteSemigroup(cayley=cayley)
+    assert validate(s) == _finite_validate(s.cayley) == [("associativity", 69, 69, 1)]
+    # the same table as a window is sampled, and the sample skips 69 and 1
+    window = ProceduralSemigroup("table", s.elements, compose_rule=s.product,
+                                 contains_rule=s.contains_rule)
+    sample = semigroups.triple_sample(window)
+    assert len(sample) <= semigroups.TRIPLE_SAMPLE_CAP and 69 not in sample
+    assert validate(window) == []
+
+
+@pytest.mark.parametrize("cell", [1.0, "1", None, 1 + 0j])
+def test_a_table_cell_that_is_not_an_integer_is_rejected(cell):
+    with pytest.raises(ValueError, match="not an integer"):
+        FiniteSemigroup(cayley=((0, cell), (1, 0)))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int32])
+def test_numpy_integer_table_cells_are_taken_as_ints(dtype):
+    s = FiniteSemigroup(cayley=np.array([[0, 1], [1, 0]], dtype=dtype))
+    assert s.cayley == ((0, 1), (1, 0))
+    assert all(type(v) is int for row in s.cayley for v in row)
+    assert validate(s) == []
+
+
 def test_product_set_naturals_is_composites():
     nat = get_fixture("naturals-from-2", window=50)
     s2 = product_set(nat.carrier, nat.carrier.elements)
