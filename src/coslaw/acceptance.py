@@ -310,7 +310,26 @@ def _criterion_4():
 # ---------------------------------------------------------------------------
 
 
-def _random_descriptor(fx: Fixture, sigma, rng) -> tuple[FamilyDescriptor, object] | None:
+def _finite_combos() -> list:
+    """(fixture, sigma) for every finite fixture and each of its sigmas."""
+    return [(fx, sigma) for fx in map(get_fixture, FINITE_FIXTURES) for sigma in fx.sigmas]
+
+
+def _random_solutions(combos: list, rng):
+    """(fixture, sigma, descriptor, pair) without end: a random (fixture,
+    sigma) of `combos`, a `_random_descriptor` on it and its constructed
+    pair, skipping descriptors that `construct` refuses."""
+    while True:
+        fx, sigma = combos[int(rng.integers(len(combos)))]
+        d, free = _random_descriptor(fx, sigma, rng)
+        try:
+            pair = construct(fx.carrier, sigma, d, free_f=free)
+        except InvalidDescriptor:
+            continue
+        yield fx, sigma, d, pair
+
+
+def _random_descriptor(fx: Fixture, sigma, rng) -> tuple[FamilyDescriptor, object]:
     s = fx.carrier
     table = character_table(s, sigma)
     evens, twisted = table.even, table.twisted
@@ -361,11 +380,7 @@ def _random_descriptor(fx: Fixture, sigma, rng) -> tuple[FamilyDescriptor, objec
 def _criterion_5():
     rng = np.random.default_rng(20240815)
     counterexamples = 0
-    solutions = 0
-    combos = []
-    for name in FINITE_FIXTURES:
-        fx = get_fixture(name)
-        combos += [(fx, sigma) for sigma in fx.sigmas]
+    combos = _finite_combos()
     # pchi lemma across every fixture / sigma / non-zero character
     for fx, sigma in combos:
         for chi in enumerate_multiplicative(fx.carrier):
@@ -374,17 +389,8 @@ def _criterion_5():
             rep = check_pchi_lemma(fx.carrier, sigma, chi)
             if not rep.ok:
                 counterexamples += 1
-    while solutions < 1000:
-        fx, sigma = combos[int(rng.integers(len(combos)))]
-        made = _random_descriptor(fx, sigma, rng)
-        if made is None:
-            continue
-        d, free = made
-        try:
-            pair = construct(fx.carrier, sigma, d, free_f=free)
-        except InvalidDescriptor:
-            continue
-        solutions += 1
+    solutions = 1000
+    for fx, sigma, d, pair in itertools.islice(_random_solutions(combos, rng), solutions):
         rep = check_G_properties(fx.carrier, sigma, d.alpha, pair.g, pair.f, tol=1e-7)
         if not rep.ok:
             counterexamples += 1
@@ -464,22 +470,8 @@ def _criterion_7():
 
 def _criterion_8():
     rng = np.random.default_rng(7)
-    combos = []
-    for name in FINITE_FIXTURES:
-        fx = get_fixture(name)
-        combos += [(fx, sigma) for sigma in fx.sigmas]
     worst = 0.0
-    done = 0
-    while done < 500:
-        fx, sigma = combos[int(rng.integers(len(combos)))]
-        made = _random_descriptor(fx, sigma, rng)
-        if made is None:
-            continue
-        d, free = made
-        try:
-            pair = construct(fx.carrier, sigma, d, free_f=free)
-        except InvalidDescriptor:
-            continue
+    for fx, sigma, d, pair in itertools.islice(_random_solutions(_finite_combos(), rng), 500):
         result = classify(fx.carrier, sigma, d.alpha, pair.g, pair.f)
         if not result.classified:
             return False, f"unclassified construct: {fx.name}/{sigma.name}/family{d.family}"
@@ -491,7 +483,6 @@ def _criterion_8():
                 f"round trip off by {m:.2e} on {fx.name}/family{d.family} -> "
                 f"{result.family_tag}"
             )
-        done += 1
     return True, f"500 descriptors, worst reconstruction {worst:.2e} (tol 1e-7)"
 
 

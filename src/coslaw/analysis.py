@@ -49,7 +49,7 @@ from .functions import (
     odd_part,
     packed_law_holds,
 )
-from .semigroups import InvolutiveAutomorphism, Semigroup, pair_blocks, triple_sample
+from .semigroups import InvolutiveAutomorphism, Semigroup, left_rows, pair_blocks, triple_sample
 
 MATCH_TOL = 1e-7  # looser than the verifier to absorb linear-solve conditioning
 
@@ -277,12 +277,16 @@ def check_G_properties(
             for j, k in enumerate(row):
                 if not values_equal(G(t.products[k]), G(s.product(elems[j], sig[i])), tol):
                     cx["symmetry"].append((elems[i], elems[j]))
-    elems = s.checked(triple_sample(s))
-    # each product once, in first-seen order
-    products = dict.fromkeys(itertools.chain.from_iterable(
-        t.products for t in pair_blocks(s, elems, elems)))
-    triple_products = dict.fromkeys(itertools.chain.from_iterable(
-        t.products for t in pair_blocks(s, s.checked(products), elems)))
+    elems = triple_sample(s)
+    # each product xy and xyz once, in first-seen order: xyz row-major over
+    # the products xy, as a product's row is taken when it is first seen
+    products: dict = {}
+    triple_products: dict = {}
+    for _, xys, rows in left_rows(s, elems):
+        for p in xys:
+            if p not in products:
+                products[p] = None
+                triple_products.update(dict.fromkeys(rows[p]))
     for t in triple_products:
         if not values_equal(G(t), G(sigma(t)), tol):
             cx["sigma_on_triples"].append(t)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -29,12 +30,8 @@ from .families import (
     function_vanishing_on_products,
 )
 from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
-from .functions import ScalarFunction, enumerate_multiplicative, null_sets
-from .semigroups import (
-    enumerate_involutive_automorphisms,
-    product_set,
-    validate,
-)
+from .functions import ScalarFunction, null_sets
+from .semigroups import product_set, validate
 from .serialize import (
     ParseError,
     load_function,
@@ -154,21 +151,15 @@ def _cmd_validate(args) -> int:
 
 def _cmd_automorphisms(args) -> int:
     fx = _fixture(args.fixture, window=args.window)
-    if fx.carrier.is_finite:
-        autos = enumerate_involutive_automorphisms(fx.carrier)
-        for a in autos:
-            alias = next((s.name for s in fx.sigmas if s.perm == a.perm), a.name)
-            print(f"{alias}: {' '.join(map(str, a.perm))}")
-    else:
-        for s in fx.sigmas:
-            print(s.name)
+    for s in fx.sigmas:
+        print(f"{s.name}: {' '.join(map(str, s.perm))}" if fx.carrier.is_finite else s.name)
     return 0
 
 
 def _cmd_characters(args) -> int:
     fx = _fixture(args.fixture, window=args.window)
     if fx.carrier.is_finite:
-        for c in enumerate_multiplicative(fx.carrier):
+        for c in fx.characters.values():
             vals = " ".join(json.dumps(scalar_to_json(c(x))) for x in fx.carrier.elements)
             flag = "  (zero)" if c.is_zero else ""
             print(f"{c.name}: {vals}{flag}")
@@ -264,6 +255,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     fx, sigma, pair = load_pair(args.pair)
     alpha = parse_complex(args.alpha, exact=args.exact) if args.alpha else pair.alpha
     rep = residual(fx.carrier, sigma, alpha, pair.g, pair.f)

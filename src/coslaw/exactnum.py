@@ -444,15 +444,17 @@ class ExpPoly:
             return ExpPoly.const(v)
         return None
 
-    def __add__(self, other):
+    def _merge(self, other, op):
+        """op(self, other) for op `operator.add` or `operator.sub`, term by
+        term; a complex for a float or complex other."""
         o = ExpPoly._coerce(other)
         if o is None:
             if isinstance(other, (float, complex)):
-                return complex(self) + other
+                return op(complex(self), other)
             return NotImplemented
         t = dict(self.terms)
         for k, c in o.terms.items():
-            v = t.get(k, 0) + c
+            v = op(t.get(k, 0), c)
             if v:
                 t[k] = v
             else:
@@ -460,6 +462,9 @@ class ExpPoly:
         out = ExpPoly.__new__(ExpPoly)
         out.terms = t
         return out
+
+    def __add__(self, other):
+        return self._merge(other, operator.add)
 
     __radd__ = __add__
 
@@ -469,21 +474,7 @@ class ExpPoly:
         return out
 
     def __sub__(self, other):
-        o = ExpPoly._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) - other
-            return NotImplemented
-        t = dict(self.terms)
-        for k, c in o.terms.items():
-            v = t.get(k, 0) - c
-            if v:
-                t[k] = v
-            else:
-                t.pop(k, None)
-        out = ExpPoly.__new__(ExpPoly)
-        out.terms = t
-        return out
+        return self._merge(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other

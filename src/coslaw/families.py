@@ -54,9 +54,7 @@ class ConditionViolation(ValueError):
 
 
 def _eq(a, b) -> bool:
-    if is_exact(a) and is_exact(b):
-        return values_equal(a, b)
-    return abs(complex(a) - complex(b)) <= 1e-12
+    return values_equal(a, b, 1e-12)
 
 
 HALF = Fraction(1, 2)
@@ -99,7 +97,7 @@ class HSpec:
     """Data for the piecewise sine-law solution: additive part and rho values."""
 
     additive: Callable | None = None  # A on S \ I_chi
-    rho: object = None  # dict element -> value | callable | constant scalar
+    rho: object = None  # callable | constant scalar
     spec: dict | None = None  # serializable rule for the assembled h, if any
 
 
@@ -158,6 +156,18 @@ def function_vanishing_on_products(
 # ---------------------------------------------------------------------------
 
 
+def piecewise_h(chi: Callable, additive: Callable | None, rho: Callable, in_i, in_p) -> Callable:
+    """The rule x -> chi(x)*A(x) off I_chi (0 without A), rho(x) on P_chi
+    and 0 between, with `in_i` and `in_p` the membership tests."""
+
+    def h(x):
+        if not in_i(x):
+            return chi(x) * (additive(x) if additive is not None else 0)
+        return rho(x) if in_p(x) else 0
+
+    return h
+
+
 def build_h(
     s: Semigroup,
     sigma: InvolutiveAutomorphism,
@@ -177,20 +187,13 @@ def build_h(
 
     `predicates` supplies exact membership rules for evaluation beyond the
     window of a procedural carrier (fixtures ship them where the null sets
-    are non-trivial).
+    are non-trivial).  A procedural h that is identically 0 (no additive
+    part, and no rho or a P_chi empty everywhere) has the const-zero spec.
     """
     ns = null_sets(s, sigma, chi)
     in_i, in_p = _membership(s, ns, predicates)
-    rho_fn = _as_rho(rho)
-
-    def h_rule(x):
-        if not in_i(x):
-            a = additive(x) if additive is not None else 0
-            return chi(x) * a
-        if in_p(x):
-            return rho_fn(x)
-        return 0
-
+    const = 0 if rho is None else rho
+    rho_fn = rho if callable(rho) else lambda x: const
     units = [u for u in s.elements if u not in ns.i_chi]
 
     if additive is not None:
@@ -206,7 +209,9 @@ def build_h(
     _check_condition_i(ns, chi, rho_fn, in_p)
     # memoised, as the checks below and the procedural result evaluate it
     # at the same points again
-    h = ScalarFunction(s, rule=h_rule)
+    zero = additive is None and (rho is None or in_p is _nowhere)
+    h = ScalarFunction(s, rule=piecewise_h(chi, additive, rho_fn, in_i, in_p),
+                       spec={"rule": "const", "value": [0.0, 0.0]} if zero else None)
     _check_condition_ii(s, ns, h, units)
 
     bad = _sine_law_failure(s, h, chi)
@@ -238,20 +243,14 @@ def _membership(s: Semigroup, ns: NullSets, predicates) -> tuple[Callable, Calla
         return predicates.in_i, predicates.in_p
     if not ns.i_chi:
         # chi has no window zeros; treat I_chi as empty everywhere
-        return (lambda x: False), (lambda x: False)
+        return _nowhere, _nowhere
     raise ValueError(
         "procedural carrier with non-trivial null sets needs membership predicates"
     )
 
 
-def _as_rho(rho) -> Callable:
-    if rho is None:
-        return lambda x: 0
-    if callable(rho):
-        return rho
-    if isinstance(rho, dict):
-        return lambda x: rho[x]
-    return lambda x: rho  # constant
+def _nowhere(x) -> bool:
+    return False
 
 
 def _check_condition_i(ns, chi, rho_fn, in_p):
@@ -412,8 +411,6 @@ def _family7(s, sigma, d, free, predicates):
         h = build_h(s, sigma, d.chi, additive=spec.additive, rho=spec.rho, predicates=predicates)
         if spec.spec is not None:
             h.spec = spec.spec
-        elif spec.additive is None and spec.rho is None:
-            h.spec = {"rule": "const", "value": [0.0, 0.0]}
     chi = d.chi.fn
     f = chi.scale(d.alpha) + h
     g = chi + h.scale(d.branch)

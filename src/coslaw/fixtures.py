@@ -28,6 +28,7 @@ from math import pi
 from typing import Callable
 
 from .exactnum import ExpPoly
+from .families import piecewise_h
 from .functions import (
     MultiplicativeFunction,
     ScalarFunction,
@@ -234,6 +235,10 @@ def _five_adic(x: int) -> int:
     return k
 
 
+def _parity(x: int) -> int:
+    return x % 2
+
+
 def _naturals(upper: int = 65) -> Fixture:
     window = tuple(range(2, upper + 1))
     carrier = ProceduralSemigroup(
@@ -246,7 +251,7 @@ def _naturals(upper: int = 65) -> Fixture:
     )
     sig_id = InvolutiveAutomorphism("id", rule=lambda x: x)
     parity = MultiplicativeFunction(
-        fn=ScalarFunction(carrier, rule=lambda x: x % 2, spec={"rule": "parity"}),
+        fn=ScalarFunction(carrier, rule=_parity, spec={"rule": "parity"}),
         name="parity",
     )
     one = MultiplicativeFunction(
@@ -283,19 +288,14 @@ def _h_piecewise_spec(rho) -> dict:
 
 
 def _h_piecewise(carrier, preds: NullPredicates, spec: dict) -> ScalarFunction:
-    """The five-adic valuation off I_chi (0 when "additive" is null), c on
-    P_chi and 0 between."""
+    """`piecewise_h` with the parity rule as chi, the five-adic valuation as
+    A (none when "additive" is null) and rho = c."""
     c = complex(*spec["c"])
     if spec.get("additive") is not None:
         raise ValueError('h-piecewise "additive" must be null when present')
-    five_adic = "additive" not in spec
-
-    def h(x):
-        if not preds.in_i(x):
-            return _five_adic(x) if five_adic else 0
-        return c if preds.in_p(x) else 0
-
-    return ScalarFunction(carrier, rule=h, spec=spec)
+    additive = _five_adic if "additive" not in spec else None
+    rule = piecewise_h(_parity, additive, lambda x: c, preds.in_i, preds.in_p)
+    return ScalarFunction(carrier, rule=rule, spec=spec)
 
 
 # ---------------------------------------------------------------------------

@@ -324,11 +324,11 @@ class MultiplicativeFunction:
 
     def is_even(self, sigma: InvolutiveAutomorphism) -> bool:
         """chi o sigma = chi: read off the phases under a permutation sigma,
-        otherwise compared value by value with the star image."""
+        otherwise `is_even` of the values."""
         phases, perm = self.phases, sigma.perm
         if phases is not None and perm is not None:
             return all(phases[perm[x]] == t for x, t in enumerate(phases))
-        return self.same_as(self.star(sigma))
+        return is_even(self.fn, sigma)
 
     def same_as(self, other: "MultiplicativeFunction") -> bool:
         if self.phases is not None and other.phases is not None:

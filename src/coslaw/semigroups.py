@@ -21,7 +21,8 @@ block, kept on the carrier, and a larger one is built block by block and
 kept by no one.  The budget bounds each table, not their number: every
 distinct factor pair under it stays kept for the carrier's life.
 ``left_rows`` serves the three-factor scans (the null set P_chi and the
-triple scans of ``validate`` and ``is_abelian_fn``), checking each
+triple scans of ``validate``, ``is_abelian_fn`` and the G-identities of
+solutions), checking each
 distinct product x*y before it becomes a left factor; given an
 ``escapes`` rule (``null_sets`` passes the carrier's), it builds no row
 for a product the rule puts beyond the window.  Finite and rule carriers
@@ -301,12 +302,16 @@ def validate(s: Semigroup) -> list[tuple]:
     if report:
         return report
     elems, product = triple_sample(s), s.product
-    yz = {(y, z): product(y, z) for y in elems for z in elems}  # in the carrier: checked above
+    # the rows y*z, in the carrier (checked above); on a finite carrier the
+    # closure scan's kept table
+    yz = [list(map(t.products.__getitem__, row))
+          for t in pair_blocks(s, elems, elems) for row in t.index.tolist()]
     for x, xys, rows in left_rows(s, elems):
-        for y, p in zip(elems, xys):
-            for z, pz in zip(elems, rows[p]):
-                if not s.same_element(pz, product(x, yz[y, z])):
-                    report.append(("associativity", x, y, z))
+        for y, p, row in zip(elems, xys, yz):
+            x_yz = list(map(product, itertools.repeat(x), row))
+            if rows[p] != x_yz:
+                report.extend(("associativity", x, y, z) for z, a, b in zip(elems, rows[p], x_yz)
+                              if not s.same_element(a, b))
     return report
 
 

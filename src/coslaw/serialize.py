@@ -1,4 +1,5 @@
-"""Flat-file formats: semigroup tables, function/pair JSON, solution JSONL.
+"""Flat-file formats: semigroup tables and function/pair JSON (the solution
+JSONL is written by `solver.SolutionSet.to_json_lines`).
 
 Semigroup text format (UTF-8, ``#`` starts a comment):
 
@@ -21,7 +22,8 @@ generic rules work on every fixture and nest to any depth:
     combo    {"terms": [{"coef": z, "fn": spec}, ...]}   sum of coef * fn
     star     {"sigma": name, "fn": spec}          fn o sigma
     support  {"points": [[x, z], ...]}            z at each listed x, 0 elsewhere
-                                                  (an element x that is a
+                                                  (each x a carrier element,
+                                                  in the window or not; a
                                                   tuple is written as a list)
 
 The named rules belong to one fixture each and are decoded by that
@@ -65,8 +67,9 @@ class ParseError(ValueError):
 
 
 # what malformed JSON content raises while it is decoded: ZeroDivisionError
-# for a "1/0" fraction string, OverflowError for an integer beyond float range
-_DECODE_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
+# for a "1/0" fraction string, OverflowError for an integer beyond float range,
+# IndexError for a support point out of a finite carrier's range
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, IndexError)
 
 
 def _reason(e: Exception) -> str:
@@ -206,6 +209,7 @@ def function_from_json(fx: Fixture, data) -> ScalarFunction:
         return star(function_from_json(fx, data["fn"]), fx.sigma(data["sigma"]))
     if rule == "support":
         table = {_element_from_json(x): scalar_from_json(v) for x, v in data["points"]}
+        fx.carrier.checked(table)
         return function_vanishing_on_products(fx.carrier, table)
     if rule not in fx.rules:
         raise ParseError(f"unknown function rule {rule!r} for fixture {fx.name}")

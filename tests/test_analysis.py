@@ -457,6 +457,22 @@ def test_g_properties_on_procedural_family8(name, window, params, alpha):
     assert check_G_properties(s, sig, alpha, pair.g, pair.f).ok
 
 
+@pytest.mark.parametrize("name, window, sigma, chi", [
+    ("c3", None, "inv", {}),
+    ("heisenberg", 2, "flip", {"a": 1, "b": 2}),
+], ids=["c3", "heisenberg"])
+def test_g_properties_keeps_no_pair_table_but_the_residuals(name, window, sigma, chi):
+    # the products xy and xyz come from one left_rows pass, which keeps nothing
+    fx = get_fixture(name, window=window)
+    s, sig = fx.carrier, fx.sigma(sigma)
+    chi = fx.character("exp", **chi) if chi else fx.characters["chi2"]
+    pair = construct(s, sig, FamilyDescriptor(8, 3, chi=chi))
+    vars(s).pop("_pair_tables", None)
+    assert check_G_properties(s, sig, 3, pair.g, pair.f).ok
+    elems = s.checked(s.elements)
+    assert list(vars(s)["_pair_tables"]) == [(elems, s.checked(map(sig, elems)))]
+
+
 def test_g_properties_flags_non_solution():
     fx = get_fixture("c2")
     s = fx.carrier

@@ -96,6 +96,44 @@ def test_automorphisms_c3(capsys):
     assert "id: 0 1 2" in out and "inv: 0 2 1" in out
 
 
+_AUTOMORPHISMS_STDOUT = {
+    "c2": "id: 0 1\n",
+    "c3": "id: 0 1 2\ninv: 0 2 1\n",
+    "leftzero2": "id: 0 1\nswap: 1 0\n",
+    "null3": "id: 0 1 2\nswap: 0 2 1\n",
+    "bool-mult": "id: 0 1\n",
+    "real-line": "neg\nid\n",
+    "heisenberg": "flip\nid\n",
+    "naturals-from-2": "id\n",
+}
+_EXP = "exp (parametrized: --lambda / --a --b)\n"
+_CHARACTERS_STDOUT = {
+    "c2": 'chi0: ["0", "0"] ["0", "0"]  (zero)\nchi1: ["1", "0"] ["1", "0"]\n'
+          'chi2: ["1", "0"] ["-1", "0"]\n',
+    "c3": 'chi0: ["0", "0"] ["0", "0"] ["0", "0"]  (zero)\nchi1: ["1", "0"] ["1", "0"] ["1", "0"]\n'
+          'chi2: ["1", "0"] [-0.4999999999999998, 0.8660254037844387]'
+          ' [-0.5000000000000002, -0.8660254037844387]\n'
+          'chi3: ["1", "0"] [-0.5000000000000002, -0.8660254037844387]'
+          ' [-0.4999999999999998, 0.8660254037844387]\n',
+    "leftzero2": 'chi0: ["0", "0"] ["0", "0"]  (zero)\nchi1: ["1", "0"] ["1", "0"]\n',
+    "null3": 'chi0: ["0", "0"] ["0", "0"] ["0", "0"]  (zero)\nchi1: ["1", "0"] ["1", "0"] ["1", "0"]\n',
+    "bool-mult": 'chi0: ["0", "0"] ["0", "0"]  (zero)\nchi1: ["0", "0"] ["1", "0"]\n'
+                 'chi2: ["1", "0"] ["1", "0"]\n',
+    "real-line": _EXP,
+    "heisenberg": _EXP,
+    "naturals-from-2": "parity\none\n",
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_automorphisms_and_characters_print_the_fixture(capsys, name):
+    # the listings print the fixture's own sigmas and characters, in order
+    assert main(["automorphisms", name]) == 0
+    assert capsys.readouterr().out == _AUTOMORPHISMS_STDOUT[name]
+    assert main(["characters", name]) == 0
+    assert capsys.readouterr().out == _CHARACTERS_STDOUT[name]
+
+
 def test_validate_fixture_and_file(tmp_path, capsys):
     assert main(["validate", "c2"]) == 0
     bad = tmp_path / "bad.sg"
@@ -651,6 +689,68 @@ def test_construct_without_a_serializable_h_fails_before_writing(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("construct failed:") and len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--fixture", "naturals-from-2", "--chi", "one", "--rho-const", "1"],
+    ["--fixture", "heisenberg", "--a", "0", "--b", "0", "--rho-const", "2"],
+], ids=["naturals-one", "heisenberg"])
+def test_a_zero_h_with_a_rho_is_written_and_verifies(tmp_path, capsys, argv):
+    # P_chi is empty everywhere and there is no additive part: h is 0
+    out = tmp_path / "pair.json"
+    assert main(["construct", "--family", "7", *argv, "--alpha", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["f"]["terms"][1]["fn"] == {"rule": "const", "value": [0.0, 0.0]}
+    assert main(["verify", "--pair", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+_ONE = [1.0, 0.0]
+
+
+@pytest.mark.parametrize("fixture, points", [
+    ("real-line", ["a"]),
+    ("naturals-from-2", [1, 2.5, True]),
+    ("naturals-from-2", [2.5]),
+    ("naturals-from-2", [True]),
+    ("c2", [2]),
+], ids=["real-line-str", "naturals-all", "naturals-float", "naturals-bool", "c2-index"])
+def test_support_points_outside_the_carrier_are_parse_errors(tmp_path, capsys, fixture, points):
+    g = {"rule": "support", "points": [[x, _ONE] for x in points]}
+    zero = [[0.0, 0.0]] * 2 if fixture == "c2" else {"rule": "const", "value": [0.0, 0.0]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"fixture": fixture, "sigma": "id", "alpha": [1.0, 0.0],
+                                "g": g, "f": zero}))
+    assert main(["verify", "--pair", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: pair file:") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fixture, point", [("real-line", 10.0), ("naturals-from-2", 67)])
+def test_support_points_beyond_the_window_stay_legal(tmp_path, capsys, fixture, point):
+    # no window product reaches the point, so g = f = its indicator solves family 2
+    g = {"rule": "support", "points": [[point, _ONE]]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"fixture": fixture, "sigma": "id", "alpha": [0.5, 0.0], "g": g, "f": g}))
+    assert main(["verify", "--pair", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_tol_outside_its_range_is_a_usage_error(capsys, tol):
+    assert main(["verify", "--pair", str(DATA / "c3-family8-exact.json"), "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --tol") and len(captured.err.splitlines()) == 1
+
+
+def test_verify_tol_zero_passes_an_exact_pair(tmp_path, capsys):
+    out = tmp_path / "pair.json"
+    assert main(["construct", "--family", "6", "--fixture", "c2", "--chi1", "chi1", "--chi2", "chi2",
+                 "--alpha", "1/2", "--exact", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--pair", str(out), "--tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_residual"] == 0.0
 
 
 # ---------------------------------------------------------------------------

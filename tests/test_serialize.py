@@ -11,6 +11,7 @@ from coslaw.families import (
     FamilyDescriptor,
     HSpec,
     SolutionPair,
+    build_h,
     construct,
     function_vanishing_on_products,
 )
@@ -198,6 +199,25 @@ def test_h_piecewise_without_the_additive_part():
     with pytest.raises(ParseError, match="additive"):
         pair_from_json({"fixture": "naturals-from-2", "sigma": "id", "alpha": [1, 0],
                         "g": {**spec, "additive": "five-adic"}, "f": spec})
+
+
+@pytest.mark.parametrize("c", [F(7, 3), 0.25], ids=["exact", "float"])
+@pytest.mark.parametrize("additive", ["five-adic", None])
+def test_h_piecewise_decodes_to_the_h_build_h_makes(c, additive):
+    """The decoder and `build_h` make h from one rule: the same values of
+    the same types, inside the window and beyond it, for the rho the spec
+    holds."""
+    fx = get_fixture("naturals-from-2", window=40)
+    parity = fx.characters["parity"]
+    spec = fx.h_specs["parity", additive](c)
+    decoded = function_from_json(fx, spec)
+    points = range(2, 400)
+    got = [decoded(x) for x in points]
+    assert not parity.fn._memo  # the decoder reads the raw parity rule
+    built = build_h(fx.carrier, fx.sigma(), parity, additive=fx.additive_rules.get(additive),
+                    rho=complex(*spec["c"]), predicates=fx.null_predicates["parity"])
+    assert [(type(v), v) for v in got] == [(type(built(x)), built(x)) for x in points]
+    assert got[25 - 2] == (2 if additive else 0) and got[6 - 2] == complex(c)
 
 
 def test_unknown_rule_is_parse_error():
