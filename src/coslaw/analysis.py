@@ -77,13 +77,13 @@ class VerificationReport:
 def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> VerificationReport:
     """Worst defect of the equation over all (window) pairs.
 
-    The window elements and their sigma-images pass the carrier's domain
-    test once per scan; each pair then takes the bare product.  The term
-    alpha*f(x sigma(y)) comes from the node `f.scale(alpha)`, whose memo
-    computes alpha * f(p) once per distinct product p (same operations,
-    same order).  The report comes from the first of three paths that
-    applies; each gives the one the loop (the third) would give, bit for
-    bit.
+    The sigma-images pass the carrier's domain test once per scan, the
+    window having passed it when the carrier was built; each pair takes the
+    bare product.  The term alpha*f(x sigma(y)) comes from the node
+    `f.scale(alpha)`, whose memo computes alpha * f(p) once per distinct
+    product p (same operations, same order).  The report comes from the
+    first of three paths that applies; each gives the one the loop (the
+    third) would give, bit for bit.
 
     1. Packed exact test (`_packed_defects_vanish`): when alpha and every
        window value of g and f are ints, Fractions or `ExpPoly`s, g -
@@ -104,7 +104,7 @@ def residual(s: Semigroup, sigma: InvolutiveAutomorphism, alpha, g, f) -> Verifi
        NaN rule: a NaN defect compares false both ways, and the first one
        sticks.
     """
-    elems = s.checked(s.elements)
+    elems = s.elements
     gv = {x: g(x) for x in elems}
     fv = {x: f(x) for x in elems}
     sig = s.checked(sigma(y) for y in elems)
@@ -270,7 +270,7 @@ def check_G_properties(
         return PropertyReport(False, f"not a solution: residual {rep.max_residual:.3e}")
     G = g - f.scale(alpha)
     cx: dict = {"symmetry": [], "sigma_on_triples": [], "parity_L1": [], "parity_L2": []}
-    elems = s.checked(s.elements)
+    elems = s.elements
     sig = s.checked(sigma(y) for y in elems)
     for t in pair_blocks(s, elems, sig):
         for i, row in enumerate(t.index.tolist(), t.start):
@@ -368,7 +368,7 @@ def check_dependence_lemma(
         return PropertyReport(False, "hypothesis fails: beta = 0")
     if g.is_zero(tol):
         return PropertyReport(False, "hypothesis fails: g = 0")
-    elems = s.checked(s.elements)
+    elems = s.elements
     bad = nonzero_product(s, elems, elems, g, tol)
     if bad is not None:
         return PropertyReport(False, f"hypothesis fails: g({elems[bad[0]]}*{elems[bad[1]]}) != 0")

@@ -230,7 +230,7 @@ def _sine_law_failure(s: Semigroup, h, chi) -> tuple | None:
     """First window pair (x, y), with both sides, where h(xy) = h(x)chi(y) +
     chi(x)h(y) fails; None when the sine addition law holds on the window.
     One `law_failure` scan with (a, b, c, d) = (h, chi, chi, h)."""
-    elems = s.checked(s.elements)
+    elems = s.elements
     hw, cw = [h(x) for x in elems], [chi(x) for x in elems]
     bad = law_failure(s, elems, elems, h, hw, cw, cw, hw)
     return bad and (elems[bad[0]], elems[bad[1]], *bad[2:])
@@ -278,7 +278,7 @@ def _check_condition_ii(s, ns, h, units):
     units, where either product is not zero.  Two `nonzero_product` scans
     test the xy and the yx order; only a failure walks the pairs to name
     that (x, y)."""
-    xs, units = s.checked(ns.i_chi - ns.p_chi), s.checked(units)
+    xs, units = tuple(ns.i_chi - ns.p_chi), tuple(units)
     if nonzero_product(s, xs, units, h) is None and nonzero_product(s, units, xs, h) is None:
         return
     x, y = next((x, y) for x in xs for y in units
@@ -338,7 +338,7 @@ def _s2_failure(s: Semigroup, g: ScalarFunction) -> tuple | None:
     """The first window pair (x, y) with g(xy) != 0, products outside the
     window included; None when g vanishes on S^2, as families 2 and 3
     require.  One `nonzero_product` scan."""
-    elems = s.checked(s.elements)
+    elems = s.elements
     bad = nonzero_product(s, elems, elems, g)
     return bad and (elems[bad[0]], elems[bad[1]])
 

@@ -319,12 +319,14 @@ MAX_WINDOW_ELEMENTS = 4096
 def get_fixture(name: str, window: int | None = None) -> Fixture:
     """Resolve a fixture name; `window` is points (real-line), coordinate
     bound (heisenberg) or upper end (naturals-from-2), and is ignored by the
-    finite fixtures.  A window below the fixture's minimum (1 on finite
-    ones), or one of more than MAX_WINDOW_ELEMENTS elements, raises
-    ValueError before any element is built."""
+    finite fixtures.  A window that is not an int, is below the fixture's
+    minimum (1 on finite ones) or has more than MAX_WINDOW_ELEMENTS elements
+    raises ValueError before any element is built."""
     if name not in FINITE_TABLES and name not in _PROCEDURAL:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
     build, default, least, size = _PROCEDURAL.get(name, (None, None, 1, None))
+    if window is not None and type(window) is not int:  # a bool too
+        raise ValueError(f"{name} window must be an integer, got {window!r}")
     if window is not None and window < least:
         raise ValueError(f"{name} window must be at least {least}, got {window}")
     if build is None:

@@ -7,27 +7,23 @@ elements, while composition and function evaluation stay total so products
 may leave the window.
 
 The domain test is the carrier's ``contains_rule`` (on a finite carrier,
-an index in range).  ``checked`` raises ``IndexError`` or ``ValueError``
-for the first element that fails it.  ``product`` is the bare product
-(a Cayley lookup or ``compose_rule``) and tests nothing.  Window scans go
-through two helpers that take factors checked once per scan, so an
-element is tested once per scan rather than once per product:
-``pair_blocks`` serves every two-factor scan (the equation's residual,
-the pairwise laws of ``functions``, T^2, centrality, the closure scan of
-``validate``, automorphism checks and the G-identities of solutions),
-giving the distinct products of each block of rows and each pair's
-position among them; a scan of at most PAIR_BLOCK_CELLS cells is one
-block, kept on the carrier, and a larger one is built block by block and
-kept by no one.  The budget bounds each table, not their number: every
-distinct factor pair under it stays kept for the carrier's life.
-``left_rows`` serves the three-factor scans (the null set P_chi and the
-triple scans of ``validate``, ``is_abelian_fn`` and the G-identities of
-solutions), checking each
-distinct product x*y before it becomes a left factor; given an
-``escapes`` rule (``null_sets`` passes the carrier's), it builds no row
-for a product the rule puts beyond the window.  Finite and rule carriers
-take the same scans.  ``compose`` is the single-product convenience:
-``checked`` on both arguments, then ``product``.
+an integer index in range); ``checked`` raises ``IndexError`` or
+``ValueError`` for the first element that fails it.  A rule carrier
+checks its window once, when it is built, and a finite carrier's window
+is range(order), so no scan tests a window element.  ``product`` is the
+bare product (a Cayley lookup or ``compose_rule``) and tests nothing.
+Window scans go through two helpers with one factor contract: a factor is
+a window element or a sigma-image the scan has checked, and a product is
+checked where it becomes a factor.  ``pair_blocks`` serves every
+two-factor scan (the equation's residual, the pairwise laws of
+``functions``, T^2, centrality, the closure scan of ``validate``,
+automorphism checks and the G-identities of solutions) in row blocks
+under one memory budget.  ``left_rows`` serves the three-factor scans
+(the null set P_chi and the triple scans of ``validate``,
+``is_abelian_fn`` and the G-identities of solutions), checking each
+distinct product x*y before it becomes a left factor.  Finite and rule
+carriers take the same scans.  ``compose`` is the single-product
+convenience: ``checked`` on both arguments, then ``product``.
 """
 
 from __future__ import annotations
@@ -89,8 +85,8 @@ class FiniteSemigroup:
     escapes = None  # every product is in the window
 
     def contains_rule(self, x) -> bool:
-        """Membership: x is an index in range."""
-        return 0 <= x < self.order
+        """Membership: x is an int (numpy integers too, bools not) in range."""
+        return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < self.order
 
     def checked(self, xs) -> tuple:
         """`xs` as a tuple; IndexError if an element fails `contains_rule`."""
@@ -129,6 +125,9 @@ class ProceduralSemigroup:
     contains_rule: Callable = field(compare=False)
     eq_rule: Callable | None = field(default=None, compare=False)
     escapes: Callable | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "window", self.checked(self.window))
 
     @property
     def elements(self) -> tuple:
@@ -242,19 +241,17 @@ def left_rows(s: Semigroup, xs, ys=None, escapes=None) -> Iterator[tuple]:
     running over the distinct products x*y, except those with escapes(p)
     when an `escapes` rule is given: such a p gets no row.
 
-    `checked` runs once on each factor list before the first x (`ys`
-    defaults to `xs`, which is then checked once), and on each distinct
-    product x*y of a row that has not had a row yet, before it is a left
-    factor.  The scan remembers only the products that got a row (on the
-    naturals from 2, those in the window), so an escaping product is
+    `xs` and `ys` (default `xs`) are window elements; `checked` runs on
+    each distinct product x*y that has not had a row yet, before it is a
+    left factor.  The scan remembers only the products that got a row (on
+    the naturals from 2, those in the window), so an escaping product is
     checked again in each row where it appears.
     One x's rows are built when it is reached, so a caller holds one left
     factor's rows at a time.  The products x*y are computed here even
     where a caller already has them.  Factors and products that passed the
     check may be multiplied again with `s.product`.
     """
-    xs = s.checked(xs)
-    ys = xs if ys is None else s.checked(ys)
+    ys = xs if ys is None else ys
     product = s.product
     seen: set = set()
     for x in xs:
@@ -287,13 +284,11 @@ def validate(s: Semigroup) -> list[tuple]:
     Closure is checked on every pair of elements; associativity on every
     triple of a finite carrier and on the triples of `triple_sample`'s
     TRIPLE_SAMPLE_CAP elements of a larger window.  Any closure entry ends
-    the check before associativity.  A window element outside a rule
-    carrier's domain raises ValueError, and a rule that raises propagates,
-    as in every window scan: each element is tested once, and each distinct
-    product of a pair block once.
+    the check before associativity.  Each distinct product of a pair block
+    is tested once; a rule that raises propagates, as in every window scan.
     """
     report: list[tuple] = []
-    elems, contains = s.checked(s.elements), s.contains_rule
+    elems, contains = s.elements, s.contains_rule
     for t in pair_blocks(s, elems, elems):
         outside = {k for k, p in enumerate(t.products) if not contains(p)}
         if outside:
@@ -317,8 +312,8 @@ def validate(s: Semigroup) -> list[tuple]:
 
 def validate_automorphism(s: Semigroup, sigma: InvolutiveAutomorphism) -> list[tuple]:
     """Violations of involutivity / multiplicativity on the window."""
-    report = [("involution", x) for x in s.elements if not s.same_element(sigma(sigma(x)), x)]
-    elems = s.checked(s.elements)
+    elems = s.elements
+    report = [("involution", x) for x in elems if not s.same_element(sigma(sigma(x)), x)]
     images = s.checked(map(sigma, elems))
     for t, ti in zip(pair_blocks(s, elems, elems), pair_blocks(s, images, images)):
         for i, row, irow in zip(itertools.count(t.start), t.index.tolist(), ti.index.tolist()):
@@ -374,7 +369,7 @@ def _perm_name(perm: tuple[int, ...]) -> str:
 
 def is_central(s: Semigroup, f) -> bool:
     """f(xy) = f(yx) for all window pairs."""
-    elems = s.checked(s.elements)
+    elems = s.elements
     return all(
         values_equal(f(t.products[k]), f(s.product(elems[j], elems[i])), VERIFY_TOL)
         for t in pair_blocks(s, elems, elems)

@@ -414,12 +414,12 @@ def test_equal_carriers_with_different_rules_keep_their_own_pair_tables():
 
 
 def test_null_sets_domain_error_on_an_element_outside_the_carrier():
-    # null_sets reads no sigma; the bad element is in the window itself
-    s = _naturals_like(tuple(range(1, 13)))
-    parity = ScalarFunction(s, rule=lambda x: x % 2)
+    # null_sets reads no sigma; the carrier refuses the bad window element
+    # when it is built, before null_sets runs
     ident = InvolutiveAutomorphism("id", rule=lambda x: x)
     with pytest.raises(ValueError, match="domain"):
-        null_sets(s, ident, parity)
+        s = _naturals_like(tuple(range(1, 13)))
+        null_sets(s, ident, ScalarFunction(s, rule=lambda x: x % 2))
 
 
 # ---------------------------------------------------------------------------

@@ -499,6 +499,18 @@ def test_window_above_maximum_is_usage_error(capsys, fixture, window):
     )
 
 
+@pytest.mark.parametrize("fixture", ["heisenberg", "c2"])
+@pytest.mark.parametrize("window", [True, "2", 1.5])
+def test_a_pair_file_window_that_is_not_an_integer_is_a_parse_error(tmp_path, capsys, fixture, window):
+    zero = [[0.0, 0.0]] * 2 if fixture == "c2" else {"rule": "const", "value": [0.0, 0.0]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"fixture": fixture, "sigma": "id", "window": window,
+                                "alpha": [1.0, 0.0], "g": zero, "f": zero}))
+    assert main(["verify", "--pair", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"parse error: pair file: {fixture} window must be an integer, got {window!r}\n")
+
+
 def test_huge_window_is_refused_before_any_element_is_built(tmp_path, capsys):
     # (2*10**8 + 1)**3 Heisenberg elements would exhaust memory
     assert main(["construct", "--family", "8", "--fixture", "heisenberg", "--window", "100000000",
@@ -713,10 +725,15 @@ _ONE = [1.0, 0.0]
     ("naturals-from-2", [2.5]),
     ("naturals-from-2", [True]),
     ("c2", [2]),
-], ids=["real-line-str", "naturals-all", "naturals-float", "naturals-bool", "c2-index"])
+    ("bool-mult", [1.0]),
+    ("bool-mult", [True]),
+    ("c2", ["a"]),
+], ids=["real-line-str", "naturals-all", "naturals-float", "naturals-bool", "c2-index",
+        "bool-mult-float", "bool-mult-bool", "c2-str"])
 def test_support_points_outside_the_carrier_are_parse_errors(tmp_path, capsys, fixture, points):
     g = {"rule": "support", "points": [[x, _ONE] for x in points]}
-    zero = [[0.0, 0.0]] * 2 if fixture == "c2" else {"rule": "const", "value": [0.0, 0.0]}
+    finite = get_fixture(fixture).carrier.is_finite
+    zero = [[0.0, 0.0]] * 2 if finite else {"rule": "const", "value": [0.0, 0.0]}
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"fixture": fixture, "sigma": "id", "alpha": [1.0, 0.0],
                                 "g": g, "f": zero}))
@@ -857,7 +874,7 @@ def _pair_files(draw):
             "g": st.one_of(_functions(fixture, [*sigmas, "bogus"], _BAD_SCALARS),
                            st.sampled_from([None, 3, "f", {}, {"rule": "bogus"},
                                             {"rule": "combo", "terms": []}, [[1.0, 0.0]]])),
-            "window": st.sampled_from([-1, 0, 1, 2.5, "2", None]),
+            "window": st.sampled_from([-1, 0, 1, 2.5, "2", None, True]),
         }
         junk["f"] = junk["g"]
         if draw(st.booleans()):

@@ -1,5 +1,6 @@
 """Carriers: validation, product sets, automorphism enumeration, centrality."""
 
+import dataclasses
 import itertools
 import operator
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coslaw import semigroups
-from coslaw.analysis import check_dependence_lemma, check_G_properties
+from coslaw.analysis import check_dependence_lemma, check_G_properties, residual
 from coslaw.fixtures import get_fixture
 from coslaw.functions import (
     MultiplicativeFunction,
@@ -129,12 +130,12 @@ def test_validate_reports_rule_products_outside_the_domain():
 
 
 def test_validate_rejects_a_window_element_outside_the_domain():
-    nat = ProceduralSemigroup(
-        "naturals", tuple(range(1, 8)), compose_rule=operator.mul,
-        contains_rule=lambda x: isinstance(x, int) and x >= 2,
-    )
-    with pytest.raises(ValueError, match="outside domain of naturals: 1"):
-        validate(nat)
+    # the carrier refuses the window when it is built, before validate runs
+    with pytest.raises(ValueError, match=r"^element outside domain of naturals: 1$"):
+        validate(ProceduralSemigroup(
+            "naturals", tuple(range(1, 8)), compose_rule=operator.mul,
+            contains_rule=lambda x: isinstance(x, int) and x >= 2,
+        ))
 
 
 def _finite_validate(cayley):
@@ -306,22 +307,49 @@ def test_family8_values_abelian_on_c3():
 
 
 # ---------------------------------------------------------------------------
-# pair scans: each factor list passes the domain test once per scan
+# scans: the carrier tests its window once, when it is built; a scan tests
+# only the sigma-images and the products that become factors
 # ---------------------------------------------------------------------------
 
 
-def _counting_naturals(rule, low=2, n=30):
-    """The naturals from 2 under `rule`, windowed to low..low+n-1; `calls`
-    records every domain test."""
+def _counting_domain():
+    """The domain test of the naturals from 2, and `calls`, which records
+    every test."""
     calls = []
 
     def contains(x):
         calls.append(x)
         return isinstance(x, int) and x >= 2
 
-    window = tuple(range(low, low + n))
-    s = ProceduralSemigroup("naturals", window, compose_rule=rule, contains_rule=contains)
+    return contains, calls
+
+
+def _counting_naturals(rule, low=2, n=30):
+    """The naturals from 2 under `rule`, windowed to low..low+n-1; `calls`
+    records every domain test after the carrier is built."""
+    contains, calls = _counting_domain()
+    s = ProceduralSemigroup("naturals", range(low, low + n), compose_rule=rule, contains_rule=contains)
+    calls.clear()
     return s, calls
+
+
+def test_a_carrier_tests_its_window_once_when_it_is_built():
+    contains, calls = _counting_domain()
+    s = ProceduralSemigroup("naturals", range(2, 8), compose_rule=operator.mul, contains_rule=contains)
+    assert s.window == s.elements == (2, 3, 4, 5, 6, 7) and calls == list(s.window)
+    # the first element outside the domain raises the message a scan gave
+    # when each scan tested the window itself
+    with pytest.raises(ValueError, match=r"^element outside domain of naturals: 1$"):
+        ProceduralSemigroup("naturals", (3, 1, 0), compose_rule=operator.mul, contains_rule=contains)
+    with pytest.raises(ValueError, match="outside domain of naturals: 1"):
+        dataclasses.replace(s, window=(1, *s.window))
+
+
+def test_residual_tests_only_the_sigma_images():
+    s, calls = _counting_naturals(operator.mul)
+    one = ScalarFunction(s, rule=lambda x: 1)
+    assert residual(s, ID, 0, one, one.scale(0)).max_residual == 0.0
+    assert calls == list(s.elements)  # one test per sigma-image, none per window element
 
 
 def _fn(s, rule):
@@ -377,10 +405,13 @@ def test_scans_test_each_element_once_per_scan(scan):
 
 @pytest.mark.parametrize("scan", SCANS)
 def test_scans_reject_a_window_element_outside_the_carrier(scan):
+    # the carrier refuses the window when it is built, so the scan never starts
     rule, run = SCANS[scan]
-    s, _ = _counting_naturals(rule, low=1)
-    with pytest.raises(ValueError, match="domain"):
-        run(s, ID)
+    ran = []
+    with pytest.raises(ValueError, match=r"^element outside domain of naturals: 1$"):
+        s, _ = _counting_naturals(rule, low=1)
+        ran.append(run(s, ID))
+    assert ran == []
 
 
 @pytest.mark.parametrize("scan", ["validate_automorphism", "check_dependence_lemma",
