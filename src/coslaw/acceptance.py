@@ -40,7 +40,7 @@ from .families import (
     construct,
     function_vanishing_on_products,
 )
-from .fixtures import Fixture, get_fixture
+from .fixtures import FINITE_TABLES, Fixture, get_fixture
 from .functions import (
     ScalarFunction,
     character_table,
@@ -52,7 +52,7 @@ from .functions import (
 from .semigroups import product_set
 from .solver import CompletenessReport, SolverConfig, completeness_check
 
-FINITE_FIXTURES = ("c2", "c3", "leftzero2", "null3", "bool-mult")
+FINITE_FIXTURES = tuple(FINITE_TABLES)
 
 
 @dataclass
@@ -498,16 +498,14 @@ CRITERIA = (
 )
 
 
-def run_all(verbose: bool = False) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     results = []
     for crit in CRITERIA:
         res = crit.run()
         results.append(res)
-        if verbose:
-            tag = "PASS" if res.passed else "FAIL"
-            print(f"[{tag}] {res.cid}  {res.description}  ({res.seconds:.2f}s)")
-            print(f"       {res.detail}")
-    if verbose:
-        n_pass = sum(r.passed for r in results)
-        print(f"{n_pass}/{len(results)} criteria passed")
+        tag = "PASS" if res.passed else "FAIL"
+        print(f"[{tag}] {res.cid}  {res.description}  ({res.seconds:.2f}s)")
+        print(f"       {res.detail}")
+    n_pass = sum(r.passed for r in results)
+    print(f"{n_pass}/{len(results)} criteria passed")
     return results

@@ -45,7 +45,6 @@ from .functions import (
     is_odd,
     law_failure,
     linear_combination,
-    nonzero_product,
     odd_part,
     packed_law_holds,
 )
@@ -368,10 +367,10 @@ def check_dependence_lemma(
         return PropertyReport(False, "hypothesis fails: beta = 0")
     if g.is_zero(tol):
         return PropertyReport(False, "hypothesis fails: g = 0")
-    elems = s.elements
-    bad = nonzero_product(s, elems, elems, g, tol)
+    bad = _s2_failure(s, g, tol)
     if bad is not None:
-        return PropertyReport(False, f"hypothesis fails: g({elems[bad[0]]}*{elems[bad[1]]}) != 0")
+        return PropertyReport(False, f"hypothesis fails: g({bad[0]}*{bad[1]}) != 0")
+    elems = s.elements
     # beta f(x)f(y) - beta g(x)g(y) = (beta f(x))f(y) + (-beta g(x))g(y)
     fw, gw, minus = [f(x) for x in elems], [g(x) for x in elems], -beta
     sig = s.checked(sigma(y) for y in elems)

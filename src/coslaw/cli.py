@@ -92,7 +92,7 @@ def _out_path(name: str) -> Path:
     return outdir / name
 
 
-def _fixture(name: str, window=None) -> Fixture:
+def _fixture(name: str, window: int | None) -> Fixture:
     try:
         return get_fixture(name, window=window)
     except (KeyError, ValueError) as e:
@@ -312,7 +312,7 @@ def _cmd_classify(args) -> int:
 def _cmd_suite(args) -> int:
     from .acceptance import run_all
 
-    results = run_all(verbose=True)
+    results = run_all()
     return 0 if all(r.passed for r in results) else 1
 
 

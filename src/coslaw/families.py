@@ -334,12 +334,19 @@ def _require_even(s: Semigroup, sigma, chi: MultiplicativeFunction, what: str):
         raise InvalidDescriptor(f"{what} requires a sigma-even multiplicative function")
 
 
-def _s2_failure(s: Semigroup, g: ScalarFunction) -> tuple | None:
-    """The first window pair (x, y) with g(xy) != 0, products outside the
-    window included; None when g vanishes on S^2, as families 2 and 3
-    require.  One `nonzero_product` scan."""
+def _require_two_even(s: Semigroup, sigma, d: FamilyDescriptor, what: str):
+    _require_even(s, sigma, d.chi1, what)
+    _require_even(s, sigma, d.chi2, what)
+    if d.chi1.same_as(d.chi2):
+        raise InvalidDescriptor(f"{what} requires two different multiplicative functions")
+
+
+def _s2_failure(s: Semigroup, g: ScalarFunction, tol: float = VERIFY_TOL) -> tuple | None:
+    """The first window pair (x, y) with g(xy) != 0 beyond `tol`, products
+    outside the window included; None when g vanishes on S^2, as families 2
+    and 3 and the dependence lemma require.  One `nonzero_product` scan."""
     elems = s.elements
-    bad = nonzero_product(s, elems, elems, g)
+    bad = nonzero_product(s, elems, elems, g, tol)
     return bad and (elems[bad[0]], elems[bad[1]])
 
 
@@ -374,10 +381,7 @@ def _family4(s, sigma, d, free, predicates):
 
 
 def _family5(s, sigma, d, free, predicates):
-    _require_even(s, sigma, d.chi1, "family 5")
-    _require_even(s, sigma, d.chi2, "family 5")
-    if d.chi1.same_as(d.chi2):
-        raise InvalidDescriptor("family 5 requires two different multiplicative functions")
+    _require_two_even(s, sigma, d, "family 5")
     if d.q is None or _eq(d.q, d.alpha) or _eq(d.q, -d.alpha):
         raise InvalidDescriptor("family 5 requires a constant q outside {+-alpha}")
     w = sqrt_branch(1 + d.q * d.q - d.alpha * d.alpha, d.branch)
@@ -390,10 +394,7 @@ def _family5(s, sigma, d, free, predicates):
 def _family6(s, sigma, d, free, predicates):
     if _eq(d.alpha, 0):
         raise InvalidDescriptor("family 6 requires alpha != 0")
-    _require_even(s, sigma, d.chi1, "family 6")
-    _require_even(s, sigma, d.chi2, "family 6")
-    if d.chi1.same_as(d.chi2):
-        raise InvalidDescriptor("family 6 requires two different multiplicative functions")
+    _require_two_even(s, sigma, d, "family 6")
     return d.chi2.fn, d.chi1.fn.scale(d.alpha)
 
 

@@ -41,6 +41,7 @@ from .semigroups import (
     ProceduralSemigroup,
     Semigroup,
     enumerate_involutive_automorphisms,
+    identity_automorphism,
 )
 
 FINITE_TABLES: dict[str, tuple[tuple[int, ...], ...]] = {
@@ -120,7 +121,7 @@ def _finite_fixture(name: str) -> Fixture:
 # ---------------------------------------------------------------------------
 
 
-def _real_line(points: int = 64) -> Fixture:
+def _real_line(points: int) -> Fixture:
     grid = tuple(-pi + 2 * pi * k / (points - 1) for k in range(points))
     carrier = ProceduralSemigroup(
         name="real-line",
@@ -130,7 +131,7 @@ def _real_line(points: int = 64) -> Fixture:
         eq_rule=lambda a, b: abs(a - b) <= 1e-12,  # float addition is inexact
     )
     sig_neg = InvolutiveAutomorphism("neg", rule=lambda x: -x)
-    sig_id = InvolutiveAutomorphism("id", rule=lambda x: x)
+    sig_id = identity_automorphism(carrier)
     exp = partial(_real_line_exp, carrier)
     return Fixture(
         name="real-line",
@@ -177,7 +178,7 @@ def _heis_contains(x) -> bool:
     )
 
 
-def _heisenberg(bound: int = 3) -> Fixture:
+def _heisenberg(bound: int) -> Fixture:
     window = tuple(sorted(product(range(-bound, bound + 1), repeat=3)))
     carrier = ProceduralSemigroup(
         name="heisenberg",
@@ -186,7 +187,7 @@ def _heisenberg(bound: int = 3) -> Fixture:
         contains_rule=_heis_contains,
     )
     sig_flip = InvolutiveAutomorphism("flip", rule=lambda t: (-t[0], -t[1], t[2]))
-    sig_id = InvolutiveAutomorphism("id", rule=lambda t: t)
+    sig_id = identity_automorphism(carrier)
     exp = partial(_heisenberg_exp, carrier)
     return Fixture(
         name="heisenberg",
@@ -239,7 +240,7 @@ def _parity(x: int) -> int:
     return x % 2
 
 
-def _naturals(upper: int = 65) -> Fixture:
+def _naturals(upper: int) -> Fixture:
     window = tuple(range(2, upper + 1))
     carrier = ProceduralSemigroup(
         name="naturals-from-2",
@@ -249,7 +250,7 @@ def _naturals(upper: int = 65) -> Fixture:
         # factors are at least 2, so a product exceeds each of its factors
         escapes=lambda x: x > upper,
     )
-    sig_id = InvolutiveAutomorphism("id", rule=lambda x: x)
+    sig_id = identity_automorphism(carrier)
     parity = MultiplicativeFunction(
         fn=ScalarFunction(carrier, rule=_parity, spec={"rule": "parity"}),
         name="parity",

@@ -345,15 +345,15 @@ def is_multiplicative(s: Semigroup, f, tol: float = VERIFY_TOL) -> bool:
 
 
 def is_additive(s: Semigroup, subset, f, tol: float = VERIFY_TOL) -> bool:
-    """A(xy) = A(x)*1 + 1*A(y) for the pairs of the subset's window elements.
-    A dense finite function is tested only where the product stays inside
-    the subset; rule-defined functions are evaluated at any product."""
+    """A(xy) = A(x)*1 + 1*A(y), A the callable f, for the pairs of the
+    subset's window elements.  A dense finite function is tested only where
+    the product stays inside the subset; a rule is evaluated at any product."""
     subset = frozenset(subset)
-    ev = lhs = f if callable(f) else f.__getitem__
+    lhs = f
     if isinstance(f, ScalarFunction) and f.values is not None:
         lhs = lambda p: f.values[p] if p in subset else None  # noqa: E731
     xs = tuple(x for x in s.elements if x in subset)
-    values, ones = [ev(x) for x in xs], [1] * len(xs)
+    values, ones = [f(x) for x in xs], [1] * len(xs)
     return law_failure(s, xs, xs, lhs, values, ones, ones, values, tol) is None
 
 
@@ -552,7 +552,7 @@ class NullSets:
 
 
 def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
-    """Null-set triple for a non-zero multiplicative function.
+    """Null-set triple of a non-zero multiplicative chi; `sigma` is not read.
 
     Window semantics on procedural carriers: quantified products that leave
     the window are skipped, so membership is certified on the window only.

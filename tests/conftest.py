@@ -1,19 +1,16 @@
 import pytest
 
 from coslaw import acceptance, solver
-from coslaw.fixtures import get_fixture
+from coslaw.fixtures import FINITE_TABLES, FIXTURE_NAMES, get_fixture
 from coslaw.semigroups import FiniteSemigroup, identity_automorphism
 
-FINITE_NAMES = ["c2", "c3", "leftzero2", "null3", "bool-mult"]
-ALL_NAMES = FINITE_NAMES + ["real-line", "heisenberg", "naturals-from-2"]
 
-
-@pytest.fixture(params=FINITE_NAMES)
+@pytest.fixture(params=tuple(FINITE_TABLES))
 def finite_fixture(request):
     return get_fixture(request.param)
 
 
-@pytest.fixture(params=ALL_NAMES)
+@pytest.fixture(params=FIXTURE_NAMES)
 def any_fixture(request):
     if request.param == "naturals-from-2":
         return get_fixture(request.param, window=50)

@@ -600,6 +600,21 @@ def test_usage_error_message_is_unquoted(capsys, argv, message):
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["solve", "real-line", "--alpha", "1"], 2, "usage error: solve needs a finite fixture"),
+    (["construct", "--family", "1", "--fixture", "real-line", "--alpha", "1", "--free-file", "FREE"], 1,
+     "parse error: function file FREE: dense values are only valid for finite fixtures"),
+    (["construct", "--family", "4", "--fixture", "c2", "--chi", "chi1", "--alpha", "1"], 1,
+     "construct failed: family 4 requires the constant q"),
+], ids=["solve-procedural", "dense-free-file", "family4-without-q"])
+def test_each_refusal_is_its_one_stderr_line(tmp_path, capsys, argv, code, message):
+    free = tmp_path / "free.json"
+    free.write_text("[[1, 0], [2, 0]]")
+    assert main([str(free) if a == "FREE" else a for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == message.replace("FREE", str(free)) + "\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "c2", "--alpha", "1", "--exact"],
     ["suite", "--window", "3"],

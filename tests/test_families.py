@@ -49,6 +49,12 @@ def test_sqrt_branch_basics():
         sqrt_branch(1, 2)
 
 
+@pytest.mark.parametrize("z", [complex(-4, 0.0), complex(-4, -0.0)], ids=["plus-zero", "minus-zero"])
+def test_sqrt_branch_on_the_negative_axis_takes_the_upper_root(z):
+    # cmath.sqrt(complex(-4, -0.0)) is -2j; the principal branch is +2j either way
+    assert sqrt_branch(z) == 2j and sqrt_branch(z, -1) == -2j
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -69,6 +75,18 @@ def test_family1_rejects_bad_alpha():
     f = ScalarFunction(fx.carrier, values=[1, 1])
     with pytest.raises(InvalidDescriptor, match="alpha"):
         construct(fx.carrier, fx.sigma(), FamilyDescriptor(1, 2), free_f=f)
+
+
+@pytest.mark.parametrize("descriptor, free, message", [
+    (FamilyDescriptor(9, 1), False, "unknown family tag 9"),
+    (FamilyDescriptor(4, 1), True, "family 4 is fully determined; free functions belong to 1-3"),
+    (FamilyDescriptor(1, 1), False, "family 1 requires a free function argument"),
+], ids=["tag", "free-for-4", "no-free-for-1"])
+def test_construct_rejects_a_descriptor_its_family_cannot_take(descriptor, free, message):
+    fx = get_fixture("c2")
+    kw = {"free_f": ScalarFunction(fx.carrier, values=[1, 0])} if free else {}
+    with pytest.raises(InvalidDescriptor, match=f"^{re.escape(message)}$"):
+        construct(fx.carrier, fx.sigma("id"), descriptor, **kw)
 
 
 def test_family4_one_element(one_element):
@@ -355,6 +373,21 @@ def test_build_h_rejects_asymmetric_additive_part():
             nat.carrier, SWAP_3_5, nat.characters["parity"],
             additive=nat.additive_rules["five-adic"],
             predicates=nat.null_predicates["parity"],
+        )
+
+
+def test_build_h_on_naturals_needs_membership_predicates():
+    nat = get_fixture("naturals-from-2", window=30)
+    with pytest.raises(ValueError, match="needs membership predicates"):
+        build_h(nat.carrier, nat.sigma("id"), nat.characters["parity"])
+
+
+def test_build_h_rejects_a_non_additive_part():
+    nat = get_fixture("naturals-from-2", window=30)
+    with pytest.raises(ConditionViolation, match=r"^additive part fails A\(xy\) = A\(x\) \+ A\(y\)$"):
+        build_h(
+            nat.carrier, nat.sigma("id"), nat.characters["parity"],
+            additive=lambda x: x, predicates=nat.null_predicates["parity"],
         )
 
 

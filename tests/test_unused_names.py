@@ -18,7 +18,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "coslaw"
 # names kept with no caller in the package, and who needs them
 KEPT = {
     "save_semigroup": "writes the carrier file format that load_semigroup reads",
-    "identity_automorphism": "the identity sigma of any carrier, built by conftest.py and two test modules",
     "compose": "the checked single product; perfbench counts its calls, and CI requires that no scan makes one",
     "conjugate": "complex conjugation of Cyc and ExpPoly values, as complex.conjugate",
     "is_abelian_fn": "the tests' check that constructed pairs of families 2-8 are abelian functions",
