@@ -254,7 +254,7 @@ def _criterion_3():
     if residual(h3.carrier, flip, 3, zero_pair.g, zero_pair.f).ok(1e-9):
         shapes += 1  # f = g = 0
     ones = function_vanishing_on_products(h3.carrier, {x: 1 for x in h3.carrier.elements})
-    fam1 = construct(h3.carrier, flip, FamilyDescriptor(1, 1), free_f=ones)
+    fam1 = construct(h3.carrier, flip, FamilyDescriptor(1, 1, free=ones))
     if residual(h3.carrier, flip, 1, fam1.g, fam1.f).ok(1e-9):
         shapes += 1  # g = alpha f
     const = construct(h3.carrier, flip, FamilyDescriptor(4, 3, q=1, branch=1, chi=one))
@@ -321,15 +321,15 @@ def _random_solutions(combos: list, rng):
     pair, skipping descriptors that `construct` refuses."""
     while True:
         fx, sigma = combos[int(rng.integers(len(combos)))]
-        d, free = _random_descriptor(fx, sigma, rng)
+        d = _random_descriptor(fx, sigma, rng)
         try:
-            pair = construct(fx.carrier, sigma, d, free_f=free)
+            pair = construct(fx.carrier, sigma, d)
         except InvalidDescriptor:
             continue
         yield fx, sigma, d, pair
 
 
-def _random_descriptor(fx: Fixture, sigma, rng) -> tuple[FamilyDescriptor, object]:
+def _random_descriptor(fx: Fixture, sigma, rng) -> FamilyDescriptor:
     s = fx.carrier
     table = character_table(s, sigma)
     evens, twisted = table.even, table.twisted
@@ -350,31 +350,31 @@ def _random_descriptor(fx: Fixture, sigma, rng) -> tuple[FamilyDescriptor, objec
 
     if fam == 1:
         alpha = 1 if rng.random() < 0.5 else -1
-        return FamilyDescriptor(1, alpha), rand_free(s.elements)
+        return FamilyDescriptor(1, alpha, free=rand_free(s.elements))
     if fam in (2, 3):
-        return FamilyDescriptor(fam, z()), rand_free(outside)
+        return FamilyDescriptor(fam, z(), free=rand_free(outside))
     if fam == 4:
         chi = evens[rng.integers(len(evens))]
-        return FamilyDescriptor(4, z(), q=z(), branch=int(rng.choice((1, -1))), chi=chi), None
+        return FamilyDescriptor(4, z(), q=z(), branch=int(rng.choice((1, -1))), chi=chi)
     if fam == 5:
         i, j = rng.choice(len(evens), size=2, replace=False)
         alpha, q = z(), z()
         if abs(q - alpha) < 1e-3 or abs(q + alpha) < 1e-3:
             q += 1
         return FamilyDescriptor(5, alpha, q=q, branch=int(rng.choice((1, -1))),
-                                chi1=evens[i], chi2=evens[j]), None
+                                chi1=evens[i], chi2=evens[j])
     if fam == 6:
         i, j = rng.choice(len(evens), size=2, replace=False)
-        return FamilyDescriptor(6, z() + 1e-2, chi1=evens[i], chi2=evens[j]), None
+        return FamilyDescriptor(6, z() + 1e-2, chi1=evens[i], chi2=evens[j])
     if fam == 7:
         chi = evens[rng.integers(len(evens))]
         return FamilyDescriptor(7, z(), branch=int(rng.choice((1, -1))), chi=chi,
-                                h_spec=HSpec()), None
+                                h_spec=HSpec())
     chi = twisted[rng.integers(len(twisted))]
     alpha = z()
     if abs(alpha - 1) < 1e-3 or abs(alpha + 1) < 1e-3:
         alpha += 0.5
-    return FamilyDescriptor(8, alpha, chi=chi), None
+    return FamilyDescriptor(8, alpha, chi=chi)
 
 
 def _criterion_5():
@@ -430,7 +430,7 @@ def _criterion_6():
         if len(chars) != count:
             return False, f"{name}: {len(chars)} characters, expected {count}"
         for c in chars:
-            if not is_multiplicative(fx.carrier, c, tol=0):
+            if not is_multiplicative(fx.carrier, c):
                 return False, f"{name}/{c.name} fails exact multiplicativity"
         details.append(f"{name}:{len(chars)}")
     return True, ", ".join(details)

@@ -482,9 +482,9 @@ def classify(
     if not ok:
         raise NotASolution(f"residual {max_residual:.3e} exceeds {VERIFY_TOL}")
 
-    for d, free in _candidates(s, sigma, alpha, g, f):
+    for d in _candidates(s, sigma, alpha, g, f):
         try:
-            pair = construct(s, sigma, d, free_f=free)
+            pair = construct(s, sigma, d)
         except (InvalidDescriptor, ConditionViolation):
             continue
         g_diff = pair.g.max_diff(g)
@@ -501,10 +501,11 @@ def _near(a, b) -> bool:
 
 
 def _candidates(s, sigma, alpha, g, f):
-    """(descriptor, free function) pairs in the decision order 1, 2, 3, 4,
-    6, 8, 5, 7, which resolves overlapping families.  A family's parameters
-    are computed only when the stream reaches it; families 2 and 3 come
-    only when g vanishes on S^2, tested once for both.
+    """Descriptors in the decision order 1, 2, 3, 4, 6, 8, 5, 7, which
+    resolves overlapping families; those of families 1-3 carry their free
+    function (f, or g).  A family's parameters are computed only when the
+    stream reaches it; families 2 and 3 come only when g vanishes on S^2,
+    tested once for both.
 
     What depends on the characters alone comes from the `CharacterTable` of
     (s, sigma): the even and twisted characters, family 4's x0 with
@@ -514,35 +515,33 @@ def _candidates(s, sigma, alpha, g, f):
     table = character_table(s, sigma)
     even = table.even
     if (_near(alpha, 1) or _near(alpha, -1)) and not f.is_zero(MATCH_TOL):
-        yield FamilyDescriptor(1, alpha), f
+        yield FamilyDescriptor(1, alpha, free=f)
     # construct rejects families 2 and 3 unless g vanishes on S^2: one scan
     if _s2_failure(s, g) is None:
-        yield FamilyDescriptor(2, alpha), g
-        yield FamilyDescriptor(3, alpha), g
+        yield FamilyDescriptor(2, alpha, free=g)
+        yield FamilyDescriptor(3, alpha, free=g)
     # family 4 has no dependence gate: reconstruction matching is the
     # arbiter, and the relative SVD test misjudges solutions with tiny norms
     for chi, (x0, chi_x0) in zip(even, table.first_nonzero):
         q = 2 * _div(f(x0), chi_x0) - alpha
         for branch in (1, -1):
-            yield FamilyDescriptor(4, alpha, q=q, branch=branch, chi=chi), None
+            yield FamilyDescriptor(4, alpha, q=q, branch=branch, chi=chi)
     for chi1, chi2 in itertools.permutations(even, 2):
-        yield FamilyDescriptor(6, alpha, chi1=chi1, chi2=chi2), None
+        yield FamilyDescriptor(6, alpha, chi1=chi1, chi2=chi2)
     for chi in table.twisted:
-        yield FamilyDescriptor(8, alpha, chi=chi), None
+        yield FamilyDescriptor(8, alpha, chi=chi)
     for chi1, chi2, pivots in table.even_pairs:
-        if pivots is None:
-            continue
         a1, a2 = _solve_2x2(chi1.fn, chi2.fn, f, pivots)
         if not _near(a1 + a2, alpha):
             continue
         q = a1 - a2
         for branch in (1, -1):
-            yield FamilyDescriptor(5, alpha, q=q, branch=branch, chi1=chi1, chi2=chi2), None
+            yield FamilyDescriptor(5, alpha, q=q, branch=branch, chi1=chi1, chi2=chi2)
     for chi in even:
         h = f - chi.fn.scale(alpha)
         if not h.is_zero(MATCH_TOL):
             for branch in (1, -1):
-                yield FamilyDescriptor(7, alpha, branch=branch, chi=chi, h=h), None
+                yield FamilyDescriptor(7, alpha, branch=branch, chi=chi, h=h)
 
 
 def _solve_2x2(chi1, chi2, target, pivots):

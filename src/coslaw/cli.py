@@ -92,7 +92,7 @@ def _out_path(name: str) -> Path:
     return outdir / name
 
 
-def _fixture(name: str, window: int | None) -> Fixture:
+def _fixture(name: str, window: int | None = None) -> Fixture:
     try:
         return get_fixture(name, window=window)
     except (KeyError, ValueError) as e:
@@ -150,14 +150,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_automorphisms(args) -> int:
-    fx = _fixture(args.fixture, window=args.window)
+    fx = _fixture(args.fixture)
     for s in fx.sigmas:
         print(f"{s.name}: {' '.join(map(str, s.perm))}" if fx.carrier.is_finite else s.name)
     return 0
 
 
 def _cmd_characters(args) -> int:
-    fx = _fixture(args.fixture, window=args.window)
+    fx = _fixture(args.fixture)
     if fx.carrier.is_finite:
         for c in fx.characters.values():
             vals = " ".join(json.dumps(scalar_to_json(c(x))) for x in fx.carrier.elements)
@@ -174,9 +174,8 @@ def _cmd_characters(args) -> int:
 def _cmd_nullsets(args) -> int:
     fx = _fixture(args.fixture, window=args.window)
     chi = _resolve_character(fx, args)
-    sigma = _sigma(fx, args.sigma)
     try:
-        ns = null_sets(fx.carrier, sigma, chi)
+        ns = null_sets(fx.carrier, fx.sigma(), chi)
     except ValueError as e:  # the zero character has no null sets
         raise UsageError(f"{chi.name}: {e}") from None
     fmt = lambda xs: "{" + ", ".join(map(str, sorted(xs))) + "}"  # noqa: E731
@@ -236,18 +235,18 @@ def _cmd_construct(args) -> int:
             free = _default_free(fx, family)
     d = FamilyDescriptor(
         family=family, alpha=alpha, q=q, branch=args.branch,
-        chi=chi, chi1=chi1, chi2=chi2, h_spec=h_spec,
+        chi=chi, chi1=chi1, chi2=chi2, h_spec=h_spec, free=free,
     )
     predicates = fx.null_predicates.get(chi.name) if chi is not None else None
     try:
-        pair = construct(fx.carrier, sigma, d, free_f=free, predicates=predicates)
+        pair = construct(fx.carrier, sigma, d, predicates=predicates)
     except (InvalidDescriptor, ConditionViolation) as e:
         print(f"construct failed: {e}", file=sys.stderr)
         return 1
     out = _out_path(args.out)
     try:
         save_pair(out, pair, fx.name, sigma.name, window=args.window)
-    except ValueError as e:  # a rule-defined function with no spec to write
+    except ValueError as e:  # a function with no spec to write, or one nested too deeply
         print(f"construct failed: cannot write the pair: {e}", file=sys.stderr)
         return 1
     print(f"wrote {out}")
@@ -274,7 +273,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    fx = _fixture(args.fixture, window=args.window)
+    fx = _fixture(args.fixture)
     if not fx.carrier.is_finite:
         raise UsageError("solve needs a finite fixture")
     sigma = _sigma(fx, args.sigma)
@@ -363,17 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("validate", _cmd_validate, window=True, help="validate a semigroup file or fixture")
     sp.add_argument("target", help="path to a semigroup file, or a fixture name")
 
-    sp = add("automorphisms", _cmd_automorphisms, window=True,
-             help="list involutive automorphisms")
+    sp = add("automorphisms", _cmd_automorphisms, help="list involutive automorphisms")
     sp.add_argument("fixture", choices=FIXTURE_NAMES)
 
-    sp = add("characters", _cmd_characters, window=True, help="list multiplicative functions")
+    sp = add("characters", _cmd_characters, help="list multiplicative functions")
     sp.add_argument("fixture", choices=FIXTURE_NAMES)
 
     sp = add("nullsets", _cmd_nullsets, window=True, help="print I_chi, I_chi^2, P_chi")
     sp.add_argument("fixture", choices=FIXTURE_NAMES)
     sp.add_argument("--chi", default=None, help="character name (finite / naturals)")
-    sp.add_argument("--sigma", default=None)
     sp.add_argument("--lambda", dest="lam", default=None, help="real-line exp parameter")
     sp.add_argument("--a", default=None), sp.add_argument("--b", default=None)
 
@@ -399,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", default=None)
     sp.add_argument("--tol", type=float, default=VERIFY_TOL)
 
-    sp = add("solve", _cmd_solve, window=True, help="find all solutions numerically")
+    sp = add("solve", _cmd_solve, help="find all solutions numerically")
     sp.add_argument("fixture", choices=FIXTURE_NAMES)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--sigma", default=None)

@@ -299,18 +299,21 @@ def construct(
     free_f: ScalarFunction | None = None,
     predicates=None,
 ) -> SolutionPair:
-    """Build the (g, f) pair a descriptor denotes, validating its invariants."""
+    """Build the (g, f) pair a descriptor denotes, validating its invariants.
+
+    `free_f`, when given, replaces the descriptor's `free` before anything
+    else reads it, so the pair's provenance is the descriptor it was built
+    from."""
+    if free_f is not None:
+        d = replace(d, free=free_f)
     if d.family not in range(1, 9):
         raise InvalidDescriptor(f"unknown family tag {d.family}")
-    free = free_f if free_f is not None else d.free
-    if free is not None and d.family not in (1, 2, 3):
+    if d.free is not None and d.family not in (1, 2, 3):
         raise InvalidDescriptor(
             f"family {d.family} is fully determined; free functions belong to 1-3"
         )
-    builder = _BUILDERS[d.family]
-    g, f = builder(s, sigma, d, free, predicates)
-    prov = d if d.free is not None or free is None else replace(d, free=free)
-    return SolutionPair(g=g, f=f, alpha=d.alpha, provenance=prov)
+    g, f = _BUILDERS[d.family](s, sigma, d, predicates)
+    return SolutionPair(g=g, f=f, alpha=d.alpha, provenance=d)
 
 
 def _require_nonzero_fn(fn: ScalarFunction | None, what: str) -> ScalarFunction:
@@ -350,26 +353,26 @@ def _s2_failure(s: Semigroup, g: ScalarFunction, tol: float = VERIFY_TOL) -> tup
     return bad and (elems[bad[0]], elems[bad[1]])
 
 
-def _family1(s, sigma, d, free, predicates):
+def _family1(s, sigma, d, predicates):
     if not (_eq(d.alpha, 1) or _eq(d.alpha, -1)):
         raise InvalidDescriptor("family 1 requires alpha = +-1")
-    f = _require_nonzero_fn(free, "family 1")
+    f = _require_nonzero_fn(d.free, "family 1")
     return f.scale(d.alpha), f
 
 
-def _family23(s, sigma, d, free, predicates):
+def _family23(s, sigma, d, predicates):
     """f = g (family 2, alpha != 1) or f = -g (family 3, alpha != -1)."""
     sign = 1 if d.family == 2 else -1
     if _eq(d.alpha, sign):
         raise InvalidDescriptor(f"family {d.family} requires alpha != {sign}")
-    g = _require_nonzero_fn(free, f"family {d.family}")
+    g = _require_nonzero_fn(d.free, f"family {d.family}")
     bad = _s2_failure(s, g)
     if bad is not None:
         raise InvalidDescriptor(f"function does not vanish on S^2 (violated at {bad[0]}*{bad[1]})")
     return g, g if sign == 1 else -g
 
 
-def _family4(s, sigma, d, free, predicates):
+def _family4(s, sigma, d, predicates):
     _require_even(s, sigma, d.chi, "family 4")
     if d.q is None:
         raise InvalidDescriptor("family 4 requires the constant q")
@@ -380,7 +383,7 @@ def _family4(s, sigma, d, free, predicates):
     return g, f
 
 
-def _family5(s, sigma, d, free, predicates):
+def _family5(s, sigma, d, predicates):
     _require_two_even(s, sigma, d, "family 5")
     if d.q is None or _eq(d.q, d.alpha) or _eq(d.q, -d.alpha):
         raise InvalidDescriptor("family 5 requires a constant q outside {+-alpha}")
@@ -391,14 +394,14 @@ def _family5(s, sigma, d, free, predicates):
     return g, f
 
 
-def _family6(s, sigma, d, free, predicates):
+def _family6(s, sigma, d, predicates):
     if _eq(d.alpha, 0):
         raise InvalidDescriptor("family 6 requires alpha != 0")
     _require_two_even(s, sigma, d, "family 6")
     return d.chi2.fn, d.chi1.fn.scale(d.alpha)
 
 
-def _family7(s, sigma, d, free, predicates):
+def _family7(s, sigma, d, predicates):
     _require_even(s, sigma, d.chi, "family 7")
     if d.h is not None:
         h = d.h
@@ -418,7 +421,7 @@ def _family7(s, sigma, d, free, predicates):
     return g, f
 
 
-def _family8(s, sigma, d, free, predicates):
+def _family8(s, sigma, d, predicates):
     if _eq(d.alpha, 1) or _eq(d.alpha, -1):
         raise InvalidDescriptor("family 8 requires alpha != +-1")
     _require_character(s, d.chi, "family 8")

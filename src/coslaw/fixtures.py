@@ -137,7 +137,6 @@ def _real_line(points: int) -> Fixture:
         name="real-line",
         carrier=carrier,
         sigmas=(sig_neg, sig_id),
-        additive_rules={"linear": lambda x: x},
         rules={"exp": lambda spec: exp(lam=complex(*spec["lambda"])).fn},
         exp=exp,
     )
@@ -193,7 +192,6 @@ def _heisenberg(bound: int) -> Fixture:
         name="heisenberg",
         carrier=carrier,
         sigmas=(sig_flip, sig_id),
-        additive_rules={"coords": lambda t: t[0] + t[1]},
         rules={"exp": lambda spec: exp(a=complex(*spec["a"]), b=complex(*spec["b"])).fn},
         exp=exp,
     )

@@ -336,25 +336,27 @@ class MultiplicativeFunction:
         return self.fn.equal_to(other.fn)
 
 
-def is_multiplicative(s: Semigroup, f, tol: float = VERIFY_TOL) -> bool:
-    """chi(xy) = chi(x)chi(y) on all window pairs (exact for exact values)."""
+def is_multiplicative(s: Semigroup, f) -> bool:
+    """chi(xy) = chi(x)chi(y) on all window pairs, to VERIFY_TOL (exact
+    values are compared exactly)."""
     ev = f.fn if isinstance(f, MultiplicativeFunction) else f
     xs = s.elements
     values = [ev(x) for x in xs]
-    return law_failure(s, xs, xs, ev, values, values, tol=tol) is None
+    return law_failure(s, xs, xs, ev, values, values) is None
 
 
-def is_additive(s: Semigroup, subset, f, tol: float = VERIFY_TOL) -> bool:
+def is_additive(s: Semigroup, subset, f) -> bool:
     """A(xy) = A(x)*1 + 1*A(y), A the callable f, for the pairs of the
-    subset's window elements.  A dense finite function is tested only where
-    the product stays inside the subset; a rule is evaluated at any product."""
+    subset's window elements, to VERIFY_TOL (exact values are compared
+    exactly).  A dense finite function is tested only where the product
+    stays inside the subset; a rule is evaluated at any product."""
     subset = frozenset(subset)
     lhs = f
     if isinstance(f, ScalarFunction) and f.values is not None:
         lhs = lambda p: f.values[p] if p in subset else None  # noqa: E731
     xs = tuple(x for x in s.elements if x in subset)
     values, ones = [f(x) for x in xs], [1] * len(xs)
-    return law_failure(s, xs, xs, lhs, values, ones, ones, values, tol) is None
+    return law_failure(s, xs, xs, lhs, values, ones, ones, values) is None
 
 
 def law_failure(s: Semigroup, xs: tuple, right: tuple, lhs, a, b, c=None, d=None,
@@ -486,8 +488,9 @@ class CharacterTable:
     twisted: tuple[MultiplicativeFunction, ...]
     # (chi1, chi2, pivots) for each pair of even characters in
     # combinations order: pivots (x1, x2, det) are the first two elements
-    # with det = chi1(x1)chi2(x2) - chi1(x2)chi2(x1) != 0, or None if
-    # there are none
+    # with det = chi1(x1)chi2(x2) - chi1(x2)chi2(x1) != 0.  Every pair has
+    # them: were chi2 = c*chi1, multiplicativity at (x, x) with chi1(x) != 0
+    # would give c = c^2, so chi2 would be zero or chi1
     even_pairs: tuple[tuple, ...]
 
 
@@ -514,13 +517,9 @@ def _character_table(s: FiniteSemigroup, perm: tuple[int, ...]) -> CharacterTabl
         first_nonzero.append((x0, chi(x0)))
     even_pairs = []
     for chi1, chi2 in itertools.combinations(even, 2):
-        pivots = None
-        for x1, x2 in itertools.combinations(s.elements, 2):
-            det = chi1(x1) * chi2(x2) - chi1(x2) * chi2(x1)
-            if not values_equal(det, 0):
-                pivots = (x1, x2, det)
-                break
-        even_pairs.append((chi1, chi2, pivots))
+        dets = ((x1, x2, chi1(x1) * chi2(x2) - chi1(x2) * chi2(x1))
+                for x1, x2 in itertools.combinations(s.elements, 2))
+        even_pairs.append((chi1, chi2, next(p for p in dets if not values_equal(p[2], 0))))
     return CharacterTable(
         even=tuple(even),
         first_nonzero=tuple(first_nonzero),

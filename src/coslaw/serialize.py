@@ -16,7 +16,8 @@ exact values.
 Functions.  A function on a finite fixture is a dense list with one
 scalar per element.  A function on a rule-defined fixture is a rule
 spec, a JSON object whose ``"rule"`` names how to rebuild it.  The
-generic rules work on every fixture and nest to any depth:
+generic rules work on every fixture and nest, up to MAX_SPEC_DEPTH
+levels in all (a rule with no nested spec is one level):
 
     const    {"value": z}                         the constant z
     combo    {"terms": [{"coef": z, "fn": spec}, ...]}   sum of coef * fn
@@ -40,6 +41,13 @@ fixture's rule table (`Fixture.rules`):
 
 Because rule specs carry floats, a procedural pair reloads in float mode
 even when it was built from exact inputs.
+
+A spec nested deeper than MAX_SPEC_DEPTH, or a file whose JSON nests too
+deeply to be read, is a ParseError, and such a spec is not written:
+evaluating a deep chain would exhaust Python's recursion limit.  Every spec the package writes has at most 3
+levels; the deepest `star` chain that still verifies from the command line
+at the default recursion limit of 1000 (CPython 3.11) has 330 (329 stars
+over a const).
 """
 
 from __future__ import annotations
@@ -70,6 +78,8 @@ class ParseError(ValueError):
 # for a "1/0" fraction string, OverflowError for an integer beyond float range,
 # IndexError for a support point out of a finite carrier's range
 _DECODE_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, IndexError)
+
+MAX_SPEC_DEPTH = 100
 
 
 def _reason(e: Exception) -> str:
@@ -182,15 +192,34 @@ def scalar_from_json(pair):
 
 
 def function_to_json(f: ScalarFunction):
+    """A dense list or a rule spec; ValueError when there is no spec, or
+    one that `function_from_json` would refuse as nested too deeply."""
     if f.values is not None:
         return [scalar_to_json(v) for v in f.values]
     if f.spec is None:
         raise ValueError("rule-defined function without a serializable spec")
+    if _deeper_than(f.spec, MAX_SPEC_DEPTH):
+        raise ValueError(f"function spec nested more than {MAX_SPEC_DEPTH} levels")
     return f.spec
+
+
+def _deeper_than(spec: dict, levels: int) -> bool:
+    """True when the spec has more than `levels` levels; reads no deeper."""
+    if levels == 0:
+        return True
+    inner = [spec["fn"]] if "fn" in spec else [t["fn"] for t in spec.get("terms", ())]
+    return any(_deeper_than(fn, levels - 1) for fn in inner)
 
 
 def function_from_json(fx: Fixture, data) -> ScalarFunction:
     """Rebuild a function from a dense list or a rule spec (module docstring)."""
+    return _function_from_json(fx, data, MAX_SPEC_DEPTH)
+
+
+def _function_from_json(fx: Fixture, data, levels: int) -> ScalarFunction:
+    """`function_from_json` of a spec that may have `levels` more levels."""
+    if levels == 0:
+        raise ParseError(f"function spec nested more than {MAX_SPEC_DEPTH} levels")
     if isinstance(data, list):
         if fx.carrier.is_finite:
             return ScalarFunction(fx.carrier, values=[scalar_from_json(p) for p in data])
@@ -200,13 +229,13 @@ def function_from_json(fx: Fixture, data) -> ScalarFunction:
         c = complex(*data["value"])
         return ScalarFunction(fx.carrier, rule=lambda x: c, spec=data)
     if rule == "combo":
-        out = linear_combination(
-            [(complex(*t["coef"]), function_from_json(fx, t["fn"])) for t in data["terms"]]
-        )
+        out = linear_combination([
+            (complex(*t["coef"]), _function_from_json(fx, t["fn"], levels - 1)) for t in data["terms"]
+        ])
         out.spec = data
         return out
     if rule == "star":
-        return star(function_from_json(fx, data["fn"]), fx.sigma(data["sigma"]))
+        return star(_function_from_json(fx, data["fn"], levels - 1), fx.sigma(data["sigma"]))
     if rule == "support":
         table = {_element_from_json(x): scalar_from_json(v) for x, v in data["points"]}
         fx.carrier.checked(table)
@@ -259,8 +288,9 @@ def pair_from_json(data: dict):
 
 
 def save_pair(path, pair: SolutionPair, fixture_name: str, sigma_name: str, window=None):
-    """Write the pair as JSON; a function without a spec raises ValueError
-    before the file is opened, so no partial file is left behind."""
+    """Write the pair as JSON; a function without a spec, or with one
+    nested more than MAX_SPEC_DEPTH levels, raises ValueError before the
+    file is opened, so no partial file is left behind."""
     data = pair_to_json(pair, fixture_name, sigma_name, window)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2)
@@ -284,5 +314,5 @@ def _read_json(path, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as e:  # unreadable file, or not JSON
+    except (OSError, ValueError, RecursionError) as e:  # unreadable, not JSON, too deep
         raise ParseError(f"{what} {path}: {e}") from None

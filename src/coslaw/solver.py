@@ -262,22 +262,22 @@ def _family_seeds(
     table = character_table(s, sigma)
     evens = table.even
 
-    def try_build(d: FamilyDescriptor, free=None):
+    def try_build(d: FamilyDescriptor):
         try:
-            seeds.append(_pair_vector(construct(s, sigma, d, free_f=free), n))
+            seeds.append(_pair_vector(construct(s, sigma, d), n))
         except InvalidDescriptor:
             pass
 
     f_rand = ScalarFunction(s, values=(1 + 0.5 * _disk(rng, n)).tolist())
-    try_build(FamilyDescriptor(1, alpha), free=f_rand)
+    try_build(FamilyDescriptor(1, alpha, free=f_rand))
 
     outside = sorted(set(range(n)) - product_set(s, range(n)))
     if outside:
         supports = [{x: 1.0} for x in outside] + [{x: 1.0 for x in outside}]
         for sup in supports:
             gfun = function_vanishing_on_products(s, sup)
-            try_build(FamilyDescriptor(2, alpha), free=gfun)
-            try_build(FamilyDescriptor(3, alpha), free=gfun)
+            try_build(FamilyDescriptor(2, alpha, free=gfun))
+            try_build(FamilyDescriptor(3, alpha, free=gfun))
 
     q_grid = [0, 1, -alpha, alpha, 2 + 0.5j]
     for chi in evens:

@@ -521,6 +521,14 @@ def test_zero_f_dependent():
     assert dep and wit == (1, 0)
 
 
+def test_float_dependence_of_zero_and_of_independent_functions():
+    s = get_fixture("c2").carrier
+    zero = ScalarFunction(s, values=[0.0, 0.0])
+    assert check_linear_dependence(zero, zero) == (True, (1, 0))
+    e1, e2 = ScalarFunction(s, values=[1.0, 0.0]), ScalarFunction(s, values=[0.0, 1.0])
+    assert check_linear_dependence(e1, e2) == (False, None)
+
+
 def test_dependence_mixed_exact_types_divide_as_complex():
     # ExpPoly / Cyc has no exact quotient, so the pivot ratio is complex
     assert analysis._div(ExpPoly.exp(1), Cyc.rational(1, 1)) == pytest.approx(math.e / (1 + 1j))
@@ -585,9 +593,32 @@ def test_dependence_lemma_vacuous_cases():
     assert dep and wit == (1, 0)
 
 
+def test_dependence_lemma_refusals_name_the_failed_hypothesis():
+    fx = get_fixture("c2")
+    s, sig = fx.carrier, fx.sigma("id")
+    f = ScalarFunction(s, values=[1, 1])
+    rep = check_dependence_lemma(s, sig, 0, f, ScalarFunction(s, values=[0, 1]))
+    assert (rep.hypothesis_ok, rep.hypothesis_detail) == (False, "hypothesis fails: beta = 0")
+    # g(0*1) = g(1) = 1: g does not vanish on S^2
+    rep = check_dependence_lemma(s, sig, 1, f, ScalarFunction(s, values=[0, 1]))
+    assert (rep.hypothesis_ok, rep.hypothesis_detail) == (False, "hypothesis fails: g(0*1) != 0")
+
+
 # ---------------------------------------------------------------------------
 # parity-lemma harness
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chis, coefficients, detail", [
+    (("chi2", "chi2"), (1, 1, 1, -1), "need two different non-zero chi"),
+    (("chi2", "chi3"), (0, 1, 1, -1), "a1, a2 must be non-zero"),
+    (("chi2", "chi3"), (1, 1, 0, 0), "g = 0"),
+], ids=["same-chi", "a1-zero", "g-zero"])
+def test_parity_lemma_refusals_name_the_failed_hypothesis(chis, coefficients, detail):
+    fx = get_fixture("c3")
+    chi1, chi2 = (fx.characters[name] for name in chis)
+    rep = check_parity_lemma(chi1, chi2, *coefficients, fx.sigma("inv"))
+    assert (rep.hypothesis_ok, rep.hypothesis_detail) == (False, f"hypothesis fails: {detail}")
 
 
 def test_parity_lemma_even_odd_combination():
@@ -825,11 +856,11 @@ def test_classify_attempts_follow_the_decision_order(monkeypatch):
         for reject in (False, True):
             log = logs[reject] = []
 
-            def logged(s, sigma, d, free_f=None, log=log, reject=reject):
-                log.append((d.family, free_f))
+            def logged(s, sigma, d, log=log, reject=reject):
+                log.append((d.family, d.free))
                 if reject:
                     raise InvalidDescriptor("rejected by the test")
-                return real(s, sigma, d, free_f=free_f)
+                return real(s, sigma, d)
 
             monkeypatch.setattr(analysis, "construct", logged)
             results[reject] = classify(s, sig, alpha, pair.g, pair.f)

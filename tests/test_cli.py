@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coslaw.cli import main, parse_complex, UsageError
 from coslaw.fixtures import FIXTURE_NAMES, get_fixture
+from coslaw.serialize import MAX_SPEC_DEPTH
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -621,10 +622,16 @@ def test_each_refusal_is_its_one_stderr_line(tmp_path, capsys, argv, code, messa
     ["verify", "--pair", "p.json", "--window", "3"],
     ["classify", "--pair", "p.json", "--window", "3"],
     ["characters", "c2", "--exact"],
-], ids=["solve-exact", "suite-window", "verify-window", "classify-window", "characters-exact"])
+    ["automorphisms", "real-line", "--window", "8"],
+    ["characters", "heisenberg", "--window", "1"],
+    ["solve", "c2", "--alpha", "1", "--window", "3"],
+    ["nullsets", "c3", "--chi", "chi1", "--sigma", "inv"],
+], ids=["solve-exact", "suite-window", "verify-window", "classify-window", "characters-exact",
+        "automorphisms-window", "characters-window", "solve-window", "nullsets-sigma"])
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     assert main(argv) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unrecognized arguments") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -642,7 +649,7 @@ def test_argparse_errors_are_one_usage_line(capsys, argv):
 def test_help_is_still_the_argparse_usage_block(capsys):
     assert main(["solve", "--help"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("usage: coslaw solve [-h] [--window WINDOW] --alpha ALPHA")
+    assert out.startswith("usage: coslaw solve [-h] --alpha ALPHA")
     assert "--restarts RESTARTS" in out and len(out.splitlines()) > 5
 
 
@@ -705,16 +712,78 @@ def test_free_file_errors_are_parse_errors(tmp_path, capsys, case):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["--fixture", "real-line", "--sigma", "id", "--lambda", "1", "--additive", "linear",
-     "--window", "8"],
-    ["--fixture", "heisenberg", "--sigma", "id", "--additive", "coords", "--window", "1"],
+@pytest.mark.parametrize("argv, name", [
+    (["--fixture", "real-line", "--sigma", "id", "--lambda", "1", "--window", "8"], "linear"),
+    (["--fixture", "heisenberg", "--sigma", "id", "--window", "1"], "coords"),
 ], ids=["real-line", "heisenberg"])
-def test_construct_without_a_serializable_h_fails_before_writing(tmp_path, capsys, argv):
+def test_procedural_fixtures_without_additive_rules_refuse_one(tmp_path, capsys, argv, name):
+    # only naturals-from-2 names an additive rule, whose h has a spec to write
     out = tmp_path / "pair.json"
-    assert main(["construct", "--family", "7", *argv, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("construct failed:") and len(err.strip().splitlines()) == 1
+    assert main(["construct", "--family", "7", *argv, "--additive", name, "--out", str(out)]) == 2
+    fixture = argv[1]
+    assert capsys.readouterr().err == f"usage error: fixture {fixture} has no additive rule {name!r}\n"
+    assert not out.exists()
+
+
+def _nested_spec(kind: str, levels: int) -> str:
+    """A real-line rule spec `levels` deep, as JSON text: `star`s under neg,
+    or one-term `combo`s, over a const.  Written by hand, as `json.dumps`
+    itself recurses once per level."""
+    head, tail = {
+        "star": ('{"rule": "star", "sigma": "neg", "fn": ', "}"),
+        "combo": ('{"rule": "combo", "terms": [{"coef": [1.0, 0.0], "fn": ', "}]}"),
+    }[kind]
+    const = '{"rule": "const", "value": [0.0, 0.0]}'
+    return head * (levels - 1) + const + tail * (levels - 1)
+
+
+def _nested_pair(path, kind: str, levels: int):
+    path.write_text('{"fixture": "real-line", "sigma": "neg", "alpha": [1.0, 0.0], "g": '
+                    + _nested_spec(kind, levels) + ', "f": {"rule": "const", "value": [0.0, 0.0]}}')
+
+
+@pytest.mark.parametrize("kind, levels, reason", [
+    # decoded, then refused at level MAX_SPEC_DEPTH + 1
+    ("star", 401, f"function spec nested more than {MAX_SPEC_DEPTH} levels"),
+    # too deep for the JSON decoder itself
+    ("combo", 701, "maximum recursion depth exceeded while decoding a JSON"),
+], ids=["star-401", "combo-701"])
+@pytest.mark.parametrize("command", ["verify", "classify", "free-file"])
+def test_a_deeply_nested_spec_is_one_parse_error(tmp_path, capsys, kind, levels, reason, command):
+    path, out = tmp_path / "in.json", tmp_path / "pair.json"
+    if command == "free-file":
+        path.write_text(_nested_spec(kind, levels))
+        argv = ["construct", "--family", "1", "--fixture", "real-line", "--alpha", "1",
+                "--free-file", str(path), "--out", str(out)]
+    else:
+        _nested_pair(path, kind, levels)
+        argv = [command, "--pair", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("parse error: ") and reason in captured.err
+    assert not out.exists()
+
+
+def test_a_spec_at_the_nesting_limit_still_verifies(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    _nested_pair(path, "star", MAX_SPEC_DEPTH)
+    assert main(["verify", "--pair", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["max_residual"] == 0.0
+    _nested_pair(path, "star", MAX_SPEC_DEPTH + 1)
+    assert main(["verify", "--pair", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"parse error: pair file: function spec nested more than {MAX_SPEC_DEPTH} levels\n")
+
+
+def test_a_pair_nested_beyond_the_limit_is_not_written(tmp_path, capsys):
+    # a free function at the limit is read, but g = alpha*f is one level deeper
+    free, out = tmp_path / "free.json", tmp_path / "pair.json"
+    free.write_text(_nested_spec("star", MAX_SPEC_DEPTH).replace("[0.0, 0.0]", "[1.0, 0.0]"))
+    assert main(["construct", "--family", "1", "--fixture", "real-line", "--alpha", "1",
+                 "--free-file", str(free), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("construct failed: cannot write the pair: "
+                                       f"function spec nested more than {MAX_SPEC_DEPTH} levels\n")
     assert not out.exists()
 
 

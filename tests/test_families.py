@@ -89,6 +89,16 @@ def test_construct_rejects_a_descriptor_its_family_cannot_take(descriptor, free,
         construct(fx.carrier, fx.sigma("id"), descriptor, **kw)
 
 
+def test_a_free_function_beside_the_descriptor_is_the_pair_provenance():
+    # free_f replaces the descriptor's own function, in f and in the provenance
+    fx = get_fixture("c2")
+    s, sig = fx.carrier, fx.sigma("id")
+    a, b = ScalarFunction(s, values=[1, 2]), ScalarFunction(s, values=[3, 5])
+    pair = construct(s, sig, FamilyDescriptor(1, 1, free=a), free_f=b)
+    assert pair.f.values == (3, 5) and pair.provenance.free is b
+    assert construct(s, sig, pair.provenance).f.values == (3, 5)
+
+
 def test_family4_one_element(one_element):
     s, sig = one_element
     from coslaw.functions import enumerate_multiplicative
@@ -332,7 +342,7 @@ def test_family7_real_line_with_additive_h():
     rl = get_fixture("real-line")
     s, sig = rl.carrier, rl.sigma("id")
     chi = rl.character("exp", lam=0.75)
-    h = build_h(s, sig, chi, additive=rl.additive_rules["linear"])
+    h = build_h(s, sig, chi, additive=lambda x: x)
     d = FamilyDescriptor(7, 0.25, branch=-1, chi=chi, h=h)
     pair = construct(s, sig, d)
     rep = residual(s, sig, 0.25, pair.g, pair.f)

@@ -221,12 +221,12 @@ def test_memo_is_skipped_for_an_unhashable_element():
 
 def test_zero_function_is_multiplicative(finite_fixture):
     s = finite_fixture.carrier
-    assert is_multiplicative(s, ScalarFunction(s, values=[0] * s.order), tol=0)
+    assert is_multiplicative(s, ScalarFunction(s, values=[0] * s.order))
 
 
 def test_parity_character_on_naturals():
     nat = get_fixture("naturals-from-2", window=60)
-    assert is_multiplicative(nat.carrier, nat.characters["parity"], tol=0)
+    assert is_multiplicative(nat.carrier, nat.characters["parity"])
 
 
 def test_five_adic_count_is_additive_on_odds(monkeypatch):
@@ -235,7 +235,7 @@ def test_five_adic_count_is_additive_on_odds(monkeypatch):
     tests = []
     real = functions.values_equal
     monkeypatch.setattr(functions, "values_equal", lambda *a: tests.append(a) or real(*a))
-    assert is_additive(nat.carrier, odds, nat.additive_rules["five-adic"], tol=0)
+    assert is_additive(nat.carrier, odds, nat.additive_rules["five-adic"])
     assert tests == []  # the packed scan answered; no pairwise fallback
 
 
@@ -249,8 +249,8 @@ def test_is_additive_fails_on_a_rule_off_at_one_product(monkeypatch):
     tests = []
     real = functions.values_equal
     monkeypatch.setattr(functions, "values_equal", lambda *a: tests.append(a) or real(*a))
-    assert not is_additive(nat.carrier, odds, off, tol=0)
-    assert tests[-1] == (1, 0, 0)  # the pairwise scan found the witness: A(177) = 1
+    assert not is_additive(nat.carrier, odds, off)
+    assert tests[-1] == (1, 0, VERIFY_TOL)  # the pairwise scan found the witness: A(177) = 1
     # float values take the pairwise scan only, with the same verdicts
     assert is_additive(nat.carrier, odds, lambda x: float(five(x)))
     assert not is_additive(nat.carrier, odds, lambda x: float(off(x)))
@@ -262,9 +262,9 @@ def test_is_additive_tests_a_dense_function_only_inside_its_subset():
     s = get_fixture("c3").carrier
     assert [s.product(x, y) for x in (0, 1) for y in (0, 1)] == [0, 1, 1, 2]
     values = [0, 1, 5]
-    assert is_additive(s, {0, 1}, ScalarFunction(s, values=values), tol=0)
-    assert not is_additive(s, {0, 1}, ScalarFunction(s, rule=values.__getitem__), tol=0)
-    assert not is_additive(s, {0, 1}, ScalarFunction(s, values=[1, 1, 5]), tol=0)  # 0 + 0 = 0
+    assert is_additive(s, {0, 1}, ScalarFunction(s, values=values))
+    assert not is_additive(s, {0, 1}, ScalarFunction(s, rule=values.__getitem__))
+    assert not is_additive(s, {0, 1}, ScalarFunction(s, values=[1, 1, 5]))  # 0 + 0 = 0
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +407,7 @@ def test_enumerate_c3():
 
 def test_enumerated_characters_exactly_multiplicative(finite_fixture):
     for c in enumerate_multiplicative(finite_fixture.carrier):
-        assert is_multiplicative(finite_fixture.carrier, c, tol=0)
+        assert is_multiplicative(finite_fixture.carrier, c)
 
 
 def test_enumeration_canonical_order_deterministic(finite_fixture):
@@ -432,7 +432,9 @@ def test_enumeration_bound():
 def test_character_table_matches_its_definitions(finite_fixture):
     """Each fact of the table, against the per-character computation it
     replaces: parity through the star image, x0 by scanning for the first
-    non-zero value, and the first pivot pair with a non-zero determinant."""
+    non-zero value, and the first pivot pair with a non-zero determinant,
+    which every even pair has (two distinct non-zero characters are never
+    proportional)."""
     s = finite_fixture.carrier
     nonzero = [c for c in enumerate_multiplicative(s) if not c.is_zero]
     for sigma in finite_fixture.sigmas:
@@ -458,7 +460,7 @@ def test_character_table_matches_its_definitions(finite_fixture):
                 if not values_equal(det, 0):
                     want = (x1, x2, det)
                     break
-            assert pivots == want
+            assert want is not None and pivots == want
 
 
 def test_character_table_is_keyed_by_the_permutation_not_the_name():
@@ -608,6 +610,35 @@ def test_pchi_lemma_naturals():
 # multiplication mod 4: chi = x mod 2 has I_chi = {0, 2}, I_chi^2 = {0} and
 # P_chi = {2}, the one finite case here with a non-empty P_chi
 MUL4 = FiniteSemigroup(cayley=tuple(tuple(x * y % 4 for y in range(4)) for x in range(4)))
+
+
+def _p_chi_by_definition(s, chi) -> set:
+    """P_chi read off its definition: the p in I_chi \\ I_chi^2 with up, pv
+    and upv in I_chi \\ I_chi^2 for all u, v outside I_chi."""
+    i_chi = {x for x in s.elements if values_equal(chi(x), 0)}
+    diff = i_chi - {s.product(x, y) for x in i_chi for y in i_chi}
+    units = [u for u in s.elements if u not in i_chi]
+    return {p for p in diff
+            if all({s.product(u, p), s.product(p, v), s.product(s.product(u, p), v)} <= diff
+                   for u in units for v in units)}
+
+
+@pytest.mark.parametrize("cayley, p_chi, diff", [
+    # chi1 is zero on {0, 1}; I_chi^2 = {0} and 2*1 = 0 lies in it
+    (((0, 0, 0), (0, 0, 0), (0, 0, 2)), set(), {1}),
+    # the null semigroup of order 2 times ((0,0,0),(0,0,1),(0,1,2)): 3 has
+    # the translate 2*3 = 2*3*2 = 0 in I_chi^2
+    (((0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1), (0, 1, 2, 0, 1, 2),
+      (0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1), (0, 1, 2, 0, 1, 2)), {1, 4}, {1, 3, 4}),
+], ids=["order-3-empty", "order-6-partial"])
+def test_null_sets_drops_a_candidate_whose_translate_leaves_i_minus_i_squared(cayley, p_chi, diff):
+    s = FiniteSemigroup(cayley=cayley)
+    chi = enumerate_multiplicative(s)[1]
+    sigma = InvolutiveAutomorphism("id", perm=tuple(s.elements))
+    ns = null_sets(s, sigma, chi)
+    assert ns.i_chi - ns.i_chi_sq == diff
+    assert ns.p_chi == p_chi == _p_chi_by_definition(s, chi)
+    assert check_pchi_lemma(s, sigma, chi).ok
 
 
 def test_null_sets_keeps_the_window_translates_of_p_chi():

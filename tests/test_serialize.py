@@ -120,6 +120,19 @@ def test_function_without_spec_not_serializable():
         function_to_json(f)
 
 
+def test_save_pair_without_a_spec_leaves_no_file(tmp_path):
+    # a family-7 h built from an additive rule that has no spec
+    rl = get_fixture("real-line", window=8)
+    s, sig = rl.carrier, rl.sigma("id")
+    chi = rl.character("exp", lam=1.0)
+    h = build_h(s, sig, chi, additive=lambda x: x)
+    pair = construct(s, sig, FamilyDescriptor(7, 1, chi=chi, h=h))
+    path = tmp_path / "pair.json"
+    with pytest.raises(ValueError, match="without a serializable spec"):
+        save_pair(path, pair, "real-line", "id", window=8)
+    assert not path.exists()
+
+
 def test_naturals_h_pair_round_trip(tmp_path):
     from coslaw.families import HSpec
 
