@@ -4,9 +4,9 @@ Subcommands: validate, automorphisms, characters, nullsets, construct,
 verify, solve, classify, suite.  Exit status 0 on success / pass, 1 on a
 check failure, 2 on usage errors; a stdout closed early (``| head``) ends
 the run with status 1 and no traceback.  Complex literals accept ``a``, ``bi``,
-``a+bi`` and ``a-bi`` with decimal reals (fractions too under ``--exact``).
-The output directory for artifact files can be overridden with the
-``COSLAW_OUTDIR`` environment variable.
+``a+bi`` and ``a-bi`` with decimal or fraction reals, kept exact under
+``construct --exact`` and in an ``--alpha`` over an exact pair's alpha.
+``COSLAW_OUTDIR`` overrides the output directory for artifact files.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .analysis import NotASolution, classify, residual
-from .exactnum import VERIFY_TOL, rational_complex, read_fraction
+from .exactnum import VERIFY_TOL, is_exact, rational_complex, read_fraction
 from .families import (
     ConditionViolation,
     FamilyDescriptor,
@@ -106,20 +106,17 @@ def _sigma(fx: Fixture, name: str | None):
         raise UsageError(e.args[0]) from None
 
 
-def _resolve_character(fx: Fixture, args):
+def _resolve_character(fx: Fixture, chi: str | None, lam=None, a=None, b=None):
     # the parametrized `exp` takes --lambda / --a --b, not a bare name
-    if args.chi and not (args.chi == "exp" and fx.exp is not None):
+    if chi and not (chi == "exp" and fx.exp is not None):
         try:
-            return fx.character(args.chi)
+            return fx.character(chi)
         except KeyError as e:
             raise UsageError(e.args[0]) from None
     if fx.name == "real-line":
-        lam = parse_complex(args.lam or "1")
-        return fx.character("exp", lam=lam)
+        return fx.character("exp", lam=parse_complex(lam or "1"))
     if fx.name == "heisenberg":
-        a = parse_complex(args.a or "1")
-        b = parse_complex(args.b or "0")
-        return fx.character("exp", a=a, b=b)
+        return fx.character("exp", a=parse_complex(a or "1"), b=parse_complex(b or "0"))
     raise UsageError(f"--chi is required for fixture {fx.name}")
 
 
@@ -173,7 +170,8 @@ def _cmd_characters(args) -> int:
 
 def _cmd_nullsets(args) -> int:
     fx = _fixture(args.fixture, window=args.window)
-    chi = _resolve_character(fx, args)
+    # an exp has no exact zeros, so no --lambda / --a --b: its null sets are empty
+    chi = _resolve_character(fx, args.chi)
     try:
         ns = null_sets(fx.carrier, fx.sigma(), chi)
     except ValueError as e:  # the zero character has no null sets
@@ -210,7 +208,7 @@ def _cmd_construct(args) -> int:
     chi = chi1 = chi2 = None
     h_spec = None
     if family in (4, 7, 8):
-        chi = _resolve_character(fx, args)
+        chi = _resolve_character(fx, args.chi, args.lam, args.a, args.b)
     if family in (5, 6):
         if not (args.chi1 and args.chi2):
             raise UsageError(f"family {family} needs --chi1 and --chi2")
@@ -253,16 +251,21 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _pair_alpha(args, pair):
+    """The pair's alpha, or --alpha read exactly when the pair's alpha is exact."""
+    return parse_complex(args.alpha, exact=is_exact(pair.alpha)) if args.alpha else pair.alpha
+
+
 def _cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     fx, sigma, pair = load_pair(args.pair)
-    alpha = parse_complex(args.alpha, exact=args.exact) if args.alpha else pair.alpha
+    alpha = _pair_alpha(args, pair)
     rep = residual(fx.carrier, sigma, alpha, pair.g, pair.f)
     print(
         json.dumps(
             {
-                "max_residual": rep.max_residual,
+                "max_residual": float(rep.max_residual),  # an exact one may be a Fraction
                 "worst_pair": [str(x) for x in rep.worst_pair],
                 "pair_count": rep.pair_count,
                 "mode": rep.mode,
@@ -296,7 +299,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_classify(args) -> int:
     fx, sigma, pair = load_pair(args.pair)
-    alpha = parse_complex(args.alpha, exact=args.exact) if args.alpha else pair.alpha
+    alpha = _pair_alpha(args, pair)
     try:
         result = classify(fx.carrier, sigma, alpha, pair.g, pair.f)
     except NotASolution as e:
@@ -349,14 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, window=False, exact=False, **kw):
-        """A subcommand; `window` and `exact` give it the flags it reads."""
+    def add(name, fn, window=False, **kw):
+        """A subcommand; `window` gives it the flag."""
         sp = sub.add_parser(name, allow_abbrev=False, **kw)
         sp.set_defaults(fn=fn)
         if window:
             sp.add_argument("--window", type=int, default=None, help="fixture window size")
-        if exact:
-            sp.add_argument("--exact", action="store_true", help="rational-pair arithmetic")
         return sp
 
     sp = add("validate", _cmd_validate, window=True, help="validate a semigroup file or fixture")
@@ -371,11 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("nullsets", _cmd_nullsets, window=True, help="print I_chi, I_chi^2, P_chi")
     sp.add_argument("fixture", choices=FIXTURE_NAMES)
     sp.add_argument("--chi", default=None, help="character name (finite / naturals)")
-    sp.add_argument("--lambda", dest="lam", default=None, help="real-line exp parameter")
-    sp.add_argument("--a", default=None), sp.add_argument("--b", default=None)
 
-    sp = add("construct", _cmd_construct, window=True, exact=True,
-             help="build a family solution pair")
+    sp = add("construct", _cmd_construct, window=True, help="build a family solution pair")
+    sp.add_argument("--exact", action="store_true", help="rational-pair arithmetic")
     sp.add_argument("--family", type=int, required=True, choices=range(1, 9))
     sp.add_argument("--fixture", required=True, choices=FIXTURE_NAMES)
     sp.add_argument("--sigma", default=None)
@@ -391,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--free-file", default=None, help="JSON function for families 1-3")
     sp.add_argument("--out", default="pair.json")
 
-    sp = add("verify", _cmd_verify, exact=True, help="verify a pair file against the equation")
+    sp = add("verify", _cmd_verify, help="verify a pair file against the equation")
     sp.add_argument("--pair", required=True)
     sp.add_argument("--alpha", default=None)
     sp.add_argument("--tol", type=float, default=VERIFY_TOL)
@@ -404,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=int, default=2000)
     sp.add_argument("--out", default=None)
 
-    sp = add("classify", _cmd_classify, exact=True, help="classify a solution pair")
+    sp = add("classify", _cmd_classify, help="classify a solution pair")
     sp.add_argument("--pair", required=True)
     sp.add_argument("--alpha", default=None)
 

@@ -310,7 +310,7 @@ class MultiplicativeFunction:
     def is_zero(self) -> bool:
         if self.phases is not None:
             return all(p is None for p in self.phases)
-        return self.fn.is_zero(VERIFY_TOL)
+        return self.fn.is_zero()
 
     def star(self, sigma: InvolutiveAutomorphism) -> "MultiplicativeFunction":
         phases = None
@@ -339,10 +339,9 @@ class MultiplicativeFunction:
 def is_multiplicative(s: Semigroup, f) -> bool:
     """chi(xy) = chi(x)chi(y) on all window pairs, to VERIFY_TOL (exact
     values are compared exactly)."""
-    ev = f.fn if isinstance(f, MultiplicativeFunction) else f
     xs = s.elements
-    values = [ev(x) for x in xs]
-    return law_failure(s, xs, xs, ev, values, values) is None
+    values = [f(x) for x in xs]
+    return law_failure(s, xs, xs, f, values, values) is None
 
 
 def is_additive(s: Semigroup, subset, f) -> bool:
@@ -603,9 +602,9 @@ def null_sets(s: Semigroup, sigma: InvolutiveAutomorphism, chi) -> NullSets:
 
 
 def _window_zeros(elems, chi) -> set:
-    """The zeros of chi among `elems`: all that `null_sets` reads of chi."""
-    ev = chi.fn if isinstance(chi, MultiplicativeFunction) else chi
-    return {x for x in elems if values_equal(ev(x), 0, VERIFY_TOL)}
+    """The zeros of chi among `elems`, each an exact zero (a float is one
+    only at 0.0): all that `null_sets` reads of chi."""
+    return {x for x in elems if values_equal(chi(x), 0)}
 
 
 @dataclass
@@ -639,7 +638,7 @@ def check_pchi_lemma(
         for u, v, x in translates
         if u is None or v is None
     ]
-    chi_star = chi.star(sigma) if isinstance(chi, MultiplicativeFunction) else star(chi, sigma)
+    chi_star = chi.star(sigma)
     # chi o sigma with chi's window zeros (sigma = id, or an even chi) has chi's null sets
     same = _window_zeros(s.elements, chi_star) == ns.i_chi
     ns_star = ns if same else null_sets(s, sigma, chi_star)

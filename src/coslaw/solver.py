@@ -75,6 +75,10 @@ DEDUP_RADIUS = 1e-6
 # pending, one res call covers the rest of the current chunk of these
 HALVING_CHUNKS = (1, 1, 2, 4, 8, 24)
 CHUNK_ENDS = tuple(itertools.accumulate(HALVING_CHUNKS))
+# a Gauss-Newton sweep holds, per start, the (n^2, 2n) complex128 Jacobian
+# and its conjugate: 2 * 16 * 2n^3 = 4 KiB at SOLVER_ORDER_BOUND.  1 GiB of
+# them bounds the restarts at 262,144
+MAX_RESTARTS = 2**30 // (2 * 16 * 2 * SOLVER_ORDER_BOUND**3)
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts <= 0:
-            raise ValueError("SolverConfig.restarts must be positive")
+        if not 0 < self.restarts <= MAX_RESTARTS:
+            raise ValueError(f"SolverConfig.restarts must be positive and at most {MAX_RESTARTS}")
         if self.seed < 0:
             raise ValueError("SolverConfig.seed must be non-negative")
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from coslaw import cli, solver
 from coslaw.cli import main, parse_complex, UsageError
 from coslaw.fixtures import FIXTURE_NAMES, get_fixture
 from coslaw.serialize import MAX_SPEC_DEPTH
@@ -80,6 +81,50 @@ def test_nullsets_naturals(capsys):
     assert "P_chi   = {2, 6, 10," in out
     assert "I_chi   = {2, 4, 6," in out
     assert "window" in out
+
+
+def test_nullsets_real_line_prints_the_default_exps_empty_sets(capsys):
+    assert main(["nullsets", "real-line"]) == 0
+    assert capsys.readouterr().out == (
+        "I_chi   = {}\nI_chi^2 = {}\nP_chi   = {}\ncertified: window\n")
+
+
+def test_real_line_family7_constructs_with_an_exp_that_has_no_exact_zeros(tmp_path, capsys):
+    # e^(-10x) is below VERIFY_TOL on the right of the window, but no zero
+    out = tmp_path / "pair.json"
+    assert main(["construct", "--family", "7", "--fixture", "real-line", "--sigma", "id",
+                 "--lambda", "10i", "--alpha", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["verify", "--pair", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_an_alpha_override_on_an_exact_pair_is_read_exactly(tmp_path, capsys):
+    out = tmp_path / "pair.json"
+    assert main(["construct", "--family", "4", "--fixture", "c2", "--chi", "chi1", "--alpha", "1/2",
+                 "--q", "1/2", "--exact", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--pair", str(out), "--alpha", "1/2"]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "exact"
+    # an exact non-zero defect is printed as a float
+    assert main(["verify", "--pair", str(out), "--alpha", "1/3"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["mode"] == "exact" and report["max_residual"] == 1 / 12
+
+
+@pytest.mark.parametrize("alpha, stdout", [
+    ("3", '{"max_residual": 2.000000000000001, "worst_pair": ["1.8450623521082914", '
+          '"1.8450623521082914"], "pair_count": 4096, "mode": "float"}\n'),
+    ("2", '{"max_residual": 2.2121037052315357e-15, "worst_pair": ["1.9447954522222526", '
+          '"-2.543194052906023"], "pair_count": 4096, "mode": "float"}\n'),
+])
+def test_an_alpha_override_on_a_float_pair_is_read_as_a_float(tmp_path, capsys, alpha, stdout):
+    out = tmp_path / "pair.json"
+    assert main(["construct", "--family", "8", "--fixture", "real-line", "--lambda", "1",
+                 "--alpha", "2+0i", "--out", str(out)]) == 0
+    capsys.readouterr()
+    main(["verify", "--pair", str(out), "--alpha", alpha])
+    assert capsys.readouterr().out == stdout
 
 
 def test_characters_bool_mult(capsys):
@@ -332,6 +377,18 @@ def test_solve_edge_inputs_are_usage_errors(capsys, argv, message):
     assert err.startswith("usage error:") and message in err
 
 
+def test_too_many_restarts_are_refused_before_the_solver_runs(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "find_solutions", refuse)
+    monkeypatch.setattr(solver, "_disk", refuse)
+    assert main(["solve", "c2", "--alpha", "1", "--restarts", "99999999999999999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: SolverConfig.restarts must be positive and at most 262144\n"
+
+
 _INF_EXP_PAIR = {
     "fixture": "real-line", "sigma": "neg", "alpha": [2.0, 0.0],
     "g": {"rule": "exp", "lambda": [1e308, 0.0]}, "f": {"rule": "exp", "lambda": [1e308, 0.0]},
@@ -342,9 +399,8 @@ _INF_EXP_PAIR = {
     ["construct", "--family", "8", "--fixture", "real-line", "--lambda", "1e308", "--alpha", "2"],
     ["construct", "--family", "8", "--fixture", "heisenberg", "--a", "1e308i", "--b", "0",
      "--alpha", "2"],
-    ["nullsets", "real-line", "--lambda", "1e308"],
     ["verify", "--pair", "PAIR"],
-], ids=["real-line", "heisenberg", "nullsets", "verify"])
+], ids=["real-line", "heisenberg", "verify"])
 def test_infinite_exp_exponent_is_an_arithmetic_error(tmp_path, capsys, argv):
     # i * 1e308 * x is infinite at |x| > 1.8: cmath.exp raises ValueError there
     path = tmp_path / "pair.json"
@@ -626,8 +682,14 @@ def test_each_refusal_is_its_one_stderr_line(tmp_path, capsys, argv, code, messa
     ["characters", "heisenberg", "--window", "1"],
     ["solve", "c2", "--alpha", "1", "--window", "3"],
     ["nullsets", "c3", "--chi", "chi1", "--sigma", "inv"],
+    ["nullsets", "real-line", "--lambda", "1"],
+    ["nullsets", "heisenberg", "--a", "1"],
+    ["nullsets", "heisenberg", "--b", "1"],
+    ["verify", "--pair", "p.json", "--exact"],
+    ["classify", "--pair", "p.json", "--exact"],
 ], ids=["solve-exact", "suite-window", "verify-window", "classify-window", "characters-exact",
-        "automorphisms-window", "characters-window", "solve-window", "nullsets-sigma"])
+        "automorphisms-window", "characters-window", "solve-window", "nullsets-sigma",
+        "nullsets-lambda", "nullsets-a", "nullsets-b", "verify-exact", "classify-exact"])
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err

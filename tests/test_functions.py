@@ -522,6 +522,26 @@ def test_null_sets_reject_zero_character():
         null_sets(fx.carrier, fx.sigma("id"), fx.characters["chi0"])
 
 
+@pytest.mark.parametrize("fixture, window, params", [
+    ("real-line", 8, {"lam": 10j}),
+    ("heisenberg", 3, {"a": 7.5, "b": 0}),
+], ids=["real-line", "heisenberg"])
+def test_an_exp_character_below_the_tolerance_has_no_zeros(fixture, window, params):
+    # e^(-10x) near x = pi and e^(7.5x) at x = -3 are within VERIFY_TOL of 0,
+    # but a zero of chi is an exact zero
+    fx = get_fixture(fixture, window=window)
+    chi = fx.character("exp", **params)
+    assert any(abs(chi(x)) <= VERIFY_TOL for x in fx.carrier.elements)
+    ns = null_sets(fx.carrier, fx.sigma(), chi)
+    assert ns.i_chi == ns.i_chi_sq == ns.p_chi == frozenset()
+
+
+def test_a_character_without_phases_is_zero_only_at_exact_zeros():
+    s = get_fixture("c2").carrier
+    assert not MultiplicativeFunction(ScalarFunction(s, values=[1e-12, 1e-12])).is_zero
+    assert MultiplicativeFunction(ScalarFunction(s, values=[0.0, 0])).is_zero
+
+
 def test_null_sets_read_each_window_value_of_chi_once(monkeypatch):
     tests = []
     real = functions.values_equal

@@ -16,6 +16,7 @@ from coslaw.fixtures import get_fixture
 from coslaw.semigroups import FiniteSemigroup, identity_automorphism
 from coslaw.solver import (
     DEDUP_RADIUS,
+    MAX_RESTARTS,
     NEWTON_MAX_ITERS,
     NEWTON_TOL,
     SolverConfig,
@@ -165,6 +166,15 @@ def test_order_bound():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
+
+
+def test_config_bounds_the_restarts():
+    # 4 KiB of Jacobians per start at the order bound; no solve runs here
+    assert MAX_RESTARTS * 2 * 16 * 2 * solver.SOLVER_ORDER_BOUND**3 == 2**30
+    assert SolverConfig(restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
+    for restarts in (MAX_RESTARTS + 1, 10**20):
+        with pytest.raises(ValueError, match=f"restarts must be positive and at most {MAX_RESTARTS}"):
+            SolverConfig(restarts=restarts)
 
 
 def test_config_rejects_a_negative_seed():
