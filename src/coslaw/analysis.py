@@ -30,7 +30,6 @@ from .exactnum import (
     values_equal,
 )
 from .families import (
-    ConditionViolation,
     FamilyDescriptor,
     InvalidDescriptor,
     _s2_failure,
@@ -485,7 +484,7 @@ def classify(
     for d in _candidates(s, sigma, alpha, g, f):
         try:
             pair = construct(s, sigma, d)
-        except (InvalidDescriptor, ConditionViolation):
+        except InvalidDescriptor:
             continue
         g_diff = pair.g.max_diff(g)
         if not g_diff <= MATCH_TOL:

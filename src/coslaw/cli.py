@@ -22,7 +22,6 @@ from pathlib import Path
 from .analysis import NotASolution, classify, residual
 from .exactnum import VERIFY_TOL, is_exact, rational_complex, read_fraction
 from .families import (
-    ConditionViolation,
     FamilyDescriptor,
     HSpec,
     InvalidDescriptor,
@@ -31,7 +30,7 @@ from .families import (
 )
 from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
 from .functions import ScalarFunction, null_sets
-from .semigroups import product_set, validate
+from .semigroups import non_products, validate
 from .serialize import (
     ParseError,
     load_function,
@@ -191,7 +190,7 @@ def _default_free(fx: Fixture, family: int):
             return ScalarFunction(s, values=[k + 1 for k in range(s.order)])
         table = {x: 1 for x in s.elements}
         return function_vanishing_on_products(s, table)
-    outside = sorted(set(s.elements) - product_set(s, s.elements))
+    outside = non_products(s)
     if not outside:
         raise UsageError(
             f"families 2/3 need S \\ S^2 non-empty; not so on {fx.name} (pass --free-file)"
@@ -238,7 +237,7 @@ def _cmd_construct(args) -> int:
     predicates = fx.null_predicates.get(chi.name) if chi is not None else None
     try:
         pair = construct(fx.carrier, sigma, d, predicates=predicates)
-    except (InvalidDescriptor, ConditionViolation) as e:
+    except InvalidDescriptor as e:
         print(f"construct failed: {e}", file=sys.stderr)
         return 1
     out = _out_path(args.out)
@@ -433,7 +432,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1
-    except (InvalidDescriptor, ConditionViolation) as e:
+    except InvalidDescriptor as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
     except OverflowError as e:  # a value beyond float range, such as e^1000

@@ -49,7 +49,7 @@ class InvalidDescriptor(ValueError):
     """A family descriptor violates its invariants."""
 
 
-class ConditionViolation(ValueError):
+class ConditionViolation(InvalidDescriptor):
     """The piecewise sine-law data violates condition (I) or (II) or parity."""
 
 
@@ -244,7 +244,7 @@ def _membership(s: Semigroup, ns: NullSets, predicates) -> tuple[Callable, Calla
     if not ns.i_chi:
         # chi has no window zeros; treat I_chi as empty everywhere
         return _nowhere, _nowhere
-    raise ValueError(
+    raise InvalidDescriptor(
         "procedural carrier with non-trivial null sets needs membership predicates"
     )
 
@@ -299,11 +299,10 @@ def construct(
     free_f: ScalarFunction | None = None,
     predicates=None,
 ) -> SolutionPair:
-    """Build the (g, f) pair a descriptor denotes, validating its invariants.
+    """Build the (g, f) pair a descriptor denotes, or raise InvalidDescriptor.
 
-    `free_f`, when given, replaces the descriptor's `free` before anything
-    else reads it, so the pair's provenance is the descriptor it was built
-    from."""
+    `free_f` replaces the descriptor's `free`, and family 7's h is settled
+    first (`predicates` serve `build_h`), so the provenance rebuilds the pair."""
     if free_f is not None:
         d = replace(d, free=free_f)
     if d.family not in range(1, 9):
@@ -312,7 +311,11 @@ def construct(
         raise InvalidDescriptor(
             f"family {d.family} is fully determined; free functions belong to 1-3"
         )
-    g, f = _BUILDERS[d.family](s, sigma, d, predicates)
+    if d.branch not in (1, -1):
+        raise InvalidDescriptor("branch must be +1 or -1")
+    if d.family == 7:
+        d = _with_h(s, sigma, d, predicates)
+    g, f = _BUILDERS[d.family](s, sigma, d)
     return SolutionPair(g=g, f=f, alpha=d.alpha, provenance=d)
 
 
@@ -353,14 +356,14 @@ def _s2_failure(s: Semigroup, g: ScalarFunction, tol: float = VERIFY_TOL) -> tup
     return bad and (elems[bad[0]], elems[bad[1]])
 
 
-def _family1(s, sigma, d, predicates):
+def _family1(s, sigma, d):
     if not (_eq(d.alpha, 1) or _eq(d.alpha, -1)):
         raise InvalidDescriptor("family 1 requires alpha = +-1")
     f = _require_nonzero_fn(d.free, "family 1")
     return f.scale(d.alpha), f
 
 
-def _family23(s, sigma, d, predicates):
+def _family23(s, sigma, d):
     """f = g (family 2, alpha != 1) or f = -g (family 3, alpha != -1)."""
     sign = 1 if d.family == 2 else -1
     if _eq(d.alpha, sign):
@@ -372,7 +375,7 @@ def _family23(s, sigma, d, predicates):
     return g, g if sign == 1 else -g
 
 
-def _family4(s, sigma, d, predicates):
+def _family4(s, sigma, d):
     _require_even(s, sigma, d.chi, "family 4")
     if d.q is None:
         raise InvalidDescriptor("family 4 requires the constant q")
@@ -383,7 +386,7 @@ def _family4(s, sigma, d, predicates):
     return g, f
 
 
-def _family5(s, sigma, d, predicates):
+def _family5(s, sigma, d):
     _require_two_even(s, sigma, d, "family 5")
     if d.q is None or _eq(d.q, d.alpha) or _eq(d.q, -d.alpha):
         raise InvalidDescriptor("family 5 requires a constant q outside {+-alpha}")
@@ -394,34 +397,39 @@ def _family5(s, sigma, d, predicates):
     return g, f
 
 
-def _family6(s, sigma, d, predicates):
+def _family6(s, sigma, d):
     if _eq(d.alpha, 0):
         raise InvalidDescriptor("family 6 requires alpha != 0")
     _require_two_even(s, sigma, d, "family 6")
     return d.chi2.fn, d.chi1.fn.scale(d.alpha)
 
 
-def _family7(s, sigma, d, predicates):
+def _with_h(s, sigma, d: FamilyDescriptor, predicates) -> FamilyDescriptor:
+    """d holding its h: its own h once checked sigma-even and against the
+    sine law, else the h that `build_h` assembles from `h_spec`."""
     _require_even(s, sigma, d.chi, "family 7")
     if d.h is not None:
-        h = d.h
-        if not is_even(h, sigma):
+        if not is_even(d.h, sigma):
             raise InvalidDescriptor("family 7 requires a sigma-even h")
-        bad = _sine_law_failure(s, h, d.chi)
+        bad = _sine_law_failure(s, d.h, d.chi)
         if bad is not None:
             raise InvalidDescriptor(f"h fails the sine addition law at ({bad[0]}, {bad[1]})")
-    else:
-        spec = d.h_spec or HSpec()
-        h = build_h(s, sigma, d.chi, additive=spec.additive, rho=spec.rho, predicates=predicates)
-        if spec.spec is not None:
-            h.spec = spec.spec
+        return d
+    spec = d.h_spec or HSpec()
+    h = build_h(s, sigma, d.chi, additive=spec.additive, rho=spec.rho, predicates=predicates)
+    if spec.spec is not None:
+        h.spec = spec.spec
+    return replace(d, h=h)
+
+
+def _family7(s, sigma, d):
     chi = d.chi.fn
-    f = chi.scale(d.alpha) + h
-    g = chi + h.scale(d.branch)
+    f = chi.scale(d.alpha) + d.h
+    g = chi + d.h.scale(d.branch)
     return g, f
 
 
-def _family8(s, sigma, d, predicates):
+def _family8(s, sigma, d):
     if _eq(d.alpha, 1) or _eq(d.alpha, -1):
         raise InvalidDescriptor("family 8 requires alpha != +-1")
     _require_character(s, d.chi, "family 8")

@@ -329,6 +329,11 @@ def product_set(s: Semigroup, t: Iterable) -> frozenset:
     return s.window_set.intersection(p for b in pair_blocks(s, ts, ts) for p in b.products)
 
 
+def non_products(s: Semigroup) -> list:
+    """S \\ S^2 on the window, sorted: the elements that are no product of two."""
+    return sorted(set(s.elements) - product_set(s, s.elements))
+
+
 def enumerate_involutive_automorphisms(s: FiniteSemigroup) -> list[InvolutiveAutomorphism]:
     """All involutive automorphisms, brute force over permutations.
 

@@ -63,7 +63,7 @@ from .families import (
     function_vanishing_on_products,
 )
 from .functions import ScalarFunction, character_table, complex_pair
-from .semigroups import FiniteSemigroup, InvolutiveAutomorphism, pair_blocks, product_set
+from .semigroups import FiniteSemigroup, InvolutiveAutomorphism, non_products, pair_blocks
 
 RANK_TOL = 1e-6
 START_RADIUS = 3.0
@@ -275,7 +275,7 @@ def _family_seeds(
     f_rand = ScalarFunction(s, values=(1 + 0.5 * _disk(rng, n)).tolist())
     try_build(FamilyDescriptor(1, alpha, free=f_rand))
 
-    outside = sorted(set(range(n)) - product_set(s, range(n)))
+    outside = non_products(s)
     if outside:
         supports = [{x: 1.0} for x in outside] + [{x: 1.0 for x in outside}]
         for sup in supports:

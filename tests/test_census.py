@@ -2,16 +2,22 @@
 
 A brute-force enumerator lists every associative table on n labelled
 elements and groups the tables into isomorphism classes.  Every class
-of order 2 is solved at each of its involutive automorphisms and each
-alpha of the A7 grid, and every solution found must classify into a
+of order 2 and 3 is solved at each of its involutive automorphisms and
+each alpha of the A7 grid, and every solution found must classify into a
 family.  The runs that fail today are marked, with their measured counts.
+On each (class, sigma) of order 2 and 3, constructed solutions also make
+the round trip through `classify` and through their own provenance.
 """
 
 import itertools
 
+import numpy as np
 import pytest
 
-from coslaw.acceptance import A7_ALPHAS
+from coslaw.acceptance import A7_ALPHAS, _random_solutions
+from coslaw.analysis import classify, residual
+from coslaw.families import construct
+from coslaw.fixtures import Fixture
 from coslaw.semigroups import FiniteSemigroup, enumerate_involutive_automorphisms
 from coslaw.solver import SolverConfig, completeness_check
 
@@ -62,21 +68,71 @@ _KNOWN_GAPS = {
     (((0, 0), (0, 0)), "id", 0.5): "10 of 212 rows unclassified",
     (((0, 0), (0, 0)), "id", 2): "4 of 212 rows unclassified",
     (((0, 0), (0, 0)), "id", 1j): "1 of 212 rows unclassified",
+    (((0, 0, 0), (0, 0, 0), (0, 0, 1)), "id", 0): "173 of 182 rows unclassified",
+    (((0, 0, 0), (0, 0, 0), (0, 0, 1)), "id", 0.5): "180 of 192 rows unclassified",
+    (((0, 0, 0), (0, 0, 0), (0, 0, 1)), "id", 2): "179 of 191 rows unclassified",
+    (((0, 0, 0), (0, 0, 0), (0, 0, 1)), "id", 1j): "177 of 190 rows unclassified",
+    (((0, 0, 0), (0, 1, 1), (0, 1, 1)), "id", 0.5): "1 of 85 rows unclassified",
 }
 
 
-def _order2_runs():
-    for table in census_classes(2):
+def _table_name(table: tuple) -> str:
+    return ".".join("".join(map(str, row)) for row in table)
+
+
+def _census_pairs(n: int) -> list[tuple]:
+    """(table, carrier, sigma) for every class of order n and each of its
+    involutive automorphisms."""
+    out = []
+    for table in census_classes(n):
         s = FiniteSemigroup(cayley=table)
-        for sigma in enumerate_involutive_automorphisms(s):
-            for alpha in A7_ALPHAS:
-                gap = _KNOWN_GAPS.get((table, sigma.name, alpha))
-                marks = pytest.mark.xfail(strict=True, reason=gap) if gap else ()
-                name = ".".join("".join(map(str, row)) for row in table)
-                yield pytest.param(s, sigma, alpha, id=f"{name}-{sigma.name}-{alpha}", marks=marks)
+        out.extend((table, s, sigma) for sigma in enumerate_involutive_automorphisms(s))
+    return out
 
 
-@pytest.mark.parametrize("s, sigma, alpha", _order2_runs())
-def test_every_solution_on_an_order2_semigroup_classifies(s, sigma, alpha):
+def _runs(n: int):
+    for table, s, sigma in _census_pairs(n):
+        for alpha in A7_ALPHAS:
+            gap = _KNOWN_GAPS.get((table, sigma.name, alpha))
+            marks = pytest.mark.xfail(strict=True, reason=gap) if gap else ()
+            yield pytest.param(s, sigma, alpha, id=f"{_table_name(table)}-{sigma.name}-{alpha}",
+                               marks=marks)
+
+
+def _assert_every_solution_classifies(s, sigma, alpha):
     rep = completeness_check(s, sigma, alpha, CENSUS_CONFIG)
     assert not rep.unclassified, f"{len(rep.unclassified)} of {rep.total} rows unclassified"
+
+
+@pytest.mark.parametrize("s, sigma, alpha", _runs(2))
+def test_every_solution_on_an_order2_semigroup_classifies(s, sigma, alpha):
+    _assert_every_solution_classifies(s, sigma, alpha)
+
+
+@pytest.mark.parametrize("s, sigma, alpha", _runs(3))
+def test_every_solution_on_an_order3_semigroup_classifies(s, sigma, alpha):
+    _assert_every_solution_classifies(s, sigma, alpha)
+
+
+ROUND_TRIP_DRAWS = 20
+
+
+def _round_trip_pairs():
+    for k, (table, s, sigma) in enumerate(_census_pairs(2) + _census_pairs(3)):
+        yield pytest.param(k, table, s, sigma, id=f"{_table_name(table)}-{sigma.name}")
+
+
+@pytest.mark.parametrize("k, table, s, sigma", _round_trip_pairs())
+def test_census_solutions_classify_and_rebuild(k, table, s, sigma):
+    # A8's generator on a fixture that wraps the census carrier
+    fx = Fixture(name=_table_name(table), carrier=s, sigmas=(sigma,))
+    draws = _random_solutions([(fx, sigma)], np.random.default_rng([7, k]))
+    for _, _, d, pair in itertools.islice(draws, ROUND_TRIP_DRAWS):
+        assert residual(s, sigma, d.alpha, pair.g, pair.f).ok(), d
+        result = classify(s, sigma, d.alpha, pair.g, pair.f)
+        assert result.classified, d
+        rebuilt = construct(s, sigma, result.descriptor)
+        assert max(rebuilt.g.max_diff(pair.g), rebuilt.f.max_diff(pair.f)) <= 1e-7, d
+        again = construct(s, sigma, pair.provenance)
+        for got, want in ((again.g, pair.g), (again.f, pair.f)):
+            assert list(map(repr, got.values)) == list(map(repr, want.values)), d

@@ -304,13 +304,7 @@ def _same_value(u, v) -> bool:
 def _provenance_cases():
     for k, case in enumerate(family_case_matrix()):
         fx, sigma, d = case[:3]
-        marks = ()
-        if fx.name == "naturals-from-2" and d.family == 7:
-            # the parity predicates are an argument of construct, not part
-            # of the descriptor, so the provenance cannot rebuild h
-            marks = pytest.mark.xfail(strict=True, raises=ValueError,
-                                      reason="needs membership predicates")
-        yield pytest.param(case, id=f"{k}-{fx.name}-{sigma.name}-family{d.family}", marks=marks)
+        yield pytest.param(case, id=f"{k}-{fx.name}-{sigma.name}-family{d.family}")
 
 
 @pytest.mark.parametrize("case", _provenance_cases())
@@ -320,6 +314,66 @@ def test_the_provenance_rebuilds_the_pair(case):
     rebuilt = construct(fx.carrier, sigma, pair.provenance)
     for x in fx.carrier.elements:
         assert _same_value(pair.g(x), rebuilt.g(x)) and _same_value(pair.f(x), rebuilt.f(x)), x
+
+
+def _naturals_family7(branch=1):
+    """Family 7 on the naturals from 2 (window 30): parity, the five-adic
+    additive part and rho = 3/2, with the fixture's parity predicates."""
+    nat = get_fixture("naturals-from-2", window=30)
+    hspec = HSpec(additive=nat.additive_rules["five-adic"], rho=F(3, 2))
+    d = FamilyDescriptor(7, F(1, 2), branch=branch, chi=nat.characters["parity"], h_spec=hspec)
+    return nat, d, nat.null_predicates["parity"]
+
+
+def test_a_family7_construct_scans_the_sine_law_once_and_its_rebuild_builds_no_h(monkeypatch):
+    calls = {"build_h": 0, "_sine_law_failure": 0}
+
+    def counting(name):
+        inner = getattr(families, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(families, name, wrapper)
+
+    counting("build_h")
+    counting("_sine_law_failure")
+    nat, d, preds = _naturals_family7()
+    s, sigma = nat.carrier, nat.sigma("id")
+    pair = construct(s, sigma, d, predicates=preds)
+    assert calls == {"build_h": 1, "_sine_law_failure": 1}
+    assert pair.provenance.h is not None and pair.provenance == d
+    rebuilt = construct(s, sigma, pair.provenance)
+    assert calls == {"build_h": 1, "_sine_law_failure": 2}
+    assert rebuilt.provenance is pair.provenance
+
+
+@pytest.mark.parametrize("family", [4, 5, 7])
+@pytest.mark.parametrize("branch", [0, 2])
+def test_construct_refuses_a_branch_other_than_plus_or_minus_one(family, branch):
+    nat, d7, preds = _naturals_family7(branch)
+    parity, one = nat.characters["parity"], nat.characters["one"]
+    d = {
+        4: FamilyDescriptor(4, F(1, 2), q=F(1, 2), branch=branch, chi=parity),
+        5: FamilyDescriptor(5, 0, q=F(3, 4), branch=branch, chi1=one, chi2=parity),
+        7: d7,
+    }[family]
+    s, sigma = nat.carrier, nat.sigma("id")
+    construct(s, sigma, dataclasses.replace(d, branch=-1), predicates=preds)
+    with pytest.raises(InvalidDescriptor, match=r"^branch must be \+1 or -1$"):
+        construct(s, sigma, d, predicates=preds)
+
+
+def test_every_refusal_of_construct_is_an_invalid_descriptor():
+    assert issubclass(ConditionViolation, InvalidDescriptor)
+    nat, d, preds = _naturals_family7()
+    s, sigma = nat.carrier, nat.sigma("id")
+    with pytest.raises(InvalidDescriptor, match="needs membership predicates"):
+        construct(s, sigma, d)
+    odd_rho = dataclasses.replace(d, h_spec=HSpec(rho=lambda x: x))
+    with pytest.raises(ConditionViolation, match=r"^condition \(I\) fails"):
+        construct(s, sigma, odd_rho, predicates=preds)
 
 
 # ---------------------------------------------------------------------------
