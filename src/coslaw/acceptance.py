@@ -31,6 +31,7 @@ from .analysis import (
     check_parity_lemma,
     classify,
     residual,
+    worst_diff,
 )
 from .families import (
     FamilyDescriptor,
@@ -476,9 +477,9 @@ def _criterion_8():
         if not result.classified:
             return False, f"unclassified construct: {fx.name}/{sigma.name}/family{d.family}"
         rebuilt = construct(fx.carrier, sigma, result.descriptor)
-        m = max(rebuilt.g.max_diff(pair.g), rebuilt.f.max_diff(pair.f))
+        m = worst_diff(rebuilt.g.max_diff(pair.g), rebuilt.f.max_diff(pair.f))
         worst = max(worst, m)
-        if m > 1e-7:
+        if not m <= 1e-7:  # a NaN round trip fails
             return False, (
                 f"round trip off by {m:.2e} on {fx.name}/family{d.family} -> "
                 f"{result.family_tag}"

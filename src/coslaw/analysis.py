@@ -8,10 +8,12 @@ satisfies (with G = g - alpha*f): G(x sigma(y)) = G(y sigma(x)),
 G = G o sigma on products of three, and the parity cross-identities
 g_e(x) g_o(yz) = f_e(x) f_o(yz) and g_e(yz) g_o(x) = f_e(yz) f_o(x).
 `classify` maps a verified solution back to a family descriptor: it
-reconstructs the pair from each candidate of `_candidates`, the one place
+reconstructs the pair from each candidate slot of `_slots`, the one place
 that holds the decision order, until one matches.  The character facts the
 candidates need come from the carrier's `CharacterTable`, built once per
-(carrier, sigma).
+(carrier, sigma).  `first_candidates` classifies a whole solution set in
+one numpy pass: it finds each row's first slot that can match, so that
+`classify` constructs candidates from there on only.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +38,10 @@ from .families import (
     InvalidDescriptor,
     _s2_failure,
     construct,
+    root_w,
 )
 from .functions import (
+    CharacterTable,
     MultiplicativeFunction,
     ScalarFunction,
     character_table,
@@ -452,23 +458,31 @@ def classify(
     f: ScalarFunction,
     *,
     _verified_residual: float | None = None,
+    _first_slot: int = 0,
 ) -> ClassificationResult:
     """Recover a family descriptor reproducing a verified solution pair.
 
-    The pair is first verified with `residual`.  `_verified_residual` is
-    internal: only `solver.completeness_check` passes it, with the float
-    `max_residual` that `find_solutions` computed by `residual` on these
-    very values and this complex(alpha), so the scan is not repeated.  It
-    must still be below VERIFY_TOL (a NaN is not).
-
-    Each candidate of `_candidates`, in its order, is constructed and
-    compared with (g, f); the first within MATCH_TOL wins, which makes the
-    result a deterministic function of the input.  The match test stops at
-    the first half that misses: f's diff is taken only when g's is within
-    MATCH_TOL, and the winner's `match_residual` is the max of both.  The
+    The pair is first verified with `residual`.  Each candidate of
+    `_candidates`, in its order, is constructed and compared with (g, f);
+    the first within MATCH_TOL wins, which makes the result a deterministic
+    function of the input.  The match test stops at the first half that
+    misses: f's diff is taken only when g's is within MATCH_TOL, and the
+    winner's `match_residual` is the max of both, NaN when f's is NaN.  The
     candidates take what they know of the characters from the
     `CharacterTable` of (s, sigma), so a run of calls on one carrier and
     sigma derives it once.
+
+    Two keywords are a hand-off that only `solver.completeness_check` makes:
+
+    - `_verified_residual` is the float `max_residual` that `find_solutions`
+      computed by `residual` on these very values and this complex(alpha),
+      so the scan is not repeated.  It must still be below VERIFY_TOL (a
+      NaN is not).
+    - `_first_slot` is the row's slot from `first_candidates`, a lower
+      bound on the slot of `_slots(s, sigma, alpha)` this loop would pick:
+      the loop would skip every earlier slot (see `first_candidates`).  The
+      stream starts there and computes nothing for the slots before it, so
+      the result is the one of a call without it.
     """
     if not s.is_finite:
         raise TypeError("classification enumerates characters; needs a finite carrier")
@@ -481,7 +495,7 @@ def classify(
     if not ok:
         raise NotASolution(f"residual {max_residual:.3e} exceeds {VERIFY_TOL}")
 
-    for d in _candidates(s, sigma, alpha, g, f):
+    for d in _candidates(s, sigma, alpha, g, f, _first_slot):
         try:
             pair = construct(s, sigma, d)
         except InvalidDescriptor:
@@ -489,58 +503,119 @@ def classify(
         g_diff = pair.g.max_diff(g)
         if not g_diff <= MATCH_TOL:
             continue  # f's diff cannot rescue a g that misses (or reads NaN)
-        m = max(g_diff, pair.f.max_diff(f))
+        m = worst_diff(g_diff, pair.f.max_diff(f))
         if m <= MATCH_TOL:
             return ClassificationResult(d.family, pair.provenance, m, max_residual)
     return ClassificationResult("unclassified", None, float("inf"), max_residual)
+
+
+def worst_diff(*diffs: float) -> float:
+    """The largest of some `max_diff`s; NaN when one is, where `max` would
+    keep a NaN only in first place."""
+    nan = [d for d in diffs if d != d]
+    return nan[0] if nan else max(diffs)
 
 
 def _near(a, b) -> bool:
     return abs(complex(a) - complex(b)) <= MATCH_TOL
 
 
-def _candidates(s, sigma, alpha, g, f):
-    """Descriptors in the decision order 1, 2, 3, 4, 6, 8, 5, 7, which
-    resolves overlapping families; those of families 1-3 carry their free
-    function (f, or g).  A family's parameters are computed only when the
-    stream reaches it; families 2 and 3 come only when g vanishes on S^2,
-    tested once for both.
+class _Slot(NamedTuple):
+    """One candidate of the decision order: its family and branch, and the
+    characters and points its parameters read.  The slots of one `group`
+    differ only in the branch, and share what `_candidates` computes for
+    the group (family 4's q, family 5's a1 and a2, family 7's h)."""
 
-    What depends on the characters alone comes from the `CharacterTable` of
-    (s, sigma): the even and twisted characters, family 4's x0 with
+    family: int
+    group: int
+    branch: int = 1
+    chi: MultiplicativeFunction | None = None  # chi1 of families 5 and 6
+    chi2: MultiplicativeFunction | None = None
+    at: tuple = ()  # family 4: (x0, chi(x0)); family 5: the pivots (x1, x2, det)
+
+
+def _slots(s, sigma, alpha) -> tuple[_Slot, ...]:
+    """The candidate slots of (s, sigma, alpha), which `_candidates` and
+    `first_candidates` both read: family 1 when alpha is +-1, then 2, 3,
+    4 (chi x branch), 6 (chi1, chi2 permutations), 8 (twisted chi), 5
+    (even pair x branch) and 7 (chi x branch).  This order resolves
+    overlapping families."""
+    return _slot_list(character_table(s, sigma), _near(alpha, 1) or _near(alpha, -1))
+
+
+@lru_cache(maxsize=None)
+def _slot_list(table: CharacterTable, family1: bool) -> tuple[_Slot, ...]:
+    even = table.even
+    groups = [(1, {})] if family1 else []
+    groups += [(2, {}), (3, {})]
+    groups += [(4, {"chi": chi, "at": at}) for chi, at in zip(even, table.first_nonzero)]
+    groups += [(6, {"chi": a, "chi2": b}) for a, b in itertools.permutations(even, 2)]
+    groups += [(8, {"chi": chi}) for chi in table.twisted]
+    groups += [(5, {"chi": a, "chi2": b, "at": at}) for a, b, at in table.even_pairs]
+    groups += [(7, {"chi": chi}) for chi in even]
+    return tuple(
+        _Slot(family, group, branch, **kw)
+        for group, (family, kw) in enumerate(groups)
+        for branch in ((1, -1) if family in (4, 5, 7) else (1,))
+    )
+
+
+def _candidates(s, sigma, alpha, g, f, start: int = 0):
+    """The descriptors of the slots of `_slots`, from slot `start` on; those
+    of families 1-3 carry their free function (f, or g).  A group's
+    parameters are computed only when the stream reaches it, and families 2
+    and 3 come only when g vanishes on S^2, tested once for both when the
+    stream reaches them.  Some slots yield nothing for this (g, f): family 1
+    when f is zero, families 2 and 3 when g does not vanish on S^2, family 5
+    when a1 + a2 misses alpha, family 7 when its h is zero.
+
+    Family 4 has no dependence gate: reconstruction matching is the
+    arbiter, and the relative SVD test misjudges solutions with tiny norms.
+    What depends on the characters alone comes from the `CharacterTable`
+    of (s, sigma): the even and twisted characters, family 4's x0 with
     chi(x0) and family 5's pivots with their determinant.  Its characters
     are the objects of `enumerate_multiplicative`.
     """
-    table = character_table(s, sigma)
-    even = table.even
-    if (_near(alpha, 1) or _near(alpha, -1)) and not f.is_zero(MATCH_TOL):
-        yield FamilyDescriptor(1, alpha, free=f)
-    # construct rejects families 2 and 3 unless g vanishes on S^2: one scan
-    if _s2_failure(s, g) is None:
-        yield FamilyDescriptor(2, alpha, free=g)
-        yield FamilyDescriptor(3, alpha, free=g)
-    # family 4 has no dependence gate: reconstruction matching is the
-    # arbiter, and the relative SVD test misjudges solutions with tiny norms
-    for chi, (x0, chi_x0) in zip(even, table.first_nonzero):
-        q = 2 * _div(f(x0), chi_x0) - alpha
-        for branch in (1, -1):
-            yield FamilyDescriptor(4, alpha, q=q, branch=branch, chi=chi)
-    for chi1, chi2 in itertools.permutations(even, 2):
-        yield FamilyDescriptor(6, alpha, chi1=chi1, chi2=chi2)
-    for chi in table.twisted:
-        yield FamilyDescriptor(8, alpha, chi=chi)
-    for chi1, chi2, pivots in table.even_pairs:
-        a1, a2 = _solve_2x2(chi1.fn, chi2.fn, f, pivots)
-        if not _near(a1 + a2, alpha):
-            continue
-        q = a1 - a2
-        for branch in (1, -1):
-            yield FamilyDescriptor(5, alpha, q=q, branch=branch, chi1=chi1, chi2=chi2)
-    for chi in even:
-        h = f - chi.fn.scale(alpha)
-        if not h.is_zero(MATCH_TOL):
-            for branch in (1, -1):
-                yield FamilyDescriptor(7, alpha, branch=branch, chi=chi, h=h)
+    s2_vanishes = None
+    group, shared = None, None
+    for slot in _slots(s, sigma, alpha)[start:]:
+        family, branch, chi = slot.family, slot.branch, slot.chi
+        if slot.group != group:
+            group = slot.group
+            if family == 4:
+                shared = _family4_q(f(slot.at[0]), slot.at[1], alpha)
+            elif family == 5:
+                a1, a2 = _solve_2x2(chi.fn, slot.chi2.fn, f, slot.at)
+                shared = a1 - a2 if _near(a1 + a2, alpha) else None
+            elif family == 7:
+                h = f - chi.fn.scale(alpha)
+                shared = None if h.is_zero(MATCH_TOL) else h
+        if family == 1:
+            if not f.is_zero(MATCH_TOL):
+                yield FamilyDescriptor(1, alpha, free=f)
+        elif family in (2, 3):
+            # construct rejects both unless g vanishes on S^2: one scan
+            if s2_vanishes is None:
+                s2_vanishes = _s2_failure(s, g) is None
+            if s2_vanishes:
+                yield FamilyDescriptor(family, alpha, free=g)
+        elif family == 4:
+            yield FamilyDescriptor(4, alpha, q=shared, branch=branch, chi=chi)
+        elif family == 6:
+            yield FamilyDescriptor(6, alpha, chi1=chi, chi2=slot.chi2)
+        elif family == 8:
+            yield FamilyDescriptor(8, alpha, chi=chi)
+        elif shared is None:
+            continue  # family 5's a1 + a2 misses alpha, or family 7's h is zero
+        elif family == 5:
+            yield FamilyDescriptor(5, alpha, q=shared, branch=branch, chi1=chi, chi2=slot.chi2)
+        else:
+            yield FamilyDescriptor(7, alpha, branch=branch, chi=chi, h=shared)
+
+
+def _family4_q(f_x0, chi_x0, alpha):
+    """Family 4's q, from f(x0) = (q + alpha) chi(x0) / 2."""
+    return 2 * _div(f_x0, chi_x0) - alpha
 
 
 def _solve_2x2(chi1, chi2, target, pivots):
@@ -550,3 +625,158 @@ def _solve_2x2(chi1, chi2, target, pivots):
     a1 = _div(target(x1) * chi2(x2) - target(x2) * chi2(x1), det)
     a2 = _div(chi1(x1) * target(x2) - chi1(x2) * target(x1), det)
     return a1, a2
+
+
+# ---------------------------------------------------------------------------
+# classification of a whole solution set
+# ---------------------------------------------------------------------------
+
+
+def first_candidates(s, sigma, alpha: complex, rows: np.ndarray) -> np.ndarray:
+    """For each row, the first slot of `_slots(s, sigma, alpha)` that
+    `classify` may pick for it, or len(slots) when it can pick none.
+
+    `rows` is the (k, 2n) complex matrix of solutions (g | f) on the finite
+    carrier s, and alpha the complex `classify` gets with them.  Slot by
+    slot, each row not yet stopped has its candidate g and f formed and
+    compared with its own, and it stops at the first slot it does not
+    pass over.
+
+    Invariant: the slot returned is a lower bound on the slot `classify`
+    would pick.  A slot is passed over only where every element diff of g,
+    or every element diff of f, is finite and the max is above MATCH_TOL,
+    bit for bit as `construct(...).g.max_diff(g)` (or f's) computes it.
+    The per-row gates of `_candidates` (family 1's f != 0, families 2 and
+    3's g = 0 on S^2, family 5's a1 + a2 = alpha, family 7's h != 0) and
+    construct's refusals are not copied: a slot that one of them would
+    skip can only stop a row early.
+
+    Bit for bit: the row's scalars (family 4's q, family 5's a1 and a2, and
+    their w) come from `_family4_q`, `_solve_2x2` and `root_w` one row at a
+    time, as `_candidates` and `construct` compute them; Python's complex
+    `*`, `+` and `-` over the elements are written as float64 ufuncs on the
+    real and imaginary parts, and |.| as `np.hypot`.  A part that is zero
+    may carry the other sign than Python's; no later step turns that into a
+    non-zero, and hypot ignores it.  A non-finite part makes a diff of its
+    row non-finite, and such a row is not passed over.  Families 6 and 8
+    have one candidate for every row, built once by `construct`; where it
+    refuses them, so would `classify`, and every row passes over the slot.
+    """
+    n = s.order
+    slots = _slots(s, sigma, alpha)
+    first = np.full(len(rows), len(slots))
+    todo = np.arange(len(rows))
+    i = 0
+    with np.errstate(all="ignore"):  # an overflow reads inf, and its row stops
+        while i < len(slots) and len(todo):
+            end = i + 1
+            while end < len(slots) and slots[end].group == slots[i].group:
+                end += 1
+            g, f = rows[todo, :n], rows[todo, n:]
+            candidate = _group_candidates(s, sigma, slots[i], alpha, g, f)
+            if candidate is not None:
+                stopped = np.zeros(len(todo), bool)
+                for j in range(i, end):
+                    cg, cf = candidate(slots[j].branch)
+                    hit = ~(stopped | _passed_over(cg, g) | _passed_over(cf, f))
+                    first[todo[hit]] = j
+                    stopped |= hit
+                todo = todo[~stopped]
+            i = end
+    return first
+
+
+def _group_candidates(s, sigma, slot: _Slot, alpha: complex, g: np.ndarray, f: np.ndarray):
+    """branch -> the candidate (g, f) of the slot's group for each row of
+    (g, f), as (re, im) float64 parts that broadcast against g; None when
+    `construct` refuses a candidate that is the same for every row."""
+    family, chi = slot.family, slot.chi
+    a = (alpha.real, alpha.imag)
+    gp, fp = (g.real, g.imag), (f.real, f.imag)
+    if family == 1:
+        return lambda branch: (_mul(a, fp), fp)
+    if family == 2:
+        return lambda branch: (gp, gp)
+    if family == 3:
+        return lambda branch: (gp, (-gp[0], -gp[1]))
+    if family in (6, 8):
+        if family == 6:
+            d = FamilyDescriptor(6, alpha, chi1=chi, chi2=slot.chi2)
+        else:
+            d = FamilyDescriptor(8, alpha, chi=chi)
+        try:
+            pair = construct(s, sigma, d)
+        except InvalidDescriptor:
+            return None
+        return lambda branch: (_parts(pair.g.values), _parts(pair.f.values))
+    c = _parts(chi.fn.values)
+    if family == 7:
+        h = _sub(fp, _mul(c, a))  # f - alpha chi
+        return lambda branch: (_add(c, _scaled(h, branch)), _add(_mul(c, a), h))
+    # the row's scalars, one row at a time as `_candidates` and `construct` compute them
+    if family == 4:
+        x0, chi_x0 = slot.at
+        q = [_family4_q(v, chi_x0, alpha) for v in f[:, x0].tolist()]
+    else:
+        a12 = [_solve_2x2(chi.fn, slot.chi2.fn, row.__getitem__, slot.at) for row in f.tolist()]
+        q = [a1 - a2 for a1, a2 in a12]
+    w = _parts([root_w(v, alpha) for v in q], column=True)
+    q = _parts(q, column=True)
+    if family == 4:
+        cf = _mul(c, _half(_add(q, a)))
+        return lambda branch: (_mul(c, _half(_add(_ONE, _scaled(w, branch)))), cf)
+    c2 = _parts(slot.chi2.fn.values)
+    cf = _add(_mul(c, _half(_add(a, q))), _mul(c2, _half(_sub(a, q))))
+
+    def family5(branch):
+        wb = _scaled(w, branch)
+        return _add(_mul(c, _half(_add(_ONE, wb))), _mul(c2, _half(_sub(_ONE, wb)))), cf
+
+    return family5
+
+
+def _passed_over(candidate, values: np.ndarray) -> np.ndarray:
+    """Rows whose element diffs are all finite, with a max above MATCH_TOL."""
+    m = _max_diffs(candidate, values)
+    return np.isfinite(m) & (m > MATCH_TOL)
+
+
+def _max_diffs(candidate, values: np.ndarray) -> np.ndarray:
+    """Each row's `max_diff` of the candidate's (re, im) parts against its
+    values: the largest |candidate - value|, NaN when one is NaN."""
+    return np.hypot(candidate[0] - values.real, candidate[1] - values.imag).max(axis=1)
+
+
+def _parts(values, column: bool = False) -> tuple:
+    """(re, im) float64 arrays of scalars, as a column when asked."""
+    z = np.array([complex(v) for v in values], complex)
+    if column:
+        z = z[:, None]
+    return z.real, z.imag
+
+
+# the int 1 in `1 + w` and `1 - w`, as Python's complex arithmetic promotes it
+_ONE = (1.0, 0.0)
+
+
+def _mul(a, b):
+    """Python's complex a*b on (re, im) parts."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _scaled(a, k: int):
+    """k*a for k = +-1, which Python computes exactly up to the sign of a zero."""
+    return k * a[0], k * a[1]
+
+
+def _half(a):
+    """`families._half` of a complex, v * complex(0.5, 0), on (re, im) parts."""
+    return a[0] * 0.5, a[1] * 0.5

@@ -92,6 +92,11 @@ def sqrt_branch(z, branch: int = 1):
     return branch * w
 
 
+def root_w(q, alpha, branch: int = 1):
+    """w = branch * sqrt(1 + q^2 - alpha^2), the root of families 4 and 5."""
+    return sqrt_branch(1 + q * q - alpha * alpha, branch)
+
+
 @dataclass(frozen=True)
 class HSpec:
     """Data for the piecewise sine-law solution: additive part and rho values."""
@@ -380,7 +385,7 @@ def _family4(s, sigma, d):
     if d.q is None:
         raise InvalidDescriptor("family 4 requires the constant q")
     chi = d.chi.fn
-    w = sqrt_branch(1 + d.q * d.q - d.alpha * d.alpha, d.branch)
+    w = root_w(d.q, d.alpha, d.branch)
     f = chi.scale(_half(d.q + d.alpha))
     g = chi.scale(_half(1 + w))
     return g, f
@@ -390,7 +395,7 @@ def _family5(s, sigma, d):
     _require_two_even(s, sigma, d, "family 5")
     if d.q is None or _eq(d.q, d.alpha) or _eq(d.q, -d.alpha):
         raise InvalidDescriptor("family 5 requires a constant q outside {+-alpha}")
-    w = sqrt_branch(1 + d.q * d.q - d.alpha * d.alpha, d.branch)
+    w = root_w(d.q, d.alpha, d.branch)
     c1, c2 = d.chi1.fn, d.chi2.fn
     f = linear_combination([(_half(d.alpha + d.q), c1), (_half(d.alpha - d.q), c2)])
     g = linear_combination([(_half(1 + w), c1), (_half(1 - w), c2)])

@@ -164,10 +164,16 @@ class ScalarFunction:
         )
 
     def max_diff(self, other: "ScalarFunction") -> float:
+        """The largest |self(x) - other(x)| over the window; NaN when any
+        difference is NaN, the first one sticking (Python's `max` would keep
+        a NaN only when it came first)."""
         self._assert_same(other)
-        return max(
-            abs(complex(self(x)) - complex(other(x))) for x in self.carrier.elements
-        )
+        worst = 0.0
+        for x in self.carrier.elements:
+            d = abs(complex(self(x)) - complex(other(x)))
+            if not d <= worst and worst == worst:
+                worst = d
+        return worst
 
     def equal_to(self, other: "ScalarFunction", tol: float = VERIFY_TOL) -> bool:
         self._assert_same(other)
@@ -469,14 +475,15 @@ def enumerate_multiplicative(s: FiniteSemigroup) -> tuple[MultiplicativeFunction
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
     """What the characters of a finite carrier are under one sigma.
 
     Everything here depends only on (carrier, sigma), so it is built once
     per pair (`character_table`) and shared by every solution classified
-    there.  The characters are the very objects of
-    `enumerate_multiplicative`, in its order.
+    there; a table is its own identity, so it can key a cache.  The
+    characters are the very objects of `enumerate_multiplicative`, in its
+    order.
     """
 
     # the sigma-even characters, each with its first non-zero element x0

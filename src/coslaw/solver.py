@@ -44,6 +44,11 @@ Deduplication is greedy in lexsort order (Re x0 first): the first row
 within `DEDUP_RADIUS` (max-norm of the complex difference) represents the
 others.  Only kept rows whose Re x0 lies within the radius of the current
 row are compared, since |z| >= |Re z| rules out the rest.
+
+The completeness oracle classifies the whole solution set in one batch
+pass (`analysis.first_candidates`), which finds each row's first candidate
+slot that can match; `classify` then constructs from that slot on only,
+with the result of a call that starts at the first slot.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import classify, residual
+from .analysis import classify, first_candidates, residual
 from .families import (
     FamilyDescriptor,
     InvalidDescriptor,
@@ -418,17 +423,25 @@ def completeness_check(
 ) -> CompletenessReport:
     """Every numerically found solution must classify into some family.
 
-    Each entry's residual was computed by `find_solutions` with `residual`
-    on the same values and the same complex(alpha), and is at most
-    NEWTON_TOL, so `classify` takes it rather than scanning again.
+    The solution set is classified in one batch pass and one `classify`
+    call per entry.  `analysis.first_candidates` finds, for all entries at
+    once in numpy, each one's first candidate slot that can match it, and
+    `classify` constructs candidates from that slot on only, with the
+    result it would give from the first slot.  Each entry's residual was
+    computed by `find_solutions` with `residual` on the same values and the
+    same complex(alpha), and is at most NEWTON_TOL, so `classify` takes it
+    rather than scanning again.
     """
     sols = find_solutions(s, sigma, alpha, cfg)
+    alpha = complex(alpha)
+    rows = np.array([e.g_values + e.f_values for e in sols.entries], complex)
+    starts = first_candidates(s, sigma, alpha, rows.reshape(len(sols), 2 * s.order)).tolist()
     tags: dict = {}
     unclassified = []
-    for e in sols.entries:
-        pair = e.as_pair(s, complex(alpha))
-        result = classify(s, sigma, complex(alpha), pair.g, pair.f,
-                          _verified_residual=e.residual)
+    for e, start in zip(sols.entries, starts):
+        pair = e.as_pair(s, alpha)
+        result = classify(s, sigma, alpha, pair.g, pair.f,
+                          _verified_residual=e.residual, _first_slot=start)
         tags[result.family_tag] = tags.get(result.family_tag, 0) + 1
         if not result.classified:
             unclassified.append(e)

@@ -22,6 +22,7 @@ from coslaw.analysis import (
     check_linear_dependence,
     classify,
     residual,
+    worst_diff,
 )
 from coslaw.exactnum import Cyc, ExpPoly
 from coslaw.families import (
@@ -807,6 +808,26 @@ def test_classify_rejects_a_nan_in_g():
     for f in (chi.scale(0.5), g):
         res = classify(s, sig, 0.5, g, f, _verified_residual=0.0)
         assert res.family_tag == "unclassified" and res.match_residual == math.inf
+
+
+def test_classify_rejects_a_nan_in_f_in_either_place():
+    """g and f(x0) give family 4's candidate, which rebuilds g and f's
+    finite element; the NaN in f, first or second, makes f's diff NaN, and
+    no candidate matches."""
+    fx = get_fixture("c2")
+    s, sig = fx.carrier, fx.sigma()
+    chi = fx.characters["chi2"].fn
+    for nan_at in (0, 1):
+        values = [chi(x) * 0.5 for x in s.elements]
+        values[nan_at] = math.nan
+        res = classify(s, sig, 0.5, chi, ScalarFunction(s, values=values), _verified_residual=0.0)
+        assert res.family_tag == "unclassified" and res.match_residual == math.inf
+
+
+def test_worst_diff_keeps_a_nan_in_any_place():
+    assert worst_diff(1e-9, 2e-9) == worst_diff(2e-9, 1e-9) == 2e-9
+    for diffs in ((math.nan, 1.0), (1.0, math.nan), (0.0, 0.0, math.nan)):
+        assert math.isnan(worst_diff(*diffs))
 
 
 def test_classify_tests_vanishing_on_products_once(monkeypatch):

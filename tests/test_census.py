@@ -4,7 +4,7 @@ A brute-force enumerator lists every associative table on n labelled
 elements and groups the tables into isomorphism classes.  Every class
 of order 2 and 3 is solved at each of its involutive automorphisms and
 each alpha of the A7 grid, and every solution found must classify into a
-family.  The runs that fail today are marked, with their measured counts.
+family.  The runs that fail today keep their measured counts.
 On each (class, sigma) of order 2 and 3, constructed solutions also make
 the round trip through `classify` and through their own provenance.
 """
@@ -61,18 +61,19 @@ def test_the_enumerator_counts_the_small_semigroups(n, tables, classes):
     assert len(census_classes(n)) == classes
 
 
-# (table, sigma, alpha) runs with unclassified rows at CENSUS_CONFIG, with
-# the measured count of unclassified rows of all rows found
+# (table, sigma, alpha) runs with unclassified rows at CENSUS_CONFIG: the
+# measured (unclassified, total) row counts, which such a run must keep
+# until a change to the solver or the classifier moves them on purpose
 _KNOWN_GAPS = {
-    (((0, 0), (0, 0)), "id", 0): "3 of 208 rows unclassified",
-    (((0, 0), (0, 0)), "id", 0.5): "10 of 212 rows unclassified",
-    (((0, 0), (0, 0)), "id", 2): "4 of 212 rows unclassified",
-    (((0, 0), (0, 0)), "id", 1j): "1 of 212 rows unclassified",
-    (((0, 0, 0), (0, 0, 0), (0, 0, 1)), "id", 0): "173 of 182 rows unclassified",
-    (((0, 0, 0), (0, 0, 0), (0, 0, 1)), "id", 0.5): "180 of 192 rows unclassified",
-    (((0, 0, 0), (0, 0, 0), (0, 0, 1)), "id", 2): "179 of 191 rows unclassified",
-    (((0, 0, 0), (0, 0, 0), (0, 0, 1)), "id", 1j): "177 of 190 rows unclassified",
-    (((0, 0, 0), (0, 1, 1), (0, 1, 1)), "id", 0.5): "1 of 85 rows unclassified",
+    (((0, 0), (0, 0)), "id", 0): (3, 208),
+    (((0, 0), (0, 0)), "id", 0.5): (10, 212),
+    (((0, 0), (0, 0)), "id", 2): (4, 212),
+    (((0, 0), (0, 0)), "id", 1j): (1, 212),
+    (((0, 0, 0), (0, 0, 0), (0, 0, 1)), "id", 0): (173, 182),
+    (((0, 0, 0), (0, 0, 0), (0, 0, 1)), "id", 0.5): (180, 192),
+    (((0, 0, 0), (0, 0, 0), (0, 0, 1)), "id", 2): (179, 191),
+    (((0, 0, 0), (0, 0, 0), (0, 0, 1)), "id", 1j): (177, 190),
+    (((0, 0, 0), (0, 1, 1), (0, 1, 1)), "id", 0.5): (1, 85),
 }
 
 
@@ -94,24 +95,26 @@ def _runs(n: int):
     for table, s, sigma in _census_pairs(n):
         for alpha in A7_ALPHAS:
             gap = _KNOWN_GAPS.get((table, sigma.name, alpha))
-            marks = pytest.mark.xfail(strict=True, reason=gap) if gap else ()
-            yield pytest.param(s, sigma, alpha, id=f"{_table_name(table)}-{sigma.name}-{alpha}",
-                               marks=marks)
+            yield pytest.param(s, sigma, alpha, gap, id=f"{_table_name(table)}-{sigma.name}-{alpha}")
 
 
-def _assert_every_solution_classifies(s, sigma, alpha):
+def _assert_every_solution_classifies(s, sigma, alpha, gap):
+    """Every row classifies, or a known gap keeps its measured counts."""
     rep = completeness_check(s, sigma, alpha, CENSUS_CONFIG)
-    assert not rep.unclassified, f"{len(rep.unclassified)} of {rep.total} rows unclassified"
+    if gap is None:
+        assert not rep.unclassified, f"{len(rep.unclassified)} of {rep.total} rows unclassified"
+    else:
+        assert (len(rep.unclassified), rep.total) == gap
 
 
-@pytest.mark.parametrize("s, sigma, alpha", _runs(2))
-def test_every_solution_on_an_order2_semigroup_classifies(s, sigma, alpha):
-    _assert_every_solution_classifies(s, sigma, alpha)
+@pytest.mark.parametrize("s, sigma, alpha, gap", _runs(2))
+def test_every_solution_on_an_order2_semigroup_classifies(s, sigma, alpha, gap):
+    _assert_every_solution_classifies(s, sigma, alpha, gap)
 
 
-@pytest.mark.parametrize("s, sigma, alpha", _runs(3))
-def test_every_solution_on_an_order3_semigroup_classifies(s, sigma, alpha):
-    _assert_every_solution_classifies(s, sigma, alpha)
+@pytest.mark.parametrize("s, sigma, alpha, gap", _runs(3))
+def test_every_solution_on_an_order3_semigroup_classifies(s, sigma, alpha, gap):
+    _assert_every_solution_classifies(s, sigma, alpha, gap)
 
 
 ROUND_TRIP_DRAWS = 20

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,23 @@ def test_euler_split_on_grid():
     for x in rl.carrier.elements:
         assert abs(ev(x) - cmath.cos(x)) < 1e-12
         assert abs(od(x) - 1j * cmath.sin(x)) < 1e-12
+
+
+@pytest.mark.parametrize("values", [[0.0, math.nan], [math.nan, 0.0], [complex(0.0, math.nan), 1.0]])
+def test_max_diff_reads_a_nan_in_either_order(values):
+    """Any NaN element diff makes the max NaN, in either argument order;
+    Python's `max` would keep it only when it came first."""
+    s = get_fixture("c2").carrier
+    a, b = ScalarFunction(s, values=values), ScalarFunction(s, values=[0.0, 0.0])
+    assert math.isnan(a.max_diff(b)) and math.isnan(b.max_diff(a))
+
+
+def test_max_diff_is_the_largest_element_diff():
+    s = get_fixture("c3").carrier
+    a = ScalarFunction(s, values=[0.0, 3 + 4j, 1.0])
+    b = ScalarFunction(s, values=[0.5, 0.0, 1.0])
+    assert a.max_diff(b) == b.max_diff(a) == 5.0
+    assert a.max_diff(a) == 0.0
 
 
 @given(st.lists(complex_values, min_size=3, max_size=3),

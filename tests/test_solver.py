@@ -1,18 +1,22 @@
 """Numerical solution enumeration: soundness, determinism, recall."""
 
 import dataclasses
+import functools
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coslaw import solver
+from coslaw import analysis, solver
 from coslaw.acceptance import A7_ALPHAS, FINITE_FIXTURES
-from coslaw.analysis import NotASolution, classify, residual
-from coslaw.families import FamilyDescriptor, construct
+from coslaw.analysis import MATCH_TOL, NotASolution, classify, first_candidates, residual
+from coslaw.families import FamilyDescriptor, InvalidDescriptor, construct
 from coslaw.fixtures import get_fixture
+from coslaw.functions import ScalarFunction
 from coslaw.semigroups import FiniteSemigroup, identity_automorphism
 from coslaw.solver import (
     DEDUP_RADIUS,
@@ -513,7 +517,7 @@ def test_classify_digest_matches_recorded(monkeypatch):
         rep = completeness_check(s, sig, float(alpha), SolverConfig(seed=0))
         monkeypatch.setattr(solver, "classify", real)
         assert rep.total == len(calls) == want["solutions"]
-        assert all(set(kwargs) == {"_verified_residual"} for _, kwargs, _ in calls)
+        assert all(set(kwargs) == {"_verified_residual", "_first_slot"} for _, kwargs, _ in calls)
         rows = [_digest_row(out) for _, _, out in calls]
         digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
         assert digest == want["sha256"], key
@@ -615,3 +619,188 @@ def test_every_row_failing_reverification_gives_an_empty_set_and_no_svd(monkeypa
     got = find_solutions(s, sig, 0.5, FAST)
     assert got.entries == () and len(got) == 0 and got.to_json_lines() == ""
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# classifying a solution set in one pass: first_candidates hands each row's
+# first slot to classify
+# ---------------------------------------------------------------------------
+
+# (carrier name or census table, sigma, alpha): the finite fixtures, with
+# family 1 at alpha 1, and census carriers with unclassified rows
+HAND_OFF_RUNS = (
+    ("c2", "id", 0.5),
+    ("c2", "id", 1),
+    ("c3", "inv", 2),
+    ("null3", "id", 0),
+    ("leftzero2", "swap", 1j),
+    (((0, 0), (0, 0)), "id", 0.5),
+    (((0, 0, 0), (0, 0, 0), (0, 0, 1)), "id", 2),
+    (((0, 0, 0), (0, 1, 1), (0, 1, 1)), "id", 0.5),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _solver_rows(run, seed):
+    """(carrier, sigma, complex alpha, (k, 2n) rows, residuals) of a small
+    solver run."""
+    name, sigma, alpha = run
+    if isinstance(name, str):
+        fx = get_fixture(name)
+        s, sig = fx.carrier, fx.sigma(sigma)
+    else:
+        s = FiniteSemigroup(cayley=name)
+        sig = identity_automorphism(s)
+    sols = find_solutions(s, sig, alpha, SolverConfig(restarts=60, seed=seed))
+    rows = np.array([_vec(e) for e in sols.entries], complex).reshape(len(sols), 2 * s.order)
+    return s, sig, complex(alpha), rows, [e.residual for e in sols.entries]
+
+
+def _slot_descriptor(s, sigma, alpha, slot, g, f):
+    """The descriptor of a slot for (g, f), without the per-row gates of
+    `_candidates`."""
+    family, chi = slot.family, slot.chi
+    if family == 1:
+        return FamilyDescriptor(1, alpha, free=f)
+    if family in (2, 3):
+        return FamilyDescriptor(family, alpha, free=g)
+    if family == 4:
+        q = analysis._family4_q(f(slot.at[0]), slot.at[1], alpha)
+        return FamilyDescriptor(4, alpha, q=q, branch=slot.branch, chi=chi)
+    if family == 5:
+        a1, a2 = analysis._solve_2x2(chi.fn, slot.chi2.fn, f, slot.at)
+        return FamilyDescriptor(5, alpha, q=a1 - a2, branch=slot.branch, chi1=chi, chi2=slot.chi2)
+    if family == 6:
+        return FamilyDescriptor(6, alpha, chi1=chi, chi2=slot.chi2)
+    if family == 8:
+        return FamilyDescriptor(8, alpha, chi=chi)
+    return FamilyDescriptor(7, alpha, branch=slot.branch, chi=chi, h=f - chi.fn.scale(alpha))
+
+
+def _pair_of(s, row):
+    n = s.order
+    return ScalarFunction(s, values=list(row[:n])), ScalarFunction(s, values=list(row[n:]))
+
+
+def _assert_hand_off_matches(s, sig, alpha, rows, residuals, diffs=True):
+    """Each row classifies alike with and without the slot the batch hands
+    over, and (with `diffs`) the batch's g and f diffs of every slot are
+    construct's `max_diff`s bit for bit."""
+    n = s.order
+    first = first_candidates(s, sig, alpha, rows)
+    for row, res, start in zip(rows, residuals, first.tolist()):
+        g, f = _pair_of(s, row)
+        want = classify(s, sig, alpha, g, f, _verified_residual=res)
+        got = classify(s, sig, alpha, g, f, _verified_residual=res, _first_slot=start)
+        assert _digest_row(got) == _digest_row(want)
+    if not diffs:
+        return
+    for slot in analysis._slots(s, sig, alpha):
+        candidate = analysis._group_candidates(s, sig, slot, alpha, rows[:, :n], rows[:, n:])
+        batched = None
+        if candidate is not None:
+            cg, cf = candidate(slot.branch)
+            batched = (analysis._max_diffs(cg, rows[:, :n]), analysis._max_diffs(cf, rows[:, n:]))
+        for r, row in enumerate(rows):
+            g, f = _pair_of(s, row)
+            try:
+                pair = construct(s, sig, _slot_descriptor(s, sig, alpha, slot, g, f))
+            except InvalidDescriptor:
+                continue
+            assert batched is not None, slot  # only a refused candidate is left out
+            assert float(batched[0][r]).hex() == pair.g.max_diff(g).hex(), slot
+            assert float(batched[1][r]).hex() == pair.f.max_diff(f).hex(), slot
+
+
+def _run_id(run) -> str:
+    name, sigma, alpha = run
+    if not isinstance(name, str):
+        name = ".".join("".join(map(str, row)) for row in name)
+    return f"{name}-{sigma}-{alpha}"
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("run", HAND_OFF_RUNS, ids=_run_id)
+def test_hand_off_matches_classify_on_solver_rows(run, seed):
+    s, sig, alpha, rows, residuals = _solver_rows(run, seed)
+    assert len(rows)
+    _assert_hand_off_matches(s, sig, alpha, rows, residuals)
+
+
+def _ulps_from(x: float, k: int) -> float:
+    """The float k steps from x."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(run=st.sampled_from(HAND_OFF_RUNS), seed=st.integers(0, 3), pick=st.integers(0, 10**6),
+       side=st.sampled_from((0, 1)), x=st.integers(0, 2), ulps=st.integers(-3, 3),
+       near_zero=st.booleans(), turn=st.sampled_from((1, 1j, -1, (3 + 4j) / 5)))
+def test_hand_off_matches_classify_near_match_tol(run, seed, pick, side, x, ulps, near_zero, turn):
+    """Rows perturbed so that one element diff of g (side 0) or f (side 1)
+    is MATCH_TOL moved by a few ulps, handed over with a residual of 0.0.
+    Near the zero row the candidates of families 2-4 vanish there, and the
+    diff is the perturbation bit for bit; on a solver row it is a slot's
+    candidate value moved by the perturbation."""
+    s, sig, alpha, rows, _ = _solver_rows(run, seed)
+    n = s.order
+    at = side * n + x % n
+    step = _ulps_from(MATCH_TOL, ulps) * turn
+    if near_zero:
+        row = np.zeros(2 * n, complex)
+        row[at] = step
+    else:
+        row = rows[pick % len(rows)].copy()
+        slots = analysis._slots(s, sig, alpha)
+        slot = slots[pick % len(slots)]
+        try:
+            pair = construct(s, sig, _slot_descriptor(s, sig, alpha, slot, *_pair_of(s, row)))
+            row[at] = complex((pair.g, pair.f)[side](x % n)) - step
+        except InvalidDescriptor:
+            row[at] += step
+    _assert_hand_off_matches(s, sig, alpha, row[None, :], [0.0])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(run=st.sampled_from(HAND_OFF_RUNS), pick=st.integers(0, 10**6), at=st.integers(0, 5),
+       value=st.sampled_from((math.nan, math.inf, -math.inf, complex(0, math.inf),
+                              complex(math.nan, 1), 1e300, 1e160j)))
+def test_hand_off_matches_classify_on_rows_with_non_finite_values(run, pick, at, value):
+    """A NaN or an infinity in a row, or a value whose square overflows:
+    the diffs it makes need not be Python's bit for bit, but the row
+    classifies alike with and without the hand-off."""
+    s, sig, alpha, rows, _ = _solver_rows(run, 0)
+    row = rows[pick % len(rows)].copy()
+    row[at % (2 * s.order)] = value
+    with np.errstate(all="ignore"):  # classify's own numpy scalars meet inf * 0
+        _assert_hand_off_matches(s, sig, alpha, row[None, :], [0.0], diffs=False)
+
+
+def test_first_candidates_of_no_rows():
+    fx = get_fixture("c2")
+    rows = np.zeros((0, 4), complex)
+    assert first_candidates(fx.carrier, fx.sigma(), 0.5 + 0j, rows).shape == (0,)
+
+
+def test_a_handed_slot_skips_the_work_of_earlier_slots(monkeypatch):
+    """From a slot past family 3 there is no scan of g on S^2, and from
+    family 7 no family-4 q or family-5 a1, a2 is computed."""
+    fx = get_fixture("c2")
+    s, sig = fx.carrier, fx.sigma()
+    chi1, chi2 = fx.characters["chi1"], fx.characters["chi2"]
+    pair = construct(s, sig, FamilyDescriptor(6, 0.5, chi1=chi1, chi2=chi2))
+    calls = []
+    for name in ("_s2_failure", "_family4_q", "_solve_2x2"):
+        real = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    slots = analysis._slots(s, sig, 0.5)
+    want = classify(s, sig, 0.5, pair.g, pair.f)
+    assert calls[:2] == ["_s2_failure", "_family4_q"] and want.family_tag == 6
+    for family in (6, 7):
+        calls.clear()
+        start = next(i for i, slot in enumerate(slots) if slot.family == family)
+        got = classify(s, sig, 0.5, pair.g, pair.f, _first_slot=start)
+        assert calls == [] and got.family_tag == (6 if family == 6 else "unclassified")
