@@ -41,7 +41,7 @@ from .families import (
     construct,
     function_vanishing_on_products,
 )
-from .fixtures import FINITE_TABLES, Fixture, get_fixture
+from .fixtures import FINITE_TABLES, get_fixture
 from .functions import (
     ScalarFunction,
     character_table,
@@ -50,7 +50,7 @@ from .functions import (
     is_multiplicative,
     null_sets,
 )
-from .semigroups import non_products
+from .semigroups import FiniteSemigroup, non_products
 from .solver import CompletenessReport, SolverConfig, completeness_check
 
 FINITE_FIXTURES = tuple(FINITE_TABLES)
@@ -322,7 +322,7 @@ def _random_solutions(combos: list, rng):
     pair, skipping descriptors that `construct` refuses."""
     while True:
         fx, sigma = combos[int(rng.integers(len(combos)))]
-        d = _random_descriptor(fx, sigma, rng)
+        d = _random_descriptor(fx.carrier, sigma, rng)
         try:
             pair = construct(fx.carrier, sigma, d)
         except InvalidDescriptor:
@@ -330,8 +330,7 @@ def _random_solutions(combos: list, rng):
         yield fx, sigma, d, pair
 
 
-def _random_descriptor(fx: Fixture, sigma, rng) -> FamilyDescriptor:
-    s = fx.carrier
+def _random_descriptor(s: FiniteSemigroup, sigma, rng) -> FamilyDescriptor:
     table = character_table(s, sigma)
     evens, twisted = table.even, table.twisted
     outside = non_products(s)

@@ -13,6 +13,15 @@ when the system is built, in the order of the dense formula, so its values
 equal the formula's (only the sign of some zero cells differs, and the
 normal equations' ridge turns -0.0 into +0.0).
 
+Each iteration solves the ridged normal equations J^H J + 1e-14 I for
+all active rows at once.  When `np.linalg.solve` raises (one row's Gram
+matrix has an exactly zero pivot), every active row of that iteration
+takes the least-squares step of J x = -E instead, in one stacked zgelsd
+call (`_lstsq_steps`).  Its steps are bit for bit those of
+`np.linalg.lstsq` row by row: numpy's gufunc sizes the workspace once for
+the shared (n^2, 2n) shape and runs the same LAPACK routine on each matrix
+of the stack, as it does for one matrix.
+
 Each Gauss-Newton iteration backtracks along the step, t = 1, 1/2, ...,
 2^-39: every active row tries t = 1, and the rows whose residual norm has
 not dropped yet try the next halvings in stacked chunks (`HALVING_CHUNKS`),
@@ -58,6 +67,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .analysis import classify, first_candidates, residual
 from .families import (
@@ -184,6 +194,26 @@ class _System:
         return J.reshape(len(vals), n * n, 2 * n)
 
 
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_steps(J: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """(m, 2n) least-squares solutions of J[i] x = E[i], one zgelsd call.
+
+    Bit for bit `np.linalg.lstsq(J[i], E[i], rcond=None)[0]` for each row,
+    with its rcond and its error: numpy's gufunc behind `lstsq` sizes
+    zgelsd's workspace once for the shared (n^2, 2n) shape and runs the
+    same routine on each matrix of the stack.
+    """
+    rows, cols = J.shape[1:]
+    rcond = np.finfo(complex).eps * max(rows, cols)
+    with np.errstate(call=_raise_lstsq_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(J, E[:, :, None], rcond, signature="DDd->Ddid")[0]
+    return x[:, :, 0]
+
+
 def _gauss_newton(system: _System, starts: np.ndarray) -> np.ndarray:
     """Value rows whose final max-norm residual is <= NEWTON_TOL.
 
@@ -212,9 +242,7 @@ def _gauss_newton(system: _System, starts: np.ndarray) -> np.ndarray:
             try:
                 step = np.linalg.solve(A + ridge, b[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
-                step = np.stack(
-                    [np.linalg.lstsq(J[i], -Ei[i], rcond=None)[0] for i in range(len(idx))]
-                )
+                step = _lstsq_steps(J, -Ei)
             old_ss = (np.abs(Ei) ** 2).sum(axis=1)
             # the rows that have not improved yet try the next chunk of step
             # lengths t = 2^-k in one res call; a row takes its first improving t
@@ -381,7 +409,8 @@ def _dedup(sols: np.ndarray, radius: float) -> np.ndarray:
     A row is kept unless some already-kept row lies within `radius` of it
     in the max-norm of the complex difference.  Since |z| >= |Re z|, a kept
     row whose Re x0 trails the current row's by `radius` or more can match
-    neither it nor any later row, so the scan starts past such rows.
+    neither it nor any later row, so the scan starts past such rows; a row
+    whose window of kept rows is empty is kept without a numpy call.
     """
     if len(sols) == 0:
         return sols
@@ -398,7 +427,7 @@ def _dedup(sols: np.ndarray, radius: float) -> np.ndarray:
         m = len(kept_re0)
         while lo < m and re0[i] - kept_re0[lo] >= radius:
             lo += 1
-        if (np.abs(row - kept[lo:m]).max(axis=1) >= radius).all():
+        if lo == m or (np.abs(row - kept[lo:m]).max(axis=1) >= radius).all():
             kept[m] = row
             kept_re0.append(re0[i])
     return kept[: len(kept_re0)]

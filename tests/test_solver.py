@@ -373,6 +373,12 @@ def _gauss_newton_oracle(system, starts):
     return vals[final <= NEWTON_TOL]
 
 
+# the Gauss-Newton iterations at which np.linalg.solve raises, and every
+# active row takes the least-squares step: one row's ridged Gram matrix is
+# exactly singular
+LSTSQ_FALLBACKS = {("c2", "id", 0.5, 0): 1, ("c2", "id", 0.5, 3): 3}
+
+
 @pytest.mark.parametrize(
     "name, sigma, alpha, seed",
     [
@@ -382,20 +388,88 @@ def _gauss_newton_oracle(system, starts):
         ("c3", "inv", 1j, 5),
         ("null3", "swap", 1j, 0),
         ("leftzero2", "swap", 1j, 0),
+        *LSTSQ_FALLBACKS,
     ],
 )
 def test_gauss_newton_matches_oracle_bitwise(monkeypatch, name, sigma, alpha, seed):
-    calls = []
-    real = solver._gauss_newton
+    calls, stacks = [], []
+    real, real_lstsq = solver._gauss_newton, solver._lstsq_steps
     monkeypatch.setattr(
         solver, "_gauss_newton", lambda *a: calls.append((a, real(*a))) or calls[-1][1]
     )
+    monkeypatch.setattr(solver, "_lstsq_steps", lambda J, E: stacks.append(len(J)) or real_lstsq(J, E))
     fx = get_fixture(name)
     find_solutions(fx.carrier, fx.sigma(sigma), alpha, SolverConfig(seed=seed))
+    assert len(stacks) == LSTSQ_FALLBACKS.get((name, sigma, alpha, seed), 0)
     ((args, got),) = calls
     want = _gauss_newton_oracle(*args)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _fallback_stacks(monkeypatch, name, sigma, alpha, cfg):
+    """The (J, E) stacks that `find_solutions` hands the least-squares step."""
+    stacks = []
+    real = solver._lstsq_steps
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            solver, "_lstsq_steps", lambda J, E: stacks.append((J.copy(), E.copy())) or real(J, E)
+        )
+        fx = get_fixture(name)
+        find_solutions(fx.carrier, fx.sigma(sigma), alpha, cfg)
+    return stacks
+
+
+def _assert_lstsq_rows_match(J, E):
+    with np.errstate(over="ignore", invalid="ignore"):  # as inside Gauss-Newton
+        got = solver._lstsq_steps(J, E)
+    want = np.stack([np.linalg.lstsq(J[i], E[i], rcond=None)[0] for i in range(len(J))])
+    assert got.shape == want.shape == (J.shape[0], J.shape[2])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lstsq_steps_match_per_row_on_singular_stack(monkeypatch):
+    ((J, E),) = _fallback_stacks(monkeypatch, "c2", "id", 0.5, SolverConfig(seed=0))
+    assert len(J) == 2029
+    # the stack holds a row whose ridged Gram matrix has an exactly zero pivot
+    A = J.conj().transpose(0, 2, 1) @ J + 1e-14 * np.eye(J.shape[2])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A, np.ones(A.shape[:2] + (1,), complex))
+    _assert_lstsq_rows_match(J, E)
+
+
+@pytest.mark.parametrize("name, alpha", [("c2", 1e154), ("bool-mult", 1e150)])
+def test_lstsq_steps_match_per_row_at_extreme_alpha(monkeypatch, name, alpha):
+    stacks = _fallback_stacks(monkeypatch, name, "id", alpha, SolverConfig(restarts=50, seed=0))
+    assert stacks
+    for J, E in stacks:
+        _assert_lstsq_rows_match(J, E)
+
+
+def test_lstsq_steps_use_numpys_rcond():
+    # a smallest singular value of 2e-15 lies above numpy's cutoff for a
+    # (4, 4) matrix (4 eps) and below 16 eps: the row's rank, and so its
+    # step, depends on the cutoff
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4)))[0]
+    J = q[0] * np.array([1.0, 0.5, 0.25, 2e-15])[None, None, :] @ q[1]
+    E = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    _assert_lstsq_rows_match(J, E)
+    assert np.linalg.lstsq(J[0], E[0], rcond=None)[2] == 4
+
+
+def test_lstsq_steps_nan_row_raises_per_row_error():
+    rng = np.random.default_rng(0)
+    J = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    E = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    J[2, 1, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as per_row:
+        np.linalg.lstsq(J[2], E[2], rcond=None)
+    # the error escapes Gauss-Newton's errstate(invalid="ignore")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError) as stacked:
+            solver._lstsq_steps(J, E)
+    assert str(stacked.value) == str(per_row.value)
 
 
 def _signed_zero_rows(rng, m, n):
